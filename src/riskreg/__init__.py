@@ -11,8 +11,7 @@ from .bench import (AlphaGrid, EfficiencyReport, StudyConfig, default_grid,
                     run_study, write_reports)
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import (LinearOperator, SpectralDecomposition, as_operator, cg_normal,
-                    frobenius_sq_influence, largest_eigenvalue, power_iteration,
-                    svd, trace_influence)
+                    largest_eigenvalue, power_iteration, svd)
 from .problems import (NoisyData, ProblemInstance, add_noise, load_container,
                        make_problem, parallel_tomo, save_container, sigma_for_snr,
                        snr_db)
@@ -20,12 +19,10 @@ from .risk import (MinimizerResult, RiskCurve, T_h, T_h_derivative, alpha_bounds
                    global_minimizer_certificate, lower_bound_T, minimize_T,
                    predictive_risk, predictive_risk_derivative,
                    upper_bound_threshold)
-from .rules import (RuleSelection, SnrSpec, bp, dp, gcv, ipro, lc, pro,
-                    pro_estimated, qoc, upre)
-from .tikhonov import (InfluencePath, InfluenceQuantities, RegularizedSolution,
-                       SolutionPath, influence_exact, influence_path_exact,
-                       influence_path_stochastic, influence_stochastic,
-                       iterative_path, solve_iterative, solve_spectral,
-                       spectral_path)
+from .rules import (RuleSelection, bp, dp, gcv, ipro, lc, pro, pro_estimated, qoc,
+                    upre)
+from .tikhonov import (InfluencePath, RegularizedSolution, SolutionPath,
+                       influence_path_exact, influence_path_stochastic, iterative_path,
+                       solve_iterative, solve_spectral, spectral_path)
 
 __version__ = "0.1.0"

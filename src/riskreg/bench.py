@@ -10,6 +10,8 @@ count and scheduling.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -33,21 +35,22 @@ DEFAULT_PROBES = 32
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Log-equispaced grid; endpoints are hit exactly."""
+    """Log-equispaced grid; endpoints are hit exactly.  ``values`` is computed
+    once and is read-only."""
 
     min: float
     max: float
     points: int
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.min > 0 and self.max > self.min):
             raise ValueError("need 0 < min < max")
         if self.points < 2:
             raise ValueError("need at least two grid points")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.geomspace(self.min, self.max, self.points)
+        values = np.geomspace(self.min, self.max, self.points)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def default_grid(s1_sq: float, points: int = DEFAULT_GRID_POINTS) -> AlphaGrid:
@@ -59,6 +62,18 @@ def matrix_free_grid(s1_sq: float, points: int = MATRIX_FREE_GRID_POINTS) -> Alp
     """The large-scale grid: (1e-8, 1e-2) * s1^2 / 2."""
     lo, hi = MATRIX_FREE_RANGE
     return AlphaGrid(lo * s1_sq / 2.0, hi * s1_sq / 2.0, points)
+
+
+def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
+               lo: Optional[float] = None, hi: Optional[float] = None) -> AlphaGrid:
+    """The default grid of the operator's representation, with any of its point
+    count and endpoints overridden; used by both the study and the CLI."""
+    if matrix_free:
+        grid = matrix_free_grid(s1_sq, MATRIX_FREE_GRID_POINTS if points is None else points)
+    else:
+        grid = default_grid(s1_sq, DEFAULT_GRID_POINTS if points is None else points)
+    return AlphaGrid(grid.min if lo is None else lo, grid.max if hi is None else hi,
+                     grid.points)
 
 
 def rel_error(f, f_true) -> float:
@@ -116,6 +131,23 @@ class EfficiencyReport:
                 "median_oracle": self.median_oracle}
 
 
+_CONFIG_KEYS = {"version", "problems", "xis", "n", "rules", "replicates", "seed", "grid",
+                "probes", "bp"}
+
+
+def _json_object(value, where: str, keys: set) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
+    return value
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass
 class StudyConfig:
     """Everything a study needs; serializes to a versioned JSON document."""
@@ -140,6 +172,17 @@ class StudyConfig:
         unknown = [r for r in self.rules if r not in rules_mod.RULE_NAMES]
         if unknown:
             raise ValueError(f"unknown rules: {unknown}")
+        if not all(_finite_number(x) for x in self.xis):
+            raise ValueError(f"xis must be finite numbers, got {list(self.xis)}")
+        for name in ("n", "replicates", "seed", "grid_points", "probes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):
+            value = getattr(self, name)
+            optional = name in ("grid_min", "grid_max")
+            if not (_finite_number(value) or (optional and value is None)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.version != 1:
@@ -158,10 +201,14 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        raw = json.loads(text)
-        grid = raw.get("grid", {})
-        bp = raw.get("bp", {})
-        return cls(problems=[(p["name"], p.get("variant")) for p in raw["problems"]],
+        """Parse a config document; a non-object or an unknown key at any level
+        is a ValueError."""
+        raw = _json_object(json.loads(text), "config", _CONFIG_KEYS)
+        grid = _json_object(raw.get("grid", {}), "grid", {"points", "min", "max"})
+        bp = _json_object(raw.get("bp", {}), "bp", {"gamma", "c"})
+        problems = [_json_object(p, "problem", {"name", "variant"})
+                    for p in raw["problems"]]
+        return cls(problems=[(p["name"], p.get("variant")) for p in problems],
                    xis=raw["xis"], n=raw["n"], rules=raw["rules"],
                    replicates=raw["replicates"], seed=raw.get("seed", 0),
                    grid_points=grid.get("points", DEFAULT_GRID_POINTS),
@@ -176,18 +223,15 @@ def _cell_setup(config: StudyConfig, name: str, variant: Optional[int]):
     problem = make_problem(name, variant, config.n)
     if problem.A.representation == "dense":
         dec = svd(problem.A)
-        s1_sq = float(dec.s[0]) ** 2
-        points = config.grid_points
-        lo = config.grid_min if config.grid_min is not None else GRID_MIN_FACTOR * s1_sq
-        hi = config.grid_max if config.grid_max is not None else GRID_MAX_FACTOR * s1_sq
-        grid = AlphaGrid(lo, hi, points)
+        grid = build_grid(float(dec.s[0]) ** 2, matrix_free=False,
+                          points=config.grid_points, lo=config.grid_min, hi=config.grid_max)
         influence = influence_path_exact(dec, grid.values)
     else:
         dec = None
         s1_sq = largest_eigenvalue(problem.A, seed=config.seed)
-        lo = config.grid_min if config.grid_min is not None else MATRIX_FREE_RANGE[0] * s1_sq / 2
-        hi = config.grid_max if config.grid_max is not None else MATRIX_FREE_RANGE[1] * s1_sq / 2
-        grid = AlphaGrid(lo, hi, min(config.grid_points, MATRIX_FREE_GRID_POINTS))
+        grid = build_grid(s1_sq, matrix_free=True,
+                          points=min(config.grid_points, MATRIX_FREE_GRID_POINTS),
+                          lo=config.grid_min, hi=config.grid_max)
         influence = influence_path_stochastic(problem.A, grid.values, config.probes,
                                               config.seed, lam1=s1_sq)
     return problem, dec, grid, influence
@@ -204,31 +248,18 @@ def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
     errors = np.linalg.norm(path.solutions - problem.f_true[None, :], axis=1) \
         / np.linalg.norm(problem.f_true)
     eps_o, _ = oracle_error(errors)
-    sigma2 = data.sigma ** 2
+    # Grid mode on the shared path: the influence path is the source, dp does
+    # not bisect off the grid, and pro falls back to the largest alpha rather
+    # than abort the study on a replicate that looks like pure noise.
+    inputs = rules_mod.SelectionInputs(g=data.g, source=influence, path=path,
+                                       sigma=data.sigma, sigma2=data.sigma ** 2,
+                                       on_degenerate="max_alpha", refine=False,
+                                       bp_gamma=config.bp_gamma, bp_c=config.bp_c)
     rows = {}
     for rule in config.rules:
         flags: list[str] = []
         try:
-            if rule == "pro":
-                sel = rules_mod.pro_estimated(influence, data.g, sigma2,
-                                              on_degenerate="max_alpha")
-            elif rule == "ipro":
-                sel = rules_mod.ipro(influence, data.g, path=path)
-            elif rule == "dp":
-                sel = rules_mod.dp(path, data.sigma, refine=False)
-            elif rule == "upre":
-                sel = rules_mod.upre(path, influence, sigma2)
-            elif rule == "gcv":
-                sel = rules_mod.gcv(path, influence)
-            elif rule == "bp":
-                sel = rules_mod.bp(path, data.sigma, influence,
-                                   gamma=config.bp_gamma, c=config.bp_c)
-            elif rule == "lc":
-                sel = rules_mod.lc(path)
-            elif rule == "qoc":
-                sel = rules_mod.qoc(path)
-            else:  # pragma: no cover - guarded by StudyConfig
-                raise ValueError(rule)
+            sel = rules_mod.RULES[rule].run(inputs)
             idx = sel.diagnostics.get("grid_index")
             if idx is None:
                 idx = int(np.argmin(np.abs(np.log(grid.values) - np.log(sel.alpha))))

@@ -18,8 +18,7 @@ import sys
 from . import bench, problems, rules, tikhonov
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import largest_eigenvalue, svd
-from .risk import RiskCurve, predictive_risk
-from .tikhonov import influence_path_exact, influence_path_stochastic
+from .risk import RiskCurve, lower_bound_T, predictive_risk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,16 +111,6 @@ def _load_dataset(path):
     return raw, problem, noisy
 
 
-def _grid_for(args, s1_sq: float, matrix_free: bool) -> bench.AlphaGrid:
-    if matrix_free:
-        grid = bench.matrix_free_grid(s1_sq, args.grid_points or bench.MATRIX_FREE_GRID_POINTS)
-    else:
-        grid = bench.default_grid(s1_sq, args.grid_points or bench.DEFAULT_GRID_POINTS)
-    lo = args.grid_min if args.grid_min is not None else grid.min
-    hi = args.grid_max if args.grid_max is not None else grid.max
-    return bench.AlphaGrid(lo, hi, grid.points)
-
-
 def _cmd_select(args, parser) -> int:
     raw, problem, noisy = _load_dataset(args.data)
     if noisy is None:
@@ -131,61 +120,33 @@ def _cmd_select(args, parser) -> int:
     sigma = args.sigma if args.sigma is not None else (noisy.sigma or None)
     sigma2 = args.sigma2 if args.sigma2 is not None else (
         None if sigma is None else sigma * sigma)
+    rule = rules.RULES[args.rule]
+    if rule.noise == "sigma" and sigma is None:
+        parser.error(f"{args.rule} needs --sigma")
+    if rule.noise == "sigma2" and sigma2 is None:
+        parser.error(f"{args.rule} needs --sigma2 or --sigma")
 
     matrix_free = args.matrix_free or problem.A.representation != "dense"
     if matrix_free:
-        lam1 = largest_eigenvalue(problem.A, seed=seed)
-        dec = None
-        s1_sq = lam1
+        s1_sq = largest_eigenvalue(problem.A, seed=seed)
     else:
-        dec = svd(problem.A)
-        s1_sq = float(dec.s[0]) ** 2
-
-    needs_path = args.rule in ("dp", "upre", "bp", "gcv", "lc", "qoc") or matrix_free
-    path = influence = None
-    if needs_path:
-        grid = _grid_for(args, s1_sq, matrix_free)
+        source = svd(problem.A)
+        s1_sq = float(source.s[0]) ** 2
+    path = None
+    if rule.needs_path or matrix_free:
+        grid = bench.build_grid(s1_sq, matrix_free, points=args.grid_points,
+                                lo=args.grid_min, hi=args.grid_max)
         if matrix_free:
-            influence = influence_path_stochastic(problem.A, grid.values, args.probes,
-                                                  seed, lam1=s1_sq)
+            source = tikhonov.influence_path_stochastic(problem.A, grid.values,
+                                                        args.probes, seed, lam1=s1_sq)
             path = tikhonov.iterative_path(problem.A, g, grid.values)
         else:
-            influence = influence_path_exact(dec, grid.values)
-            path = tikhonov.spectral_path(dec, g, grid.values)
-
-    if args.rule == "pro":
-        if args.rho2 is not None:
-            if sigma2 is None:
-                parser.error("pro with --rho2 also needs --sigma2 or --sigma")
-            sel = rules.pro(influence if matrix_free else dec, args.rho2, sigma2,
-                            n=g.size)
-        else:
-            if sigma2 is None:
-                parser.error("pro needs --sigma2/--sigma (and optionally --rho2)")
-            sel = rules.pro_estimated(influence if matrix_free else dec, g, sigma2)
-    elif args.rule == "ipro":
-        sel = rules.ipro(influence if matrix_free else dec, g,
-                         alpha_init=args.alpha_init, path=path)
-    elif args.rule == "dp":
-        if sigma is None:
-            parser.error("dp needs --sigma")
-        sel = rules.dp(path, sigma)
-    elif args.rule == "upre":
-        if sigma2 is None:
-            parser.error("upre needs --sigma2 or --sigma")
-        sel = rules.upre(path, influence if matrix_free else dec, sigma2)
-    elif args.rule == "gcv":
-        sel = rules.gcv(path, influence if matrix_free else dec)
-    elif args.rule == "bp":
-        if sigma is None:
-            parser.error("bp needs --sigma")
-        sel = rules.bp(path, sigma, influence if matrix_free else dec,
-                       gamma=args.bp_gamma, c=args.bp_c)
-    elif args.rule == "lc":
-        sel = rules.lc(path)
-    else:
-        sel = rules.qoc(path)
-    print(sel.to_json())
+            path = tikhonov.spectral_path(source, g, grid.values)
+    inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
+                                   sigma2=sigma2, rho2=args.rho2,
+                                   alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,
+                                   bp_c=args.bp_c)
+    print(rule.run(inputs).to_json())
     return EXIT_OK
 
 
@@ -201,8 +162,8 @@ def _cmd_study(args) -> int:
 def _cmd_curve(args, parser) -> int:
     raw, problem, noisy = _load_dataset(args.data)
     dec = svd(problem.A)
-    s1_sq = float(dec.s[0]) ** 2
-    grid = _grid_for(args, s1_sq, matrix_free=False)
+    grid = bench.build_grid(float(dec.s[0]) ** 2, matrix_free=False, points=args.grid_points,
+                            lo=args.grid_min, hi=args.grid_max)
     alphas = grid.values
     sigma2 = None if noisy is None else noisy.sigma ** 2
 
@@ -220,28 +181,19 @@ def _cmd_curve(args, parser) -> int:
             if problem.f_true is None:
                 raise DegenerateDataError("predictive curve needs f_true in the container")
             values = predictive_risk(dec, problem.g_true, sigma2, alphas)
-            RiskCurve(alphas, values, "predictive").to_csv(out)
         elif args.kind == "lower_bound":
-            rho2 = float(problem.g_true @ problem.g_true)
-            inf = influence_path_exact(dec, alphas)
-            values = rho2 * inf.sn_sq + sigma2 * inf.frob_sq
-            RiskCurve(alphas, values, "lower_bound").to_csv(out)
+            values = lower_bound_T(float(problem.g_true @ problem.g_true), sigma2, dec,
+                                   alphas)
         else:
             path = tikhonov.spectral_path(dec, noisy.g, alphas, keep_solutions=False)
-            inf = influence_path_exact(dec, alphas)
-            n = noisy.g.size
-            if args.kind == "upre":
-                if sigma2 is None:
-                    raise DegenerateDataError("upre curve needs the noise level")
-                values = path.residual_norms ** 2 - 2.0 * sigma2 * (n - inf.trace)
-                RiskCurve(alphas, values, "upre").to_csv(out)
-            elif args.kind == "gcv":
-                values = path.residual_norms ** 2 / (n - inf.trace) ** 2
-                RiskCurve(alphas, values, "gcv").to_csv(out)
-            else:
+            if args.kind == "lcurve":
                 out.write("alpha,residual_norm,solution_norm\n")
                 for a, r, s in zip(alphas, path.residual_norms, path.solution_norms):
                     out.write(f"{a:.12g},{r:.12g},{s:.12g}\n")
+                return EXIT_OK
+            sel = rules.upre(path, dec, sigma2) if args.kind == "upre" else rules.gcv(path, dec)
+            values = sel.diagnostics["objective_samples"]
+        RiskCurve(alphas, values, args.kind).to_csv(out)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -229,26 +229,17 @@ def cg_normal(A, B, alpha: float, tol: float = 1e-8, max_iter: int | None = None
     return (X[:, 0] if single else X), it
 
 
-def _probe_block(rows: int, probes: int, seed: int, distribution: str) -> np.ndarray:
-    rng = keyed_rng(seed, TAG_PROBES)
-    if distribution == "gaussian":
-        return rng.standard_normal((rows, probes))
-    if distribution == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=(rows, probes)) - 1.0
-    raise ValueError(f"unknown probe distribution {distribution!r}")
-
-
 def influence_probe_stats(A, alpha: float, probes: int, seed: int,
-                          solve_tol: float = 1e-8, distribution: str = "gaussian",
-                          x0=None, max_iter: int | None = None):
-    """One batch of probe solves, shared by the influence estimators.
+                          solve_tol: float = 1e-8, x0=None, max_iter: int | None = None):
+    """One batch of probe solves at one alpha: a step of the stochastic influence path.
 
-    Draws p probe vectors z, solves (A^T A + alpha I) w = A^T z for each, and
-    returns a dict with the averaged quadratic forms:
+    Draws p Gaussian probe vectors z, solves (A^T A + alpha I) w = A^T z for
+    each, and returns a dict with the averaged quadratic forms:
 
-    - ``frob_sq``:   mean ||A w||^2, estimating the squared Frobenius norm of
-      the influence operator A (A^T A + alpha I)^{-1} A^T,
-    - ``trace``:     mean <z, A w>, estimating its trace,
+    - ``frob_sq``:   mean ||A w||^2, an unbiased estimate of the squared
+      Frobenius norm of the influence operator A (A^T A + alpha I)^{-1} A^T,
+    - ``trace``:     mean <z, A w>, estimating its trace (valid because the
+      influence operator is symmetric PSD),
     - ``noise_amp``: mean ||w||^2, estimating tr((A^T A + alpha I)^{-2} A^T A),
     - ``W``:         the solve block, reusable as a warm start at a nearby alpha.
     """
@@ -257,7 +248,7 @@ def influence_probe_stats(A, alpha: float, probes: int, seed: int,
     if probes < 1:
         raise ValueError("need at least one probe")
     op = as_operator(A)
-    Z = _probe_block(op.rows, probes, seed, distribution)
+    Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
     Bt = op.apply_adjoint(Z)
     W, iters = cg_normal(op, Bt, alpha, tol=solve_tol, max_iter=max_iter, x0=x0)
     AW = op.apply(W)
@@ -266,27 +257,3 @@ def influence_probe_stats(A, alpha: float, probes: int, seed: int,
     noise_amp = float(np.mean(np.sum(W * W, axis=0)))
     return {"frob_sq": frob_sq, "trace": trace, "noise_amp": noise_amp,
             "W": W, "iterations": iters}
-
-
-def frobenius_sq_influence(A, alpha: float, probes: int, seed: int,
-                           solve_tol: float = 1e-8, distribution: str = "gaussian") -> float:
-    """Probe-averaged estimate of ||A (A^T A + alpha I)^{-1} A^T||_F^2.
-
-    The estimator averages ||A w_i||^2 over i.i.d. probes, so it is unbiased
-    for the squared Frobenius norm of the influence operator.
-    """
-    stats = influence_probe_stats(A, alpha, probes, seed, solve_tol=solve_tol,
-                                  distribution=distribution)
-    return stats["frob_sq"]
-
-
-def trace_influence(A, alpha: float, probes: int, seed: int,
-                    solve_tol: float = 1e-8, distribution: str = "gaussian") -> float:
-    """Probe-averaged estimate of tr(A (A^T A + alpha I)^{-1} A^T).
-
-    Uses the quadratic form z^T A w with the same solves as the Frobenius
-    estimator; valid because the influence operator is symmetric PSD.
-    """
-    stats = influence_probe_stats(A, alpha, probes, seed, solve_tol=solve_tol,
-                                  distribution=distribution)
-    return stats["trace"]

@@ -395,7 +395,7 @@ def save_container(path, problem: Optional[ProblemInstance] = None,
 
 def load_container(path) -> dict:
     """Read a container; returns the header dict with arrays attached under
-    their field names."""
+    their field names.  An array holding NaN or inf is a ValueError."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a riskreg container")
@@ -405,6 +405,8 @@ def load_container(path) -> dict:
             shape = tuple(sec["shape"])
             count = int(np.prod(shape))
             arr = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"container field {sec['field']!r} has non-finite entries")
             header[sec["field"]] = arr.reshape(shape, order=sec.get("order", "C")).copy()
     return header
 

@@ -17,7 +17,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .linop import SpectralDecomposition
-from .tikhonov import InfluenceQuantities, influence_exact
+from .tikhonov import InfluencePath, influence_path_exact
 
 SEARCH_CAP = 0.5  # the minimizer is searched on [0, s1^2 * SEARCH_CAP]
 
@@ -94,31 +94,30 @@ def predictive_risk_derivative(dec: SpectralDecomposition, g_true, sigma2: float
 
 
 def lower_bound_T(rho2: float, sigma2: float,
-                  source: Union[SpectralDecomposition, InfluenceQuantities],
-                  alpha: float | None = None) -> float:
-    """Evaluate rho^2 * sn_sq + sigma^2 * frob_sq from a spectrum or from
-    precomputed influence quantities (exact or stochastic)."""
+                  source: Union[SpectralDecomposition, InfluencePath], alpha=None):
+    """The lower bound rho^2 * sn_sq + sigma^2 * frob_sq.
+
+    A spectral ``source`` is evaluated at ``alpha`` (a scalar or an array); an
+    influence path (exact or stochastic) on its own grid, which ``alpha``, if
+    given, must match.  A scalar alpha gives a float, otherwise an array.
+    """
     if rho2 <= 0 or sigma2 < 0:
         raise ValueError("need rho2 > 0 and sigma2 >= 0")
-    if isinstance(source, InfluenceQuantities):
+    if isinstance(source, InfluencePath):
         inf = source
-        if alpha is not None and not np.isclose(alpha, inf.alpha, rtol=1e-12, atol=0.0):
-            raise ValueError("alpha disagrees with the influence quantities")
+        if alpha is not None and not np.allclose(alpha, inf.alphas, rtol=1e-12, atol=0.0):
+            raise ValueError("alpha disagrees with the influence path")
     else:
         if alpha is None:
             raise ValueError("alpha is required with a spectral source")
-        inf = influence_exact(source, alpha)
-    return rho2 * inf.sn_sq + sigma2 * inf.frob_sq
+        inf = influence_path_exact(source, np.atleast_1d(alpha))
+    values = rho2 * inf.sn_sq + sigma2 * inf.frob_sq
+    return float(values[0]) if np.isscalar(alpha) else values
 
 
 def T_h(dec: SpectralDecomposition, h: float, alpha):
-    """The normalized lower bound f1 + h f2."""
-    s2 = dec.s * dec.s
-    a = np.asarray(alpha, dtype=float)
-    f1 = (a / (a + s2[0])) ** 2 if dec.rank else np.ones_like(a)
-    f2 = np.sum((s2 / (a[..., None] + s2)) ** 2, axis=-1)
-    out = f1 + h * f2
-    return float(out) if np.isscalar(alpha) else out
+    """The normalized lower bound f1 + h f2: the bound at rho^2 = 1, sigma^2 = h."""
+    return lower_bound_T(1.0, h, dec, alpha)
 
 
 def _T_h_derivative_terms(dec: SpectralDecomposition, alpha):

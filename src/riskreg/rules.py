@@ -11,23 +11,25 @@ Two families share the machinery:
 
 Rules used inside the replicate harness operate in grid mode: they select a
 point of the shared path, so their error can never beat the path oracle.
+
+``RULES`` maps each rule name to one way of running it on ``SelectionInputs``
+and to the inputs it needs; the CLI and the replicate harness both select
+through it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import SpectralDecomposition, as_operator
 from .problems import snr_db
-from .risk import minimize_T
+from .risk import lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_path_exact
-
-RULE_NAMES = ("pro", "ipro", "dp", "upre", "bp", "gcv", "lc", "qoc")
 
 # Relative residual below which the noise level is considered unidentifiable
 # (the residual is then dominated by floating-point rounding).
@@ -58,42 +60,10 @@ class RuleSelection:
         return json.dumps(payload)
 
 
-@dataclass(frozen=True)
-class SnrSpec:
-    """Signal-to-noise specification: either energies or decibels.
-
-    When both are given they must agree: xi = 10 log10(rho2 / (n sigma2)).
-    """
-
-    rho2: Optional[float] = None
-    sigma2: Optional[float] = None
-    xi: Optional[float] = None
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        if self.rho2 is not None and self.sigma2 is not None and self.xi is not None:
-            if self.n is None:
-                raise ValueError("n is required to cross-check xi")
-            implied = snr_db(self.rho2, self.sigma2, self.n)
-            if not np.isclose(implied, self.xi, rtol=1e-10, atol=1e-10):
-                raise ValueError("inconsistent SNR specification")
-
-    def h(self) -> float:
-        if self.rho2 is not None and self.sigma2 is not None:
-            return self.sigma2 / self.rho2
-        if self.xi is not None and self.n is not None:
-            return 1.0 / (self.n * 10.0 ** (self.xi / 10.0))
-        raise ValueError("underdetermined SNR specification")
-
-
 def _argmin_last(values: np.ndarray) -> int:
     # grid minimizers break ties toward the largest alpha
     v = np.asarray(values)
     return int(v.size - 1 - np.argmin(v[::-1]))
-
-
-def _lower_bound_values(inf: InfluencePath, rho2: float, sigma2: float) -> np.ndarray:
-    return rho2 * inf.sn_sq + sigma2 * inf.frob_sq
 
 
 def _select_min_T(source, rho2: float, sigma2: float):
@@ -107,7 +77,7 @@ def _select_min_T(source, rho2: float, sigma2: float):
                 "flags": (["boundary"] if res.at_boundary else [])}
         return res.alpha_star, diag
     if isinstance(source, InfluencePath):
-        values = _lower_bound_values(source, rho2, sigma2)
+        values = lower_bound_T(rho2, sigma2, source)
         idx = _argmin_last(values)
         flags = []
         if idx in (0, len(values) - 1):
@@ -243,7 +213,7 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
             raise DegenerateDataError("residual exhausts the data energy")
         h_trail.append(sigma2 / rho2)
         if grid_mode:
-            values = _lower_bound_values(source, rho2, sigma2)
+            values = lower_bound_T(rho2, sigma2, source)
             new_idx = _argmin_last(values)
             new_alpha = float(source.alphas[new_idx])
         else:
@@ -305,22 +275,24 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
                          diagnostics={"target": target, "flags": flags, "grid_index": j})
 
 
-def _trace_values(path: SolutionPath, trace_source) -> np.ndarray:
-    if isinstance(trace_source, InfluencePath):
-        if trace_source.alphas.shape != path.alphas.shape or \
-                not np.allclose(trace_source.alphas, path.alphas, rtol=1e-12):
+def _influence_on(path: SolutionPath, source) -> InfluencePath:
+    """The influence scalars on the grid of ``path``, from a spectrum or an
+    influence path sampled on that grid."""
+    if isinstance(source, InfluencePath):
+        if source.alphas.shape != path.alphas.shape or \
+                not np.allclose(source.alphas, path.alphas, rtol=1e-12):
             raise ValueError("influence path and solution path use different grids")
-        return trace_source.trace
-    if isinstance(trace_source, SpectralDecomposition):
-        return influence_path_exact(trace_source, path.alphas).trace
-    raise TypeError("trace source must be a SpectralDecomposition or InfluencePath")
+        return source
+    if isinstance(source, SpectralDecomposition):
+        return influence_path_exact(source, path.alphas)
+    raise TypeError("source must be a SpectralDecomposition or InfluencePath")
 
 
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     """Unbiased predictive-risk estimate: ||r||^2 - 2 sigma2 tr(I - X_a), on the grid."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    tr = _trace_values(path, trace_source)
+    tr = _influence_on(path, trace_source).trace
     values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
     idx = _argmin_last(values)
     return RuleSelection(rule="upre", alpha=float(path.alphas[idx]),
@@ -330,7 +302,7 @@ def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
 
 def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     """Generalized cross validation: ||r||^2 / tr(I - X_a)^2, on the grid."""
-    tr = _trace_values(path, trace_source)
+    tr = _influence_on(path, trace_source).trace
     denom = (path.data_size - tr) ** 2
     values = path.residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
     idx = _argmin_last(values)
@@ -353,12 +325,7 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
         raise ValueError("bp needs the solutions along the path")
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
-    if isinstance(noise_source, InfluencePath):
-        namp = noise_source.noise_amp
-    elif isinstance(noise_source, SpectralDecomposition):
-        namp = influence_path_exact(noise_source, path.alphas).noise_amp
-    else:
-        raise TypeError("noise source must be a SpectralDecomposition or InfluencePath")
+    namp = _influence_on(path, noise_source).noise_amp
     ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
     sub = np.arange(len(path) - 1, -1, -step)[::-1]   # ascending subgrid indices
@@ -421,3 +388,59 @@ def qoc(path: SolutionPath) -> RuleSelection:
     return RuleSelection(rule="qoc", alpha=float(path.alphas[idx]),
                          diagnostics={"differences": diffs, "grid_index": idx,
                                       "flags": []})
+
+
+@dataclass
+class SelectionInputs:
+    """Everything a registered rule may read, and the settings a caller may vary.
+
+    ``source`` is a spectrum (continuous selection) or an influence path on
+    the grid of ``path`` (grid mode).  ``rho2`` makes ``pro`` use a known
+    signal energy instead of estimating it; ``on_degenerate`` is passed to
+    ``pro_estimated``, ``refine`` to ``dp``.
+    """
+
+    g: np.ndarray
+    source: Union[SpectralDecomposition, InfluencePath]
+    path: Optional[SolutionPath] = None
+    sigma: Optional[float] = None
+    sigma2: Optional[float] = None
+    rho2: Optional[float] = None
+    alpha_init: Optional[float] = None
+    on_degenerate: str = "raise"
+    refine: bool = True
+    bp_gamma: float = 0.25
+    bp_c: float = 1.5
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A registry entry: the rule on its inputs, whether it selects on a sampled
+    solution path, and the noise input (``"sigma"`` or ``"sigma2"``) it needs."""
+
+    run: Callable[[SelectionInputs], RuleSelection]
+    needs_path: bool
+    noise: Optional[str] = None
+
+
+def _run_pro(x: SelectionInputs) -> RuleSelection:
+    if x.rho2 is not None:
+        return pro(x.source, x.rho2, x.sigma2, n=x.g.size)
+    return pro_estimated(x.source, x.g, x.sigma2, on_degenerate=x.on_degenerate)
+
+
+RULES = {
+    "pro": Rule(_run_pro, needs_path=False, noise="sigma2"),
+    "ipro": Rule(lambda x: ipro(x.source, x.g, alpha_init=x.alpha_init, path=x.path),
+                 needs_path=False),
+    "dp": Rule(lambda x: dp(x.path, x.sigma, refine=x.refine), needs_path=True,
+               noise="sigma"),
+    "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
+                 noise="sigma2"),
+    "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),
+               needs_path=True, noise="sigma"),
+    "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True),
+    "lc": Rule(lambda x: lc(x.path), needs_path=True),
+    "qoc": Rule(lambda x: qoc(x.path), needs_path=True),
+}
+RULE_NAMES = tuple(RULES)

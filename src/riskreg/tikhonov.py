@@ -27,24 +27,6 @@ class RegularizedSolution:
     path: str  # "spectral" | "iterative"
 
 
-@dataclass
-class InfluenceQuantities:
-    """Scalars derived from the influence operator X_a = A (A^T A + a I)^{-1} A^T.
-
-    ``sn_sq`` is the squared smallest singular value of X_a - I, ``frob_sq``
-    the squared Frobenius norm of X_a and ``trace`` its trace.  ``noise_amp``
-    is tr((A^T A + a I)^{-2} A^T A), the expected squared solution norm under
-    unit white noise.
-    """
-
-    alpha: float
-    sn_sq: float
-    frob_sq: float
-    trace: float
-    source: str  # "exact" | "stochastic"
-    noise_amp: Optional[float] = None
-
-
 def _filter_factors(s: np.ndarray, alpha: float) -> np.ndarray:
     # s / (s^2 + alpha); at alpha = 0 this is the pseudoinverse 1/s.
     return s / (s * s + alpha)
@@ -114,49 +96,15 @@ def solve_iterative(A, g, alpha: float, tol: float = 1e-8, x0=None,
                                residual_norm=float(np.linalg.norm(r)), path="iterative")
 
 
-def influence_exact(dec: SpectralDecomposition, alpha: float,
-                    n: int | None = None) -> InfluenceQuantities:
-    """Influence-operator scalars from the spectrum.
-
-    The singular values of X_a are s_i^2/(s_i^2 + a) for the r retained modes
-    and zero beyond; the smallest singular value of X_a - I is taken as
-    a/(s_1^2 + a) in all cases.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if n is not None and dec.rank > n:
-        raise ValueError("rank exceeds data dimension")
-    s2 = dec.s * dec.s
-    x = s2 / (s2 + alpha)
-    sn = alpha / (s2[0] + alpha) if dec.rank else 1.0
-    return InfluenceQuantities(alpha=float(alpha), sn_sq=float(sn * sn),
-                               frob_sq=float(np.sum(x * x)), trace=float(np.sum(x)),
-                               source="exact",
-                               noise_amp=float(np.sum(s2 / (s2 + alpha) ** 2)))
-
-
-def influence_stochastic(A, alpha: float, probes: int, seed: int,
-                         solve_tol: float = 1e-8, lam1: float | None = None) -> InfluenceQuantities:
-    """Influence scalars without a decomposition: power method plus probe solves.
-
-    ``lam1`` (the largest eigenvalue of A^T A) may be passed in to amortize the
-    power iteration across many alpha values.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    op = as_operator(A)
-    if lam1 is None:
-        lam1 = largest_eigenvalue(op, seed=seed)
-    stats = influence_probe_stats(op, alpha, probes, seed, solve_tol=solve_tol)
-    sn = alpha / (lam1 + alpha)
-    return InfluenceQuantities(alpha=float(alpha), sn_sq=float(sn * sn),
-                               frob_sq=stats["frob_sq"], trace=stats["trace"],
-                               source="stochastic", noise_amp=stats["noise_amp"])
-
-
 @dataclass
 class InfluencePath:
     """Influence scalars sampled on an alpha grid (exact or probe-estimated).
+
+    For X_a = A (A^T A + a I)^{-1} A^T, ``sn_sq`` is the squared smallest
+    singular value of X_a - I, ``frob_sq`` the squared Frobenius norm of X_a
+    and ``trace`` its trace.  ``noise_amp`` is tr((A^T A + a I)^{-2} A^T A),
+    the expected squared solution norm under unit white noise.  A single
+    alpha is a grid of length one.
 
     On the stochastic path the probe vectors are frozen across the grid, so
     the sampled curves are smooth functions of alpha.
@@ -169,16 +117,17 @@ class InfluencePath:
     noise_amp: np.ndarray
     source: str
 
-    def at(self, idx: int) -> InfluenceQuantities:
-        return InfluenceQuantities(alpha=float(self.alphas[idx]),
-                                   sn_sq=float(self.sn_sq[idx]),
-                                   frob_sq=float(self.frob_sq[idx]),
-                                   trace=float(self.trace[idx]), source=self.source,
-                                   noise_amp=float(self.noise_amp[idx]))
-
 
 def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
+    """Influence scalars from the spectrum.
+
+    The singular values of X_a are s_i^2/(s_i^2 + a) for the r retained modes
+    and zero beyond; the smallest singular value of X_a - I is taken as
+    a/(s_1^2 + a) in all cases.
+    """
     alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas < 0):
+        raise ValueError("alpha must be nonnegative")
     s2 = dec.s * dec.s
     x = s2[None, :] / (s2[None, :] + alphas[:, None])
     sn = alphas / (s2[0] + alphas) if dec.rank else np.ones_like(alphas)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import riskreg as rr
-from riskreg.bench import (AlphaGrid, StudyConfig, default_grid, efficiency,
-                           oracle_error, rel_error, run_study, write_reports)
+from riskreg.bench import (AlphaGrid, StudyConfig, build_grid, default_grid, efficiency,
+                           matrix_free_grid, oracle_error, rel_error, run_study,
+                           write_reports)
 
 
 class TestAlphaGrid:
@@ -25,6 +26,18 @@ class TestAlphaGrid:
     def test_default_ranges(self):
         g = default_grid(4.0)
         assert g.min == pytest.approx(4e-12) and g.max == pytest.approx(2.0)
+
+    def test_values_cached_read_only(self):
+        grid = AlphaGrid(1e-3, 1.0, 7)
+        assert grid.values is grid.values
+        with pytest.raises(ValueError):
+            grid.values[0] = 1.0
+
+    def test_build_grid_defaults_and_overrides(self):
+        assert build_grid(4.0, False) == default_grid(4.0)
+        assert build_grid(4.0, True) == matrix_free_grid(4.0)
+        g = build_grid(4.0, True, points=30, lo=1e-6)
+        assert (g.min, g.max, g.points) == (1e-6, matrix_free_grid(4.0).max, 30)
 
 
 class TestScalarMetrics:
@@ -115,6 +128,8 @@ class TestRunStudy:
         assert cfg2.problems == cfg.problems
         assert cfg2.rules == list(cfg.rules) or tuple(cfg2.rules) == tuple(cfg.rules)
         assert cfg2.replicates == 7 and cfg2.grid_points == cfg.grid_points
+        full = _tiny_config(grid_min=1e-9, grid_max=2.0, probes=5, bp_gamma=0.5)
+        assert StudyConfig.from_json(full.to_json()) == full
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

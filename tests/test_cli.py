@@ -7,6 +7,7 @@ import pytest
 import riskreg as rr
 from riskreg.cli import main
 from riskreg.problems import load_container, problem_from_container, save_container
+from riskreg.rules import RULE_NAMES
 
 
 @pytest.fixture()
@@ -152,6 +153,30 @@ class TestCurve:
             expected = rr.lower_bound_T(rho2, sigma2, dec, float(alpha))
             assert float(value) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("kind", ["upre", "gcv"])
+    def test_upre_gcv_match_formulas(self, shaw_dataset, kind, capsys):
+        assert main(["curve", "--data", str(shaw_dataset), "--kind", kind,
+                     "--grid-points", "25"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "alpha,value,kind" and len(lines) == 26
+        raw = load_container(shaw_dataset)
+        dec = rr.svd(problem_from_container(raw).A)
+        g, sigma2 = raw["g"], raw["sigma"] ** 2
+        n = g.size
+        s2 = dec.s ** 2
+        for row in lines[1:]:
+            alpha, value, row_kind = row.split(",")
+            alpha = float(alpha)
+            assert row_kind == kind
+            r_sq = rr.solve_spectral(dec, g, alpha).residual_norm ** 2
+            dof = n - float(np.sum(s2 / (s2 + alpha)))
+            if kind == "upre":
+                expected = r_sq - 2.0 * sigma2 * dof
+                assert float(value) == pytest.approx(expected, rel=1e-8,
+                                                     abs=1e-10 * n * sigma2)
+            else:
+                assert float(value) == pytest.approx(r_sq / dof ** 2, rel=1e-8)
+
     def test_predictive_needs_truth_exit_3(self, tmp_path):
         d = rr.NoisyData(g=np.ones(8), sigma=0.1, xi=10.0, seed=0, replicate=0)
         p = rr.ProblemInstance(name="custom", variant=None, n=8,
@@ -168,6 +193,54 @@ class TestCurve:
         assert lines[0] == "alpha,residual_norm,solution_norm"
         vals = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
         assert vals.shape == (30, 3) and np.all(np.isfinite(vals))
+
+
+_GOOD_CONFIG = {"version": 1, "problems": [{"name": "shaw", "variant": None}],
+                "xis": [10.0], "n": 16, "rules": ["pro"], "replicates": 2,
+                "grid": {"points": 20}}
+
+# (case id, what is malformed, expected exit code).  Study cases replace the
+# config text; data cases put the value into the noisy data vector g.
+_MALFORMED = [
+    ("config_list", ("study", "[1, 2]"), 2),
+    ("config_unknown_key", ("study", dict(_GOOD_CONFIG, replciates=3)), 2),
+    ("config_unknown_grid_key", ("study", dict(_GOOD_CONFIG, grid={"pionts": 20})), 2),
+    ("config_unknown_problem_key",
+     ("study", dict(_GOOD_CONFIG, problems=[{"name": "shaw", "varient": None}])), 2),
+    ("config_nan_xi", ("study", dict(_GOOD_CONFIG, xis=[float("nan")])), 2),
+    ("config_inf_xi", ("study", dict(_GOOD_CONFIG, xis=[10.0, float("inf")])), 2),
+    ("config_string_xi", ("study", dict(_GOOD_CONFIG, xis=["10"])), 2),
+] + [(f"select_{rule}_nan_g", ("select", rule, float("nan")), 2) for rule in RULE_NAMES] \
+  + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
+     ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \
+  + [(f"curve_{kind}_nan_g", ("curve", kind, float("nan")), 2)
+     for kind in ("lower_bound", "predictive", "upre", "gcv", "lcurve")]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case,expected", [(c, e) for _, c, e in _MALFORMED],
+                             ids=[i for i, _, _ in _MALFORMED])
+    def test_exit_code(self, tmp_path, capsys, case, expected):
+        out_dir = tmp_path / "out"
+        if case[0] == "study":
+            text = case[1] if isinstance(case[1], str) else json.dumps(case[1])
+            cfg = tmp_path / "config.json"
+            cfg.write_text(text)
+            argv = ["study", "--config", str(cfg), "--out", str(out_dir)]
+        else:
+            command, name, bad, *extra = case
+            p = rr.make_problem("shaw", None, 16)
+            g = p.g_true.copy()
+            g[3] = bad
+            path = tmp_path / "bad.rr"
+            save_container(path, problem=p,
+                           noisy=rr.NoisyData(g=g, sigma=0.01, xi=20.0, seed=0, replicate=0))
+            flag = "--rule" if command == "select" else "--kind"
+            argv = [command, "--data", str(path), flag, name, "--grid-points", "20"] + extra
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+        assert not out_dir.exists()
 
 
 class TestUsage:

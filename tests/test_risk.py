@@ -60,11 +60,17 @@ class TestLowerBound:
 
     def test_accepts_influence_quantities(self, shaw32):
         _, dec = shaw32
-        inf = rr.influence_exact(dec, 0.1)
+        inf = rr.influence_path_exact(dec, [0.1])
         direct = rr.lower_bound_T(2.0, 0.5, dec, 0.1)
-        assert rr.lower_bound_T(2.0, 0.5, inf) == pytest.approx(direct)
+        assert rr.lower_bound_T(2.0, 0.5, inf)[0] == pytest.approx(direct)
+        assert rr.lower_bound_T(2.0, 0.5, inf, alpha=0.1) == pytest.approx(direct)
         with pytest.raises(ValueError):
             rr.lower_bound_T(2.0, 0.5, inf, alpha=0.2)
+        # a spectrum evaluated on a grid matches the influence path on that grid
+        grid = np.geomspace(1e-6, 1.0, 9)
+        np.testing.assert_array_equal(rr.lower_bound_T(2.0, 0.5, dec, grid),
+                                      rr.lower_bound_T(2.0, 0.5,
+                                                       rr.influence_path_exact(dec, grid)))
 
     def test_small_alpha_limit_is_rank_times_h(self):
         # spectrum with bounded spread so the limit is resolved at 1e-12 s1^2

@@ -386,9 +386,28 @@ class TestSelectionInterface:
                    lambda: rules.qoc(path), lambda: rules.gcv(path, inf)):
             assert fn().alpha == fn().alpha
 
-    def test_snr_spec(self):
-        spec = rules.SnrSpec(rho2=64.0, sigma2=1.0, xi=10 * np.log10(4.0), n=16)
-        assert spec.h() == pytest.approx(1.0 / 64.0)
-        with pytest.raises(ValueError):
-            rules.SnrSpec(rho2=64.0, sigma2=1.0, xi=99.0, n=16)
-        assert rules.SnrSpec(xi=10.0, n=64).h() == pytest.approx(1.0 / 640.0)
+    def test_registry_matches_direct_calls(self, shaw64):
+        p, dec = shaw64
+        d = rr.add_noise(p, 10.0, seed=3, replicate=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        path = rr.spectral_path(dec, d.g, grid)
+        inf = rr.influence_path_exact(dec, grid)
+        sigma2 = d.sigma ** 2
+        direct = {
+            "pro": rules.pro_estimated(inf, d.g, sigma2),
+            "ipro": rules.ipro(inf, d.g, path=path),
+            "dp": rules.dp(path, d.sigma, refine=False),
+            "upre": rules.upre(path, inf, sigma2),
+            "bp": rules.bp(path, d.sigma, inf, gamma=0.5, c=2.0),
+            "gcv": rules.gcv(path, inf),
+            "lc": rules.lc(path),
+            "qoc": rules.qoc(path),
+        }
+        assert rules.RULE_NAMES == tuple(direct)
+        inputs = rules.SelectionInputs(g=d.g, source=inf, path=path, sigma=d.sigma,
+                                       sigma2=sigma2, refine=False, bp_gamma=0.5, bp_c=2.0)
+        for name, sel in direct.items():
+            assert rules.RULES[name].run(inputs).alpha == sel.alpha, name
+        assert {n for n, r in rules.RULES.items() if not r.needs_path} == {"pro", "ipro"}
+        assert {n: r.noise for n, r in rules.RULES.items() if r.noise} == \
+            {"pro": "sigma2", "dp": "sigma", "upre": "sigma2", "bp": "sigma"}

@@ -74,23 +74,25 @@ class TestSolveIterative:
 class TestInfluenceExact:
     def test_diag_case(self):
         dec = rr.svd(np.diag([2.0, 1.0]))
-        inf = rr.influence_exact(dec, 2.0)
-        assert inf.sn_sq == pytest.approx(1.0 / 9.0)
-        assert inf.frob_sq == pytest.approx((2.0 / 3.0) ** 2 + (1.0 / 3.0) ** 2)
-        assert inf.trace == pytest.approx(1.0)
+        inf = rr.influence_path_exact(dec, [2.0])
+        assert inf.sn_sq[0] == pytest.approx(1.0 / 9.0)
+        assert inf.frob_sq[0] == pytest.approx((2.0 / 3.0) ** 2 + (1.0 / 3.0) ** 2)
+        assert inf.trace[0] == pytest.approx(1.0)
 
     def test_alpha_zero_full_rank(self):
         dec = rr.svd(np.diag([3.0, 2.0, 1.0]))
-        inf = rr.influence_exact(dec, 0.0)
-        assert inf.sn_sq == 0.0
-        assert inf.trace == pytest.approx(3.0)
+        inf = rr.influence_path_exact(dec, [0.0])
+        assert inf.sn_sq[0] == 0.0
+        assert inf.trace[0] == pytest.approx(3.0)
+        with pytest.raises(ValueError):
+            rr.influence_path_exact(dec, [-1.0])
 
     def test_identity_case(self):
         dec = rr.svd(np.eye(8))
-        inf = rr.influence_exact(dec, 1.0)
-        assert inf.sn_sq == pytest.approx(0.25)
-        assert inf.frob_sq == pytest.approx(2.0)
-        assert inf.trace == pytest.approx(4.0)
+        inf = rr.influence_path_exact(dec, [1.0])
+        assert inf.sn_sq[0] == pytest.approx(0.25)
+        assert inf.frob_sq[0] == pytest.approx(2.0)
+        assert inf.trace[0] == pytest.approx(4.0)
 
     def test_filter_values_in_unit_interval(self, benchmarks64):
         for p, dec in benchmarks64:
@@ -102,17 +104,17 @@ class TestInfluenceExact:
 
 class TestInfluenceStochastic:
     def test_identity_sn_exact(self):
-        inf = rr.influence_stochastic(np.eye(8), 1.0, probes=4, seed=0)
-        assert inf.sn_sq == pytest.approx(0.25, rel=1e-8)
+        inf = rr.influence_path_stochastic(np.eye(8), [1.0], probes=4, seed=0)
+        assert inf.sn_sq[0] == pytest.approx(0.25, rel=1e-8)
         assert inf.source == "stochastic"
 
     def test_matches_exact_on_shaw(self, shaw64):
         p, dec = shaw64
-        alpha = 1e-2 * float(dec.s[0]) ** 2
-        inf_s = rr.influence_stochastic(p.A, alpha, probes=200, seed=0)
-        inf_e = rr.influence_exact(dec, alpha)
-        assert inf_s.sn_sq == pytest.approx(inf_e.sn_sq, rel=1e-6)
-        assert inf_s.frob_sq == pytest.approx(inf_e.frob_sq, rel=0.05)
+        alpha = [1e-2 * float(dec.s[0]) ** 2]
+        inf_s = rr.influence_path_stochastic(p.A, alpha, probes=200, seed=0)
+        inf_e = rr.influence_path_exact(dec, alpha)
+        assert inf_s.sn_sq[0] == pytest.approx(inf_e.sn_sq[0], rel=1e-6)
+        assert inf_s.frob_sq[0] == pytest.approx(inf_e.frob_sq[0], rel=0.05)
 
 
 class TestPaths:
