@@ -10,7 +10,7 @@ from .bench import (AlphaGrid, EfficiencyReport, StudyConfig, default_grid,
                     efficiency, matrix_free_grid, oracle_error, rel_error,
                     run_study, write_reports)
 from .errors import ConvergenceError, DegenerateDataError
-from .linop import (LinearOperator, SpectralDecomposition, as_operator, cg_normal,
+from .linop import (LinearOperator, SpectralDecomposition, as_operator,
                     largest_eigenvalue, power_iteration, svd)
 from .problems import (NoisyData, ProblemInstance, add_noise, load_container,
                        make_problem, parallel_tomo, save_container, sigma_for_snr,
@@ -21,7 +21,7 @@ from .risk import (MinimizerResult, RiskCurve, T_h, T_h_derivative, alpha_bounds
                    upper_bound_threshold)
 from .rules import (RuleSelection, bp, dp, gcv, ipro, lc, pro, pro_estimated, qoc,
                     upre)
-from .tikhonov import (InfluencePath, RegularizedSolution, SolutionPath,
+from .tikhonov import (InfluencePath, RegularizedSolution, SolutionPath, golub_kahan,
                        influence_path_exact, influence_path_stochastic, iterative_path,
                        solve_iterative, solve_spectral, spectral_path)
 

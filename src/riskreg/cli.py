@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,12 @@ def _fallback_seed(value):
     return int(os.environ.get("RISKREG_SEED", "0"))
 
 
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskreg",
                                      description="Regularization-parameter selection "
@@ -42,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--problem", required=True)
     gen.add_argument("--variant", type=int, default=None)
     gen.add_argument("--n", type=int, default=64)
-    gen.add_argument("--xi", type=float, default=10.0)
+    gen.add_argument("--xi", type=_finite_float, default=10.0)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--replicate", type=int, default=0, help="first replicate index")
     gen.add_argument("--replicates", type=int, default=1,
@@ -52,18 +59,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="choose alpha for a data container")
     sel.add_argument("--data", required=True, help="container file with the data")
     sel.add_argument("--rule", required=True, choices=rules.RULE_NAMES)
-    sel.add_argument("--rho2", type=float, default=None)
-    sel.add_argument("--sigma2", type=float, default=None)
-    sel.add_argument("--sigma", type=float, default=None)
-    sel.add_argument("--alpha-init", type=float, default=None)
-    sel.add_argument("--grid-min", type=float, default=None)
-    sel.add_argument("--grid-max", type=float, default=None)
+    sel.add_argument("--rho2", type=_finite_float, default=None)
+    sel.add_argument("--sigma2", type=_finite_float, default=None)
+    sel.add_argument("--sigma", type=_finite_float, default=None)
+    sel.add_argument("--alpha-init", type=_finite_float, default=None)
+    sel.add_argument("--grid-min", type=_finite_float, default=None)
+    sel.add_argument("--grid-max", type=_finite_float, default=None)
     sel.add_argument("--grid-points", type=int, default=None)
     sel.add_argument("--matrix-free", action="store_true")
     sel.add_argument("--probes", type=int, default=bench.DEFAULT_PROBES)
     sel.add_argument("--seed", type=int, default=None)
-    sel.add_argument("--bp-gamma", type=float, default=0.25)
-    sel.add_argument("--bp-c", type=float, default=1.5)
+    sel.add_argument("--bp-gamma", type=_finite_float, default=0.25)
+    sel.add_argument("--bp-c", type=_finite_float, default=1.5)
 
     study = sub.add_parser("study", help="run a replicate study from a config file")
     study.add_argument("--config", required=True)
@@ -74,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--data", required=True)
     curve.add_argument("--kind", required=True,
                        choices=("lower_bound", "predictive", "upre", "gcv", "lcurve"))
-    curve.add_argument("--grid-min", type=float, default=None)
-    curve.add_argument("--grid-max", type=float, default=None)
+    curve.add_argument("--grid-min", type=_finite_float, default=None)
+    curve.add_argument("--grid-max", type=_finite_float, default=None)
     curve.add_argument("--grid-points", type=int, default=None)
     curve.add_argument("--out", default=None, help="output file (default stdout)")
     return parser

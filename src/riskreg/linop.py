@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError
-from .rng import TAG_POWER, TAG_PROBES, keyed_rng
+from .rng import TAG_POWER, keyed_rng
 
 # Singular values below s1 * RANK_CUTOFF are treated as zero; this defines the
 # numerical rank everywhere in the package.
@@ -177,83 +177,20 @@ def largest_eigenvalue(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int =
     return lam
 
 
-def cg_normal(A, B, alpha: float, tol: float = 1e-8, max_iter: int | None = None,
-              x0=None):
-    """Solve (A^T A + alpha I) X = B by conjugate gradients, vectorized over columns.
-
-    B may be a vector or an (m, p) block of right-hand sides; convergence is
-    the per-column relative residual against ||B_j||.  Returns (X, iterations).
-    """
-    op = as_operator(A)
-    B = np.asarray(B, dtype=float)
-    single = B.ndim == 1
-    Bm = B[:, None] if single else B
-    if max_iter is None:
-        max_iter = 10 * min(op.rows, op.cols)
-
-    if op.representation == "dense" and op._matrix is not None:
-        gram = op._matrix.T @ op._matrix
-
-        def normal_apply(X):
-            return gram @ X + alpha * X
-    else:
-        def normal_apply(X):
-            return op.apply_adjoint(op.apply(X)) + alpha * X
-
-    X = np.zeros_like(Bm) if x0 is None else np.array(x0, dtype=float, copy=True)
-    if single and X.ndim == 1:
-        X = X[:, None]
-    bnorm = np.maximum(np.linalg.norm(Bm, axis=0), np.finfo(float).tiny)
-    R = Bm - normal_apply(X) if np.any(X) else Bm.copy()
-    P = R.copy()
-    rs = np.sum(R * R, axis=0)
-    it = 0
-    for it in range(1, max_iter + 1):
-        rel = np.sqrt(rs) / bnorm
-        if np.max(rel) <= tol:
-            break
-        active = rel > tol
-        Q = normal_apply(P)
-        pq = np.sum(P * Q, axis=0)
-        a = np.where(active & (pq > 0), rs / np.where(pq > 0, pq, 1.0), 0.0)
-        X += a * P
-        R -= a * Q
-        rs_new = np.sum(R * R, axis=0)
-        beta = np.where(rs > 0, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        P = R + beta * P
-        rs = rs_new
-    else:
-        raise ConvergenceError(
-            f"cg on the normal equations did not reach tol={tol} in {max_iter} iterations",
-            last_iterate=X[:, 0] if single else X, iterations=max_iter)
-    return (X[:, 0] if single else X), it
-
-
 def influence_probe_stats(A, alpha: float, probes: int, seed: int,
-                          solve_tol: float = 1e-8, x0=None, max_iter: int | None = None):
-    """One batch of probe solves at one alpha: a step of the stochastic influence path.
+                          solve_tol: float = 1e-8, max_iter: int | None = None):
+    """One batch of probe solves at one alpha: a length-1 stochastic influence path.
 
-    Draws p Gaussian probe vectors z, solves (A^T A + alpha I) w = A^T z for
-    each, and returns a dict with the averaged quadratic forms:
-
-    - ``frob_sq``:   mean ||A w||^2, an unbiased estimate of the squared
-      Frobenius norm of the influence operator A (A^T A + alpha I)^{-1} A^T,
-    - ``trace``:     mean <z, A w>, estimating its trace (valid because the
-      influence operator is symmetric PSD),
-    - ``noise_amp``: mean ||w||^2, estimating tr((A^T A + alpha I)^{-2} A^T A),
-    - ``W``:         the solve block, reusable as a warm start at a nearby alpha.
+    For p Gaussian probes z and w = (A^T A + alpha I)^{-1} A^T z, returns the
+    means of ||A w||^2 (``frob_sq``, unbiased for ||X_a||_F^2), <z, A w>
+    (``trace``, for tr X_a) and ||w||^2 (``noise_amp``, for
+    tr((A^T A + alpha I)^{-2} A^T A)), with each probe's Krylov depth
+    (``iterations``) and final normal-equation residual (``residual``).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if probes < 1:
-        raise ValueError("need at least one probe")
-    op = as_operator(A)
-    Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    Bt = op.apply_adjoint(Z)
-    W, iters = cg_normal(op, Bt, alpha, tol=solve_tol, max_iter=max_iter, x0=x0)
-    AW = op.apply(W)
-    frob_sq = float(np.mean(np.sum(AW * AW, axis=0)))
-    trace = float(np.mean(np.sum(Z * AW, axis=0)))
-    noise_amp = float(np.mean(np.sum(W * W, axis=0)))
-    return {"frob_sq": frob_sq, "trace": trace, "noise_amp": noise_amp,
-            "W": W, "iterations": iters}
+    from .tikhonov import influence_path_stochastic  # tikhonov imports this module
+    # lam1 only sets sn_sq, which is not reported: skip the power iteration
+    path = influence_path_stochastic(A, [alpha], probes, seed, solve_tol=solve_tol,
+                                     lam1=np.inf, max_iter=max_iter)
+    return {"frob_sq": float(path.frob_sq[0]), "trace": float(path.trace[0]),
+            "noise_amp": float(path.noise_amp[0]), "iterations": path.iterations,
+            "residual": path.normal_residual}

@@ -11,6 +11,8 @@ satisfies g_true = A f_true exactly by construction.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -395,16 +397,24 @@ def save_container(path, problem: Optional[ProblemInstance] = None,
 
 def load_container(path) -> dict:
     """Read a container; returns the header dict with arrays attached under
-    their field names.  An array holding NaN or inf is a ValueError."""
+    their field names.  An array holding NaN or inf, or a header or section
+    that runs past the end of the file, is a ValueError."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a riskreg container")
-        (length,) = np.frombuffer(fh.read(8), dtype="<u8")
-        header = json.loads(fh.read(int(length)).decode("utf-8"))
+        left = os.fstat(fh.fileno()).st_size - 16
+        length = int.from_bytes(fh.read(8), "little")
+        if length > left:
+            raise ValueError("container header runs past the end of the file")
+        header = json.loads(fh.read(length).decode("utf-8"))
+        left -= length
         for sec in header["sections"]:
-            shape = tuple(sec["shape"])
-            count = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(8 * count), dtype="<f8")
+            shape = sec["shape"]
+            size = 8 * math.prod(shape) if all(type(d) is int and d >= 0 for d in shape) else -1
+            if not 0 <= size <= left:
+                raise ValueError(f"container field {sec['field']!r} does not fit the file")
+            left -= size
+            arr = np.frombuffer(fh.read(size), dtype="<f8")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"container field {sec['field']!r} has non-finite entries")
             header[sec["field"]] = arr.reshape(shape, order=sec.get("order", "C")).copy()

@@ -29,7 +29,8 @@ from .errors import ConvergenceError, DegenerateDataError
 from .linop import SpectralDecomposition, as_operator
 from .problems import snr_db
 from .risk import lower_bound_T, minimize_T
-from .tikhonov import InfluencePath, SolutionPath, influence_path_exact
+from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
+                       solve_iterative)
 
 # Relative residual below which the noise level is considered unidentifiable
 # (the residual is then dominated by floating-point rounding).
@@ -132,7 +133,6 @@ class _ResidualOracle:
 
     def __init__(self, source, g, path: Optional[SolutionPath], operator=None,
                  solve_tol: float = 1e-8):
-        from .tikhonov import solve_iterative
         g = np.asarray(g, dtype=float)
         self._g = g
         self.g_sq = float(g @ g)
@@ -140,7 +140,6 @@ class _ResidualOracle:
         self.path = path
         self._operator = None if operator is None else as_operator(operator)
         self._solve_tol = solve_tol
-        self._solve_iterative = solve_iterative
         if isinstance(source, SpectralDecomposition):
             c = source.U.T @ g
             self._c_sq = c * c
@@ -160,7 +159,7 @@ class _ResidualOracle:
         if self._c_sq is not None:
             w = (alpha / (self._s2 + alpha)) ** 2
             return float(np.sum(w * self._c_sq) + self._perp_sq)
-        sol = self._solve_iterative(self._operator, self._g, alpha, tol=self._solve_tol)
+        sol = solve_iterative(self._operator, self._g, alpha, tol=self._solve_tol)
         return sol.residual_norm ** 2
 
 
@@ -330,20 +329,13 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
     sub = np.arange(len(path) - 1, -1, -step)[::-1]   # ascending subgrid indices
     thresholds = c * sigma * np.sqrt(namp[sub])
-    F = path.solutions
+    F = path.solutions[sub]
     chosen = sub[0]
     flags = []
     for pos in range(1, sub.size):
-        j = sub[pos]
-        ok = True
-        for pos2 in range(pos):
-            b = sub[pos2]
-            if np.linalg.norm(F[j] - F[b]) > thresholds[pos2]:
-                ok = False
-                break
-        if not ok:
+        if np.any(np.linalg.norm(F[:pos] - F[pos], axis=1) > thresholds[:pos]):
             break
-        chosen = j
+        chosen = sub[pos]
     if chosen == sub[0]:
         flags.append("at_grid_min")
     return RuleSelection(rule="bp", alpha=float(path.alphas[chosen]),

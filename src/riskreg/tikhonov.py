@@ -1,20 +1,22 @@
 """Tikhonov solvers and influence-operator scalars, on spectral and matrix-free paths.
 
-The spectral path works from a truncated SVD; the iterative path needs only
-operator applications and realizes the same damped least-squares solution.
+The spectral path works from a truncated SVD.  The matrix-free path needs only
+operator applications: one Golub-Kahan bidiagonalization per right-hand side
+projects the problem onto a small bidiagonal one, whose SVD then gives the
+damped least-squares solution at every alpha of a grid at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError
-from .linop import (SpectralDecomposition, as_operator, influence_probe_stats,
+from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator,
                     largest_eigenvalue)
+from .rng import TAG_PROBES, keyed_rng
 
 
 @dataclass
@@ -27,11 +29,6 @@ class RegularizedSolution:
     path: str  # "spectral" | "iterative"
 
 
-def _filter_factors(s: np.ndarray, alpha: float) -> np.ndarray:
-    # s / (s^2 + alpha); at alpha = 0 this is the pseudoinverse 1/s.
-    return s / (s * s + alpha)
-
-
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
     """Tikhonov solution through the SVD filter; alpha = 0 gives the pseudoinverse."""
     if alpha < 0:
@@ -40,60 +37,118 @@ def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSo
     if g.shape[0] != dec.U.shape[0]:
         raise ValueError("dimension mismatch between decomposition and data")
     c = dec.U.T @ g
-    phi = _filter_factors(dec.s, alpha)
+    phi = dec.s / (dec.s * dec.s + alpha)
     f = dec.V @ (phi * c)
     r = g - dec.U @ (dec.s * phi * c)
     return RegularizedSolution(alpha=float(alpha), f_alpha=f,
                                residual_norm=float(np.linalg.norm(r)), path="spectral")
 
 
-def solve_iterative(A, g, alpha: float, tol: float = 1e-8, x0=None,
-                    max_iter: int | None = None) -> RegularizedSolution:
-    """Damped least-squares solve without a decomposition (LSQR under the hood).
+class _Basis:
+    """Orthonormal rows, grown by doubling so only the used depth is held."""
 
-    Minimizes ||A f - g||^2 + alpha ||f||^2; convergence is measured by the
-    relative residual of the normal equations A^T(g - A f) = alpha f.
+    def __init__(self, length: int):
+        self.rows, self.k = np.empty((8, length)), 0
+
+    def extend(self, x, scale: float) -> float:
+        """Orthogonalize x against the rows, append it normalized and return its
+        norm; 0 (nothing appended) below the rank cutoff of ``scale``."""
+        Q = self.rows[:self.k]
+        for _ in range(2):
+            # classical Gram-Schmidt, repeated when it cancels more than a
+            # factor 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart)
+            y = x - Q.T @ (Q @ x)
+            if np.linalg.norm(y) >= 0.7071 * np.linalg.norm(x):
+                break
+            x = y
+        norm = float(np.linalg.norm(y))
+        if not np.isfinite(norm):
+            raise ValueError("operator or right-hand side gives non-finite values")
+        if norm <= RANK_CUTOFF * max(scale, norm):
+            return 0.0
+        if self.k == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.rows[self.k] = y / norm
+        self.k += 1
+        return norm
+
+
+def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
+                relative_to_solution: bool = False):
+    """Golub-Kahan bidiagonalization of A from b, deep enough for a whole alpha grid.
+
+    Builds A V_k = U_{k+1} B_k from u_1 = b / beta1, both bases fully
+    reorthogonalized.  With x = V_k y, min ||A x - b||^2 + a ||x||^2 becomes
+    min ||B_k y - beta1 e1||^2 + a ||y||^2: ||A x|| = ||B_k y||, <b, A x> =
+    beta1 (B_k y)_1, ||x|| = ||y|| and ||b - A x|| = ||beta1 e1 - B_k y||.
+    Returns ``(dec, rhs, residual)``: the SVD P diag(s) Q^T of B_k with right
+    vectors V_k Q (``dec.rank`` is k) and rhs = beta1 e1, which pose that
+    problem to ``spectral_path``, and the largest normal-equation residual
+    ||A^T(b - A x) - a x|| on the grid.
+
+    Stops once that residual is at most ``tol * ||A^T b||`` at every alpha,
+    or with ``relative_to_solution`` at most ``tol * a * ||x||``, which bounds
+    the relative error of x by ``tol``.  The plane rotations of damped LSQR
+    (Paige & Saunders 1982), one set per alpha, track both norms without
+    operator applications.  A vanishing alpha_k or beta_k (an invariant
+    subspace) ends the run with a zero residual; ``max_iter`` steps (default
+    min(rows, cols)) raise ConvergenceError.
     """
-    if alpha <= 0:
-        raise ValueError("the iterative path requires alpha > 0")
     op = as_operator(A)
-    g = np.asarray(g, dtype=float)
-    if max_iter is None:
-        max_iter = 10 * min(op.rows, op.cols)
-    atg = op.apply_adjoint(g)
-    target = tol * max(np.linalg.norm(atg), np.finfo(float).tiny)
-
-    def normal_residual(f):
-        return np.linalg.norm(op.apply_adjoint(g - op.apply(f)) - alpha * f)
-
-    # Solve for the correction d = f - x0 on the explicitly augmented system
-    # [A; sqrt(alpha) I]; plain damped lsqr with a start vector would penalize
-    # ||d|| instead of ||f||.
-    sqa = np.sqrt(alpha)
-    n, m = op.rows, op.cols
-    aug = spla.LinearOperator(
-        shape=(n + m, m),
-        matvec=lambda d: np.concatenate([op.apply(d), sqa * d]),
-        rmatvec=lambda y: op.apply_adjoint(y[:n]) + sqa * y[n:])
-    x_base = np.zeros(m) if x0 is None else np.asarray(x0, dtype=float)
-    f = None
-    inner_tol = min(tol * 1e-2, 1e-10)
-    for attempt in range(3):
-        rhs = np.concatenate([g - op.apply(x_base), -sqa * x_base])
-        d = spla.lsqr(aug, rhs, atol=inner_tol, btol=inner_tol,
-                      conlim=0.0, iter_lim=max_iter * (attempt + 1))[0]
-        f = x_base + d
-        if normal_residual(f) <= target:
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
+        raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
+    max_iter = min(op.rows, op.cols) if max_iter is None else max_iter
+    U, V = _Basis(op.rows), _Basis(op.cols)
+    beta1 = U.extend(np.asarray(b, dtype=float), 0.0)
+    # scale, the largest alpha_k or beta_k so far, is the reference for breakdown
+    a_next = scale = V.extend(op.apply_adjoint(U.rows[0]), 0.0) if beta1 else 0.0
+    atb, diag, sub, residual = beta1 * a_next, [], [], 0.0
+    # per alpha, in the names of scipy's lsqr: two left rotations for the
+    # residual, one right rotation for ||x||
+    rhobar, phibar = np.full(alphas.size, a_next), np.full(alphas.size, beta1)
+    cs2, sn2 = np.full(alphas.size, -1.0), np.zeros(alphas.size)
+    z, xxnorm = np.zeros(alphas.size), np.zeros(alphas.size)
+    while a_next > 0.0:
+        if len(diag) == max_iter:
+            raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} "
+                                   "steps", last_iterate=residual, iterations=max_iter)
+        diag.append(a_next)
+        b_next = U.extend(op.apply(V.rows[V.k - 1]) - a_next * U.rows[U.k - 1], scale)
+        scale = max(scale, b_next)
+        a_next = V.extend(op.apply_adjoint(U.rows[U.k - 1]) - b_next * V.rows[V.k - 1],
+                          scale) if b_next else 0.0
+        scale = max(scale, a_next)
+        sub.append(b_next)
+        rhobar1 = np.sqrt(rhobar * rhobar + alphas)
+        phibar *= rhobar / rhobar1
+        rho = np.hypot(rhobar1, b_next)
+        cs, sn = rhobar1 / rho, b_next / rho
+        theta, rhobar = sn * a_next, -cs * a_next
+        phi, phibar = cs * phibar, sn * phibar
+        arnorm = a_next * np.abs(sn * phi)
+        residual = float(np.max(arnorm))
+        gambar = -cs2 * rho
+        t = phi - sn2 * rho * z
+        xnorm = np.sqrt(xxnorm + (t / gambar) ** 2)
+        gamma = np.hypot(gambar, theta)
+        cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
+        xxnorm += z * z
+        if np.all(arnorm <= (tol * alphas * xnorm if relative_to_solution else tol * atb)):
             break
-        x_base = f
-        inner_tol *= 1e-3
-    else:
-        raise ConvergenceError(
-            f"lsqr did not reach normal-equation tolerance {tol}",
-            last_iterate=f)
-    r = g - op.apply(f)
-    return RegularizedSolution(alpha=float(alpha), f_alpha=f,
-                               residual_norm=float(np.linalg.norm(r)), path="iterative")
+    k = len(diag)
+    B = np.pad(np.diag(diag), ((0, 1), (0, 0))) + np.pad(np.diag(sub), ((1, 0), (0, 0)))
+    P, s, Qt = np.linalg.svd(B, full_matrices=False)
+    rhs = np.concatenate([[beta1], np.zeros(k)])
+    return SpectralDecomposition(P, s, V.rows[:k].T @ Qt.T, k), rhs, residual
+
+
+def solve_iterative(A, g, alpha: float, tol: float = 1e-8) -> RegularizedSolution:
+    """Damped least-squares solve without a decomposition: a length-1 ``iterative_path``."""
+    path = iterative_path(A, g, [alpha], tol=tol)
+    return RegularizedSolution(alpha=float(alpha), f_alpha=path.solutions[0],
+                               residual_norm=float(path.residual_norms[0]),
+                               path="iterative")
 
 
 @dataclass
@@ -107,7 +162,8 @@ class InfluencePath:
     alpha is a grid of length one.
 
     On the stochastic path the probe vectors are frozen across the grid, so
-    the sampled curves are smooth functions of alpha.
+    the sampled curves are smooth functions of alpha; ``iterations`` and
+    ``normal_residual`` hold each probe's Krylov depth and final residual.
     """
 
     alphas: np.ndarray
@@ -116,6 +172,8 @@ class InfluencePath:
     trace: np.ndarray
     noise_amp: np.ndarray
     source: str
+    iterations: Optional[np.ndarray] = None
+    normal_residual: Optional[np.ndarray] = None
 
 
 def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
@@ -143,30 +201,32 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
                               max_iter: int | None = None) -> InfluencePath:
     """Stochastic influence scalars over a grid with frozen probes.
 
-    The grid is traversed from the largest alpha down, warm-starting each
-    probe solve with the previous block.
+    One ``golub_kahan`` run per probe z (alphas must be positive): with
+    c = beta1 P[0] and x = s^2/(s^2 + a) from its projected SVD,
+    w = (A^T A + a I)^{-1} A^T z has ||A w||^2 = sum x^2 c^2,
+    <z, A w> = sum x c^2 and ||w||^2 = sum x/(s^2 + a) c^2.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 0):
-        raise ValueError("stochastic influence requires positive alphas")
+    if probes < 1:
+        raise ValueError("need at least one probe")
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
-    K = alphas.size
-    frob = np.empty(K)
-    trace = np.empty(K)
-    namp = np.empty(K)
-    W = None
-    for k in range(K - 1, -1, -1):
-        stats = influence_probe_stats(op, float(alphas[k]), probes, seed,
-                                      solve_tol=solve_tol, x0=W, max_iter=max_iter)
-        W = stats["W"]
-        frob[k] = stats["frob_sq"]
-        trace[k] = stats["trace"]
-        namp[k] = stats["noise_amp"]
+    Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
+    sums = np.zeros((3, alphas.size))
+    iterations, residuals = np.empty(probes, dtype=int), np.empty(probes)
+    for j in range(probes):
+        dec, rhs, residuals[j] = golub_kahan(op, Z[:, j], alphas, tol=solve_tol,
+                                             max_iter=max_iter)
+        d = dec.s[None, :] ** 2 + alphas[:, None]
+        x = dec.s ** 2 / d
+        sums += np.stack([x * x, x, x / d]) @ (dec.U[0] * rhs[0]) ** 2
+        iterations[j] = dec.rank
+    frob, trace, namp = sums / probes
     sn = alphas / (lam1 + alphas)
     return InfluencePath(alphas=alphas, sn_sq=sn * sn, frob_sq=frob, trace=trace,
-                         noise_amp=namp, source="stochastic")
+                         noise_amp=namp, source="stochastic", iterations=iterations,
+                         normal_residual=residuals)
 
 
 @dataclass
@@ -176,7 +236,8 @@ class SolutionPath:
     ``solutions`` holds one solution per row and may be omitted when only the
     norms are needed.  ``solve`` resolves off-grid alphas (used by rules that
     refine between grid points).  ``data_size`` is the dimension the residual
-    lives in.
+    lives in.  An iterative path also records its Krylov depth and final
+    normal-equation residual.
     """
 
     alphas: np.ndarray
@@ -186,6 +247,8 @@ class SolutionPath:
     solutions: Optional[np.ndarray] = None
     solve: Optional[Callable[[float], RegularizedSolution]] = None
     kind: str = "spectral"
+    iterations: Optional[int] = None
+    normal_residual: Optional[float] = None
 
     def __len__(self):
         return self.alphas.size
@@ -213,20 +276,10 @@ def spectral_path(dec: SpectralDecomposition, g, alphas,
 
 
 def iterative_path(A, g, alphas, tol: float = 1e-8) -> SolutionPath:
-    """Tikhonov path via repeated damped least-squares solves, warm-started downhill."""
+    """Tikhonov path from one ``golub_kahan`` run from g, every solution to
+    relative accuracy ``tol`` (normal-equation residual <= tol * a * ||f||)."""
     op = as_operator(A)
-    g = np.asarray(g, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    K = alphas.size
-    F = np.empty((K, op.cols))
-    resid = np.empty(K)
-    x0 = None
-    for k in range(K - 1, -1, -1):
-        sol = solve_iterative(op, g, float(alphas[k]), tol=tol, x0=x0)
-        F[k] = sol.f_alpha
-        resid[k] = sol.residual_norm
-        x0 = sol.f_alpha
-    return SolutionPath(alphas=alphas, residual_norms=resid,
-                        solution_norms=np.linalg.norm(F, axis=1), data_size=g.size,
-                        solutions=F,
-                        solve=lambda a: solve_iterative(op, g, a, tol=tol), kind="iterative")
+    dec, rhs, residual = golub_kahan(op, g, alphas, tol=tol, relative_to_solution=True)
+    return replace(spectral_path(dec, rhs, alphas), data_size=np.size(g), kind="iterative",
+                   solve=lambda a: solve_iterative(op, g, a, tol=tol),
+                   iterations=dec.rank, normal_residual=residual)

@@ -200,7 +200,8 @@ _GOOD_CONFIG = {"version": 1, "problems": [{"name": "shaw", "variant": None}],
                 "grid": {"points": 20}}
 
 # (case id, what is malformed, expected exit code).  Study cases replace the
-# config text; data cases put the value into the noisy data vector g.
+# config text; data cases put the value into the noisy data vector g and pass
+# any extra flags; container cases damage the file that select reads.
 _MALFORMED = [
     ("config_list", ("study", "[1, 2]"), 2),
     ("config_unknown_key", ("study", dict(_GOOD_CONFIG, replciates=3)), 2),
@@ -214,7 +215,34 @@ _MALFORMED = [
   + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \
   + [(f"curve_{kind}_nan_g", ("curve", kind, float("nan")), 2)
-     for kind in ("lower_bound", "predictive", "upre", "gcv", "lcurve")]
+     for kind in ("lower_bound", "predictive", "upre", "gcv", "lcurve")] \
+  + [(f"select_{rule}_{flag.lstrip('-').replace('-', '_')}_{bad}", ("select", rule, 0.0, flag, bad), 2)
+     for rule, flag, bad in (("dp", "--sigma", "nan"), ("upre", "--sigma", "nan"),
+                             ("bp", "--sigma", "nan"), ("pro", "--sigma", "nan"),
+                             ("upre", "--sigma2", "inf"), ("pro", "--sigma2", "nan"),
+                             ("pro", "--rho2", "nan"), ("ipro", "--alpha-init", "inf"),
+                             ("gcv", "--grid-min", "nan"), ("bp", "--bp-c", "-inf"))] \
+  + [("curve_gcv_grid_max_nan", ("curve", "gcv", 0.0, "--grid-max", "nan"), 2)] \
+  + [(f"container_{damage}", ("container", damage), 2)
+     for damage in ("truncated", "huge_header", "huge_section")]
+
+
+def _damaged_container(path, damage):
+    p = rr.make_problem("shaw", None, 16)
+    save_container(path, problem=p,
+                   noisy=rr.NoisyData(g=p.g_true, sigma=0.01, xi=20.0, seed=0, replicate=0))
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[8:16], "little")
+    if damage == "truncated":
+        blob = blob[:-8]
+    elif damage == "huge_header":
+        blob = blob[:8] + (2 ** 62).to_bytes(8, "little") + blob[16:]
+    else:
+        header = json.loads(blob[16:16 + length])
+        header["sections"][-1]["shape"] = [2 ** 40]
+        text = json.dumps(header).encode()
+        blob = blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + length:]
+    path.write_bytes(blob)
 
 
 class TestMalformedInput:
@@ -227,6 +255,10 @@ class TestMalformedInput:
             cfg = tmp_path / "config.json"
             cfg.write_text(text)
             argv = ["study", "--config", str(cfg), "--out", str(out_dir)]
+        elif case[0] == "container":
+            path = tmp_path / "bad.rr"
+            _damaged_container(path, case[1])
+            argv = ["select", "--data", str(path), "--rule", "pro"]
         else:
             command, name, bad, *extra = case
             p = rr.make_problem("shaw", None, 16)

@@ -100,33 +100,6 @@ class TestPowerMethod:
         assert err.value.last_iterate == pytest.approx(1.0, rel=1e-2)
 
 
-class TestCgNormal:
-    def test_matches_direct_solve(self):
-        rng = keyed_rng(19)
-        A = rng.standard_normal((12, 9))
-        b = rng.standard_normal(9)
-        alpha = 0.3
-        x, _ = rr.cg_normal(A, b, alpha, tol=1e-12)
-        x_ref = np.linalg.solve(A.T @ A + alpha * np.eye(9), b)
-        np.testing.assert_allclose(x, x_ref, rtol=1e-8)
-
-    def test_block_and_warm_start(self):
-        rng = keyed_rng(23)
-        A = rng.standard_normal((10, 10))
-        B = rng.standard_normal((10, 3))
-        X, it1 = rr.cg_normal(A, B, 1.0, tol=1e-10)
-        X2, it2 = rr.cg_normal(A, B, 1.0, tol=1e-10, x0=X)
-        assert it2 <= 2
-        np.testing.assert_allclose(X2, X, rtol=1e-8)
-
-    def test_iteration_cap(self):
-        rng = keyed_rng(29)
-        A = rng.standard_normal((40, 40))
-        b = rng.standard_normal(40)
-        with pytest.raises(ConvergenceError):
-            rr.cg_normal(A, b, 1e-14, tol=1e-14, max_iter=2)
-
-
 class TestInfluenceEstimators:
     def test_zero_operator(self):
         stats = influence_probe_stats(np.zeros((6, 4)), 1.0, probes=8, seed=0)

@@ -307,6 +307,25 @@ class TestBp:
                     gap = np.linalg.norm(path.solutions[j] - path.solutions[b])
                     assert gap <= 1.5 * d.sigma * np.sqrt(namp[b]) * (1 + 1e-12)
 
+    def test_matches_brute_force(self, benchmarks64):
+        def brute(path, sigma, namp, gamma, c):
+            ratio = path.alphas[1] / path.alphas[0]
+            step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
+            sub = np.arange(len(path) - 1, -1, -step)[::-1]
+            F = path.solutions
+            ok = [all(np.linalg.norm(F[sub[q]] - F[sub[q2]]) <= c * sigma * np.sqrt(namp[sub[q2]])
+                      for q2 in range(q)) for q in range(sub.size)]
+            return int(sub[ok.index(False) - 1]) if False in ok else int(sub[-1])
+
+        for (p, dec), gamma, c in zip(benchmarks64, (0.25, 0.1, 0.5, 0.25, 0.4, 0.2, 0.25),
+                                      (1.5, 1.0, 3.0, 0.5, 1.5, 8.0, 0.01)):
+            d = rr.add_noise(p, 20.0, seed=17, replicate=1)
+            grid = default_grid(float(dec.s[0]) ** 2, points=60).values
+            path = rr.spectral_path(dec, d.g, grid)
+            sel = rules.bp(path, d.sigma, dec, gamma=gamma, c=c)
+            namp = rr.influence_path_exact(dec, grid).noise_amp
+            assert sel.diagnostics["grid_index"] == brute(path, d.sigma, namp, gamma, c)
+
     def test_needs_solutions(self):
         path = SolutionPath(alphas=np.geomspace(0.1, 1, 5),
                             residual_norms=np.linspace(1, 2, 5),

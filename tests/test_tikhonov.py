@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riskreg as rr
+from riskreg.errors import ConvergenceError
 from riskreg.rng import keyed_rng
 
 
@@ -58,17 +59,128 @@ class TestSolveIterative:
         sol = rr.solve_iterative(p.A, g, alpha)
         assert np.linalg.norm(sol.f_alpha) <= 1e-6 * np.linalg.norm(g) / dec.s[0]
 
-    def test_warm_start_agrees(self, shaw32):
-        p, dec = shaw32
-        g = p.g_true + 0.03 * keyed_rng(8).standard_normal(32)
-        cold = rr.solve_iterative(p.A, g, 1e-3, tol=1e-10).f_alpha
-        near = rr.solve_iterative(p.A, g, 2e-3, tol=1e-10).f_alpha
-        warm = rr.solve_iterative(p.A, g, 1e-3, tol=1e-10, x0=near).f_alpha
-        assert np.linalg.norm(warm - cold) / np.linalg.norm(cold) <= 1e-6
-
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             rr.solve_iterative(np.eye(3), np.ones(3), 0.0)
+
+
+def _probe_forms(run, alphas):
+    """||A w||^2, <b, A w> and ||w||^2 on the grid from one bidiagonalization."""
+    dec, rhs, _ = run
+    s2 = dec.s ** 2
+    c2 = (dec.U.T @ rhs) ** 2
+    x = s2 / (s2 + alphas[:, None])
+    return (x * x) @ c2, x @ c2, (x / (s2 + alphas[:, None])) @ c2
+
+
+def _projected_solution(run, alpha):
+    dec, rhs, _ = run
+    return rr.solve_spectral(dec, rhs, alpha).f_alpha
+
+
+class TestGolubKahan:
+    def test_matches_direct_solve(self):
+        rng = keyed_rng(19)
+        A = rng.standard_normal((12, 9))
+        b = rng.standard_normal(12)
+        alpha = 0.3
+        run = rr.golub_kahan(A, b, [alpha], tol=1e-12)
+        x_ref = np.linalg.solve(A.T @ A + alpha * np.eye(9), A.T @ b)
+        np.testing.assert_allclose(_projected_solution(run, alpha), x_ref, rtol=1e-8)
+
+    def test_iteration_cap(self):
+        rng = keyed_rng(29)
+        A = rng.standard_normal((40, 40))
+        b = rng.standard_normal(40)
+        with pytest.raises(ConvergenceError):
+            rr.golub_kahan(A, b, [1e-14], tol=1e-14, max_iter=2)
+
+    @pytest.mark.parametrize("name,variant", [("shaw", None), ("heat", 1)])
+    def test_identity_probes_match_spectrum(self, name, variant):
+        # probes e_1..e_n sum the quadratic forms to the exact traces
+        p = rr.make_problem(name, variant, 32)
+        dec = rr.svd(p.A)
+        s1_sq = float(dec.s[0]) ** 2
+        alphas = np.geomspace(1e-6 * s1_sq, 0.5 * s1_sq, 20)
+        sums = np.zeros((3, alphas.size))
+        for e in np.eye(32):
+            sums += _probe_forms(rr.golub_kahan(p.A, e, alphas, tol=1e-10), alphas)
+        exact = rr.influence_path_exact(dec, alphas)
+        for got, ref in zip(sums, (exact.frob_sq, exact.trace, exact.noise_amp)):
+            np.testing.assert_allclose(got, ref, rtol=1e-9)
+        g = rr.add_noise(p, 20.0, seed=3, replicate=0).g
+        it = rr.iterative_path(p.A, g, alphas, tol=1e-10)
+        sp = rr.spectral_path(dec, g, alphas)
+        np.testing.assert_allclose(it.residual_norms, sp.residual_norms, rtol=1e-8)
+        gaps = np.linalg.norm(it.solutions - sp.solutions, axis=1)
+        assert np.all(gaps <= 1e-6 * np.linalg.norm(sp.solutions, axis=1))
+
+    def test_breakdown_identity(self):
+        b = keyed_rng(37).standard_normal(8)
+        alphas = np.array([0.5, 1.0, 2.0])
+        run = rr.golub_kahan(np.eye(8), b, alphas)
+        assert run[0].rank == 1 and run[2] == 0.0
+        for a in alphas:
+            np.testing.assert_allclose(_projected_solution(run, a), b / (1.0 + a), rtol=1e-12)
+
+    def test_breakdown_zero_operator(self):
+        b = keyed_rng(41).standard_normal(6)
+        dec, rhs, residual = rr.golub_kahan(np.zeros((6, 4)), b, [1.0])
+        assert dec.rank == 0 and residual == 0.0
+        path = rr.iterative_path(np.zeros((6, 4)), b, [1.0, 2.0])
+        assert np.all(path.solutions == 0.0)
+        np.testing.assert_allclose(path.residual_norms, np.linalg.norm(b))
+
+    def test_breakdown_rank_deficient(self):
+        rng = keyed_rng(43)
+        A = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
+        b = rng.standard_normal(10)
+        alphas = np.array([1e-3, 1e-1, 10.0])
+        run = rr.golub_kahan(A, b, alphas, tol=1e-12)
+        assert run[0].rank <= 3
+        for a in alphas:
+            x_ref = np.linalg.solve(A.T @ A + a * np.eye(8), A.T @ b)
+            np.testing.assert_allclose(_projected_solution(run, a), x_ref, rtol=1e-8)
+
+    def test_reported_residual_within_tolerance(self):
+        p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
+        A = p.A.to_dense()
+        g = rr.add_noise(p, 20.0, seed=1, replicate=0).g
+        lam1 = rr.largest_eigenvalue(p.A, seed=1)
+        alphas = np.geomspace(1e-8 * lam1, 1e-2 * lam1, 12)
+        tol = 1e-8
+        target = tol * np.linalg.norm(A.T @ g)
+        path = rr.iterative_path(p.A, g, alphas, tol=tol)
+        assert path.normal_residual <= target
+        actual = [np.linalg.norm(A.T @ (g - A @ f) - a * f)
+                  for a, f in zip(alphas, path.solutions)]
+        assert max(actual) <= 1.01 * target
+        assert max(actual) == pytest.approx(path.normal_residual, rel=1e-3)
+        inf = rr.influence_path_stochastic(p.A, alphas, probes=4, seed=2, lam1=lam1,
+                                           solve_tol=tol)
+        Z = keyed_rng(2, rr.rng.TAG_PROBES).standard_normal((A.shape[0], 4))
+        assert np.all(inf.normal_residual <= tol * np.linalg.norm(A.T @ Z, axis=0))
+        assert inf.iterations.shape == (4,) and np.all(inf.iterations >= 1)
+
+    def test_same_seed_same_bits(self):
+        p = rr.parallel_tomo(cells_per_side=8, angles=12, rays_per_angle=11)
+        g = rr.add_noise(p, 20.0, seed=1, replicate=0).g
+        alphas = np.geomspace(1e-4, 1.0, 9)
+        runs = [rr.influence_path_stochastic(p.A, alphas, probes=3, seed=7, lam1=1.0)
+                for _ in range(2)]
+        for field in ("frob_sq", "trace", "noise_amp", "iterations", "normal_residual"):
+            assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field))
+        paths = [rr.iterative_path(p.A, g, alphas) for _ in range(2)]
+        assert np.array_equal(paths[0].solutions, paths[1].solutions)
+        assert np.array_equal(paths[0].residual_norms, paths[1].residual_norms)
+
+    def test_nonfinite_rejected(self):
+        b = np.ones(4)
+        b[2] = np.nan
+        with pytest.raises(ValueError):
+            rr.golub_kahan(np.eye(4), b, [1.0])
+        with pytest.raises(ValueError):
+            rr.golub_kahan(np.eye(4), np.ones(4), [0.0])
 
 
 class TestInfluenceExact:
