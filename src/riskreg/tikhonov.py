@@ -58,10 +58,10 @@ class _Basis:
             # classical Gram-Schmidt, repeated when it cancels more than a
             # factor 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart)
             y = x - Q.T @ (Q @ x)
-            if np.linalg.norm(y) >= 0.7071 * np.linalg.norm(x):
+            if y @ y >= 0.5 * (x @ x):
                 break
             x = y
-        norm = float(np.linalg.norm(y))
+        norm = float(np.sqrt(y @ y))
         if not np.isfinite(norm):
             raise ValueError("operator or right-hand side gives non-finite values")
         if norm <= RANK_CUTOFF * max(scale, norm):
@@ -103,16 +103,15 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     beta1 = U.extend(np.asarray(b, dtype=float), 0.0)
     # scale, the largest alpha_k or beta_k so far, is the reference for breakdown
     a_next = scale = V.extend(op.apply_adjoint(U.rows[0]), 0.0) if beta1 else 0.0
-    atb, diag, sub, residual = beta1 * a_next, [], [], 0.0
-    # per alpha, in the names of scipy's lsqr: two left rotations for the
-    # residual, one right rotation for ||x||
+    bound, diag, sub, residual = tol * beta1 * a_next, [], [], 0.0  # tol * ||A^T b||
+    # damped LSQR per alpha, in scipy's names: left rotations give the residual,
+    # a right rotation ||x||
     rhobar, phibar = np.full(alphas.size, a_next), np.full(alphas.size, beta1)
-    cs2, sn2 = np.full(alphas.size, -1.0), np.zeros(alphas.size)
-    z, xxnorm = np.zeros(alphas.size), np.zeros(alphas.size)
+    cs2, sn2, z, xxnorm = np.full(alphas.size, -1.0), *np.zeros((3, alphas.size))
     while a_next > 0.0:
         if len(diag) == max_iter:
-            raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} "
-                                   "steps", last_iterate=residual, iterations=max_iter)
+            raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} steps "
+                                   f"(residual {residual:.3g})", iterations=max_iter)
         diag.append(a_next)
         b_next = U.extend(op.apply(V.rows[V.k - 1]) - a_next * U.rows[U.k - 1], scale)
         scale = max(scale, b_next)
@@ -128,16 +127,17 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
         phi, phibar = cs * phibar, sn * phibar
         arnorm = a_next * np.abs(sn * phi)
         residual = float(np.max(arnorm))
-        gambar = -cs2 * rho
-        t = phi - sn2 * rho * z
-        xnorm = np.sqrt(xxnorm + (t / gambar) ** 2)
-        gamma = np.hypot(gambar, theta)
-        cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
-        xxnorm += z * z
-        if np.all(arnorm <= (tol * alphas * xnorm if relative_to_solution else tol * atb)):
+        if relative_to_solution:
+            gambar = -cs2 * rho
+            t = phi - sn2 * rho * z
+            bound = tol * alphas * np.sqrt(xxnorm + (t / gambar) ** 2)
+            gamma = np.hypot(gambar, theta)
+            cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
+            xxnorm += z * z
+        if np.all(arnorm <= bound):
             break
     k = len(diag)
-    B = np.pad(np.diag(diag), ((0, 1), (0, 0))) + np.pad(np.diag(sub), ((1, 0), (0, 0)))
+    B = (np.diag(diag + [0.0]) + np.diag(sub, -1))[:, :k]
     P, s, Qt = np.linalg.svd(B, full_matrices=False)
     rhs = np.concatenate([[beta1], np.zeros(k)])
     return SpectralDecomposition(P, s, V.rows[:k].T @ Qt.T, k), rhs, residual
