@@ -39,6 +39,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_finite_float.__name__ = "float"  # argparse names the type in its error for non-numbers
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riskreg",
                                      description="Regularization-parameter selection "

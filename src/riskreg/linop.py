@@ -188,9 +188,8 @@ def influence_probe_stats(A, alpha: float, probes: int, seed: int,
     (``iterations``) and final normal-equation residual (``residual``).
     """
     from .tikhonov import influence_path_stochastic  # tikhonov imports this module
-    # lam1 only sets sn_sq, which is not reported: skip the power iteration
     path = influence_path_stochastic(A, [alpha], probes, seed, solve_tol=solve_tol,
-                                     lam1=np.inf, max_iter=max_iter)
+                                     lam1=np.inf, max_iter=max_iter)  # sn_sq unused
     return {"frob_sq": float(path.frob_sq[0]), "trace": float(path.trace[0]),
             "noise_amp": float(path.noise_amp[0]), "iterations": path.iterations,
             "residual": path.normal_residual}

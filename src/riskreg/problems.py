@@ -402,12 +402,11 @@ def load_container(path) -> dict:
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a riskreg container")
-        left = os.fstat(fh.fileno()).st_size - 16
         length = int.from_bytes(fh.read(8), "little")
-        if length > left:
+        left = os.fstat(fh.fileno()).st_size - 16 - length  # bytes after the header
+        if left < 0:
             raise ValueError("container header runs past the end of the file")
         header = json.loads(fh.read(length).decode("utf-8"))
-        left -= length
         for sec in header["sections"]:
             shape = sec["shape"]
             size = 8 * math.prod(shape) if all(type(d) is int and d >= 0 for d in shape) else -1

@@ -51,8 +51,8 @@ class _Basis:
         self.rows, self.k = np.empty((8, length)), 0
 
     def extend(self, x, scale: float) -> float:
-        """Orthogonalize x against the rows, append it normalized and return its
-        norm; 0 (nothing appended) below the rank cutoff of ``scale``."""
+        """Orthogonalize x, append it normalized and return its norm; 0, appending
+        nothing, below the rank cutoff of ``scale`` (largest alpha_k or beta_k so far)."""
         Q = self.rows[:self.k]
         for _ in range(2):
             # classical Gram-Schmidt, repeated when it cancels more than a
@@ -101,7 +101,6 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     max_iter = min(op.rows, op.cols) if max_iter is None else max_iter
     U, V = _Basis(op.rows), _Basis(op.cols)
     beta1 = U.extend(np.asarray(b, dtype=float), 0.0)
-    # scale, the largest alpha_k or beta_k so far, is the reference for breakdown
     a_next = scale = V.extend(op.apply_adjoint(U.rows[0]), 0.0) if beta1 else 0.0
     bound, diag, sub, residual = tol * beta1 * a_next, [], [], 0.0  # tol * ||A^T b||
     # damped LSQR per alpha, in scipy's names: left rotations give the residual,

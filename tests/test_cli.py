@@ -216,7 +216,8 @@ _MALFORMED = [
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \
   + [(f"curve_{kind}_nan_g", ("curve", kind, float("nan")), 2)
      for kind in ("lower_bound", "predictive", "upre", "gcv", "lcurve")] \
-  + [(f"select_{rule}_{flag.lstrip('-').replace('-', '_')}_{bad}", ("select", rule, 0.0, flag, bad), 2)
+  + [(f"select_{rule}_{flag.lstrip('-').replace('-', '_')}_{bad}",
+      ("select", rule, 0.0, flag, bad), 2)
      for rule, flag, bad in (("dp", "--sigma", "nan"), ("upre", "--sigma", "nan"),
                              ("bp", "--sigma", "nan"), ("pro", "--sigma", "nan"),
                              ("upre", "--sigma2", "inf"), ("pro", "--sigma2", "nan"),

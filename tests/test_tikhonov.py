@@ -3,7 +3,7 @@ import pytest
 
 import riskreg as rr
 from riskreg.errors import ConvergenceError
-from riskreg.rng import keyed_rng
+from riskreg.rng import TAG_PROBES, keyed_rng
 
 
 class TestSolveSpectral:
@@ -158,7 +158,7 @@ class TestGolubKahan:
         assert max(actual) == pytest.approx(path.normal_residual, rel=1e-3)
         inf = rr.influence_path_stochastic(p.A, alphas, probes=4, seed=2, lam1=lam1,
                                            solve_tol=tol)
-        Z = keyed_rng(2, rr.rng.TAG_PROBES).standard_normal((A.shape[0], 4))
+        Z = keyed_rng(2, TAG_PROBES).standard_normal((A.shape[0], 4))
         assert np.all(inf.normal_residual <= tol * np.linalg.norm(A.T @ Z, axis=0))
         assert inf.iterations.shape == (4,) and np.all(inf.iterations >= 1)
 
