@@ -23,6 +23,6 @@ from .rules import (RuleSelection, bp, dp, gcv, ipro, lc, pro, pro_estimated, qo
                     upre)
 from .tikhonov import (InfluencePath, RegularizedSolution, SolutionPath, golub_kahan,
                        influence_path_exact, influence_path_stochastic, iterative_path,
-                       solve_iterative, solve_spectral, spectral_path)
+                       solve_spectral, spectral_path)
 
 __version__ = "0.1.0"

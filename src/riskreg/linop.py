@@ -178,7 +178,7 @@ def largest_eigenvalue(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int =
 
 
 def influence_probe_stats(A, alpha: float, probes: int, seed: int,
-                          solve_tol: float = 1e-8, max_iter: int | None = None):
+                          solve_tol: float = 1e-8):
     """One batch of probe solves at one alpha: a length-1 stochastic influence path.
 
     For p Gaussian probes z and w = (A^T A + alpha I)^{-1} A^T z, returns the
@@ -189,7 +189,7 @@ def influence_probe_stats(A, alpha: float, probes: int, seed: int,
     """
     from .tikhonov import influence_path_stochastic  # tikhonov imports this module
     path = influence_path_stochastic(A, [alpha], probes, seed, solve_tol=solve_tol,
-                                     lam1=np.inf, max_iter=max_iter)  # sn_sq unused
+                                     lam1=np.inf)  # sn_sq unused
     return {"frob_sq": float(path.frob_sq[0]), "trace": float(path.trace[0]),
             "noise_amp": float(path.noise_amp[0]), "iterations": path.iterations,
             "residual": path.normal_residual}

@@ -364,8 +364,7 @@ _MAGIC = b"RISKREG1"
 
 
 def save_container(path, problem: Optional[ProblemInstance] = None,
-                   noisy: Optional[NoisyData] = None,
-                   include_matrix: bool = True) -> None:
+                   noisy: Optional[NoisyData] = None) -> None:
     """Write a problem and/or one noisy replicate to a single container file."""
     if problem is None and noisy is None:
         raise ValueError("nothing to save")
@@ -374,8 +373,7 @@ def save_container(path, problem: Optional[ProblemInstance] = None,
     if problem is not None:
         header.update(name=problem.name, variant=problem.variant,
                       n=problem.A.rows, m=problem.A.cols)
-        if include_matrix:
-            arrays.append(("A", problem.A.to_dense(), "F"))
+        arrays.append(("A", problem.A.to_dense(), "F"))
         if problem.f_true is not None:
             arrays.append(("f_true", problem.f_true, "C"))
         if problem.g_true is not None:

@@ -101,8 +101,8 @@ def lower_bound_T(rho2: float, sigma2: float,
     influence path (exact or stochastic) on its own grid, which ``alpha``, if
     given, must match.  A scalar alpha gives a float, otherwise an array.
     """
-    if rho2 <= 0 or sigma2 < 0:
-        raise ValueError("need rho2 > 0 and sigma2 >= 0")
+    if not (0 < rho2 < np.inf and 0 <= sigma2 < np.inf):
+        raise ValueError("need finite rho2 > 0 and sigma2 >= 0")
     if isinstance(source, InfluencePath):
         inf = source
         if alpha is not None and not np.allclose(alpha, inf.alphas, rtol=1e-12, atol=0.0):
@@ -157,8 +157,8 @@ def minimize_T(dec: SpectralDecomposition, h: float, rel_grad_tol: float = 1e-12
     cancel to ``rel_grad_tol``, or the bracket must shrink to ``width_tol``
     relative width.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     if dec.rank == 0:
         raise ValueError("cannot minimize over a zero operator")
     s1_sq = float(dec.s[0]) ** 2

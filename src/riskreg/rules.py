@@ -26,11 +26,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
-from .linop import SpectralDecomposition, as_operator
+from .linop import SpectralDecomposition
 from .problems import snr_db
 from .risk import lower_bound_T, minimize_T
-from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
-                       solve_iterative)
+from .tikhonov import InfluencePath, SolutionPath, influence_path_exact
 
 # Relative residual below which the noise level is considered unidentifiable
 # (the residual is then dominated by floating-point rounding).
@@ -91,8 +90,8 @@ def _select_min_T(source, rho2: float, sigma2: float):
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
     """Minimize the predictive-risk lower bound for known (rho2, sigma2)."""
-    if rho2 <= 0 or sigma2 <= 0:
-        raise ValueError("need rho2 > 0 and sigma2 > 0")
+    if not (0 < rho2 < np.inf and 0 < sigma2 < np.inf):
+        raise ValueError("need finite rho2 > 0 and sigma2 > 0")
     alpha, diag = _select_min_T(source, rho2, sigma2)
     diag.update(rho2_hat=rho2, sigma2_hat=sigma2)
     if n is not None:
@@ -107,8 +106,8 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     nonpositive the data is indistinguishable from pure noise; the default is
     to raise, ``on_degenerate="max_alpha"`` opts into maximal smoothing.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite")
     g = np.asarray(g, dtype=float)
     n = g.size
     rho2_hat = float(g @ g) - n * sigma2
@@ -128,44 +127,8 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     return RuleSelection(rule="pro", alpha=alpha, diagnostics=diag)
 
 
-class _ResidualOracle:
-    """Squared residual norm as a function of alpha, for the iterative rule."""
-
-    def __init__(self, source, g, path: Optional[SolutionPath], operator=None,
-                 solve_tol: float = 1e-8):
-        g = np.asarray(g, dtype=float)
-        self._g = g
-        self.g_sq = float(g @ g)
-        self.n = g.size
-        self.path = path
-        self._operator = None if operator is None else as_operator(operator)
-        self._solve_tol = solve_tol
-        if isinstance(source, SpectralDecomposition):
-            c = source.U.T @ g
-            self._c_sq = c * c
-            self._s2 = source.s * source.s
-            # vector form avoids the catastrophic cancellation of ||g||^2 - ||c||^2
-            perp = g - source.U @ c
-            self._perp_sq = float(perp @ perp)
-        else:
-            self._c_sq = None
-            if path is None and self._operator is None:
-                raise ValueError("grid mode needs a solution path or an operator "
-                                 "to evaluate residuals")
-
-    def residual_sq(self, alpha: float, grid_index: Optional[int] = None) -> float:
-        if grid_index is not None and self.path is not None:
-            return float(self.path.residual_norms[grid_index]) ** 2
-        if self._c_sq is not None:
-            w = (alpha / (self._s2 + alpha)) ** 2
-            return float(np.sum(w * self._c_sq) + self._perp_sq)
-        sol = solve_iterative(self._operator, self._g, alpha, tol=self._solve_tol)
-        return sol.residual_norm ** 2
-
-
 def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
-         max_iter: int = 100, path: Optional[SolutionPath] = None, operator=None,
-         solve_tol: float = 1e-8) -> RuleSelection:
+         max_iter: int = 100, path: Optional[SolutionPath] = None) -> RuleSelection:
     """Alternate between SNR estimation from the residual and lower-bound
     minimization until the parameter stops moving.
 
@@ -174,34 +137,49 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
     monotone; it stops when |a_k - a_{k-1}| <= eps * a_k, with a floor of a few
     ulps of a_k so the loop terminates once the fixed point is resolved to
     floating-point precision.
-    """
-    oracle = _ResidualOracle(source, g, path, operator=operator, solve_tol=solve_tol)
-    grid_mode = isinstance(source, InfluencePath)
-    if grid_mode and path is not None and path.alphas.shape != source.alphas.shape:
-        raise ValueError("influence path and solution path use different grids")
 
+    On an influence path (grid mode) the residual is read from ``path``, a
+    solution path on the same grid; on a spectrum it is evaluated at any alpha.
+    """
+    if alpha_init is not None and not 0 < alpha_init < np.inf:
+        raise ValueError("alpha_init must be positive and finite")
+    g = np.asarray(g, dtype=float)
+    g_sq, n = float(g @ g), g.size
+    grid_mode = isinstance(source, InfluencePath)
     if grid_mode:
+        if path is None:
+            raise ValueError("grid mode needs a solution path to evaluate residuals")
+        if path.alphas.shape != source.alphas.shape:
+            raise ValueError("influence path and solution path use different grids")
         idx = len(source.alphas) // 2 if alpha_init is None else int(
             np.argmin(np.abs(np.log(source.alphas) - np.log(alpha_init))))
         alpha = float(source.alphas[idx])
     else:
+        c = source.U.T @ g
+        c_sq, s2 = c * c, source.s * source.s
+        # vector form avoids the catastrophic cancellation of ||g||^2 - ||c||^2
+        perp = g - source.U @ c
+        perp_sq = float(perp @ perp)
         if alpha_init is None:
             s1_sq = float(source.s[0]) ** 2
             alpha_init = np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
         alpha = float(alpha_init)
         idx = None
-    if alpha <= 0:
-        raise ValueError("alpha_init must be positive")
+
+    def residual_sq(alpha: float, idx: Optional[int]) -> float:
+        if grid_mode:
+            return float(path.residual_norms[idx]) ** 2
+        return float(np.sum((alpha / (s2 + alpha)) ** 2 * c_sq) + perp_sq)
 
     trail = [alpha]
     h_trail = []
     converged = False
     it = 0
-    floor_sq = (RESIDUAL_FLOOR ** 2) * oracle.g_sq
+    floor_sq = (RESIDUAL_FLOOR ** 2) * g_sq
     for it in range(1, max_iter + 1):
-        r_sq = oracle.residual_sq(alpha, grid_index=idx)
-        sigma2 = r_sq / oracle.n
-        rho2 = oracle.g_sq - r_sq
+        r_sq = residual_sq(alpha, idx)
+        sigma2 = r_sq / n
+        rho2 = g_sq - r_sq
         if r_sq <= floor_sq:
             exc = DegenerateDataError(
                 "residual below floating-point resolution: noise level is "
@@ -228,12 +206,12 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
     if not converged:
         raise ConvergenceError("iterative rule did not settle", last_iterate=alpha,
                                iterations=it, trail=trail)
-    r_sq = oracle.residual_sq(alpha, grid_index=idx)
-    sigma2_hat = r_sq / oracle.n
-    rho2_hat = oracle.g_sq - r_sq
+    r_sq = residual_sq(alpha, idx)
+    sigma2_hat = r_sq / n
+    rho2_hat = g_sq - r_sq
     diag = dict(diag_common)
     diag.update(rho2_hat=rho2_hat, sigma2_hat=sigma2_hat,
-                xi_hat=snr_db(rho2_hat, sigma2_hat, oracle.n),
+                xi_hat=snr_db(rho2_hat, sigma2_hat, n),
                 flags=[], grid_index=idx)
     return RuleSelection(rule="ipro", alpha=alpha, diagnostics=diag)
 
@@ -245,8 +223,8 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     between neighbors when a resolver is available.  If the target is never
     reached the largest alpha is returned with a saturation flag.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
     target = np.sqrt(path.data_size) * sigma
     resid = path.residual_norms
     flags = []
@@ -289,8 +267,8 @@ def _influence_on(path: SolutionPath, source) -> InfluencePath:
 
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     """Unbiased predictive-risk estimate: ||r||^2 - 2 sigma2 tr(I - X_a), on the grid."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError("sigma2 must be nonnegative and finite")
     tr = _influence_on(path, trace_source).trace
     values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
     idx = _argmin_last(values)
@@ -324,6 +302,8 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
         raise ValueError("bp needs the solutions along the path")
     if not 0 < gamma < 1:
         raise ValueError("gamma must be in (0, 1)")
+    if not (0 <= sigma < np.inf and 0 <= c < np.inf):
+        raise ValueError("sigma and c must be nonnegative and finite")
     namp = _influence_on(path, noise_source).noise_amp
     ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))

@@ -26,7 +26,6 @@ class RegularizedSolution:
     alpha: float
     f_alpha: np.ndarray
     residual_norm: float
-    path: str  # "spectral" | "iterative"
 
 
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
@@ -41,7 +40,7 @@ def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSo
     f = dec.V @ (phi * c)
     r = g - dec.U @ (dec.s * phi * c)
     return RegularizedSolution(alpha=float(alpha), f_alpha=f,
-                               residual_norm=float(np.linalg.norm(r)), path="spectral")
+                               residual_norm=float(np.linalg.norm(r)))
 
 
 class _Basis:
@@ -142,14 +141,6 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     return SpectralDecomposition(P, s, V.rows[:k].T @ Qt.T, k), rhs, residual
 
 
-def solve_iterative(A, g, alpha: float, tol: float = 1e-8) -> RegularizedSolution:
-    """Damped least-squares solve without a decomposition: a length-1 ``iterative_path``."""
-    path = iterative_path(A, g, [alpha], tol=tol)
-    return RegularizedSolution(alpha=float(alpha), f_alpha=path.solutions[0],
-                               residual_norm=float(path.residual_norms[0]),
-                               path="iterative")
-
-
 @dataclass
 class InfluencePath:
     """Influence scalars sampled on an alpha grid (exact or probe-estimated).
@@ -196,8 +187,7 @@ def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
 
 
 def influence_path_stochastic(A, alphas, probes: int, seed: int,
-                              solve_tol: float = 1e-8, lam1: float | None = None,
-                              max_iter: int | None = None) -> InfluencePath:
+                              solve_tol: float = 1e-8, lam1: float | None = None) -> InfluencePath:
     """Stochastic influence scalars over a grid with frozen probes.
 
     One ``golub_kahan`` run per probe z (alphas must be positive): with
@@ -215,8 +205,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     sums = np.zeros((3, alphas.size))
     iterations, residuals = np.empty(probes, dtype=int), np.empty(probes)
     for j in range(probes):
-        dec, rhs, residuals[j] = golub_kahan(op, Z[:, j], alphas, tol=solve_tol,
-                                             max_iter=max_iter)
+        dec, rhs, residuals[j] = golub_kahan(op, Z[:, j], alphas, tol=solve_tol)
         d = dec.s[None, :] ** 2 + alphas[:, None]
         x = dec.s ** 2 / d
         sums += np.stack([x * x, x, x / d]) @ (dec.U[0] * rhs[0]) ** 2
@@ -233,10 +222,11 @@ class SolutionPath:
     """Regularization path on an alpha grid.
 
     ``solutions`` holds one solution per row and may be omitted when only the
-    norms are needed.  ``solve`` resolves off-grid alphas (used by rules that
-    refine between grid points).  ``data_size`` is the dimension the residual
-    lives in.  An iterative path also records its Krylov depth and final
-    normal-equation residual.
+    norms are needed.  ``solve`` resolves off-grid alphas inside the grid's
+    range (used by rules that refine between grid points) from the SVD the
+    path was built on, with no operator application.  ``data_size`` is the
+    dimension the residual lives in.  An iterative path also records its
+    Krylov depth and final normal-equation residual.
     """
 
     alphas: np.ndarray
@@ -245,7 +235,6 @@ class SolutionPath:
     data_size: int
     solutions: Optional[np.ndarray] = None
     solve: Optional[Callable[[float], RegularizedSolution]] = None
-    kind: str = "spectral"
     iterations: Optional[int] = None
     normal_residual: Optional[float] = None
 
@@ -271,14 +260,16 @@ def spectral_path(dec: SpectralDecomposition, g, alphas,
     F = coef @ dec.V.T if keep_solutions else None
     return SolutionPath(alphas=alphas, residual_norms=np.sqrt(resid_sq),
                         solution_norms=sol_norms, data_size=g.size, solutions=F,
-                        solve=lambda a: solve_spectral(dec, g, a), kind="spectral")
+                        solve=lambda a: solve_spectral(dec, g, a))
 
 
 def iterative_path(A, g, alphas, tol: float = 1e-8) -> SolutionPath:
     """Tikhonov path from one ``golub_kahan`` run from g, every solution to
-    relative accuracy ``tol`` (normal-equation residual <= tol * a * ||f||)."""
-    op = as_operator(A)
-    dec, rhs, residual = golub_kahan(op, g, alphas, tol=tol, relative_to_solution=True)
-    return replace(spectral_path(dec, rhs, alphas), data_size=np.size(g), kind="iterative",
-                   solve=lambda a: solve_iterative(op, g, a, tol=tol),
+    relative accuracy ``tol`` (normal-equation residual <= tol * a * ||f||).
+
+    The path is the spectral path of the projected problem: its right vectors
+    V_k Q map solutions back to the original space, and g lies in the span of
+    U_{k+1}, so residual norms, on the grid and from ``solve``, are exact."""
+    dec, rhs, residual = golub_kahan(A, g, alphas, tol=tol, relative_to_solution=True)
+    return replace(spectral_path(dec, rhs, alphas), data_size=np.size(g),
                    iterations=dec.rank, normal_residual=residual)

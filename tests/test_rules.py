@@ -160,7 +160,7 @@ class TestIpro:
         d = rr.add_noise(p, 10.0, seed=11, replicate=0)
         grid = np.geomspace(1e-8 * dec.s[0] ** 2, 0.5 * dec.s[0] ** 2, 60)
         inf = rr.influence_path_exact(dec, grid)
-        sel = rules.ipro(inf, d.g, operator=p.A)
+        sel = rules.ipro(inf, d.g, path=rr.iterative_path(p.A, d.g, grid))
         path = rr.spectral_path(dec, d.g, grid)
         ref = rules.ipro(inf, d.g, path=path)
         assert sel.alpha == pytest.approx(ref.alpha, rel=1e-8)
@@ -430,3 +430,29 @@ class TestSelectionInterface:
         assert {n for n, r in rules.RULES.items() if not r.needs_path} == {"pro", "ipro"}
         assert {n: r.noise for n, r in rules.RULES.items() if r.noise} == \
             {"pro": "sigma2", "dp": "sigma", "upre": "sigma2", "bp": "sigma"}
+
+
+_NAN, _INF = float("nan"), float("inf")
+# each call gets (dec, path, g) of shaw(32) on its default grid
+_NONFINITE_CALLS = {
+    "dp_sigma_nan": lambda dec, path, g: rules.dp(path, _NAN),
+    "dp_sigma_inf": lambda dec, path, g: rules.dp(path, _INF),
+    "upre_sigma2_nan": lambda dec, path, g: rules.upre(path, dec, _NAN),
+    "bp_sigma_nan": lambda dec, path, g: rules.bp(path, _NAN, dec),
+    "bp_c_nan": lambda dec, path, g: rules.bp(path, 0.01, dec, c=_NAN),
+    "pro_rho2_nan": lambda dec, path, g: rules.pro(dec, _NAN, 1e-4),
+    "pro_sigma2_nan": lambda dec, path, g: rules.pro(dec, 1.0, _NAN),
+    "pro_estimated_sigma2_nan": lambda dec, path, g: rules.pro_estimated(dec, g, _NAN),
+    "lower_bound_T_rho2_nan": lambda dec, path, g: rr.lower_bound_T(_NAN, 1e-4, dec, 1e-3),
+    "minimize_T_h_nan": lambda dec, path, g: rr.minimize_T(dec, _NAN),
+    "ipro_alpha_init_nan": lambda dec, path, g: rules.ipro(dec, g, alpha_init=_NAN),
+}
+
+
+@pytest.mark.parametrize("call", list(_NONFINITE_CALLS.values()), ids=list(_NONFINITE_CALLS))
+def test_nonfinite_arguments_rejected(shaw32, call):
+    p, dec = shaw32
+    g = rr.add_noise(p, 20.0, seed=1, replicate=0).g
+    path = rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values)
+    with pytest.raises(ValueError):
+        call(dec, path, g)

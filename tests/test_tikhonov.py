@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import riskreg as rr
+from riskreg import rules
+from riskreg.bench import default_grid, matrix_free_grid
 from riskreg.errors import ConvergenceError
 from riskreg.rng import TAG_PROBES, keyed_rng
 
@@ -39,16 +41,18 @@ class TestSolveSpectral:
 
 
 class TestSolveIterative:
+    """Single-alpha solves without a decomposition: length-1 iterative paths."""
+
     def test_identity(self):
         g = keyed_rng(5).standard_normal(7)
-        sol = rr.solve_iterative(np.eye(7), g, 1.0)
-        np.testing.assert_allclose(sol.f_alpha, g / 2.0, rtol=1e-7)
+        path = rr.iterative_path(np.eye(7), g, [1.0])
+        np.testing.assert_allclose(path.solutions[0], g / 2.0, rtol=1e-7)
 
     def test_matches_spectral(self, shaw32):
         p, dec = shaw32
         g = p.g_true + 0.03 * keyed_rng(6).standard_normal(32)
         for alpha in (1e-4, 1e-2):
-            f_it = rr.solve_iterative(p.A, g, alpha, tol=1e-10).f_alpha
+            f_it = rr.iterative_path(p.A, g, [alpha], tol=1e-10).solutions[0]
             f_sp = rr.solve_spectral(dec, g, alpha).f_alpha
             assert np.linalg.norm(f_it - f_sp) / np.linalg.norm(f_sp) <= 1e-6
 
@@ -56,12 +60,12 @@ class TestSolveIterative:
         p, dec = shaw32
         g = p.g_true
         alpha = 1e8 * float(dec.s[0]) ** 2
-        sol = rr.solve_iterative(p.A, g, alpha)
-        assert np.linalg.norm(sol.f_alpha) <= 1e-6 * np.linalg.norm(g) / dec.s[0]
+        f = rr.iterative_path(p.A, g, [alpha]).solutions[0]
+        assert np.linalg.norm(f) <= 1e-6 * np.linalg.norm(g) / dec.s[0]
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
-            rr.solve_iterative(np.eye(3), np.ones(3), 0.0)
+            rr.iterative_path(np.eye(3), np.ones(3), [0.0])
 
 
 def _probe_forms(run, alphas):
@@ -266,3 +270,37 @@ class TestPaths:
             for k in range(3):
                 gap = np.linalg.norm(it_path.solutions[k] - sp_path.solutions[k])
                 assert gap <= 1e-6 * np.linalg.norm(sp_path.solutions[k])
+
+    def test_iterative_solve_off_grid_from_projected_svd(self):
+        # off-grid alphas come from the path's projected SVD: dense accuracy,
+        # no operator application
+        p = rr.make_problem("heat", 1, 64)
+        M = p.A.to_dense()
+        applied = [0]
+
+        def counted(matrix):
+            def apply(x):
+                applied[0] += 1 if x.ndim == 1 else x.shape[1]
+                return matrix @ x
+            return apply
+
+        A = rr.LinearOperator(64, 64, counted(M), counted(M.T), "matrix-free")
+        dec = rr.svd(M)
+        s1_sq = float(dec.s[0]) ** 2
+        data = rr.add_noise(p, 20.0, seed=1, replicate=0)
+        grid = matrix_free_grid(s1_sq).values
+        path = rr.iterative_path(A, data.g, grid)
+        before = applied[0]
+        for a in np.sqrt(grid[:-1] * grid[1:]):
+            got, ref = path.solve(a), rr.solve_spectral(dec, data.g, a)
+            assert np.linalg.norm(got.f_alpha - ref.f_alpha) <= 1e-8 * np.linalg.norm(ref.f_alpha)
+            assert got.residual_norm == pytest.approx(ref.residual_norm, rel=1e-8)
+        assert applied[0] == before
+        grid = default_grid(s1_sq).values
+        path = rr.iterative_path(A, data.g, grid)
+        before = applied[0]
+        sel = rules.dp(path, data.sigma)
+        assert applied[0] == before
+        ref = rules.dp(rr.spectral_path(dec, data.g, grid), data.sigma)
+        assert sel.diagnostics["grid_index"] > 0 and not sel.diagnostics["flags"]
+        assert sel.alpha == pytest.approx(ref.alpha, rel=1e-12)
