@@ -130,8 +130,8 @@ def _T_h_derivative_terms(dec: SpectralDecomposition, alpha):
 
 def T_h_derivative(dec: SpectralDecomposition, h: float, alpha):
     """Closed-form derivative of T_h."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     t1, t2 = _T_h_derivative_terms(dec, alpha)
     out = t1 - h * t2
     return float(out) if np.isscalar(alpha) else out
@@ -203,8 +203,8 @@ def minimize_T(dec: SpectralDecomposition, h: float, rel_grad_tol: float = 1e-12
 def alpha_bounds(dec: SpectralDecomposition, h: float):
     """Analytic bracket for the minimizer: (s1^2 h, upper) with upper defined
     only when h is below zeta = s1^2 / tr(A^T A)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     s1_sq = float(dec.s[0]) ** 2
     zeta = s1_sq / float(np.sum(dec.s * dec.s))
     lo = s1_sq * h
@@ -216,8 +216,8 @@ def alpha_bounds(dec: SpectralDecomposition, h: float):
 
 def global_minimizer_certificate(dec: SpectralDecomposition, h: float) -> bool:
     """True when h <= 1/(27 r): the interval minimizer is then the global one."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     return h <= 1.0 / (27.0 * dec.rank)
 
 

@@ -256,8 +256,9 @@ def _influence_on(path: SolutionPath, source) -> InfluencePath:
     """The influence scalars on the grid of ``path``, from a spectrum or an
     influence path sampled on that grid."""
     if isinstance(source, InfluencePath):
-        if source.alphas.shape != path.alphas.shape or \
-                not np.allclose(source.alphas, path.alphas, rtol=1e-12):
+        if source.alphas is not path.alphas and (
+                source.alphas.shape != path.alphas.shape or
+                not np.allclose(source.alphas, path.alphas, rtol=1e-12)):
             raise ValueError("influence path and solution path use different grids")
         return source
     if isinstance(source, SpectralDecomposition):

@@ -1,9 +1,10 @@
 """Tikhonov solvers and influence-operator scalars, on spectral and matrix-free paths.
 
 The spectral path works from a truncated SVD.  The matrix-free path needs only
-operator applications: one Golub-Kahan bidiagonalization per right-hand side
-projects the problem onto a small bidiagonal one, whose SVD then gives the
-damped least-squares solution at every alpha of a grid at once.
+operator applications: a Golub-Kahan bidiagonalization of each right-hand side
+(a block of them in lockstep) projects the problem onto a small bidiagonal one,
+whose SVD then gives the damped least-squares solution at every alpha of a grid
+at once.
 """
 
 from __future__ import annotations
@@ -43,102 +44,150 @@ def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSo
                                residual_norm=float(np.linalg.norm(r)))
 
 
-class _Basis:
-    """Orthonormal rows, grown by doubling so only the used depth is held."""
+def _normalize(X, scale):
+    """Norms of the rows of X, zeroed at or below the rank cutoff of ``scale``
+    (each row's largest alpha_k or beta_k so far); the other rows are normalized."""
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("operator or right-hand side gives non-finite values")
+    norms[norms <= RANK_CUTOFF * np.maximum(scale, norms)] = 0.0
+    X /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return norms
 
-    def __init__(self, length: int):
-        self.rows, self.k = np.empty((8, length)), 0
 
-    def extend(self, x, scale: float) -> float:
-        """Orthogonalize x, append it normalized and return its norm; 0, appending
-        nothing, below the rank cutoff of ``scale`` (largest alpha_k or beta_k so far)."""
-        Q = self.rows[:self.k]
-        for _ in range(2):
-            # classical Gram-Schmidt, repeated when it cancels more than a
-            # factor 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart)
-            y = x - Q.T @ (Q @ x)
-            if y @ y >= 0.5 * (x @ x):
-                break
-            x = y
-        norm = float(np.sqrt(y @ y))
-        if not np.isfinite(norm):
-            raise ValueError("operator or right-hand side gives non-finite values")
-        if norm <= RANK_CUTOFF * max(scale, norm):
-            return 0.0
-        if self.k == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-        self.rows[self.k] = y / norm
-        self.k += 1
-        return norm
+def _reorthogonalize(Q, x):
+    """Each row x[j] minus its projection on the orthonormal rows of Q[j].
+
+    Classical Gram-Schmidt, batched over j and repeated on the rows where it
+    cancels more than a factor 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman
+    & Stewart)."""
+    y = x - ((Q @ x[:, :, None]).transpose(0, 2, 1) @ Q)[:, 0]
+    again = ~(np.einsum("ij,ij->i", y, y) >= 0.5 * np.einsum("ij,ij->i", x, x))
+    if again.any():
+        Qa, ya = (Q, y) if again.all() else (Q[again], y[again])
+        y[again] = ya - ((Qa @ ya[:, :, None]).transpose(0, 2, 1) @ Qa)[:, 0]
+    return y
 
 
 def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
                 relative_to_solution: bool = False):
     """Golub-Kahan bidiagonalization of A from b, deep enough for a whole alpha grid.
 
-    Builds A V_k = U_{k+1} B_k from u_1 = b / beta1, both bases fully
-    reorthogonalized.  With x = V_k y, min ||A x - b||^2 + a ||x||^2 becomes
-    min ||B_k y - beta1 e1||^2 + a ||y||^2: ||A x|| = ||B_k y||, <b, A x> =
-    beta1 (B_k y)_1, ||x|| = ||y|| and ||b - A x|| = ||beta1 e1 - B_k y||.
-    Returns ``(dec, rhs, residual)``: the SVD P diag(s) Q^T of B_k with right
-    vectors V_k Q (``dec.rank`` is k) and rhs = beta1 e1, which pose that
-    problem to ``spectral_path``, and the largest normal-equation residual
-    ||A^T(b - A x) - a x|| on the grid.
+    Builds A V_k = U_{k+1} B_k from u_1 = b / beta1.  With x = V_k y,
+    min ||A x - b||^2 + a ||x||^2 becomes min ||B_k y - beta1 e1||^2 + a ||y||^2:
+    ||A x|| = ||B_k y||, <b, A x> = beta1 (B_k y)_1, ||x|| = ||y|| and
+    ||b - A x|| = ||beta1 e1 - B_k y||.  Returns ``(dec, rhs, residual)``: the
+    SVD P diag(s) Q^T of B_k with right vectors V_k Q (``dec.rank`` is k) and
+    rhs = beta1 e1, which pose that problem to ``spectral_path``, and the
+    largest normal-equation residual ||A^T(b - A x) - a x|| on the grid.
 
-    Stops once that residual is at most ``tol * ||A^T b||`` at every alpha,
-    or with ``relative_to_solution`` at most ``tol * a * ||x||``, which bounds
-    the relative error of x by ``tol``.  The plane rotations of damped LSQR
-    (Paige & Saunders 1982), one set per alpha, track both norms without
-    operator applications.  A vanishing alpha_k or beta_k (an invariant
-    subspace) ends the run with a zero residual; ``max_iter`` steps (default
-    min(rows, cols)) raise ConvergenceError.
+    ``b`` may also be a block of right-hand sides (rows x p); the result is
+    then a list of p such triples, one per column, each as the column alone
+    would give it up to rounding.  The columns advance in lockstep, with one
+    ``apply`` and one ``apply_adjoint`` of the active block per step, and each
+    leaves the block at its own stopping test or breakdown.  Only V is
+    reorthogonalized (one-sided, Simon & Zha 2000): it is the basis solutions
+    are mapped back through, and only the newest u of each column is kept,
+    so the memory is p * k * cols for the V stack and no U basis is stored.
+
+    A column stops once that residual is at most ``tol * ||A^T b||`` at every
+    alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
+    bounds the relative error of x by ``tol`` only while tol is above roughly
+    cond(A^T A + a I) times machine epsilon; below it rounding sets the error.
+    The plane rotations of damped LSQR (Paige & Saunders 1982), one set per
+    column and alpha, track both norms without operator applications.  A
+    vanishing alpha_k or beta_k (an invariant subspace) ends a column with a
+    zero residual; ``max_iter`` steps (default min(rows, cols)) in any column
+    raise ConvergenceError.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
         raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != op.rows:
+        raise ValueError(f"right-hand side must have {op.rows} rows")
     max_iter = min(op.rows, op.cols) if max_iter is None else max_iter
-    U, V = _Basis(op.rows), _Basis(op.cols)
-    beta1 = U.extend(np.asarray(b, dtype=float), 0.0)
-    a_next = scale = V.extend(op.apply_adjoint(U.rows[0]), 0.0) if beta1 else 0.0
-    bound, diag, sub, residual = tol * beta1 * a_next, [], [], 0.0  # tol * ||A^T b||
-    # damped LSQR per alpha, in scipy's names: left rotations give the residual,
-    # a right rotation ||x||
-    rhobar, phibar = np.full(alphas.size, a_next), np.full(alphas.size, beta1)
-    cs2, sn2, z, xxnorm = np.full(alphas.size, -1.0), *np.zeros((3, alphas.size))
-    while a_next > 0.0:
-        if len(diag) == max_iter:
+    U = b.reshape(op.rows, -1).T.copy()  # the newest u of each column, one per row
+    p = U.shape[0]
+    beta1 = _normalize(U, 0.0)
+    V = np.empty((p, 8, op.cols))  # V[j, :k + 1] holds v_1 .. v_{k+1} of column j
+    diag, sub, scale = np.empty((p, 8)), np.empty((p, 8)), np.zeros(p)
+    live, residual, k, runs = np.arange(p), np.zeros(p), 0, [None] * p
+
+    def step_adjoint(go, b_next):
+        # v = A^T u - beta v_k, reorthogonalized, for the rows in go; returns alpha
+        a = np.zeros(go.size)
+        if not go.any():
+            return a
+        go = slice(None) if go.all() else go  # a view of V, not a copy, if all go
+        x = op.apply_adjoint(U[go].T).T
+        if k:
+            x = _reorthogonalize(V[go, :k], x - b_next[go, None] * V[go, k - 1])
+        a[go] = _normalize(x, np.maximum(scale, b_next)[go])
+        V[go, k] = x
+        return a
+
+    def retire(done):
+        # finish the columns in done at depth k, one batched SVD of their B_k
+        B = np.zeros((np.count_nonzero(done), k + 1, k))
+        B[:, np.arange(k), np.arange(k)] = diag[done, :k]
+        B[:, np.arange(1, k + 1), np.arange(k)] = sub[done, :k]
+        P, s, Qt = np.linalg.svd(B, full_matrices=False)
+        W = Qt @ V[done, :k]  # (V_k Q)^T
+        for i, j in enumerate(np.flatnonzero(done)):
+            rhs = np.concatenate([beta1[j:j + 1], np.zeros(k)])
+            runs[live[j]] = (SpectralDecomposition(P[i], s[i], W[i].T, k), rhs,
+                             float(residual[j]))
+
+    a = step_adjoint(beta1 > 0, np.zeros(p))
+    scale, done = a.copy(), a == 0.0
+    bound = (tol * beta1 * a)[:, None]  # tol * ||A^T b||
+    # damped LSQR per column and alpha, in scipy's names: left rotations give
+    # the residual, a right rotation ||x||
+    rhobar, phibar = np.outer(a, np.ones(alphas.size)), np.outer(beta1, np.ones(alphas.size))
+    cs2, sn2, z, xxnorm = np.full(rhobar.shape, -1.0), *np.zeros((3, *rhobar.shape))
+    while True:
+        if done.any():
+            retire(done)
+            keep = ~done
+            live, U, V, a, beta1, scale, diag, sub, residual, bound = (
+                x[keep] for x in (live, U, V, a, beta1, scale, diag, sub, residual, bound))
+            rhobar, phibar, cs2, sn2, z, xxnorm = (
+                x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
+        if not live.size:
+            break
+        if k == max_iter:
             raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} steps "
-                                   f"(residual {residual:.3g})", iterations=max_iter)
-        diag.append(a_next)
-        b_next = U.extend(op.apply(V.rows[V.k - 1]) - a_next * U.rows[U.k - 1], scale)
-        scale = max(scale, b_next)
-        a_next = V.extend(op.apply_adjoint(U.rows[U.k - 1]) - b_next * V.rows[V.k - 1],
-                          scale) if b_next else 0.0
-        scale = max(scale, a_next)
-        sub.append(b_next)
+                                   f"(residual {residual.max():.3g})", iterations=max_iter)
+        if k + 2 > V.shape[1]:
+            V = np.concatenate([V, np.empty_like(V)], axis=1)
+            diag, sub = (np.concatenate([x, np.empty_like(x)], axis=1) for x in (diag, sub))
+        diag[:, k] = a
+        U = op.apply(V[:, k].T).T - a[:, None] * U
+        b_next = _normalize(U, scale)
+        sub[:, k] = b_next
+        k += 1
+        a = step_adjoint(b_next > 0, b_next)
+        scale = np.maximum(scale, np.maximum(b_next, a))
+        bn, an = b_next[:, None], a[:, None]
         rhobar1 = np.sqrt(rhobar * rhobar + alphas)
         phibar *= rhobar / rhobar1
-        rho = np.hypot(rhobar1, b_next)
-        cs, sn = rhobar1 / rho, b_next / rho
-        theta, rhobar = sn * a_next, -cs * a_next
+        rho = np.sqrt(rhobar1 * rhobar1 + bn * bn)  # np.hypot is ~20x slower
+        cs, sn = rhobar1 / rho, bn / rho
+        theta, rhobar = sn * an, -cs * an
         phi, phibar = cs * phibar, sn * phibar
-        arnorm = a_next * np.abs(sn * phi)
-        residual = float(np.max(arnorm))
+        arnorm = an * np.abs(sn * phi)
+        residual = np.max(arnorm, axis=1)
         if relative_to_solution:
             gambar = -cs2 * rho
             t = phi - sn2 * rho * z
             bound = tol * alphas * np.sqrt(xxnorm + (t / gambar) ** 2)
-            gamma = np.hypot(gambar, theta)
+            gamma = np.sqrt(gambar * gambar + theta * theta)
             cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
             xxnorm += z * z
-        if np.all(arnorm <= bound):
-            break
-    k = len(diag)
-    B = (np.diag(diag + [0.0]) + np.diag(sub, -1))[:, :k]
-    P, s, Qt = np.linalg.svd(B, full_matrices=False)
-    rhs = np.concatenate([[beta1], np.zeros(k)])
-    return SpectralDecomposition(P, s, V.rows[:k].T @ Qt.T, k), rhs, residual
+        done = (a == 0.0) | np.all(arnorm <= bound, axis=1)
+    return runs if b.ndim == 2 else runs[0]
 
 
 @dataclass
@@ -190,7 +239,8 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
                               solve_tol: float = 1e-8, lam1: float | None = None) -> InfluencePath:
     """Stochastic influence scalars over a grid with frozen probes.
 
-    One ``golub_kahan`` run per probe z (alphas must be positive): with
+    One ``golub_kahan`` run over the block of probes (alphas must be
+    positive); for each probe z, with
     c = beta1 P[0] and x = s^2/(s^2 + a) from its projected SVD,
     w = (A^T A + a I)^{-1} A^T z has ||A w||^2 = sum x^2 c^2,
     <z, A w> = sum x c^2 and ||w||^2 = sum x/(s^2 + a) c^2.
@@ -204,8 +254,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
     sums = np.zeros((3, alphas.size))
     iterations, residuals = np.empty(probes, dtype=int), np.empty(probes)
-    for j in range(probes):
-        dec, rhs, residuals[j] = golub_kahan(op, Z[:, j], alphas, tol=solve_tol)
+    for j, (dec, rhs, residuals[j]) in enumerate(golub_kahan(op, Z, alphas, tol=solve_tol)):
         d = dec.s[None, :] ** 2 + alphas[:, None]
         x = dec.s ** 2 / d
         sums += np.stack([x * x, x, x / d]) @ (dec.U[0] * rhs[0]) ** 2

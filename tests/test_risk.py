@@ -212,6 +212,17 @@ class TestBoundsAndDiagnostics:
         assert np.isfinite(a0) and a0 > 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda dec, h: rr.T_h_derivative(dec, h, 1e-3),
+    rr.alpha_bounds,
+    rr.global_minimizer_certificate,
+], ids=["T_h_derivative", "alpha_bounds", "global_minimizer_certificate"])
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3])
+def test_h_must_be_positive_and_finite(shaw32, call, h):
+    with pytest.raises(ValueError):
+        call(shaw32[1], h)
+
+
 class TestRiskCurve:
     def test_csv_round_shape(self):
         curve = rr.RiskCurve(np.array([0.1, 1.0, 10.0]), np.array([3.0, 2.0, 2.5]),

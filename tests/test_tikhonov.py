@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskreg as rr
 from riskreg import rules
@@ -185,6 +187,131 @@ class TestGolubKahan:
             rr.golub_kahan(np.eye(4), b, [1.0])
         with pytest.raises(ValueError):
             rr.golub_kahan(np.eye(4), np.ones(4), [0.0])
+
+
+def _block_and_columns(A, B, alphas, **kw):
+    """golub_kahan on the block B and on each of its columns alone."""
+    return rr.golub_kahan(A, B, alphas, **kw), [rr.golub_kahan(A, b, alphas, **kw) for b in B.T]
+
+
+def _assert_runs_agree(block, columns, alphas, rtol=1e-12):
+    assert len(block) == len(columns)
+    for got, ref in zip(block, columns):
+        assert got[0].rank == ref[0].rank
+        for a in alphas:
+            x, y = _projected_solution(got, a), _projected_solution(ref, a)
+            assert np.linalg.norm(x - y) <= rtol * np.linalg.norm(y)
+        np.testing.assert_allclose(_probe_forms(got, alphas), _probe_forms(ref, alphas),
+                                   rtol=rtol, atol=0.0)
+
+
+class TestGolubKahanBlock:
+    """A block of right-hand sides advances in lockstep; each column's run is
+    the one it would get alone."""
+
+    def test_tall_sparse_tomography(self):
+        p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
+        lam1 = rr.largest_eigenvalue(p.A, seed=1)
+        alphas = np.geomspace(1e-8 * lam1, 1e-2 * lam1, 12)
+        B = keyed_rng(47).standard_normal((p.A.rows, 6))
+        block, columns = _block_and_columns(p.A, B, alphas)
+        _assert_runs_agree(block, columns, alphas)
+        assert len({run[0].rank for run in block}) > 1  # columns retire at different steps
+
+    def test_square_breakdown_at_numerical_rank(self, shaw32):
+        p, dec = shaw32
+        s1_sq = float(dec.s[0]) ** 2
+        alphas = np.geomspace(1e-3 * s1_sq, 0.5 * s1_sq, 10)
+        B = keyed_rng(53).standard_normal((32, 5))
+        block, columns = _block_and_columns(p.A, B, alphas, tol=0.0)
+        _assert_runs_agree(block, columns, alphas)
+        for dec_j, _, residual in block:  # tol = 0 runs until a breakdown
+            assert residual == 0.0 and abs(dec_j.rank - dec.rank) <= 1
+
+    def test_wide_dense_matches_direct_solve(self):
+        rng = keyed_rng(59)
+        A = rng.standard_normal((9, 14))
+        B = rng.standard_normal((9, 4))
+        alphas = np.array([1e-3, 0.1, 1.0, 10.0])
+        block, columns = _block_and_columns(A, B, alphas, tol=1e-12)
+        _assert_runs_agree(block, columns, alphas)
+        for run, b in zip(block, B.T):
+            assert run[0].rank == 9
+            for a in alphas:
+                x_ref = np.linalg.solve(A.T @ A + a * np.eye(14), A.T @ b)
+                np.testing.assert_allclose(_projected_solution(run, a), x_ref, rtol=1e-10)
+
+    def test_column_retires_at_step_one(self):
+        # u_1 a left singular vector spans an invariant subspace: beta_2 = 0
+        # at the first step; a zero column never starts; the rest continue
+        rng = keyed_rng(61)
+        A = rng.standard_normal((12, 9))
+        dec = rr.svd(A)
+        B = rng.standard_normal((12, 4))
+        B[:, 1] = 3.0 * dec.U[:, 0]
+        B[:, 2] = 0.0
+        alphas = np.array([1e-2, 1.0])
+        block, columns = _block_and_columns(A, B, alphas, tol=1e-12)
+        _assert_runs_agree(block, columns, alphas)
+        ranks = [run[0].rank for run in block]
+        assert ranks[1] == 1 and ranks[2] == 0 and min(ranks[0], ranks[3]) > 1
+        assert block[2][2] == 0.0 and np.all(block[2][1] == 0.0)
+        for j in (0, 1, 3):
+            for a in alphas:
+                x_ref = np.linalg.solve(A.T @ A + a * np.eye(9), A.T @ B[:, j])
+                np.testing.assert_allclose(_projected_solution(block[j], a), x_ref, rtol=1e-8)
+        # every column breaks down at once: no empty block reaches the operator
+        op = rr.LinearOperator.from_functions(12, 9, lambda x: A @ x, lambda y: A.T @ y)
+        runs = rr.golub_kahan(op, dec.U[:, :2] * [3.0, 2.0], alphas)
+        assert [run[0].rank for run in runs] == [1, 1]
+
+    def test_from_functions_operator(self):
+        p = rr.make_problem("heat", 1, 32)
+        M = p.A.to_dense()
+        calls = []
+
+        def apply(x):
+            calls.append(x.shape)
+            return M @ x
+
+        op = rr.LinearOperator.from_functions(32, 32, apply, lambda y: M.T @ y)
+        alphas = np.geomspace(1e-6, 1e-1, 6) * float(rr.svd(M).s[0]) ** 2
+        B = keyed_rng(67).standard_normal((32, 3))
+        block, columns = _block_and_columns(op, B, alphas, tol=1e-10)
+        _assert_runs_agree(block, columns, alphas, rtol=1e-10)
+        _assert_runs_agree(block, rr.golub_kahan(M, B, alphas, tol=1e-10), alphas, rtol=1e-10)
+        assert all(shape == (32,) for shape in calls)  # one column at a time
+
+    def test_block_shape_validated(self):
+        with pytest.raises(ValueError):
+            rr.golub_kahan(np.eye(4), np.ones((3, 2)), [1.0])
+        with pytest.raises(ValueError):
+            rr.golub_kahan(np.eye(4), np.ones((4, 2, 1)), [1.0])
+        B = np.ones((4, 3))
+        B[1, 2] = np.inf
+        with pytest.raises(ValueError):
+            rr.golub_kahan(np.eye(4), B, [1.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), rank=st.integers(1, 9),
+       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1),
+       rel_alphas=st.lists(st.floats(1e-4, 1e2), min_size=1, max_size=4))
+def test_golub_kahan_agrees_with_spectral_path(rows, cols, rank, columns, seed, rel_alphas):
+    rng = keyed_rng(seed)
+    rank = min(rank, rows, cols)
+    A = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    G = rng.standard_normal((rows, columns))
+    dec = rr.svd(A)
+    alphas = np.array(rel_alphas) * float(dec.s[0]) ** 2
+    runs = rr.golub_kahan(A, G, alphas, tol=1e-12, relative_to_solution=True)
+    paths = [rr.spectral_path(dec_j, rhs, alphas) for dec_j, rhs, _ in runs]
+    paths.append(rr.iterative_path(A, G[:, 0], alphas, tol=1e-12))  # p = 1
+    for got, g in zip(paths, [*G.T, G[:, 0]]):
+        ref = rr.spectral_path(dec, g, alphas)
+        np.testing.assert_allclose(got.residual_norms, ref.residual_norms, rtol=1e-9)
+        gaps = np.linalg.norm(got.solutions - ref.solutions, axis=1)
+        assert np.all(gaps <= 1e-8 * np.linalg.norm(ref.solutions, axis=1))
 
 
 class TestInfluenceExact:
