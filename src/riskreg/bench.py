@@ -9,9 +9,12 @@ count and scheduling.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -245,8 +248,9 @@ def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
         path = spectral_path(dec, data.g, grid.values)
     else:
         path = iterative_path(problem.A, data.g, grid.values)
-    errors = np.linalg.norm(path.solutions - problem.f_true[None, :], axis=1) \
-        / np.linalg.norm(problem.f_true)
+    D = path.solutions - problem.f_true[None, :]
+    D *= D
+    errors = np.sqrt(np.add.reduce(D, axis=1)) / np.linalg.norm(problem.f_true)
     eps_o, _ = oracle_error(errors)
     # Grid mode on the shared path: the influence path is the source, dp does
     # not bisect off the grid, and pro falls back to the largest alpha rather
@@ -290,6 +294,19 @@ def _run_chunk(config: StudyConfig, name: str, variant, xi: float,
     return out
 
 
+def _cap_blas_threads(threads: int) -> None:
+    """Limit numpy's bundled OpenBLAS to ``threads`` threads in this process;
+    nothing happens where that library or its setter is missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        setter = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(threads)
+
+
 def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     """Run every (problem, xi) cell of the study; deterministic for any worker count."""
     cells = [(name, variant, xi) for name, variant in config.problems
@@ -302,7 +319,12 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     else:
         chunk = max(1, -(-config.replicates // workers))
         tasks = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers x BLAS threads would oversubscribe the cores
+        nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+        threads = max(1, nproc // workers)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
+                                 initargs=(threads,)) as pool:
             for cell in cells:
                 name, variant, xi = cell
                 for lo in range(0, config.replicates, chunk):
@@ -338,8 +360,6 @@ def write_reports(reports: list[EfficiencyReport], out_dir) -> list[str]:
     Detail schema:  problem,variant,n,xi,rule,replicate,alpha,rel_error,efficiency,flags
     Summary schema: problem,variant,n,xi,rule,median_eff,q1,q3,median_oracle
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     xis = sorted({r.xi for r in reports})

@@ -6,7 +6,9 @@ concurrent use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,12 +22,27 @@ from .rng import TAG_POWER, keyed_rng
 RANK_CUTOFF = 1e-12
 
 
+def _transpose_matmul(A, y):
+    return A.T @ y
+
+
+def _columnwise(fn, x):
+    # a vector callable applied to a vector or to each column of a block
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    return np.column_stack([np.asarray(fn(x[:, j]), dtype=float) for j in range(x.shape[1])])
+
+
 class LinearOperator:
     """A forward map together with its adjoint.
 
     The operator maps R^cols -> R^rows.  ``apply`` and ``apply_adjoint``
     accept a single vector or a matrix of column vectors.  Dense operators
     carry their matrix; matrix-free ones only the callables.
+
+    Dense and sparse operators pickle (so they can be sent to worker
+    processes); one built ``from_functions`` pickles only if its callables do.
     """
 
     def __init__(self, rows: int, cols: int, apply: Callable, apply_adjoint: Callable,
@@ -44,28 +61,20 @@ class LinearOperator:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("expected a 2-d array")
-        return cls(A.shape[0], A.shape[1], lambda x: A @ x, lambda y: A.T @ y,
-                   "dense", matrix=A)
+        return cls(A.shape[0], A.shape[1], partial(operator.matmul, A),
+                   partial(_transpose_matmul, A), "dense", matrix=A)
 
     @classmethod
     def from_sparse(cls, S) -> "LinearOperator":
         S = sp.csr_matrix(S)
         St = sp.csr_matrix(S.T)
-        return cls(S.shape[0], S.shape[1], lambda x: S @ x, lambda y: St @ y,
-                   "matrix-free", matrix=S)
+        return cls(S.shape[0], S.shape[1], partial(operator.matmul, S),
+                   partial(operator.matmul, St), "matrix-free", matrix=S)
 
     @classmethod
     def from_functions(cls, rows: int, cols: int, apply: Callable,
                        apply_adjoint: Callable) -> "LinearOperator":
-        def blocked(fn, length):
-            def wrapped(x):
-                x = np.asarray(x, dtype=float)
-                if x.ndim == 1:
-                    return np.asarray(fn(x), dtype=float)
-                return np.column_stack([np.asarray(fn(x[:, j]), dtype=float)
-                                        for j in range(x.shape[1])])
-            return wrapped
-        return cls(rows, cols, blocked(apply, cols), blocked(apply_adjoint, rows),
+        return cls(rows, cols, partial(_columnwise, apply), partial(_columnwise, apply_adjoint),
                    "matrix-free")
 
     @property

@@ -35,6 +35,9 @@ from .tikhonov import InfluencePath, SolutionPath, influence_path_exact
 # (the residual is then dominated by floating-point rounding).
 RESIDUAL_FLOOR = 1e-14
 
+# Largest number of solution-difference entries ``bp`` holds at once.
+_BP_BLOCK_ELEMENTS = 1 << 15
+
 
 @dataclass
 class RuleSelection:
@@ -297,7 +300,10 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     solution differs from every less-smoothed subgrid solution by at most
     c * sigma * sqrt(noise amplification there); the largest admissible alpha
     is returned.  The admissible set is a contiguous lower segment by
-    construction, so the scan stops at the first failure.
+    construction, so the scan stops at the first failure.  The comparisons
+    run on blocks of pairwise subgrid distances of bounded size
+    (``_BP_BLOCK_ELEMENTS`` entries), and no block after the first failing
+    one is formed.
     """
     if path.solutions is None:
         raise ValueError("bp needs the solutions along the path")
@@ -311,17 +317,36 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     sub = np.arange(len(path) - 1, -1, -step)[::-1]   # ascending subgrid indices
     thresholds = c * sigma * np.sqrt(namp[sub])
     F = path.solutions[sub]
-    chosen = sub[0]
-    flags = []
-    for pos in range(1, sub.size):
-        if np.any(np.linalg.norm(F[:pos] - F[pos], axis=1) > thresholds[:pos]):
+    # rows pos of dist[pos, i] = ||F[i] - F[pos]||, i < pos, a block at a time;
+    # the chosen point is the one before the first row with a violation
+    chosen = sub[-1]
+    rows = max(1, _BP_BLOCK_ELEMENTS // max(1, sub.size * F.shape[1]))
+    for lo in range(1, sub.size, rows):
+        hi = min(lo + rows, sub.size)
+        D = F[None, :hi - 1] - F[lo:hi, None]
+        D *= D
+        dist = np.sqrt(np.add.reduce(D, axis=-1))
+        pos = np.arange(lo, hi)[:, None]
+        violated = (dist > thresholds[:hi - 1]) & (np.arange(hi - 1) < pos)
+        bad = np.flatnonzero(violated.any(axis=1))
+        if bad.size:
+            chosen = sub[lo + bad[0] - 1]
             break
-        chosen = sub[pos]
+    flags = []
     if chosen == sub[0]:
         flags.append("at_grid_min")
     return RuleSelection(rule="bp", alpha=float(path.alphas[chosen]),
                          diagnostics={"grid_index": int(chosen), "flags": flags,
                                       "subgrid": sub, "gamma": gamma, "c": c})
+
+
+def _gradient(f, dt):
+    """``np.gradient(f, dt, axis=-1)`` with first-order edges, in its arithmetic."""
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dt)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / dt
+    out[..., -1] = (f[..., -1] - f[..., -2]) / dt
+    return out
 
 
 def lc(path: SolutionPath) -> RuleSelection:
@@ -334,10 +359,8 @@ def lc(path: SolutionPath) -> RuleSelection:
     x = np.log(np.maximum(path.residual_norms, tiny))
     y = np.log(np.maximum(path.solution_norms, tiny))
     dt = t[1] - t[0]
-    xp = np.gradient(x, dt)
-    yp = np.gradient(y, dt)
-    xpp = np.gradient(xp, dt)
-    ypp = np.gradient(yp, dt)
+    xp, yp = slopes = _gradient(np.stack([x, y]), dt)
+    xpp, ypp = _gradient(slopes, dt)
     denom = np.maximum((xp * xp + yp * yp) ** 1.5, tiny)
     kappa = (xp * ypp - yp * xpp) / denom
     interior = slice(1, len(path) - 1)
@@ -356,7 +379,9 @@ def qoc(path: SolutionPath) -> RuleSelection:
         raise ValueError("qoc needs the solutions along the path")
     if len(path) < 2:
         raise ValueError("qoc needs at least two grid points")
-    diffs = np.linalg.norm(np.diff(path.solutions, axis=0), axis=1)
+    D = np.diff(path.solutions, axis=0)
+    D *= D
+    diffs = np.sqrt(np.add.reduce(D, axis=1))
     idx = _argmin_last(diffs)
     return RuleSelection(rule="qoc", alpha=float(path.alphas[idx]),
                          diagnostics={"differences": diffs, "grid_index": idx,

@@ -147,6 +147,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     # the residual, a right rotation ||x||
     rhobar, phibar = np.outer(a, np.ones(alphas.size)), np.outer(beta1, np.ones(alphas.size))
     cs2, sn2, z, xxnorm = np.full(rhobar.shape, -1.0), *np.zeros((3, *rhobar.shape))
+    tol_alphas, work = tol * alphas, None
     while True:
         if done.any():
             retire(done)
@@ -155,6 +156,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
                 x[keep] for x in (live, U, V, a, beta1, scale, diag, sub, residual, bound))
             rhobar, phibar, cs2, sn2, z, xxnorm = (
                 x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
+            work = None
         if not live.size:
             break
         if k == max_iter:
@@ -171,22 +173,63 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
         a = step_adjoint(b_next > 0, b_next)
         scale = np.maximum(scale, np.maximum(b_next, a))
         bn, an = b_next[:, None], a[:, None]
-        rhobar1 = np.sqrt(rhobar * rhobar + alphas)
-        phibar *= rhobar / rhobar1
-        rho = np.sqrt(rhobar1 * rhobar1 + bn * bn)  # np.hypot is ~20x slower
-        cs, sn = rhobar1 / rho, bn / rho
-        theta, rhobar = sn * an, -cs * an
-        phi, phibar = cs * phibar, sn * phibar
-        arnorm = an * np.abs(sn * phi)
+        if work is None:
+            # (live column, alpha) scratch for the rotations, kept until the
+            # block is compacted: fresh temporaries of a wide block cost more
+            # than their arithmetic
+            work = np.empty((12 if relative_to_solution else 7, live.size, alphas.size))
+            within = np.empty(work.shape[1:], dtype=bool)
+            rhobar1, rho, cs, sn, phi, arnorm, tmp, *solution_work = work
+        # rhobar1 = sqrt(rhobar^2 + a), phibar *= rhobar / rhobar1,
+        # rho = sqrt(rhobar1^2 + bn^2), cs, sn = rhobar1 / rho, bn / rho,
+        # rhobar = -cs an, phi, phibar = cs phibar, sn phibar and
+        # arnorm = an |sn phi|, each operation in this order
+        np.multiply(rhobar, rhobar, out=rhobar1)
+        rhobar1 += alphas
+        np.sqrt(rhobar1, out=rhobar1)
+        np.divide(rhobar, rhobar1, out=tmp)
+        phibar *= tmp
+        np.multiply(rhobar1, rhobar1, out=rho)
+        rho += bn * bn
+        np.sqrt(rho, out=rho)  # np.hypot is ~20x slower
+        np.divide(rhobar1, rho, out=cs)
+        np.divide(bn, rho, out=sn)
+        np.negative(cs, out=rhobar)
+        rhobar *= an
+        np.multiply(cs, phibar, out=phi)
+        phibar *= sn
+        np.multiply(sn, phi, out=arnorm)
+        np.abs(arnorm, out=arnorm)
+        arnorm *= an
         residual = np.max(arnorm, axis=1)
         if relative_to_solution:
-            gambar = -cs2 * rho
-            t = phi - sn2 * rho * z
-            bound = tol * alphas * np.sqrt(xxnorm + (t / gambar) ** 2)
-            gamma = np.sqrt(gambar * gambar + theta * theta)
-            cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
-            xxnorm += z * z
-        done = (a == 0.0) | np.all(arnorm <= bound, axis=1)
+            # theta = sn an, gambar = -cs2 rho, t = phi - sn2 rho z,
+            # bound = tol a sqrt(xxnorm + (t / gambar)^2),
+            # gamma = sqrt(gambar^2 + theta^2), cs2, sn2, z = (gambar, theta,
+            # t) / gamma and xxnorm += z^2
+            theta, gambar, t, gamma, bound = solution_work
+            np.multiply(sn, an, out=theta)
+            np.negative(cs2, out=gambar)
+            gambar *= rho
+            np.multiply(sn2, rho, out=t)
+            t *= z
+            np.subtract(phi, t, out=t)
+            np.divide(t, gambar, out=tmp)
+            tmp *= tmp
+            tmp += xxnorm
+            np.sqrt(tmp, out=tmp)
+            np.multiply(tol_alphas, tmp, out=bound)
+            np.multiply(gambar, gambar, out=gamma)
+            np.multiply(theta, theta, out=tmp)
+            gamma += tmp
+            np.sqrt(gamma, out=gamma)
+            np.divide(gambar, gamma, out=cs2)
+            np.divide(theta, gamma, out=sn2)
+            np.divide(t, gamma, out=z)
+            np.multiply(z, z, out=tmp)
+            xxnorm += tmp
+        np.less_equal(arnorm, bound, out=within)
+        done = (a == 0.0) | np.all(within, axis=1)
     return runs if b.ndim == 2 else runs[0]
 
 
@@ -301,11 +344,15 @@ def spectral_path(dec: SpectralDecomposition, g, alphas,
     perp_sq = float(perp @ perp)
     s = dec.s
     s2 = s * s
-    phi = s[None, :] / (s2[None, :] + alphas[:, None])          # (K, r)
-    coef = phi * c[None, :]
-    resid_sq = np.sum(((alphas[:, None] / (s2[None, :] + alphas[:, None])) ** 2)
-                      * (c * c)[None, :], axis=1) + perp_sq
-    sol_norms = np.linalg.norm(coef, axis=1)
+    d = s2[None, :] + alphas[:, None]                            # (K, r)
+    coef = s[None, :] / d
+    coef *= c[None, :]
+    w = alphas[:, None] / d
+    w *= w
+    w *= (c * c)[None, :]
+    resid_sq = np.add.reduce(w, axis=1) + perp_sq
+    w = coef * coef
+    sol_norms = np.sqrt(np.add.reduce(w, axis=1))
     F = coef @ dec.V.T if keep_solutions else None
     return SolutionPath(alphas=alphas, residual_norms=np.sqrt(resid_sq),
                         solution_norms=sol_norms, data_size=g.size, solutions=F,

@@ -1,10 +1,20 @@
+import ctypes
+import glob
+import os
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskreg as rr
+from riskreg import bench
 from riskreg.bench import (AlphaGrid, StudyConfig, build_grid, default_grid, efficiency,
                            matrix_free_grid, oracle_error, rel_error, run_study,
                            write_reports)
+from riskreg.rules import RULE_NAMES
 
 
 class TestAlphaGrid:
@@ -164,6 +174,59 @@ class TestStudyStatistics:
         s_pro = shaw_study["pro"].summary()
         s_gcv = shaw_study["gcv"].summary()
         assert (s_gcv["q3"] - s_gcv["q1"]) > (s_pro["q3"] - s_pro["q1"])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(problem=st.sampled_from([("shaw", None), ("deriv2", None), ("heat", 1),
+                                ("baart", None), ("phillips", None), ("i_laplace", 2)]),
+       half=st.integers(4, 12), xi=st.floats(-5.0, 60.0), points=st.integers(5, 40),
+       replicates=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+def test_study_efficiencies_and_selections(problem, half, xi, points, replicates, seed):
+    """On any small dense study every efficiency lies in (0, 1] and every
+    selected alpha is a point of the cell's grid."""
+    n = 2 * half  # shaw and heat need even n
+    cfg = StudyConfig(problems=[problem], xis=[xi], n=n, rules=list(RULE_NAMES),
+                      replicates=replicates, seed=seed, grid_points=points)
+    dec = rr.svd(rr.make_problem(*problem, n).A)
+    grid = build_grid(float(dec.s[0]) ** 2, matrix_free=False, points=points).values
+    reports = run_study(cfg)
+    assert len(reports) == len(RULE_NAMES)
+    for report in reports:
+        eff = report.efficiencies
+        assert np.all(eff > 0) and np.all(eff <= 1.0)
+        assert all(e.alpha in grid for e in report.entries)
+
+
+class TestBlasThreadCap:
+    def test_missing_library_or_symbol_is_a_no_op(self):
+        for found in ([], ["/nonexistent/libscipy_openblas64_.so"], [None]):
+            with mock.patch.object(bench.glob, "glob", return_value=found):
+                if found == [None]:  # a loaded library without the setter
+                    with mock.patch.object(bench.ctypes, "CDLL", return_value=object()):
+                        bench._cap_blas_threads(1)
+                else:
+                    bench._cap_blas_threads(1)
+
+    def test_caps_threads_in_a_worker(self):
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_*.so"))
+        if not libs or not hasattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy's bundled OpenBLAS is not available")
+        with ProcessPoolExecutor(max_workers=1, initializer=bench._cap_blas_threads,
+                                 initargs=(1,)) as pool:
+            assert pool.submit(_blas_threads, libs[0]).result() == 1
+
+
+    def test_run_study_workers_share_the_cores(self):
+        with mock.patch.object(bench, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+            run_study(_tiny_config(replicates=2), workers=2)
+        threads = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert pool.call_args.kwargs == {"max_workers": 2, "initializer": bench._cap_blas_threads,
+                                         "initargs": (threads,)}
+
+
+def _blas_threads(lib):
+    return ctypes.CDLL(lib).scipy_openblas_get_num_threads64_()
 
 
 def test_full_table_shaped_run(tmp_path):

@@ -1,5 +1,8 @@
+import pickle
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import riskreg as rr
 from riskreg.errors import ConvergenceError
@@ -71,6 +74,30 @@ class TestAdjointConsistency:
         X = rng.standard_normal((7, 4))
         np.testing.assert_allclose(op.apply(X),
                                    np.column_stack([op.apply(X[:, j]) for j in range(4)]))
+
+
+class TestPickle:
+    def test_dense_and_sparse_round_trip(self):
+        rng = keyed_rng(5)
+        A = rng.standard_normal((6, 4))
+        A[A < 0.3] = 0.0
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal(6)
+        ops = (rr.LinearOperator.from_dense(A), rr.LinearOperator.from_sparse(sp.csr_matrix(A)))
+        for op in ops:
+            back = pickle.loads(pickle.dumps(op))
+            assert (back.rows, back.cols, back.representation) == (6, 4, op.representation)
+            assert np.array_equal(back.apply(x), op.apply(x))
+            assert np.array_equal(back.apply_adjoint(y), op.apply_adjoint(y))
+            assert np.array_equal(back.to_dense(), A)
+
+    def test_functions_pickle_only_if_their_callables_do(self):
+        op = rr.LinearOperator.from_functions(3, 3, np.negative, np.negative)
+        back = pickle.loads(pickle.dumps(op))
+        x = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(back.apply(x), -x)
+        assert np.array_equal(back.apply_adjoint(x[:, 0]), -x[:, 0])
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(rr.LinearOperator.from_functions(3, 3, lambda v: v, lambda v: v))
 
 
 class TestPowerMethod:

@@ -1,14 +1,17 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import riskreg as rr
 from riskreg import rules
 from riskreg.bench import default_grid
 from riskreg.errors import DegenerateDataError
 from riskreg.rng import keyed_rng
-from riskreg.tikhonov import SolutionPath
+from riskreg.tikhonov import InfluencePath, SolutionPath
 
 
 def _identity_setup(n=16, seed=1):
@@ -326,6 +329,14 @@ class TestBp:
             namp = rr.influence_path_exact(dec, grid).noise_amp
             assert sel.diagnostics["grid_index"] == brute(path, d.sigma, namp, gamma, c)
 
+    def test_equal_solutions_meet_zero_thresholds(self):
+        # a distance equal to its threshold is no violation
+        path = SolutionPath(alphas=np.geomspace(0.1, 1, 9), residual_norms=np.ones(9),
+                            solution_norms=np.ones(9), data_size=4,
+                            solutions=np.ones((9, 4)))
+        sel = rules.bp(path, 0.0, rr.svd(np.eye(4)), gamma=0.9)
+        assert sel.diagnostics["grid_index"] == 8 and sel.diagnostics["flags"] == []
+
     def test_needs_solutions(self):
         path = SolutionPath(alphas=np.geomspace(0.1, 1, 5),
                             residual_norms=np.linspace(1, 2, 5),
@@ -334,7 +345,65 @@ class TestBp:
             rules.bp(path, 1.0, rr.svd(np.eye(4)))
 
 
+def _bp_loop(path, sigma, namp, gamma, c):
+    """The balancing test one subgrid row at a time, as a per-row norm loop."""
+    ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
+    step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
+    sub = np.arange(len(path) - 1, -1, -step)[::-1]
+    thresholds = c * sigma * np.sqrt(namp[sub])
+    F = path.solutions[sub]
+    chosen = sub[0]
+    for pos in range(1, sub.size):
+        if np.any(np.linalg.norm(F[:pos] - F[pos], axis=1) > thresholds[:pos]):
+            break
+        chosen = sub[pos]
+    return int(chosen)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), points=st.integers(3, 80), n=st.integers(1, 12),
+       log_gamma=st.floats(-12.0, -1e-9), c=st.floats(0.1, 6.0),
+       sigma=st.floats(1e-3, 2.0), level=st.floats(1e-3, 3.0),
+       block=st.sampled_from([1, 5, 64, rules._BP_BLOCK_ELEMENTS]))
+@example(seed=1, points=60, n=8, log_gamma=-1e-3, c=1.5, sigma=0.3, level=0.3, block=40)  # step 1
+@example(seed=2, points=60, n=8, log_gamma=-690.0, c=1.5, sigma=0.3, level=0.3, block=40)  # one point
+@example(seed=3, points=1, n=3, log_gamma=-1.4, c=1.5, sigma=0.3, level=0.3, block=1)  # one alpha
+@example(seed=4, points=60, n=8, log_gamma=-0.5, c=0.0, sigma=0.0, level=0.3, block=40)  # c, sigma 0
+def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, block):
+    """Blocks of pairwise subgrid distances pick what the row-by-row loop
+    picks, to the bit, however small the block."""
+    gamma = np.exp(log_gamma)
+    rng = keyed_rng(seed)
+    A = rng.standard_normal((n + 2, n)) * np.geomspace(1.0, 1e-4, n)
+    dec = rr.svd(A)
+    g = A @ rng.standard_normal(n) + rng.standard_normal(n + 2)
+    grid = np.geomspace(1e-8, 1.0, points) * float(dec.s[0]) ** 2
+    path = rr.spectral_path(dec, g, grid)
+    # thresholds around `level` times the path's overall spread
+    spread = np.linalg.norm(path.solutions[-1] - path.solutions[0])
+    namp = (level * spread / max(c * sigma, 1e-3)) ** 2 * rng.uniform(0.1, 1.0, points)
+    source = InfluencePath(alphas=path.alphas, sn_sq=namp, frob_sq=namp, trace=namp,
+                           noise_amp=namp, source="exact")
+    with mock.patch.object(rules, "_BP_BLOCK_ELEMENTS", block):
+        sel = rules.bp(path, sigma, source, gamma=gamma, c=c)
+    chosen = _bp_loop(path, sigma, namp, gamma, c)
+    assert sel.diagnostics["grid_index"] == chosen
+    assert sel.alpha == float(path.alphas[chosen])
+    at_min = chosen == sel.diagnostics["subgrid"][0]
+    assert ("at_grid_min" in sel.diagnostics["flags"]) == at_min
+
+
 class TestLc:
+    def test_gradient_helper_is_np_gradient(self):
+        rng = keyed_rng(8)
+        for K in (2, 3, 5, 17, 200):
+            f = rng.standard_normal((2, K)) * rng.uniform(1e-3, 1e3, (2, 1))
+            dt = rng.uniform(1e-3, 2.0)
+            got = rules._gradient(f, dt)
+            for row in range(2):
+                assert np.all(got[row] == np.gradient(f[row], dt))
+            assert np.all(rules._gradient(f[0], dt) == np.gradient(f[0], dt))
+
     def _synthetic_L(self, corner, K=101):
         t = np.linspace(np.log(1e-10), np.log(1.0), K)
         x = np.where(np.arange(K) <= corner, -9.0, -9.0 + 2.0 * (t - t[corner]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,9 +207,69 @@ def _assert_runs_agree(block, columns, alphas, rtol=1e-12):
                                    rtol=rtol, atol=0.0)
 
 
+def _damped_lsqr_reference(d, e, beta1, alphas, tol, relative):
+    """Depth and reported residual of damped LSQR on the bidiagonal with
+    diagonal d and subdiagonal e from beta1 e1, one scalar rotation at a time
+    in the order of Paige & Saunders."""
+    K = len(alphas)
+    rhobar, phibar = [d[0]] * K, [beta1] * K
+    cs2, sn2, z, xxnorm = [-1.0] * K, [0.0] * K, [0.0] * K, [0.0] * K
+    bound = [tol * beta1 * d[0]] * K
+    for j in range(len(e)):
+        bn, an = e[j], (d[j + 1] if j + 1 < len(d) else 0.0)
+        arnorm = [0.0] * K
+        for i, alpha in enumerate(alphas):
+            rhobar1 = math.sqrt(rhobar[i] * rhobar[i] + alpha)
+            phibar[i] *= rhobar[i] / rhobar1
+            rho = math.sqrt(rhobar1 * rhobar1 + bn * bn)
+            cs, sn = rhobar1 / rho, bn / rho
+            theta, rhobar[i] = sn * an, -cs * an
+            phi, phibar[i] = cs * phibar[i], sn * phibar[i]
+            arnorm[i] = an * abs(sn * phi)
+            if relative:
+                gambar = -cs2[i] * rho
+                t = phi - sn2[i] * rho * z[i]
+                q = t / gambar
+                bound[i] = tol * alpha * math.sqrt(xxnorm[i] + q * q)
+                gamma = math.sqrt(gambar * gambar + theta * theta)
+                cs2[i], sn2[i], z[i] = gambar / gamma, theta / gamma, t / gamma
+                xxnorm[i] += z[i] * z[i]
+        if an == 0.0 or all(r <= b for r, b in zip(arnorm, bound)):
+            return j + 1, max(arnorm)
+    raise AssertionError("the bidiagonal ends in a breakdown")
+
+
 class TestGolubKahanBlock:
     """A block of right-hand sides advances in lockstep; each column's run is
     the one it would get alone."""
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_rotations_match_scalar_recurrence_bit_for_bit(self, relative):
+        # On a block-diagonal of lower-bidiagonal matrices with dyadic entries,
+        # started from multiples of e1 of each block, every Golub-Kahan vector
+        # is a unit vector, so the bidiagonal is the matrix itself and the
+        # rotations alone decide each column's depth and reported residual.
+        rng = keyed_rng(61)
+        sizes, starts, entries = (12, 9, 15), (3.0, 0.5, 1.25), []
+        A = np.zeros((sum(sizes) + len(sizes), sum(sizes)))
+        B = np.zeros((A.shape[0], len(sizes)))
+        r0 = c0 = 0
+        for col, (m, beta1) in enumerate(zip(sizes, starts)):
+            scale = 2.0 ** -np.arange(m)
+            d, e = (rng.integers(1, 64, m) / 8.0 * scale for _ in range(2))
+            A[r0 + np.arange(m), c0 + np.arange(m)] = d
+            A[r0 + 1 + np.arange(m), c0 + np.arange(m)] = e
+            B[r0, col] = beta1
+            entries.append((d, e, beta1))
+            r0, c0 = r0 + m + 1, c0 + m
+        alphas = np.geomspace(1e-2, 3.0, 7)
+        for tol in (1e-2, 1e-4, 1e-6, 0.0):
+            runs = rr.golub_kahan(A, B, alphas, tol=tol, relative_to_solution=relative)
+            for (dec, _, residual), (d, e, beta1) in zip(runs, entries):
+                depth, ref = _damped_lsqr_reference(d, e, beta1, alphas, tol, relative)
+                assert dec.rank == depth and residual == ref
+            # a positive tol stops some column before its breakdown
+            assert (tol == 0.0) == all(run[0].rank == m for run, m in zip(runs, sizes))
 
     def test_tall_sparse_tomography(self):
         p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
@@ -380,6 +442,25 @@ class TestPaths:
             sol = rr.solve_spectral(dec, g, alpha)
             np.testing.assert_allclose(path.solutions[k], sol.f_alpha, rtol=1e-10)
             assert path.residual_norms[k] == pytest.approx(sol.residual_norm, rel=1e-10)
+
+    def test_spectral_path_bits_match_direct_formula(self, benchmarks64):
+        # the filter written out with a fresh denominator per use and
+        # np.linalg.norm, as the path used to evaluate it
+        for (p, dec), xi in zip(benchmarks64, (10.0, 20.0, 40.0) * 4):
+            data = rr.add_noise(p, xi, seed=3, replicate=1)
+            s1_sq = float(dec.s[0]) ** 2
+            for grid in (default_grid(s1_sq).values, np.geomspace(1e-9, 3.0, 17) * s1_sq):
+                c = dec.U.T @ data.g
+                perp = data.g - dec.U @ c
+                s2 = dec.s * dec.s
+                phi = dec.s[None, :] / (s2[None, :] + grid[:, None])
+                coef = phi * c[None, :]
+                resid_sq = np.sum(((grid[:, None] / (s2[None, :] + grid[:, None])) ** 2)
+                                  * (c * c)[None, :], axis=1) + float(perp @ perp)
+                path = rr.spectral_path(dec, data.g, grid)
+                assert np.array_equal(path.residual_norms, np.sqrt(resid_sq))
+                assert np.array_equal(path.solution_norms, np.linalg.norm(coef, axis=1))
+                assert np.array_equal(path.solutions, coef @ dec.V.T)
 
     def test_spectral_vs_iterative_on_benchmarks(self):
         # agreement to 1e-6 at three alphas, n = 32 for speed
