@@ -121,6 +121,13 @@ def _load_dataset(path):
     return raw, problem, noisy
 
 
+def _dense_source(problem):
+    dec = svd(problem.A)
+    if dec.rank == 0:
+        raise DegenerateDataError("the operator matrix is zero")
+    return dec
+
+
 def _cmd_select(args, parser) -> int:
     raw, problem, noisy = _load_dataset(args.data)
     if noisy is None:
@@ -140,7 +147,7 @@ def _cmd_select(args, parser) -> int:
     if matrix_free:
         s1_sq = largest_eigenvalue(problem.A, seed=seed)
     else:
-        source = svd(problem.A)
+        source = _dense_source(problem)
         s1_sq = float(source.s[0]) ** 2
     path = None
     if rule.needs_path or matrix_free:
@@ -171,7 +178,7 @@ def _cmd_study(args) -> int:
 
 def _cmd_curve(args, parser) -> int:
     raw, problem, noisy = _load_dataset(args.data)
-    dec = svd(problem.A)
+    dec = _dense_source(problem)
     grid = bench.build_grid(float(dec.s[0]) ** 2, matrix_free=False, points=args.grid_points,
                             lo=args.grid_min, hi=args.grid_max)
     alphas = grid.values

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -212,14 +213,14 @@ def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> Probl
         raise ValueError(f"unknown problem {name!r}")
     if not 8 <= n <= 4096:
         raise ValueError("n out of supported range")
-    if name == "paralleltomo":
-        return parallel_tomo(cells_per_side=n)
     if name in _ALLOWED_VARIANTS:
         variant = _DEFAULT_VARIANTS[name] if variant is None else int(variant)
         if variant not in _ALLOWED_VARIANTS[name]:
             raise ValueError(f"{name} variant must be one of {_ALLOWED_VARIANTS[name]}")
     elif variant is not None:
         raise ValueError(f"{name} takes no variant")
+    if name == "paralleltomo":
+        return parallel_tomo(cells_per_side=n)
     M, f = _DENSE_GENERATORS[name](n, variant)
     A = LinearOperator.from_dense(M)
     g = A.apply(f)
@@ -230,6 +231,8 @@ def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> Probl
 
 def sigma_for_snr(g_true, xi: float) -> float:
     """Noise level giving the requested SNR: xi = 10 log10(||g||^2 / (n sigma^2))."""
+    if not math.isfinite(xi):
+        raise ValueError("xi must be finite")
     g_true = np.asarray(g_true, dtype=float)
     n = g_true.size
     return float(np.linalg.norm(g_true) / (np.sqrt(n) * 10.0 ** (xi / 20.0)))
@@ -283,29 +286,39 @@ def head_phantom(cells_per_side: int) -> np.ndarray:
     return img.ravel()
 
 
-def _trace_ray(p0: np.ndarray, u: np.ndarray, ell: int):
-    """Siddon-style tracing: cell indices and intersection lengths for one ray."""
+def _trace_angle(offsets: np.ndarray, u: np.ndarray, v: np.ndarray, ell: int):
+    """Siddon-style tracing of all parallel rays of one angle in one pass.
+
+    Ray r starts at ``offsets[r] * v`` and runs along ``u``.  Its crossing
+    parameters with the grid lines form row r of a sorted array.  ``p0 + t u``
+    is monotone in t in floating point, so a row's inside-the-box parameters
+    are contiguous, and the consecutive pairs with both ends inside are
+    exactly the consecutive pairs of the clipped row.  Returns the ray index,
+    the cell index and the intersection length of every kept segment, in ray
+    order and along each ray.
+    """
     half = ell / 2.0
-    ts = [];
+    lines = np.arange(-half, half + 1.0)
+    p0 = offsets[:, None] * v[None, :]
+    ts = np.sort(np.concatenate([(lines[None, :] - p0[:, axis, None]) / u[axis]
+                                 for axis in range(2) if abs(u[axis]) > 1e-14],
+                                axis=1), axis=1)
+    inside = np.ones(ts.shape, dtype=bool)
     for axis in range(2):
-        if abs(u[axis]) > 1e-14:
-            lines = np.arange(-half, half + 1.0)
-            ts.append((lines - p0[axis]) / u[axis])
-    ts = np.sort(np.concatenate(ts)) if ts else np.array([])
-    if ts.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    # clip to the box
-    pts = p0[None, :] + ts[:, None] * u[None, :]
-    inside = np.all(np.abs(pts) <= half + 1e-9, axis=1)
-    ts = ts[inside]
-    if ts.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    dt = np.diff(ts)
-    keep = dt > 1e-12
-    mids = p0[None, :] + (ts[:-1] + 0.5 * dt)[:, None] * u[None, :]
-    ix = np.clip(np.floor(mids[:, 0] + half).astype(np.int64), 0, ell - 1)
-    iy = np.clip(np.floor(mids[:, 1] + half).astype(np.int64), 0, ell - 1)
-    return (iy * ell + ix)[keep], dt[keep]
+        inside &= np.abs(p0[:, axis, None] + ts * u[axis]) <= half + 1e-9
+    dt = ts[:, 1:] - ts[:, :-1]
+    ray, seg = np.nonzero(inside[:, 1:] & inside[:, :-1] & (dt > 1e-12))
+    dt = dt[ray, seg]
+    mid = ts[ray, seg] + 0.5 * dt
+    ix = np.clip(np.floor(p0[ray, 0] + mid * u[0] + half).astype(np.int64), 0, ell - 1)
+    iy = np.clip(np.floor(p0[ray, 1] + mid * u[1] + half).astype(np.int64), 0, ell - 1)
+    return ray, iy * ell + ix, dt
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
@@ -315,37 +328,41 @@ def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
     Rows are rays: for each of the equally spaced angles in [0, 180) degrees,
     ``rays_per_angle`` parallel rays with offsets spread over ``span`` (the
     grid diagonal by default).  Entries are exact ray-cell intersection
-    lengths, held in sparse form behind a matrix-free operator.  The exact
-    solution is the classical head phantom.
+    lengths, held in sparse form behind a matrix-free operator; the rays of
+    one angle are traced together.  The exact solution is the classical head
+    phantom.
     """
-    ell = int(cells_per_side)
+    ell = _count("cells_per_side", cells_per_side)
+    angles = _count("angles", angles)
+    rays_per_angle = _count("rays_per_angle", rays_per_angle)
     if ell < 2:
         raise ValueError("need at least a 2x2 grid")
     if angles < 1 or rays_per_angle < 1:
         raise ValueError("degenerate geometry: need at least one angle and one ray")
-    theta = np.deg2rad(np.arange(angles) * 180.0 / angles)
     if span is None:
         span = np.sqrt(2.0) * ell
+    elif not 0.0 < span < np.inf:
+        raise ValueError("span must be positive and finite")
+    theta = np.deg2rad(np.arange(angles) * 180.0 / angles)
     if rays_per_angle == 1:
         offsets = np.array([0.0])
     else:
         offsets = np.linspace(-span / 2.0, span / 2.0, rays_per_angle)
     rows, cols, vals = [], [], []
-    ray = 0
-    for th in theta:
+    for k, th in enumerate(theta):
         u = np.array([np.cos(th), np.sin(th)])
         v = np.array([-np.sin(th), np.cos(th)])
-        for off in offsets:
-            idx, lengths = _trace_ray(off * v, u, ell)
-            rows.append(np.full(idx.size, ray, dtype=np.int64))
-            cols.append(idx)
-            vals.append(lengths)
-            ray += 1
+        ray, idx, lengths = _trace_angle(offsets, u, v, ell)
+        rows.append(ray + k * rays_per_angle)
+        cols.append(idx)
+        vals.append(lengths)
     S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ray, ell * ell)).tocsr()
+                      shape=(angles * rays_per_angle, ell * ell)).tocsr()
     A = LinearOperator.from_sparse(S)
     f = head_phantom(ell)
     g = A.apply(f)
+    if not np.any(g):
+        raise ValueError("degenerate instance: zero solution or data")
     return ProblemInstance(name="paralleltomo", variant=None, n=A.rows, A=A,
                            f_true=f, g_true=g)
 
@@ -393,10 +410,46 @@ def save_container(path, problem: Optional[ProblemInstance] = None,
             fh.write(np.asarray(arr, dtype="<f8").tobytes(order=order))
 
 
+_FIELDS = {"A": 2, "f_true": 1, "g_true": 1, "g": 1}    # section field -> ndim
+_NOISE_KEYS = ("sigma", "xi", "seed", "replicate")
+
+
+def _check_header(header) -> list:
+    """The sections of a parsed container header, after checking that the
+    header is an object, each section names a distinct known field with a
+    shape of non-negative ints of that field's rank and order "C" or "F", and
+    the noise metadata is numeric and finite.  Anything else is a ValueError."""
+    if not isinstance(header, dict):
+        raise ValueError("container header is not a JSON object")
+    for key in _NOISE_KEYS:
+        value = header.get(key, 0)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"container {key} must be a finite number, got {value!r}")
+    sections = header.get("sections")
+    if not (isinstance(sections, list) and all(isinstance(s, dict) for s in sections)):
+        raise ValueError("container sections must be a list of objects")
+    fields = [sec.get("field") for sec in sections]
+    if not all(type(f) is str and f in _FIELDS for f in fields) or \
+            len(set(fields)) < len(fields):
+        raise ValueError(f"container sections must name distinct fields of {list(_FIELDS)}")
+    if any(key in header for key in _FIELDS):
+        raise ValueError("container header holds an array field outside its sections")
+    for field, sec in zip(fields, sections):
+        shape = sec.get("shape")
+        if not (isinstance(shape, list) and len(shape) == _FIELDS[field]
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"container field {field!r} has shape {shape!r}")
+        if sec.get("order", "C") not in ("C", "F"):
+            raise ValueError(f"container field {field!r} has order {sec['order']!r}")
+    return sections
+
+
 def load_container(path) -> dict:
     """Read a container; returns the header dict with arrays attached under
-    their field names.  An array holding NaN or inf, or a header or section
-    that runs past the end of the file, is a ValueError."""
+    their field names.  An ill-formed header (see ``_check_header``), an array
+    holding NaN or inf or whose squared norm overflows, a header or section
+    that runs past the end of the file, or vectors whose lengths do not match
+    the matrix is a ValueError."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a riskreg container")
@@ -404,17 +457,28 @@ def load_container(path) -> dict:
         left = os.fstat(fh.fileno()).st_size - 16 - length  # bytes after the header
         if left < 0:
             raise ValueError("container header runs past the end of the file")
-        header = json.loads(fh.read(length).decode("utf-8"))
-        for sec in header["sections"]:
-            shape = sec["shape"]
-            size = 8 * math.prod(shape) if all(type(d) is int and d >= 0 for d in shape) else -1
-            if not 0 <= size <= left:
-                raise ValueError(f"container field {sec['field']!r} does not fit the file")
+        try:
+            header = json.loads(fh.read(length).decode("utf-8"))
+        except RecursionError:
+            raise ValueError("container header is nested too deeply") from None
+        for sec in _check_header(header):
+            field, shape = sec["field"], sec["shape"]
+            size = 8 * math.prod(shape)
+            if size > left:
+                raise ValueError(f"container field {field!r} does not fit the file")
             left -= size
             arr = np.frombuffer(fh.read(size), dtype="<f8")
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"container field {sec['field']!r} has non-finite entries")
-            header[sec["field"]] = arr.reshape(shape, order=sec.get("order", "C")).copy()
+                raise ValueError(f"container field {field!r} has non-finite entries")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(arr @ arr):
+                    raise ValueError(f"container field {field!r} overflows its squared norm")
+            header[field] = arr.reshape(shape, order=sec.get("order", "C")).copy()
+    if "A" in header:
+        rows, cols = header["A"].shape
+        lengths = {"f_true": cols, "g_true": rows, "g": rows}
+        if any(f in header and header[f].size != n for f, n in lengths.items()):
+            raise ValueError("container vectors do not match the matrix shape")
     return header
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskreg as rr
 from riskreg.cli import main
@@ -37,6 +41,11 @@ class TestGenerate:
 
     def test_unknown_problem_exits_2(self, tmp_path):
         assert main(["generate", "--problem", "nope", "--out", str(tmp_path)]) == 2
+
+    def test_variant_of_variantless_problem_exits_2(self, tmp_path):
+        assert main(["generate", "--problem", "paralleltomo", "--variant", "3", "--n", "8",
+                     "--out", str(tmp_path)]) == 2
+        assert not os.listdir(tmp_path)
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RISKREG_SEED", "17")
@@ -225,7 +234,34 @@ _MALFORMED = [
                              ("gcv", "--grid-min", "nan"), ("bp", "--bp-c", "-inf"))] \
   + [("curve_gcv_grid_max_nan", ("curve", "gcv", 0.0, "--grid-max", "nan"), 2)] \
   + [(f"container_{damage}", ("container", damage), 2)
-     for damage in ("truncated", "huge_header", "huge_section")]
+     for damage in ("truncated", "huge_header", "huge_section")] \
+  + [(f"container_{damage}", ("container", damage, "dp"), 2)
+     for damage in ("header_list", "sections_int", "section_str", "shape_int",
+                    "order_int", "sigma_str")]
+
+
+def _edit_section(header, i, **fields):
+    sections = list(header["sections"])
+    sections[i] = dict(sections[i], **fields)
+    return dict(header, sections=sections)
+
+
+# header edits of a valid container, each leaving the header ill-formed
+_HEADER_DAMAGE = {
+    "huge_section": lambda h: _edit_section(h, -1, shape=[2 ** 40]),
+    "header_list": lambda h: [h],
+    "sections_int": lambda h: dict(h, sections=5),
+    "section_str": lambda h: dict(h, sections=["A"] + h["sections"][1:]),
+    "shape_int": lambda h: _edit_section(h, 0, shape=5),
+    "order_int": lambda h: _edit_section(h, 0, order=5),
+    "sigma_str": lambda h: dict(h, sigma="abc"),
+}
+
+
+def _with_header(blob, header):
+    length = int.from_bytes(blob[8:16], "little")
+    text = json.dumps(header).encode()
+    return blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + length:]
 
 
 def _damaged_container(path, damage):
@@ -239,10 +275,7 @@ def _damaged_container(path, damage):
     elif damage == "huge_header":
         blob = blob[:8] + (2 ** 62).to_bytes(8, "little") + blob[16:]
     else:
-        header = json.loads(blob[16:16 + length])
-        header["sections"][-1]["shape"] = [2 ** 40]
-        text = json.dumps(header).encode()
-        blob = blob[:8] + len(text).to_bytes(8, "little") + text + blob[16 + length:]
+        blob = _with_header(blob, _HEADER_DAMAGE[damage](json.loads(blob[16:16 + length])))
     path.write_bytes(blob)
 
 
@@ -257,9 +290,10 @@ class TestMalformedInput:
             cfg.write_text(text)
             argv = ["study", "--config", str(cfg), "--out", str(out_dir)]
         elif case[0] == "container":
+            _, damage, *rule = case
             path = tmp_path / "bad.rr"
-            _damaged_container(path, case[1])
-            argv = ["select", "--data", str(path), "--rule", "pro"]
+            _damaged_container(path, damage)
+            argv = ["select", "--data", str(path), "--rule", *(rule or ["pro"])]
         else:
             command, name, bad, *extra = case
             p = rr.make_problem("shaw", None, 16)
@@ -274,6 +308,79 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
         assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def valid_container(tmp_path_factory):
+    p = rr.make_problem("shaw", None, 16)
+    path = tmp_path_factory.mktemp("fuzz") / "data.rr"
+    save_container(path, problem=p, noisy=rr.add_noise(p, 20.0, seed=0))
+    return path, path.read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["A", "g", "C", "F"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _slots(node):
+    """(container, key) for every value inside a parsed JSON header."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    out = []
+    for key in keys:
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            out += _slots(node[key])
+    return out
+
+
+def _fuzzed(data, blob):
+    kind = data.draw(st.sampled_from(("truncate", "flip", "header")))
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "flip":
+        out = bytearray(blob)
+        for pos, bit in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                     st.integers(0, 7)),
+                                           min_size=1, max_size=8)):
+            out[pos] ^= 1 << bit
+        return bytes(out)
+    length = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + length])
+    for _ in range(data.draw(st.integers(1, 3))):
+        obj, key = data.draw(st.sampled_from(_slots(header)))
+        if isinstance(obj, dict) and data.draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = data.draw(_JSON_VALUES)
+    return _with_header(blob, header)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"select printed {name}")
+
+
+class TestContainerFuzz:
+    """Damaged containers end in a documented exit code, never a traceback,
+    and a selection that succeeds prints strict JSON."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_select_exit_code(self, valid_container, data):
+        path, blob = valid_container
+        damaged = _fuzzed(data, blob)
+        rule = data.draw(st.sampled_from(RULE_NAMES))
+        fuzz_path = path.with_name("fuzzed.rr")
+        fuzz_path.write_bytes(damaged)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["select", "--data", str(fuzz_path), "--rule", rule])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestUsage:

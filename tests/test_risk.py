@@ -136,6 +136,18 @@ class TestMinimizeT:
         stars = [rr.minimize_T(dec, h).alpha_star for h in hs]
         assert np.all(np.diff(stars) > 0)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name,variant", [
+        ("baart", None), ("deriv2", None), ("foxgood", None), ("gravity", None),
+        ("heat", 1), ("phillips", None), ("shaw", None)])
+    def test_nondecreasing_in_h_across_decades(self, name, variant, n):
+        # from far below the noise floor to beyond the boundary case, up to the
+        # minimizer's 1e-12 relative tolerance
+        dec = rr.svd(rr.make_problem(name, variant, n).A)
+        stars = np.array([rr.minimize_T(dec, h).alpha_star
+                          for h in np.geomspace(1e-14, 10.0, 400)])
+        assert np.all(stars[1:] >= stars[:-1] * (1.0 - 1e-12))
+
     def test_boundary_case_flagged(self):
         # a single singular value puts the stationary point at s1^2 h > s1^2/2
         dec = rr.svd(np.diag([2.0]))
