@@ -58,13 +58,12 @@ class AlphaGrid:
 
 def default_grid(s1_sq: float, points: int = DEFAULT_GRID_POINTS) -> AlphaGrid:
     """The 1-D study grid: [1e-12, 1/2] * s1^2."""
-    return AlphaGrid(GRID_MIN_FACTOR * s1_sq, GRID_MAX_FACTOR * s1_sq, points)
+    return build_grid(s1_sq, False, points)
 
 
 def matrix_free_grid(s1_sq: float, points: int = MATRIX_FREE_GRID_POINTS) -> AlphaGrid:
     """The large-scale grid: (1e-8, 1e-2) * s1^2 / 2."""
-    lo, hi = MATRIX_FREE_RANGE
-    return AlphaGrid(lo * s1_sq / 2.0, hi * s1_sq / 2.0, points)
+    return build_grid(s1_sq, True, points)
 
 
 def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
@@ -72,11 +71,14 @@ def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
     """The default grid of the operator's representation, with any of its point
     count and endpoints overridden; used by both the study and the CLI."""
     if matrix_free:
-        grid = matrix_free_grid(s1_sq, MATRIX_FREE_GRID_POINTS if points is None else points)
+        lo_factor, hi_factor = MATRIX_FREE_RANGE
+        bounds = (lo_factor * s1_sq / 2.0, hi_factor * s1_sq / 2.0)
+        default_points = MATRIX_FREE_GRID_POINTS
     else:
-        grid = default_grid(s1_sq, DEFAULT_GRID_POINTS if points is None else points)
-    return AlphaGrid(grid.min if lo is None else lo, grid.max if hi is None else hi,
-                     grid.points)
+        bounds = (GRID_MIN_FACTOR * s1_sq, GRID_MAX_FACTOR * s1_sq)
+        default_points = DEFAULT_GRID_POINTS
+    return AlphaGrid(bounds[0] if lo is None else lo, bounds[1] if hi is None else hi,
+                     default_points if points is None else points)
 
 
 def rel_error(f, f_true) -> float:

@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 usage/config error, 3 degenerate data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import bench, problems, rules, tikhonov
 from .errors import ConvergenceError, DegenerateDataError
@@ -42,7 +45,9 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in its error for non-numbers
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(prog="riskreg",
                                      description="Regularization-parameter selection "
                                                  "for linear inverse problems")
@@ -143,27 +148,31 @@ def _cmd_select(args, parser) -> int:
     if rule.noise == "sigma2" and sigma2 is None:
         parser.error(f"{args.rule} needs --sigma2 or --sigma")
 
-    matrix_free = args.matrix_free or problem.A.representation != "dense"
-    if matrix_free:
-        s1_sq = largest_eigenvalue(problem.A, seed=seed)
-    else:
-        source = _dense_source(problem)
-        s1_sq = float(source.s[0]) ** 2
-    path = None
-    if rule.needs_path or matrix_free:
-        grid = bench.build_grid(s1_sq, matrix_free, points=args.grid_points,
-                                lo=args.grid_min, hi=args.grid_max)
+    with np.errstate(over="raise", invalid="raise"):
+        matrix_free = args.matrix_free or problem.A.representation != "dense"
         if matrix_free:
-            source = tikhonov.influence_path_stochastic(problem.A, grid.values,
-                                                        args.probes, seed, lam1=s1_sq)
-            path = tikhonov.iterative_path(problem.A, g, grid.values)
+            s1_sq = largest_eigenvalue(problem.A, seed=seed)
         else:
-            path = tikhonov.spectral_path(source, g, grid.values)
-    inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
-                                   sigma2=sigma2, rho2=args.rho2,
-                                   alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,
-                                   bp_c=args.bp_c)
-    print(rule.run(inputs).to_json())
+            source = _dense_source(problem)
+            s1_sq = float(source.s[0]) ** 2
+        path = None
+        if rule.needs_path or matrix_free:
+            grid = bench.build_grid(s1_sq, matrix_free, points=args.grid_points,
+                                    lo=args.grid_min, hi=args.grid_max)
+            if matrix_free:
+                source = tikhonov.influence_path_stochastic(problem.A, grid.values,
+                                                            args.probes, seed, lam1=s1_sq)
+                path = tikhonov.iterative_path(problem.A, g, grid.values)
+            else:
+                path = tikhonov.spectral_path(source, g, grid.values)
+        inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
+                                       sigma2=sigma2, rho2=args.rho2,
+                                       alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,
+                                       bp_c=args.bp_c)
+        selection = rule.run(inputs)
+    if not math.isfinite(selection.alpha):
+        raise DegenerateDataError(f"{args.rule} selected a non-finite alpha")
+    print(selection.to_json())
     return EXIT_OK
 
 
@@ -235,8 +244,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command}")
     except SystemExit as exc:  # parser.error inside a command
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, DegenerateDataError):
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError) as exc:
+        if isinstance(exc, (DegenerateDataError, FloatingPointError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,26 @@ class TestAlphaGrid:
         g = build_grid(4.0, True, points=30, lo=1e-6)
         assert (g.min, g.max, g.points) == (1e-6, matrix_free_grid(4.0).max, 30)
 
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("points", [None, 30])
+    @pytest.mark.parametrize("lo", [None, 1e-9])
+    @pytest.mark.parametrize("hi", [None, 1.5])
+    def test_build_grid_values_from_one_geomspace(self, monkeypatch, matrix_free, points,
+                                                  lo, hi):
+        s1_sq = 7.3
+        if matrix_free:   # the documented defaults: (1e-8, 1e-2) * s1^2 / 2, 100 points
+            ref = (1e-8 * s1_sq / 2.0, 1e-2 * s1_sq / 2.0, 100)
+        else:             # [1e-12, 1/2] * s1^2, 200 points
+            ref = (1e-12 * s1_sq, 0.5 * s1_sq, 200)
+        expected = np.geomspace(ref[0] if lo is None else lo, ref[1] if hi is None else hi,
+                                ref[2] if points is None else points)
+        calls = []
+        geomspace = np.geomspace
+        monkeypatch.setattr(np, "geomspace", lambda *a: calls.append(a) or geomspace(*a))
+        grid = build_grid(s1_sq, matrix_free, points=points, lo=lo, hi=hi)
+        assert len(calls) == 1
+        assert np.array_equal(grid.values, expected)
+
 
 class TestScalarMetrics:
     def test_rel_error_trivials(self):

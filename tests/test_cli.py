@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
+from riskreg import cli
 from riskreg.cli import main
 from riskreg.problems import load_container, problem_from_container, save_container
 from riskreg.rules import RULE_NAMES
@@ -389,3 +393,73 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self):
         assert main(["generate", "--problem", "shaw", "--nope", "1"]) == 2
+
+
+@pytest.fixture(scope="module")
+def scaled_shaw(tmp_path_factory):
+    """A writer of shaw n=16 containers with A, g_true, g and sigma multiplied by a scale."""
+    p = rr.make_problem("shaw", None, 16)
+    d = rr.add_noise(p, 20.0, seed=0)
+    out = tmp_path_factory.mktemp("scaled")
+
+    def write(scale):
+        q = rr.ProblemInstance(name="custom", variant=None, n=16,
+                               A=rr.LinearOperator.from_dense(p.A.to_dense() * scale),
+                               f_true=p.f_true, g_true=p.g_true * scale)
+        path = out / f"shaw_x{scale:g}.rr"
+        save_container(path, problem=q, noisy=rr.NoisyData(
+            g=d.g * scale, sigma=d.sigma * scale, xi=d.xi, seed=0, replicate=0))
+        return path
+    return write
+
+
+class TestScaledData:
+    """alpha scales with s1^2: a rule either finds scale^2 times the unscaled
+    alpha or reports degenerate data; it never prints an overflowed answer."""
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_scaled_alpha_or_exit_3(self, scaled_shaw, capsys, rule, scale):
+        assert main(["select", "--data", str(scaled_shaw(1.0)), "--rule", rule]) == 0
+        alpha = json.loads(capsys.readouterr().out)["alpha"]
+        code = main(["select", "--data", str(scaled_shaw(scale)), "--rule", rule])
+        captured = capsys.readouterr()
+        if code == 0:
+            scaled = json.loads(captured.out, parse_constant=_reject_constant)["alpha"]
+            assert math.isfinite(scaled)
+            assert scaled == pytest.approx(scale ** 2 * alpha, rel=1e-6)
+        else:
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        p = rr.make_problem("shaw", None, 16)
+        path = tmp_path / "data.rr"
+        save_container(path, problem=p, noisy=rr.add_noise(p, 20.0, seed=0))
+        # every optional flag at its default; dp reads sigma from the container
+        plain = ["select", "--data", str(path), "--rule", "dp"]
+        src = os.path.dirname(os.path.dirname(rr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from riskreg.cli import main; print(main(sys.argv[1:]))", *plain],
+            capture_output=True, text=True, env=env, check=True, timeout=120).stdout
+
+        assert main(["select", "--data", str(path), "--rule", "nope"]) == 2
+        assert main(["--help"]) == 0
+        assert main(["generate", "--problem", "shaw", "--n", "16", "--seed", "4",
+                     "--out", str(tmp_path / "gen")]) == 0
+        assert main(plain + ["--seed", "5", "--grid-min", "1e-9", "--grid-max", "2.0",
+                             "--grid-points", "40", "--bp-gamma", "0.3", "--bp-c", "2.0",
+                             "--alpha-init", "1e-3", "--sigma", "0.05", "--sigma2", "0.01",
+                             "--rho2", "10", "--matrix-free", "--probes", "8"]) == 0
+        capsys.readouterr()
+        code = main(plain)
+        assert capsys.readouterr().out + f"{code}\n" == fresh
