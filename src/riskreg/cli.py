@@ -187,22 +187,21 @@ def _cmd_study(args) -> int:
 
 def _cmd_curve(args, parser) -> int:
     raw, problem, noisy = _load_dataset(args.data)
-    dec = _dense_source(problem)
-    grid = bench.build_grid(float(dec.s[0]) ** 2, matrix_free=False, points=args.grid_points,
-                            lo=args.grid_min, hi=args.grid_max)
-    alphas = grid.values
-    sigma2 = None if noisy is None else noisy.sigma ** 2
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        dec = _dense_source(problem)
+        alphas = bench.build_grid(float(dec.s[0]) ** 2, matrix_free=False,
+                                  points=args.grid_points, lo=args.grid_min,
+                                  hi=args.grid_max).values
+        sigma2 = None if noisy is None else noisy.sigma ** 2
 
-    if args.kind in ("predictive", "lower_bound"):
-        if problem.g_true is None:
-            raise DegenerateDataError("curve kind needs the exact data in the container")
-        if sigma2 is None:
-            raise DegenerateDataError("curve kind needs the noise level in the container")
-    if args.kind in ("upre", "gcv", "lcurve") and noisy is None:
-        raise DegenerateDataError("curve kind needs noisy data in the container")
+        if args.kind in ("predictive", "lower_bound"):
+            if problem.g_true is None:
+                raise DegenerateDataError("curve kind needs the exact data in the container")
+            if sigma2 is None:
+                raise DegenerateDataError("curve kind needs the noise level in the container")
+        if args.kind in ("upre", "gcv", "lcurve") and noisy is None:
+            raise DegenerateDataError("curve kind needs noisy data in the container")
 
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
         if args.kind == "predictive":
             if problem.f_true is None:
                 raise DegenerateDataError("predictive curve needs f_true in the container")
@@ -212,14 +211,19 @@ def _cmd_curve(args, parser) -> int:
                                    alphas)
         else:
             path = tikhonov.spectral_path(dec, noisy.g, alphas, keep_solutions=False)
-            if args.kind == "lcurve":
-                out.write("alpha,residual_norm,solution_norm\n")
-                for a, r, s in zip(alphas, path.residual_norms, path.solution_norms):
-                    out.write(f"{a:.12g},{r:.12g},{s:.12g}\n")
-                return EXIT_OK
-            sel = rules.upre(path, dec, sigma2) if args.kind == "upre" else rules.gcv(path, dec)
-            values = sel.diagnostics["objective_samples"]
-        RiskCurve(alphas, values, args.kind).to_csv(out)
+            if args.kind == "upre":
+                values = rules.upre(path, dec, sigma2).diagnostics["objective_samples"]
+            elif args.kind == "gcv":
+                values = rules.gcv(path, dec).diagnostics["objective_samples"]
+
+    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    try:
+        if args.kind == "lcurve":
+            out.write("alpha,residual_norm,solution_norm\n")
+            for a, r, s in zip(alphas, path.residual_norms, path.solution_norms):
+                out.write(f"{a:.12g},{r:.12g},{s:.12g}\n")
+        else:
+            RiskCurve(alphas, values, args.kind).to_csv(out)
     finally:
         if out is not sys.stdout:
             out.close()

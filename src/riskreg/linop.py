@@ -185,20 +185,3 @@ def largest_eigenvalue(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int =
     lam, _, _, _ = power_iteration(A, tol=tol, max_iter=max_iter, seed=seed)
     return lam
 
-
-def influence_probe_stats(A, alpha: float, probes: int, seed: int,
-                          solve_tol: float = 1e-8):
-    """One batch of probe solves at one alpha: a length-1 stochastic influence path.
-
-    For p Gaussian probes z and w = (A^T A + alpha I)^{-1} A^T z, returns the
-    means of ||A w||^2 (``frob_sq``, unbiased for ||X_a||_F^2), <z, A w>
-    (``trace``, for tr X_a) and ||w||^2 (``noise_amp``, for
-    tr((A^T A + alpha I)^{-2} A^T A)), with each probe's Krylov depth
-    (``iterations``) and final normal-equation residual (``residual``).
-    """
-    from .tikhonov import influence_path_stochastic  # tikhonov imports this module
-    path = influence_path_stochastic(A, [alpha], probes, seed, solve_tol=solve_tol,
-                                     lam1=np.inf)  # sn_sq unused
-    return {"frob_sq": float(path.frob_sq[0]), "trace": float(path.trace[0]),
-            "noise_amp": float(path.noise_amp[0]), "iterations": path.iterations,
-            "residual": path.normal_residual}

@@ -6,7 +6,9 @@ normalized lower bound is
     T_h(a) = a^2/(a + s_1^2)^2  +  h * sum_i s_i^4/(a + s_i^2)^2,
 
 strictly convex on (0, s_1^2/2), with T_h -> r h as a -> 0+ and T_h -> 1 as
-a -> inf.  Its minimizer depends on the data only through h.
+a -> inf.  Its minimizer depends on the data only through h.  A ``source``
+is read as its spectral measure (``tikhonov.influence_measure``): the sums run
+over its weighted nodes, unit weights on s_i^2 for a spectrum, and s_1^2 is lam1.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Tuple, Union
 import numpy as np
 
 from .linop import SpectralDecomposition
-from .tikhonov import InfluencePath, influence_path_exact
+from .tikhonov import InfluencePath, influence_measure
 
-SEARCH_CAP = 0.5  # the minimizer is searched on [0, s1^2 * SEARCH_CAP]
+SEARCH_CAP = 0.5  # the minimizer is searched on [0, lam1 * SEARCH_CAP]
 
 
 @dataclass
@@ -97,60 +99,59 @@ def lower_bound_T(rho2: float, sigma2: float,
                   source: Union[SpectralDecomposition, InfluencePath], alpha=None):
     """The lower bound rho^2 * sn_sq + sigma^2 * frob_sq.
 
-    A spectral ``source`` is evaluated at ``alpha`` (a scalar or an array); an
-    influence path (exact or stochastic) on its own grid, which ``alpha``, if
-    given, must match.  A scalar alpha gives a float, otherwise an array.
+    A spectrum or an influence path (exact or stochastic) is evaluated through
+    its spectral measure at ``alpha``, a scalar or an array of any alphas >= 0;
+    without ``alpha`` an influence path gives its samples on its own grid.  A
+    scalar alpha gives a float, otherwise an array.
     """
     if not (0 < rho2 < np.inf and 0 <= sigma2 < np.inf):
         raise ValueError("need finite rho2 > 0 and sigma2 >= 0")
-    if isinstance(source, InfluencePath):
-        inf = source
-        if alpha is not None and not np.allclose(alpha, inf.alphas, rtol=1e-12, atol=0.0):
-            raise ValueError("alpha disagrees with the influence path")
-    else:
-        if alpha is None:
-            raise ValueError("alpha is required with a spectral source")
-        inf = influence_path_exact(source, np.atleast_1d(alpha))
-    values = rho2 * inf.sn_sq + sigma2 * inf.frob_sq
+    m = influence_measure(source, None if alpha is None else np.atleast_1d(alpha))
+    if alpha is None and not m.alphas.size:
+        raise ValueError("alpha is required with a spectral source")
+    values = rho2 * m.sn_sq + sigma2 * m.frob_sq
     return float(values[0]) if np.isscalar(alpha) else values
 
 
-def T_h(dec: SpectralDecomposition, h: float, alpha):
+def T_h(source, h: float, alpha):
     """The normalized lower bound f1 + h f2: the bound at rho^2 = 1, sigma^2 = h."""
-    return lower_bound_T(1.0, h, dec, alpha)
+    return lower_bound_T(1.0, h, source, alpha)
 
 
-def _T_h_derivative_terms(dec: SpectralDecomposition, alpha):
-    s2 = dec.s * dec.s
-    a = np.asarray(alpha, dtype=float)
-    t1 = 2.0 * a * s2[0] / (a + s2[0]) ** 3
-    t2 = np.sum(2.0 * s2 * s2 / (a[..., None] + s2) ** 3, axis=-1)
+def _T_h_derivative_terms(source, alpha):
+    # dT_h/da = t1 - h t2
+    m = influence_measure(source)
+    t, lam1, a = m.nodes, m.lam1, np.asarray(alpha, dtype=float)
+    t1 = 2.0 * a * lam1 / (a + lam1) ** 3
+    t2 = np.sum(m.weights * (2.0 * t * t / (a[..., None] + t) ** 3), axis=-1)
     return t1, t2
 
 
-def T_h_derivative(dec: SpectralDecomposition, h: float, alpha):
+def T_h_derivative(source, h: float, alpha):
     """Closed-form derivative of T_h."""
     if not 0 < h < np.inf:
         raise ValueError("h must be positive and finite")
-    t1, t2 = _T_h_derivative_terms(dec, alpha)
+    t1, t2 = _T_h_derivative_terms(source, alpha)
     out = t1 - h * t2
     return float(out) if np.isscalar(alpha) else out
 
 
-def _T_h_second(dec: SpectralDecomposition, h: float, alpha: float) -> float:
-    s2 = dec.s * dec.s
-    f1 = 2.0 * s2[0] * (s2[0] - 2.0 * alpha) / (alpha + s2[0]) ** 4
-    f2 = np.sum(6.0 * s2 * s2 / (alpha + s2) ** 4)
+def _T_h_second(source, h: float, alpha: float) -> float:
+    m = influence_measure(source)
+    t, lam1 = m.nodes, m.lam1
+    f1 = 2.0 * lam1 * (lam1 - 2.0 * alpha) / (alpha + lam1) ** 4
+    f2 = np.sum(m.weights * (6.0 * t * t / (alpha + t) ** 4))
     return float(f1 + h * f2)
 
 
-def minimize_T(dec: SpectralDecomposition, h: float, rel_grad_tol: float = 1e-12,
+def minimize_T(source, h: float, rel_grad_tol: float = 1e-12,
                width_tol: float = 1e-12, max_iter: int = 300) -> MinimizerResult:
-    """Minimize T_h over [0, s1^2/2] by safeguarded Newton on its derivative.
+    """Minimize T_h over [0, lam1/2] by safeguarded Newton on its derivative,
+    at any alpha (off an influence path's grid too).
 
     The derivative is negative at 0+; if it is still nonpositive at the right
     endpoint the endpoint is returned with ``at_boundary`` set.  Otherwise the
-    unique interior stationary point lies in [s1^2 h, s1^2/2] and is located
+    unique interior stationary point lies in [lam1 h, lam1/2] and is located
     there by Newton steps clipped to the sign-change bracket, with geometric
     bisection as the fallback (the root can sit many decades below the
     endpoint).  Convergence is relative: the derivative's two terms must
@@ -159,27 +160,27 @@ def minimize_T(dec: SpectralDecomposition, h: float, rel_grad_tol: float = 1e-12
     """
     if not 0 < h < np.inf:
         raise ValueError("h must be positive and finite")
-    if dec.rank == 0:
+    m = influence_measure(source)
+    if not m.nodes.size:
         raise ValueError("cannot minimize over a zero operator")
-    s1_sq = float(dec.s[0]) ** 2
-    hi = SEARCH_CAP * s1_sq
-    t1, t2 = _T_h_derivative_terms(dec, hi)
+    hi = SEARCH_CAP * m.lam1
+    t1, t2 = _T_h_derivative_terms(m, hi)
     if t1 - h * t2 <= 0.0:
-        return MinimizerResult(alpha_star=hi, objective=T_h(dec, h, hi),
+        return MinimizerResult(alpha_star=hi, objective=T_h(m, h, hi),
                                bracket=(0.0, hi), iterations=0, converged=True,
                                at_boundary=True)
-    # any interior stationary point satisfies alpha >= s1^2 h
-    lo = s1_sq * h
-    t1, t2 = _T_h_derivative_terms(dec, lo)
+    # any interior stationary point satisfies alpha >= lam1 h
+    lo = m.lam1 * h
+    t1, t2 = _T_h_derivative_terms(m, lo)
     if t1 - h * t2 >= 0.0:
-        return MinimizerResult(alpha_star=lo, objective=T_h(dec, h, lo),
+        return MinimizerResult(alpha_star=lo, objective=T_h(m, h, lo),
                                bracket=(lo, lo), iterations=0, converged=True)
     up = hi
     x = np.sqrt(lo * up)
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        t1, t2 = _T_h_derivative_terms(dec, x)
+        t1, t2 = _T_h_derivative_terms(m, x)
         d = t1 - h * t2
         if abs(d) <= rel_grad_tol * (t1 + h * t2):
             converged = True
@@ -191,34 +192,35 @@ def minimize_T(dec: SpectralDecomposition, h: float, rel_grad_tol: float = 1e-12
         if up - lo <= width_tol * up:
             converged = True
             break
-        curv = _T_h_second(dec, h, x)
+        curv = _T_h_second(m, h, x)
         x_new = x - d / curv if curv > 0 else np.sqrt(lo * up)
         if not (lo < x_new < up):
             x_new = np.sqrt(lo * up)
         x = x_new
-    return MinimizerResult(alpha_star=float(x), objective=T_h(dec, h, x),
+    return MinimizerResult(alpha_star=float(x), objective=T_h(m, h, x),
                            bracket=(lo, up), iterations=it, converged=converged)
 
 
-def alpha_bounds(dec: SpectralDecomposition, h: float):
-    """Analytic bracket for the minimizer: (s1^2 h, upper) with upper defined
-    only when h is below zeta = s1^2 / tr(A^T A)."""
+def alpha_bounds(source, h: float):
+    """Analytic bracket for the minimizer: (lam1 h, upper) with upper defined
+    only when h is below zeta = lam1 / tr(A^T A), the trace being sum w t."""
     if not 0 < h < np.inf:
         raise ValueError("h must be positive and finite")
-    s1_sq = float(dec.s[0]) ** 2
-    zeta = s1_sq / float(np.sum(dec.s * dec.s))
-    lo = s1_sq * h
+    m = influence_measure(source)
+    zeta = m.lam1 / float(np.sum(m.weights * m.nodes))
+    lo = m.lam1 * h
     if h >= zeta:
         return lo, None
     t = (h / zeta) ** (1.0 / 3.0)
-    return lo, s1_sq * t / (1.0 - t)
+    return lo, m.lam1 * t / (1.0 - t)
 
 
-def global_minimizer_certificate(dec: SpectralDecomposition, h: float) -> bool:
-    """True when h <= 1/(27 r): the interval minimizer is then the global one."""
+def global_minimizer_certificate(source, h: float) -> bool:
+    """True when h <= 1/(27 r), r the measure's total weight (a spectrum's
+    rank): the interval minimizer is then the global one."""
     if not 0 < h < np.inf:
         raise ValueError("h must be positive and finite")
-    return h <= 1.0 / (27.0 * dec.rank)
+    return h <= 1.0 / (27.0 * float(np.sum(influence_measure(source).weights)))
 
 
 def upper_bound_threshold(dec: SpectralDecomposition) -> float:

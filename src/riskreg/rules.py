@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import SpectralDecomposition
 from .problems import snr_db
-from .risk import lower_bound_T, minimize_T
-from .tikhonov import InfluencePath, SolutionPath, influence_path_exact
+from .risk import SEARCH_CAP, lower_bound_T, minimize_T
+from .tikhonov import InfluencePath, SolutionPath, influence_measure
 
 # Relative residual below which the noise level is considered unidentifiable
 # (the residual is then dominated by floating-point rounding).
@@ -71,24 +71,23 @@ def _argmin_last(values: np.ndarray) -> int:
 
 def _select_min_T(source, rho2: float, sigma2: float):
     """Minimize the lower bound: continuous on a spectrum, grid argmin on an
-    influence path.  Returns (alpha, diagnostics)."""
+    influence path's grid.  Returns (alpha, diagnostics)."""
+    m = influence_measure(source)
     h = sigma2 / rho2
-    if isinstance(source, SpectralDecomposition):
-        res = minimize_T(source, h)
+    if not m.alphas.size:
+        res = minimize_T(m, h)
         diag = {"h": h, "objective": res.objective * rho2,
                 "iterations": res.iterations, "converged": res.converged,
                 "flags": (["boundary"] if res.at_boundary else [])}
         return res.alpha_star, diag
-    if isinstance(source, InfluencePath):
-        values = lower_bound_T(rho2, sigma2, source)
-        idx = _argmin_last(values)
-        flags = []
-        if idx in (0, len(values) - 1):
-            flags.append("grid_edge")
-        diag = {"h": h, "objective": float(values[idx]), "grid_index": idx,
-                "objective_samples": values, "flags": flags}
-        return float(source.alphas[idx]), diag
-    raise TypeError("source must be a SpectralDecomposition or InfluencePath")
+    values = lower_bound_T(rho2, sigma2, m)
+    idx = _argmin_last(values)
+    flags = []
+    if idx in (0, len(values) - 1):
+        flags.append("grid_edge")
+    diag = {"h": h, "objective": float(values[idx]), "grid_index": idx,
+            "objective_samples": values, "flags": flags}
+    return float(m.alphas[idx]), diag
 
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
@@ -116,10 +115,8 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     rho2_hat = float(g @ g) - n * sigma2
     if rho2_hat <= 0:
         if on_degenerate == "max_alpha":
-            if isinstance(source, InfluencePath):
-                alpha = float(source.alphas[-1])
-            else:
-                alpha = 0.5 * float(source.s[0]) ** 2
+            m = influence_measure(source)
+            alpha = float(m.alphas[-1]) if m.alphas.size else SEARCH_CAP * m.lam1
             return RuleSelection(rule="pro", alpha=alpha, diagnostics={
                 "rho2_hat": rho2_hat, "sigma2_hat": sigma2,
                 "flags": ["degenerate_snr", "fallback_max_alpha"]})
@@ -148,15 +145,16 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
         raise ValueError("alpha_init must be positive and finite")
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
-    grid_mode = isinstance(source, InfluencePath)
+    m = influence_measure(source)
+    grid_mode = m.alphas.size > 0
     if grid_mode:
         if path is None:
             raise ValueError("grid mode needs a solution path to evaluate residuals")
-        if path.alphas.shape != source.alphas.shape:
+        if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
-        idx = len(source.alphas) // 2 if alpha_init is None else int(
-            np.argmin(np.abs(np.log(source.alphas) - np.log(alpha_init))))
-        alpha = float(source.alphas[idx])
+        idx = len(m.alphas) // 2 if alpha_init is None else int(
+            np.argmin(np.abs(np.log(m.alphas) - np.log(alpha_init))))
+        alpha = float(m.alphas[idx])
     else:
         c = source.U.T @ g
         c_sq, s2 = c * c, source.s * source.s
@@ -164,8 +162,15 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
         perp = g - source.U @ c
         perp_sq = float(perp @ perp)
         if alpha_init is None:
-            s1_sq = float(source.s[0]) ** 2
-            alpha_init = np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
+            try:
+                s1_sq = float(source.s[0]) ** 2
+                alpha_init = np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
+            except OverflowError:  # s1^2 itself is beyond the float range
+                alpha_init = np.inf
+            if not np.isfinite(alpha_init):
+                raise DegenerateDataError(
+                    f"the default start sqrt(1e-12 s1^2 * 0.5 s1^2) overflows at "
+                    f"s1 = {source.s[0]:.3g}; pass alpha_init")
         alpha = float(alpha_init)
         idx = None
 
@@ -191,14 +196,9 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
             raise exc
         if rho2 <= 0.0:
             raise DegenerateDataError("residual exhausts the data energy")
-        h_trail.append(sigma2 / rho2)
-        if grid_mode:
-            values = lower_bound_T(rho2, sigma2, source)
-            new_idx = _argmin_last(values)
-            new_alpha = float(source.alphas[new_idx])
-        else:
-            new_alpha = minimize_T(source, sigma2 / rho2).alpha_star
-            new_idx = None
+        new_alpha, step = _select_min_T(m, rho2, sigma2)
+        new_idx = step.get("grid_index")
+        h_trail.append(step["h"])
         trail.append(new_alpha)
         if abs(new_alpha - alpha) <= eps * new_alpha + 4.0 * np.spacing(new_alpha):
             alpha, idx = new_alpha, new_idx
@@ -255,25 +255,11 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
                          diagnostics={"target": target, "flags": flags, "grid_index": j})
 
 
-def _influence_on(path: SolutionPath, source) -> InfluencePath:
-    """The influence scalars on the grid of ``path``, from a spectrum or an
-    influence path sampled on that grid."""
-    if isinstance(source, InfluencePath):
-        if source.alphas is not path.alphas and (
-                source.alphas.shape != path.alphas.shape or
-                not np.allclose(source.alphas, path.alphas, rtol=1e-12)):
-            raise ValueError("influence path and solution path use different grids")
-        return source
-    if isinstance(source, SpectralDecomposition):
-        return influence_path_exact(source, path.alphas)
-    raise TypeError("source must be a SpectralDecomposition or InfluencePath")
-
-
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     """Unbiased predictive-risk estimate: ||r||^2 - 2 sigma2 tr(I - X_a), on the grid."""
     if not 0 <= sigma2 < np.inf:
         raise ValueError("sigma2 must be nonnegative and finite")
-    tr = _influence_on(path, trace_source).trace
+    tr = influence_measure(trace_source, path.alphas).trace
     values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
     idx = _argmin_last(values)
     return RuleSelection(rule="upre", alpha=float(path.alphas[idx]),
@@ -283,7 +269,7 @@ def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
 
 def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     """Generalized cross validation: ||r||^2 / tr(I - X_a)^2, on the grid."""
-    tr = _influence_on(path, trace_source).trace
+    tr = influence_measure(trace_source, path.alphas).trace
     denom = (path.data_size - tr) ** 2
     values = path.residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
     idx = _argmin_last(values)
@@ -311,7 +297,7 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
         raise ValueError("gamma must be in (0, 1)")
     if not (0 <= sigma < np.inf and 0 <= c < np.inf):
         raise ValueError("sigma and c must be nonnegative and finite")
-    namp = _influence_on(path, noise_source).noise_amp
+    namp = influence_measure(noise_source, path.alphas).noise_amp
     ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
     sub = np.arange(len(path) - 1, -1, -step)[::-1]   # ascending subgrid indices

@@ -235,58 +235,80 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
 
 @dataclass
 class InfluencePath:
-    """Influence scalars sampled on an alpha grid (exact or probe-estimated).
+    """The spectral measure of the influence operator, sampled on an alpha grid.
 
-    For X_a = A (A^T A + a I)^{-1} A^T, ``sn_sq`` is the squared smallest
-    singular value of X_a - I, ``frob_sq`` the squared Frobenius norm of X_a
-    and ``trace`` its trace.  ``noise_amp`` is tr((A^T A + a I)^{-2} A^T A),
-    the expected squared solution norm under unit white noise.  A single
-    alpha is a grid of length one.
-
-    On the stochastic path the probe vectors are frozen across the grid, so
-    the sampled curves are smooth functions of alpha; ``iterations`` and
-    ``normal_residual`` hold each probe's Krylov depth and final residual.
+    For X_a = A (A^T A + a I)^{-1} A^T and nodes t with weights w, ``frob_sq``
+    = ||X_a||_F^2 = sum w x^2 and ``trace`` = tr X_a = sum w x, with
+    x = t/(t + a); ``noise_amp`` = tr((A^T A + a I)^{-2} A^T A) = sum w t/(t + a)^2
+    is the expected squared solution norm under unit white noise, and
+    ``sn_sq`` = (a/(lam1 + a))^2 the squared smallest singular value of X_a - I.
+    They are sampled once on ``alphas`` (one alpha is a grid of length one);
+    ``influence_measure`` samples another grid.  A spectrum gives nodes s_i^2
+    with unit weights; on the stochastic path each probe's Golub-Kahan run
+    gives a Gauss quadrature, and ``iterations`` and ``normal_residual`` hold
+    its Krylov depth and final residual.
     """
 
     alphas: np.ndarray
-    sn_sq: np.ndarray
-    frob_sq: np.ndarray
-    trace: np.ndarray
-    noise_amp: np.ndarray
-    source: str
+    nodes: np.ndarray
+    weights: np.ndarray
+    lam1: float
     iterations: Optional[np.ndarray] = None
     normal_residual: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        self.alphas = np.asarray(self.alphas, dtype=float)
+        self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
+                                                                                  self.alphas)
 
-def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
-    """Influence scalars from the spectrum.
 
-    The singular values of X_a are s_i^2/(s_i^2 + a) for the r retained modes
-    and zero beyond; the smallest singular value of X_a - I is taken as
-    a/(s_1^2 + a) in all cases.
-    """
-    alphas = np.asarray(alphas, dtype=float)
+def _influence_scalars(m: InfluencePath, alphas):
+    """(sn_sq, frob_sq, trace, noise_amp) of the measure ``m`` at ``alphas`` >= 0."""
+    if not alphas.size:  # a spectrum's bare measure (``influence_measure``)
+        return alphas, alphas, alphas, alphas
     if np.any(alphas < 0):
         raise ValueError("alpha must be nonnegative")
-    s2 = dec.s * dec.s
-    x = s2[None, :] / (s2[None, :] + alphas[:, None])
-    sn = alphas / (s2[0] + alphas) if dec.rank else np.ones_like(alphas)
-    return InfluencePath(alphas=alphas, sn_sq=sn * sn,
-                         frob_sq=np.sum(x * x, axis=1), trace=np.sum(x, axis=1),
-                         noise_amp=np.sum(s2[None, :] / (s2[None, :] + alphas[:, None]) ** 2,
-                                          axis=1),
-                         source="exact")
+    t, w = m.nodes, m.weights
+    d = t + alphas[..., None]
+    x = t / d
+    sn = alphas / (m.lam1 + alphas) if t.size else np.ones_like(alphas)
+    return (sn * sn, np.sum(w * x * x, axis=-1), np.sum(w * x, axis=-1),
+            np.sum(w * t / d ** 2, axis=-1))
+
+
+def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
+    """The measure of a spectrum, nodes s_i^2 with unit weights, sampled on ``alphas``.
+
+    The singular values of X_a are s_i^2/(s_i^2 + a) for the r retained modes
+    and zero beyond; lam1 is s_1^2 (zero for a zero operator, whose sn_sq is 1).
+    """
+    t = dec.s * dec.s
+    return InfluencePath(alphas=alphas, nodes=t, weights=np.ones_like(t),
+                         lam1=float(t[0]) if dec.rank else 0.0)
+
+
+def influence_measure(source, alphas=None) -> InfluencePath:
+    """The measure of a spectrum or of an influence path, sampled on ``alphas``.
+
+    Without ``alphas`` (or with the path's own grid array) an influence path
+    is returned as it is, and a spectrum's measure comes on an empty grid."""
+    if isinstance(source, SpectralDecomposition):
+        return influence_path_exact(source, np.empty(0) if alphas is None else alphas)
+    if alphas is None or alphas is source.alphas:
+        return source
+    return replace(source, alphas=alphas)
 
 
 def influence_path_stochastic(A, alphas, probes: int, seed: int,
                               solve_tol: float = 1e-8, lam1: float | None = None) -> InfluencePath:
-    """Stochastic influence scalars over a grid with frozen probes.
+    """The measure of frozen Gaussian probes, pooled, sampled on ``alphas`` > 0.
 
-    One ``golub_kahan`` run over the block of probes (alphas must be
-    positive); for each probe z, with
-    c = beta1 P[0] and x = s^2/(s^2 + a) from its projected SVD,
-    w = (A^T A + a I)^{-1} A^T z has ||A w||^2 = sum x^2 c^2,
-    <z, A w> = sum x c^2 and ||w||^2 = sum x/(s^2 + a) c^2.
+    One ``golub_kahan`` run over the block of probes.  For a probe z with
+    projected SVD P diag(s) Q^T and c = beta1 P[0], w = (A^T A + a I)^{-1} A^T z
+    has ||A w||^2, <z, A w> and ||w||^2 equal to the sums of x^2, x and
+    s^2/(s^2 + a)^2 against weights c^2 on the nodes s^2 (x = s^2/(s^2 + a)).
+    Each probe's weights are divided by ``probes``.  ``lam1`` (default: power
+    iteration) sets sn_sq.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
@@ -295,18 +317,13 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    sums = np.zeros((3, alphas.size))
-    iterations, residuals = np.empty(probes, dtype=int), np.empty(probes)
-    for j, (dec, rhs, residuals[j]) in enumerate(golub_kahan(op, Z, alphas, tol=solve_tol)):
-        d = dec.s[None, :] ** 2 + alphas[:, None]
-        x = dec.s ** 2 / d
-        sums += np.stack([x * x, x, x / d]) @ (dec.U[0] * rhs[0]) ** 2
-        iterations[j] = dec.rank
-    frob, trace, namp = sums / probes
-    sn = alphas / (lam1 + alphas)
-    return InfluencePath(alphas=alphas, sn_sq=sn * sn, frob_sq=frob, trace=trace,
-                         noise_amp=namp, source="stochastic", iterations=iterations,
-                         normal_residual=residuals)
+    runs = golub_kahan(op, Z, alphas, tol=solve_tol)
+    return InfluencePath(alphas=alphas,
+                         nodes=np.concatenate([dec.s ** 2 for dec, _, _ in runs]),
+                         weights=np.concatenate([(dec.U[0] * rhs[0]) ** 2
+                                                 for dec, rhs, _ in runs]) / probes,
+                         lam1=lam1, iterations=np.array([dec.rank for dec, _, _ in runs]),
+                         normal_residual=np.array([residual for _, _, residual in runs]))
 
 
 @dataclass

@@ -8,7 +8,6 @@ from riskreg import rules
 from riskreg.bench import (StudyConfig, matrix_free_grid, oracle_error,
                            run_study, write_reports)
 from riskreg.errors import DegenerateDataError
-from riskreg.linop import influence_probe_stats
 from riskreg.rng import keyed_rng
 
 BENCHMARKS = [("baart", None), ("deriv2", None), ("foxgood", None),
@@ -201,7 +200,8 @@ def test_c12_estimator_checks(shaw32):
     details = []
     for alpha in (1e-4, 1e-2, 1.0):
         frob_exact = float(np.sum((s2 / (s2 + alpha)) ** 2))
-        samples = np.array([influence_probe_stats(p.A, alpha, probes=20, seed=s)["frob_sq"]
+        samples = np.array([rr.influence_path_stochastic(p.A, [alpha], probes=20, seed=s,
+                                                         lam1=s2[0]).frob_sq[0]
                             for s in range(50)])
         se = samples.std(ddof=1) / np.sqrt(50)
         z = abs(samples.mean() - frob_exact) / se

@@ -1,5 +1,6 @@
 """The benchmark's own checks, run in the suite: any change to the ``select``
-JSON or to the study CSVs fails here, not only in a benchmark run.
+JSON, to the study CSVs or to the matrix-free ``ipro`` selections on the
+tomography workload fails here, not only in a benchmark run.
 
 ``perfbench/workloads.py`` and ``perfbench/spans.py`` are imported read-only
 from their files; their references are ``perfbench/references.json``.
@@ -45,3 +46,13 @@ def test_study_dense_matches_reference_digest(perfbench, tmp_path):
     w.setup()
     config_seed = w.cycle[0]
     assert w.check(config_seed, w.op(config_seed))
+
+
+def test_tomo_mf_matches_recorded_grid_indices(perfbench):
+    # the matrix-free path: power iteration, stochastic influence path,
+    # Golub-Kahan solution path and grid-mode ipro, replicates 0-7
+    workloads, _, refs = perfbench
+    w = workloads.TomoMF(1, "", 1, refs["tomo_mf"])
+    w.setup()
+    for replicate in range(w.POOL):
+        assert w.check(replicate, w.op(replicate)), replicate

@@ -433,6 +433,19 @@ class TestScaledData:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    @pytest.mark.parametrize("kind", ["lower_bound", "upre", "gcv"])
+    def test_scaled_curve_exits_3(self, scaled_shaw, capsys, tmp_path, kind, scale):
+        # the squares overflow at 1e100 and the filter divides by zero at 1e-100
+        assert main(["curve", "--data", str(scaled_shaw(1.0)), "--kind", kind]) == 0
+        assert capsys.readouterr().out.startswith("alpha,value,kind\n")
+        out = tmp_path / "curve.csv"
+        code = main(["curve", "--data", str(scaled_shaw(scale)), "--kind", kind,
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestParserReuse:
     def test_built_once(self):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import riskreg as rr
 from riskreg.errors import ConvergenceError
-from riskreg.linop import as_operator, influence_probe_stats
+from riskreg.linop import as_operator
 from riskreg.rng import keyed_rng
 
 
@@ -127,17 +127,22 @@ class TestPowerMethod:
         assert err.value.last_iterate == pytest.approx(1.0, rel=1e-2)
 
 
+def _probe_stats(A, alpha, probes, seed):
+    # lam1 only sets sn_sq, which these tests do not read
+    return rr.influence_path_stochastic(A, [alpha], probes, seed, lam1=1.0)
+
+
 class TestInfluenceEstimators:
     def test_zero_operator(self):
-        stats = influence_probe_stats(np.zeros((6, 4)), 1.0, probes=8, seed=0)
-        assert stats["frob_sq"] == 0.0
-        assert stats["trace"] == 0.0
+        stats = _probe_stats(np.zeros((6, 4)), 1.0, probes=8, seed=0)
+        assert stats.frob_sq[0] == 0.0
+        assert stats.trace[0] == 0.0
 
     def test_identity_closed_form(self):
         # filter value is 1/2 per mode at alpha = 1, so frob -> 8/4, trace -> 8/2
-        stats = influence_probe_stats(np.eye(8), 1.0, probes=2000, seed=4)
-        assert stats["frob_sq"] == pytest.approx(2.0, rel=0.05)
-        assert stats["trace"] == pytest.approx(4.0, rel=0.05)
+        stats = _probe_stats(np.eye(8), 1.0, probes=2000, seed=4)
+        assert stats.frob_sq[0] == pytest.approx(2.0, rel=0.05)
+        assert stats.trace[0] == pytest.approx(4.0, rel=0.05)
 
     def test_matches_svd_on_shaw(self, shaw64):
         p, dec = shaw64
@@ -145,17 +150,17 @@ class TestInfluenceEstimators:
         s2 = dec.s ** 2
         frob_exact = float(np.sum((s2 / (s2 + alpha)) ** 2))
         tr_exact = float(np.sum(s2 / (s2 + alpha)))
-        stats = influence_probe_stats(p.A, alpha, 200, seed=0)
-        assert stats["frob_sq"] == pytest.approx(frob_exact, rel=0.05)
-        assert stats["trace"] == pytest.approx(tr_exact, rel=0.05)
+        stats = _probe_stats(p.A, alpha, 200, seed=0)
+        assert stats.frob_sq[0] == pytest.approx(frob_exact, rel=0.05)
+        assert stats.trace[0] == pytest.approx(tr_exact, rel=0.05)
 
     def test_deterministic_given_seed(self):
         rng = keyed_rng(31)
         A = rng.standard_normal((9, 9))
-        a = influence_probe_stats(A, 0.5, probes=16, seed=42)["frob_sq"]
-        b = influence_probe_stats(A, 0.5, probes=16, seed=42)["frob_sq"]
+        a = _probe_stats(A, 0.5, probes=16, seed=42).frob_sq[0]
+        b = _probe_stats(A, 0.5, probes=16, seed=42).frob_sq[0]
         assert a == b
-        assert a != influence_probe_stats(A, 0.5, probes=16, seed=43)["frob_sq"]
+        assert a != _probe_stats(A, 0.5, probes=16, seed=43).frob_sq[0]
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
     def test_unbiased_over_seeds(self, shaw32, alpha):
@@ -165,9 +170,9 @@ class TestInfluenceEstimators:
         tr_exact = float(np.sum(s2 / (s2 + alpha)))
         frobs, traces = [], []
         for seed in range(50):
-            stats = influence_probe_stats(p.A, alpha, probes=20, seed=seed)
-            frobs.append(stats["frob_sq"])
-            traces.append(stats["trace"])
+            stats = _probe_stats(p.A, alpha, probes=20, seed=seed)
+            frobs.append(stats.frob_sq[0])
+            traces.append(stats.trace[0])
         for samples, exact in ((frobs, frob_exact), (traces, tr_exact)):
             samples = np.array(samples)
             se = samples.std(ddof=1) / np.sqrt(samples.size)

@@ -64,8 +64,8 @@ class TestLowerBound:
         direct = rr.lower_bound_T(2.0, 0.5, dec, 0.1)
         assert rr.lower_bound_T(2.0, 0.5, inf)[0] == pytest.approx(direct)
         assert rr.lower_bound_T(2.0, 0.5, inf, alpha=0.1) == pytest.approx(direct)
-        with pytest.raises(ValueError):
-            rr.lower_bound_T(2.0, 0.5, inf, alpha=0.2)
+        # an alpha off the path's grid is evaluated from its measure
+        assert rr.lower_bound_T(2.0, 0.5, inf, alpha=0.2) == rr.lower_bound_T(2.0, 0.5, dec, 0.2)
         # a spectrum evaluated on a grid matches the influence path on that grid
         grid = np.geomspace(1e-6, 1.0, 9)
         np.testing.assert_array_equal(rr.lower_bound_T(2.0, 0.5, dec, grid),
@@ -164,6 +164,41 @@ class TestMinimizeT:
             lhs = a * s2[0] / (a + s2[0]) ** 3
             rhs = h * np.sum(s2 ** 2 / (a + s2) ** 3)
             assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)
+
+
+class TestMeasureSource:
+    """Every lower-bound routine reads the measure, so a spectrum and its
+    exact influence path give the same bits, at any alpha."""
+
+    def test_minimize_T_same_alpha_star(self, benchmarks64):
+        for p, dec in benchmarks64:
+            s1_sq = float(dec.s[0]) ** 2
+            inf = rr.influence_path_exact(dec, np.geomspace(1e-12, 0.5, 17) * s1_sq)
+            for h in (1e-9, 1e-5, 1e-3, 0.6):
+                a, b = rr.minimize_T(dec, h), rr.minimize_T(inf, h)
+                assert a.alpha_star == b.alpha_star, (p.name, h)
+                assert a.objective == b.objective and a.iterations == b.iterations
+
+    def test_bounds_and_derivatives_agree(self, shaw32):
+        _, dec = shaw32
+        inf = rr.influence_path_exact(dec, [1e-3, 1e-2])
+        for h in (1e-6, 1e-2):
+            assert rr.alpha_bounds(inf, h) == rr.alpha_bounds(dec, h)
+            assert rr.global_minimizer_certificate(inf, h) == \
+                rr.global_minimizer_certificate(dec, h)
+            assert rr.T_h_derivative(inf, h, 0.37) == rr.T_h_derivative(dec, h, 0.37)
+            assert _T_h_second(inf, h, 0.37) == _T_h_second(dec, h, 0.37)
+
+    def test_stochastic_measure_minimizes_off_grid(self, shaw64_stochastic_battery):
+        bat = shaw64_stochastic_battery
+        inf = bat["paths"][0]
+        h = 1e-4
+        res = rr.minimize_T(inf, h)
+        assert res.converged and not np.any(inf.alphas == res.alpha_star)
+        exact = rr.minimize_T(bat["dec"], h).alpha_star
+        assert res.alpha_star == pytest.approx(exact, rel=0.5)
+        a = res.alpha_star
+        assert rr.T_h_derivative(inf, h, 0.99 * a) < 0.0 < rr.T_h_derivative(inf, h, 1.01 * a)
 
 
 class TestConvexityAndShape:

@@ -11,7 +11,7 @@ from riskreg import rules
 from riskreg.bench import default_grid
 from riskreg.errors import DegenerateDataError
 from riskreg.rng import keyed_rng
-from riskreg.tikhonov import InfluencePath, SolutionPath
+from riskreg.tikhonov import SolutionPath, influence_measure
 
 
 def _identity_setup(n=16, seed=1):
@@ -167,6 +167,63 @@ class TestIpro:
         path = rr.spectral_path(dec, d.g, grid)
         ref = rules.ipro(inf, d.g, path=path)
         assert sel.alpha == pytest.approx(ref.alpha, rel=1e-8)
+
+
+    def test_overflowed_default_start_is_degenerate(self):
+        # shaw(16) scaled by 1e100: s1^2 ~ 9e200, so 1e-12 s1^2 * 0.5 s1^2 overflows
+        p = rr.make_problem("shaw", None, 16)
+        dec = rr.svd(p.A.to_dense() * 1e100)
+        g = rr.add_noise(p, 20.0, seed=0).g * 1e100
+        with pytest.raises(DegenerateDataError, match="default start"):
+            rules.ipro(dec, g)
+        # at 1e155, s1^2 itself is beyond the float range
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDataError,
+                                                       match="default start"):
+            rules.ipro(rr.svd(p.A.to_dense() * 1e155), g * 1e55)
+        # a finite spectrum starts where it always did
+        dec = rr.svd(p.A)
+        s1_sq = float(dec.s[0]) ** 2
+        trail = rules.ipro(dec, g / 1e100).diagnostics["trail"]
+        assert trail[0] == np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
+
+    def test_grid_mode_selects_through_the_bound(self, shaw64):
+        # each step is the grid argmin of the lower bound at the current estimates
+        p, dec = shaw64
+        d = rr.add_noise(p, 20.0, seed=4, replicate=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        inf = rr.influence_path_exact(dec, grid)
+        path = rr.spectral_path(dec, d.g, grid)
+        sel = rules.ipro(inf, d.g, path=path)
+        r_sq = float(path.residual_norms[sel.diagnostics["grid_index"]]) ** 2
+        g_sq = float(d.g @ d.g)
+        values = rr.lower_bound_T(g_sq - r_sq, r_sq / 64, inf)
+        assert sel.alpha == grid[len(values) - 1 - np.argmin(values[::-1])]
+
+
+class TestInfluenceOnPathGrid:
+    """upre, gcv and bp read the source's measure on the grid of their path."""
+
+    def test_other_grid_is_evaluated_from_the_measure(self, shaw64):
+        p, dec = shaw64
+        d = rr.add_noise(p, 10.0, seed=3, replicate=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        path = rr.spectral_path(dec, d.g, grid)
+        coarse = rr.influence_path_exact(dec, grid[::3])
+        for fn in (lambda src: rules.upre(path, src, d.sigma ** 2),
+                   lambda src: rules.gcv(path, src),
+                   lambda src: rules.bp(path, d.sigma, src)):
+            assert fn(coarse).alpha == fn(dec).alpha
+        on_path = influence_measure(coarse, path.alphas)
+        assert on_path.alphas is path.alphas
+        assert np.array_equal(on_path.trace, rr.influence_path_exact(dec, grid).trace)
+
+    def test_equal_grid_gives_the_samples(self, shaw64_stochastic_battery):
+        bat = shaw64_stochastic_battery
+        inf = bat["paths"][0]
+        got = influence_measure(inf, bat["grid"].copy())
+        for field in ("sn_sq", "frob_sq", "trace", "noise_amp"):
+            assert np.array_equal(getattr(got, field), getattr(inf, field))
+        assert influence_measure(inf, inf.alphas) is inf
 
 
 class TestDp:
@@ -382,8 +439,8 @@ def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, b
     # thresholds around `level` times the path's overall spread
     spread = np.linalg.norm(path.solutions[-1] - path.solutions[0])
     namp = (level * spread / max(c * sigma, 1e-3)) ** 2 * rng.uniform(0.1, 1.0, points)
-    source = InfluencePath(alphas=path.alphas, sn_sq=namp, frob_sq=namp, trace=namp,
-                           noise_amp=namp, source="exact")
+    source = rr.influence_path_exact(dec, path.alphas)
+    source.noise_amp = namp  # bp reads only the noise samples on the path's grid
     with mock.patch.object(rules, "_BP_BLOCK_ELEMENTS", block):
         sel = rules.bp(path, sigma, source, gamma=gamma, c=c)
     chosen = _bp_loop(path, sigma, namp, gamma, c)

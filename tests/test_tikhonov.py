@@ -10,6 +10,7 @@ from riskreg import rules
 from riskreg.bench import default_grid, matrix_free_grid
 from riskreg.errors import ConvergenceError
 from riskreg.rng import TAG_PROBES, keyed_rng
+from riskreg.tikhonov import influence_measure
 
 
 class TestSolveSpectral:
@@ -407,11 +408,94 @@ class TestInfluenceExact:
                 assert np.all(x > 0) and np.all(x < 1)
 
 
+def _former_exact_scalars(dec, alphas):
+    """The spectrum's influence scalars in the arithmetic ``influence_path_exact``
+    used before it read a measure: sn_sq, frob_sq, trace, noise_amp."""
+    s2 = dec.s * dec.s
+    x = s2[None, :] / (s2[None, :] + alphas[:, None])
+    sn = alphas / (s2[0] + alphas)
+    return (sn * sn, np.sum(x * x, axis=1), np.sum(x, axis=1),
+            np.sum(s2[None, :] / (s2[None, :] + alphas[:, None]) ** 2, axis=1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 12),
+       decades=st.floats(0.0, 12.0), grid_points=st.integers(1, 30),
+       rel_alphas=st.lists(st.floats(1e-14, 1e3), min_size=1, max_size=6))
+def test_measure_matches_former_exact_arrays(seed, n, decades, grid_points, rel_alphas):
+    """Off the grid it was sampled on, a spectrum's measure gives the former
+    exact arrays to the bit, and so the same lower bound as the spectrum."""
+    rng = keyed_rng(seed)
+    dec = rr.svd(np.diag(np.sort(10.0 ** rng.uniform(-decades, 0.0, n))[::-1]))
+    s1_sq = float(dec.s[0]) ** 2
+    inf = rr.influence_path_exact(dec, np.geomspace(1e-12, 0.5, grid_points) * s1_sq)
+    alphas = np.array(rel_alphas) * s1_sq
+    off = influence_measure(inf, alphas)
+    for got, ref in zip((off.sn_sq, off.frob_sq, off.trace, off.noise_amp),
+                        _former_exact_scalars(dec, alphas)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip((inf.sn_sq, inf.frob_sq, inf.trace, inf.noise_amp),
+                        _former_exact_scalars(dec, inf.alphas)):
+        assert np.array_equal(got, ref)
+    rho2, sigma2 = 1.0 + rng.uniform(), rng.uniform(1e-6, 1.0)
+    assert np.array_equal(rr.lower_bound_T(rho2, sigma2, inf, alphas),
+                          rr.lower_bound_T(rho2, sigma2, dec, alphas))
+    assert rr.lower_bound_T(rho2, sigma2, inf, float(alphas[0])) == \
+        rr.lower_bound_T(rho2, sigma2, dec, float(alphas[0]))
+
+
+class TestInfluenceMeasure:
+    def test_spectrum_measure(self, shaw32):
+        _, dec = shaw32
+        m = influence_measure(dec)
+        assert m.alphas.size == 0
+        assert np.array_equal(m.nodes, dec.s * dec.s) and np.all(m.weights == 1.0)
+        assert m.lam1 == float(dec.s[0] * dec.s[0])
+        inf = rr.influence_path_exact(dec, [1e-3])
+        assert influence_measure(inf) is inf
+
+    def test_own_grid_array_gives_the_path_itself(self, shaw32):
+        _, dec = shaw32
+        grid = np.geomspace(1e-6, 1.0, 7)
+        inf = rr.influence_path_exact(dec, grid)
+        assert influence_measure(inf, inf.alphas) is inf
+        again = influence_measure(inf, grid.copy())
+        assert again is not inf and np.array_equal(again.frob_sq, inf.frob_sq)
+        with pytest.raises(ValueError):
+            influence_measure(inf, [-1.0])
+
+    def test_zero_operator(self):
+        dec = rr.svd(np.zeros((3, 2)))
+        inf = rr.influence_path_exact(dec, [0.0, 1.0])
+        assert np.array_equal(inf.sn_sq, [1.0, 1.0])
+        assert np.array_equal(inf.frob_sq, [0.0, 0.0])
+
+    def test_stochastic_is_the_sum_of_probe_forms(self):
+        # the pooled measure gives the per-probe quadratic forms, averaged
+        p = rr.parallel_tomo(cells_per_side=8, angles=12, rays_per_angle=11)
+        lam1 = rr.largest_eigenvalue(p.A, seed=1)
+        alphas = matrix_free_grid(lam1, points=25).values
+        probes, seed = 6, 3
+        inf = rr.influence_path_stochastic(p.A, alphas, probes, seed, lam1=lam1)
+        Z = keyed_rng(seed, TAG_PROBES).standard_normal((p.A.rows, probes))
+        sums = sum(np.array(_probe_forms(run, alphas)) for run in rr.golub_kahan(p.A, Z, alphas))
+        for got, ref in zip((inf.frob_sq, inf.trace, inf.noise_amp), sums / probes):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert inf.nodes.size == inf.weights.size == int(np.sum(inf.iterations))
+        # off the grid too: the measure at the grid's midpoints
+        mid = np.sqrt(alphas[1:] * alphas[:-1])
+        sums = sum(np.array(_probe_forms(run, mid)) for run in rr.golub_kahan(p.A, Z, alphas))
+        np.testing.assert_allclose(influence_measure(inf, mid).frob_sq, sums[0] / probes,
+                                   rtol=1e-14, atol=0.0)
+
+
 class TestInfluenceStochastic:
     def test_identity_sn_exact(self):
         inf = rr.influence_path_stochastic(np.eye(8), [1.0], probes=4, seed=0)
         assert inf.sn_sq[0] == pytest.approx(0.25, rel=1e-8)
-        assert inf.source == "stochastic"
+        # each probe's run breaks down after one step, on the node 1
+        np.testing.assert_array_equal(inf.iterations, [1, 1, 1, 1])
+        np.testing.assert_allclose(inf.nodes, 1.0, rtol=1e-12)
 
     def test_matches_exact_on_shaw(self, shaw64):
         p, dec = shaw64
