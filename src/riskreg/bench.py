@@ -10,6 +10,7 @@ count and scheduling.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import json
 import math
@@ -25,8 +26,8 @@ from . import rules as rules_mod
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import largest_eigenvalue, svd
 from .problems import add_noise, make_problem
-from .tikhonov import (influence_path_exact, influence_path_stochastic,
-                       iterative_path, spectral_path)
+from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
+                       influence_path_stochastic, iterative_path, spectral_path)
 
 DEFAULT_GRID_POINTS = 200
 GRID_MIN_FACTOR = 1e-12   # of s1^2
@@ -81,6 +82,48 @@ def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
                      default_points if points is None else points)
 
 
+class OperatorSetup:
+    """An operator's spectrum, grid (``build_grid``), influence measure and solution
+    paths: SVD, exact measure and spectral path when dense; power iteration, probe
+    measure and Golub-Kahan path when matrix-free.  A zero operator is degenerate
+    data; the grid and the measure are built on first use."""
+
+    def __init__(self, A, matrix_free: bool = False, points: Optional[int] = None,
+                 lo: Optional[float] = None, hi: Optional[float] = None,
+                 probes: int = DEFAULT_PROBES, seed: int = 0):
+        self.A, self.matrix_free, self.probes, self.seed = A, matrix_free, probes, seed
+        self._grid_args = (points, lo, hi)
+        if matrix_free:   # power iteration raises on a zero operator
+            self.dec = None
+            self.s1_sq = largest_eigenvalue(A, seed=seed)
+        else:
+            self.dec = svd(A)
+            if self.dec.rank == 0:
+                raise DegenerateDataError("the operator matrix is zero")
+            self.s1_sq = float(self.dec.s[0]) ** 2
+
+    @functools.cached_property
+    def grid(self) -> AlphaGrid:
+        return build_grid(self.s1_sq, self.matrix_free, *self._grid_args)
+
+    @functools.cached_property
+    def influence(self) -> InfluencePath:
+        if self.matrix_free:
+            return influence_path_stochastic(self.A, self.grid.values, self.probes,
+                                             self.seed, lam1=self.s1_sq)
+        return influence_path_exact(self.dec, self.grid.values)
+
+    @property
+    def source(self):
+        """The spectrum (continuous selection) or, matrix-free, the measure (grid mode)."""
+        return self.influence if self.matrix_free else self.dec
+
+    def path(self, g, keep_solutions: bool = True) -> SolutionPath:
+        if self.matrix_free:
+            return iterative_path(self.A, g, self.grid.values)
+        return spectral_path(self.dec, g, self.grid.values, keep_solutions=keep_solutions)
+
+
 def rel_error(f, f_true) -> float:
     """Relative l2 reconstruction error."""
     f_true = np.asarray(f_true, dtype=float)
@@ -90,8 +133,7 @@ def rel_error(f, f_true) -> float:
 
 def oracle_error(errors: np.ndarray) -> tuple[float, int]:
     """Minimum error along the path and its grid index (largest alpha on ties)."""
-    errors = np.asarray(errors, dtype=float)
-    idx = int(errors.size - 1 - np.argmin(errors[::-1]))
+    idx = rules_mod.argmin_last(errors)
     return float(errors[idx]), idx
 
 
@@ -223,33 +265,12 @@ class StudyConfig:
                    version=raw.get("version", 1))
 
 
-def _cell_setup(config: StudyConfig, name: str, variant: Optional[int]):
-    """Problem, spectral data and grid for one study cell (pure in its inputs)."""
-    problem = make_problem(name, variant, config.n)
-    if problem.A.representation == "dense":
-        dec = svd(problem.A)
-        grid = build_grid(float(dec.s[0]) ** 2, matrix_free=False,
-                          points=config.grid_points, lo=config.grid_min, hi=config.grid_max)
-        influence = influence_path_exact(dec, grid.values)
-    else:
-        dec = None
-        s1_sq = largest_eigenvalue(problem.A, seed=config.seed)
-        grid = build_grid(s1_sq, matrix_free=True,
-                          points=min(config.grid_points, MATRIX_FREE_GRID_POINTS),
-                          lo=config.grid_min, hi=config.grid_max)
-        influence = influence_path_stochastic(problem.A, grid.values, config.probes,
-                                              config.seed, lam1=s1_sq)
-    return problem, dec, grid, influence
-
-
-def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
+def _evaluate_replicate(setup: OperatorSetup, problem, config: StudyConfig,
                         xi: float, replicate: int):
     """All rules on one replicate's shared path; returns (oracle_err, rows)."""
     data = add_noise(problem, xi, config.seed, replicate)
-    if dec is not None:
-        path = spectral_path(dec, data.g, grid.values)
-    else:
-        path = iterative_path(problem.A, data.g, grid.values)
+    grid = setup.grid.values
+    path = setup.path(data.g)
     D = path.solutions - problem.f_true[None, :]
     D *= D
     errors = np.sqrt(np.add.reduce(D, axis=1)) / np.linalg.norm(problem.f_true)
@@ -257,7 +278,7 @@ def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
     # Grid mode on the shared path: the influence path is the source, dp does
     # not bisect off the grid, and pro falls back to the largest alpha rather
     # than abort the study on a replicate that looks like pure noise.
-    inputs = rules_mod.SelectionInputs(g=data.g, source=influence, path=path,
+    inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
                                        sigma=data.sigma, sigma2=data.sigma ** 2,
                                        on_degenerate="max_alpha", refine=False,
                                        bp_gamma=config.bp_gamma, bp_c=config.bp_c)
@@ -268,17 +289,17 @@ def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
             sel = rules_mod.RULES[rule].run(inputs)
             idx = sel.diagnostics.get("grid_index")
             if idx is None:
-                idx = int(np.argmin(np.abs(np.log(grid.values) - np.log(sel.alpha))))
+                idx = rules_mod.nearest_index(grid, sel.alpha)
             flags.extend(sel.diagnostics.get("flags", []))
-            alpha = float(grid.values[idx])
+            alpha = float(grid[idx])
         except DegenerateDataError:
-            idx = len(grid.values) - 1
-            alpha = float(grid.values[idx])
+            idx = len(grid) - 1
+            alpha = float(grid[idx])
             flags.append("degenerate")
         except ConvergenceError as exc:
             alpha = float(exc.last_iterate) if isinstance(exc.last_iterate, (int, float)) \
-                else float(grid.values[-1])
-            idx = int(np.argmin(np.abs(np.log(grid.values) - np.log(alpha))))
+                else float(grid[-1])
+            idx = rules_mod.nearest_index(grid, alpha)
             flags.append("no_convergence")
         err = float(errors[idx])
         rows[rule] = ReplicateEntry(replicate=replicate, alpha=alpha, rel_error=err,
@@ -287,13 +308,18 @@ def _evaluate_replicate(problem, dec, grid, influence, config: StudyConfig,
     return eps_o, rows
 
 
-def _run_chunk(config: StudyConfig, name: str, variant, xi: float,
-               rep_lo: int, rep_hi: int):
-    problem, dec, grid, influence = _cell_setup(config, name, variant)
-    out = []
-    for rep in range(rep_lo, rep_hi):
-        out.append(_evaluate_replicate(problem, dec, grid, influence, config, xi, rep))
-    return out
+def _run_chunk(config: StudyConfig, task) -> list[list]:
+    """Replicates [lo, hi) of one problem at every SNR of the study, on one
+    set-up; returns one list of (oracle_err, rows) per SNR."""
+    name, variant, lo, hi = task
+    problem = make_problem(name, variant, config.n)
+    matrix_free = problem.A.representation != "dense"
+    points = min(config.grid_points, MATRIX_FREE_GRID_POINTS) if matrix_free \
+        else config.grid_points
+    setup = OperatorSetup(problem.A, matrix_free, points, config.grid_min, config.grid_max,
+                          config.probes, config.seed)
+    return [[_evaluate_replicate(setup, problem, config, xi, rep) for rep in range(lo, hi)]
+            for xi in config.xis]
 
 
 def _cap_blas_threads(threads: int) -> None:
@@ -310,45 +336,35 @@ def _cap_blas_threads(threads: int) -> None:
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
-    """Run every (problem, xi) cell of the study; deterministic for any worker count."""
-    cells = [(name, variant, xi) for name, variant in config.problems
-             for xi in config.xis]
-    results: dict[tuple, list] = {}
+    """Run every (problem, xi) cell of the study; deterministic for any worker count.
+    A task, one set-up, is a problem's chunk of replicates at every SNR."""
+    reps = config.replicates
+    chunk = reps if workers <= 1 else max(1, -(-reps // workers))
+    bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
+    tasks = [(name, variant, lo, hi) for name, variant in config.problems
+             for lo, hi in bounds]
+    run = functools.partial(_run_chunk, config)
     if workers <= 1:
-        for name, variant, xi in cells:
-            results[(name, variant, xi)] = _run_chunk(config, name, variant, xi,
-                                                      0, config.replicates)
+        parts = [run(task) for task in tasks]
     else:
-        chunk = max(1, -(-config.replicates // workers))
-        tasks = {}
         # workers x BLAS threads would oversubscribe the cores
         nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-        threads = max(1, nproc // workers)
         with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
-                                 initargs=(threads,)) as pool:
-            for cell in cells:
-                name, variant, xi = cell
-                for lo in range(0, config.replicates, chunk):
-                    hi = min(lo + chunk, config.replicates)
-                    tasks[pool.submit(_run_chunk, config, name, variant, xi, lo, hi)] \
-                        = (cell, lo)
-            gathered: dict[tuple, list[tuple[int, list]]] = {}
-            for fut, (cell, lo) in tasks.items():
-                gathered.setdefault(cell, []).append((lo, fut.result()))
-        for cell, parts in gathered.items():
-            results[cell] = [row for _, chunk_rows in sorted(parts) for row in chunk_rows]
+                                 initargs=(max(1, nproc // workers),)) as pool:
+            parts = list(pool.map(run, tasks))
 
     reports = []
-    for name, variant, xi in cells:
-        cell_rows = results[(name, variant, xi)]
-        median_oracle = float(np.median([eps_o for eps_o, _ in cell_rows]))
-        for rule in config.rules:
-            rep = EfficiencyReport(problem=name, variant=variant, n=config.n,
-                                   xi=xi, rule=rule, median_oracle=median_oracle)
-            for eps_o, rows in cell_rows:
-                rep.entries.append(rows[rule])
-            reports.append(rep)
+    for p, (name, variant) in enumerate(config.problems):
+        chunks = parts[p * len(bounds):(p + 1) * len(bounds)]
+        for k, xi in enumerate(config.xis):
+            cell_rows = [row for part in chunks for row in part[k]]
+            median_oracle = float(np.median([eps_o for eps_o, _ in cell_rows]))
+            for rule in config.rules:
+                rep = EfficiencyReport(problem=name, variant=variant, n=config.n,
+                                       xi=xi, rule=rule, median_oracle=median_oracle)
+                rep.entries.extend(rows[rule] for _, rows in cell_rows)
+                reports.append(rep)
     return reports
 
 

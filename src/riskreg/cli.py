@@ -19,9 +19,8 @@ import sys
 
 import numpy as np
 
-from . import bench, problems, rules, tikhonov
+from . import bench, problems, rules
 from .errors import ConvergenceError, DegenerateDataError
-from .linop import largest_eigenvalue, svd
 from .risk import RiskCurve, lower_bound_T, predictive_risk
 
 EXIT_OK = 0
@@ -123,18 +122,11 @@ def _load_dataset(path):
     raw = problems.load_container(path)
     problem = problems.problem_from_container(raw)
     noisy = problems.noisy_from_container(raw) if "g" in raw else None
-    return raw, problem, noisy
-
-
-def _dense_source(problem):
-    dec = svd(problem.A)
-    if dec.rank == 0:
-        raise DegenerateDataError("the operator matrix is zero")
-    return dec
+    return problem, noisy
 
 
 def _cmd_select(args, parser) -> int:
-    raw, problem, noisy = _load_dataset(args.data)
+    problem, noisy = _load_dataset(args.data)
     if noisy is None:
         parser.error("container has no noisy data vector")
     g = noisy.g
@@ -149,22 +141,11 @@ def _cmd_select(args, parser) -> int:
         parser.error(f"{args.rule} needs --sigma2 or --sigma")
 
     with np.errstate(over="raise", invalid="raise"):
-        matrix_free = args.matrix_free or problem.A.representation != "dense"
-        if matrix_free:
-            s1_sq = largest_eigenvalue(problem.A, seed=seed)
-        else:
-            source = _dense_source(problem)
-            s1_sq = float(source.s[0]) ** 2
-        path = None
-        if rule.needs_path or matrix_free:
-            grid = bench.build_grid(s1_sq, matrix_free, points=args.grid_points,
-                                    lo=args.grid_min, hi=args.grid_max)
-            if matrix_free:
-                source = tikhonov.influence_path_stochastic(problem.A, grid.values,
-                                                            args.probes, seed, lam1=s1_sq)
-                path = tikhonov.iterative_path(problem.A, g, grid.values)
-            else:
-                path = tikhonov.spectral_path(source, g, grid.values)
+        setup = bench.OperatorSetup(problem.A, args.matrix_free, args.grid_points,
+                                    args.grid_min, args.grid_max, args.probes, seed)
+        source = setup.source
+        # in grid mode (matrix-free) ipro reads its residuals from the path
+        path = setup.path(g) if rule.needs_path or args.matrix_free else None
         inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
                                        sigma2=sigma2, rho2=args.rho2,
                                        alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,
@@ -186,12 +167,11 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_curve(args, parser) -> int:
-    raw, problem, noisy = _load_dataset(args.data)
+    problem, noisy = _load_dataset(args.data)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        dec = _dense_source(problem)
-        alphas = bench.build_grid(float(dec.s[0]) ** 2, matrix_free=False,
-                                  points=args.grid_points, lo=args.grid_min,
-                                  hi=args.grid_max).values
+        setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,
+                                    hi=args.grid_max)
+        dec, alphas = setup.dec, setup.grid.values
         sigma2 = None if noisy is None else noisy.sigma ** 2
 
         if args.kind in ("predictive", "lower_bound"):
@@ -210,7 +190,7 @@ def _cmd_curve(args, parser) -> int:
             values = lower_bound_T(float(problem.g_true @ problem.g_true), sigma2, dec,
                                    alphas)
         else:
-            path = tikhonov.spectral_path(dec, noisy.g, alphas, keep_solutions=False)
+            path = setup.path(noisy.g, keep_solutions=False)
             if args.kind == "upre":
                 values = rules.upre(path, dec, sigma2).diagnostics["objective_samples"]
             elif args.kind == "gcv":

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DegenerateDataError
 from .rng import TAG_POWER, keyed_rng
 
 # Singular values below s1 * RANK_CUTOFF are treated as zero; this defines the
@@ -171,7 +171,7 @@ def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0)
         resid = float(np.linalg.norm(z - lam * v))
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
-            raise ValueError("operator annihilates the start vector")
+            raise DegenerateDataError("operator annihilates the start vector")
         v = z / nz
         if resid <= tol * max(lam, np.finfo(float).tiny):
             return lam, v, k, rayleighs

@@ -63,10 +63,15 @@ class RuleSelection:
         return json.dumps(payload)
 
 
-def _argmin_last(values: np.ndarray) -> int:
-    # grid minimizers break ties toward the largest alpha
+def argmin_last(values) -> int:
+    """Index of the minimum of grid samples; ties go to the largest alpha."""
     v = np.asarray(values)
     return int(v.size - 1 - np.argmin(v[::-1]))
+
+
+def nearest_index(alphas, alpha: float) -> int:
+    """Index of the grid point nearest to ``alpha`` on a log scale."""
+    return int(np.argmin(np.abs(np.log(alphas) - np.log(alpha))))
 
 
 def _select_min_T(source, rho2: float, sigma2: float):
@@ -81,7 +86,7 @@ def _select_min_T(source, rho2: float, sigma2: float):
                 "flags": (["boundary"] if res.at_boundary else [])}
         return res.alpha_star, diag
     values = lower_bound_T(rho2, sigma2, m)
-    idx = _argmin_last(values)
+    idx = argmin_last(values)
     flags = []
     if idx in (0, len(values) - 1):
         flags.append("grid_edge")
@@ -122,9 +127,7 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
                 "flags": ["degenerate_snr", "fallback_max_alpha"]})
         raise DegenerateDataError(
             "estimated signal energy is nonpositive (data looks like pure noise)")
-    alpha, diag = _select_min_T(source, rho2_hat, sigma2)
-    diag.update(rho2_hat=rho2_hat, sigma2_hat=sigma2, xi_hat=snr_db(rho2_hat, sigma2, n))
-    return RuleSelection(rule="pro", alpha=alpha, diagnostics=diag)
+    return pro(source, rho2_hat, sigma2, n)
 
 
 def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
@@ -152,8 +155,8 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
-        idx = len(m.alphas) // 2 if alpha_init is None else int(
-            np.argmin(np.abs(np.log(m.alphas) - np.log(alpha_init))))
+        idx = (len(m.alphas) // 2 if alpha_init is None
+               else nearest_index(m.alphas, alpha_init))
         alpha = float(m.alphas[idx])
     else:
         c = source.U.T @ g
@@ -261,7 +264,7 @@ def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
         raise ValueError("sigma2 must be nonnegative and finite")
     tr = influence_measure(trace_source, path.alphas).trace
     values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
-    idx = _argmin_last(values)
+    idx = argmin_last(values)
     return RuleSelection(rule="upre", alpha=float(path.alphas[idx]),
                          diagnostics={"objective_samples": values, "grid_index": idx,
                                       "flags": []})
@@ -272,7 +275,7 @@ def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     tr = influence_measure(trace_source, path.alphas).trace
     denom = (path.data_size - tr) ** 2
     values = path.residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
-    idx = _argmin_last(values)
+    idx = argmin_last(values)
     return RuleSelection(rule="gcv", alpha=float(path.alphas[idx]),
                          diagnostics={"objective_samples": values, "grid_index": idx,
                                       "flags": []})
@@ -350,7 +353,7 @@ def lc(path: SolutionPath) -> RuleSelection:
     denom = np.maximum((xp * xp + yp * yp) ** 1.5, tiny)
     kappa = (xp * ypp - yp * xpp) / denom
     interior = slice(1, len(path) - 1)
-    idx = 1 + _argmin_last(-kappa[interior])
+    idx = 1 + argmin_last(-kappa[interior])
     flags = []
     if idx in (1, len(path) - 2):
         flags.append("curvature_at_boundary")
@@ -368,7 +371,7 @@ def qoc(path: SolutionPath) -> RuleSelection:
     D = np.diff(path.solutions, axis=0)
     D *= D
     diffs = np.sqrt(np.add.reduce(D, axis=1))
-    idx = _argmin_last(diffs)
+    idx = argmin_last(diffs)
     return RuleSelection(rule="qoc", alpha=float(path.alphas[idx]),
                          diagnostics={"differences": diffs, "grid_index": idx,
                                       "flags": []})

@@ -140,17 +140,30 @@ class TestRunStudy:
 
     def test_csv_schema_and_determinism_across_workers(self, tmp_path):
         cfg = _tiny_config(rules=["pro", "qoc"], replicates=6)
-        out1, out2 = tmp_path / "w1", tmp_path / "w8"
-        write_reports(run_study(cfg, workers=1), out1)
-        write_reports(run_study(cfg, workers=8), out2)
-        for name in ("details_xi10.csv", "summary.csv"):
-            b1 = (out1 / name).read_bytes()
-            b2 = (out2 / name).read_bytes()
-            assert b1 == b2
+        # a sparse operator: power iteration, probe measure, Golub-Kahan paths
+        tomo = _tiny_config(problems=[("paralleltomo", None)], n=8, rules=list(RULE_NAMES),
+                            replicates=6, probes=4)
+        for config, tag in ((tomo, "tomo"), (cfg, "")):
+            out1, out2 = tmp_path / f"{tag}w1", tmp_path / f"{tag}w8"
+            write_reports(run_study(config, workers=1), out1)
+            write_reports(run_study(config, workers=8), out2)
+            for name in ("details_xi10.csv", "summary.csv"):
+                b1 = (out1 / name).read_bytes()
+                b2 = (out2 / name).read_bytes()
+                assert b1 == b2, (tag, name)
         header = (out1 / "details_xi10.csv").read_text().splitlines()[0]
         assert header == "problem,variant,n,xi,rule,replicate,alpha,rel_error,efficiency,flags"
         sheader = (out1 / "summary.csv").read_text().splitlines()[0]
         assert sheader == "problem,variant,n,xi,rule,median_eff,q1,q3,median_oracle"
+
+    def test_one_setup_per_problem_and_chunk(self):
+        # nothing in a set-up depends on the SNR, so one serves every SNR
+        cfg = _tiny_config(problems=[("shaw", None), ("heat", 1)], xis=[10.0, 20.0, 40.0])
+        with mock.patch.object(bench, "make_problem", wraps=rr.make_problem) as made, \
+                mock.patch.object(bench, "OperatorSetup", wraps=bench.OperatorSetup) as setups:
+            reports = run_study(cfg, workers=1)
+        assert made.call_count == 2 and setups.call_count == 2
+        assert len(reports) == 2 * 3 * len(cfg.rules)
 
     def test_config_round_trip(self):
         cfg = _tiny_config(rules=["pro", "lc"], replicates=7)

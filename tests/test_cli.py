@@ -112,6 +112,37 @@ class TestSelect:
             assert payload["rule"] == rule and payload["alpha"] > 0
 
 
+@pytest.fixture(scope="module")
+def zero_container(tmp_path_factory):
+    p = rr.ProblemInstance(name="custom", variant=None, n=8,
+                           A=rr.LinearOperator.from_dense(np.zeros((8, 8))),
+                           f_true=np.ones(8), g_true=np.zeros(8))
+    path = tmp_path_factory.mktemp("zero") / "zero.rr"
+    save_container(path, problem=p, noisy=rr.NoisyData(g=np.ones(8), sigma=0.1, xi=0.0,
+                                                       seed=0, replicate=0))
+    return path
+
+
+class TestZeroOperator:
+    """An all-zero operator is degenerate data, whether it is factored or probed."""
+
+    @staticmethod
+    def _assert_exit_3(argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("matrix_free", [False, True], ids=["dense", "matrix_free"])
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_select_exits_3(self, zero_container, capsys, rule, matrix_free):
+        self._assert_exit_3(["select", "--data", str(zero_container), "--rule", rule]
+                            + (["--matrix-free"] if matrix_free else []), capsys)
+
+    @pytest.mark.parametrize("kind", ["lower_bound", "upre", "lcurve"])
+    def test_curve_exits_3(self, zero_container, capsys, kind):
+        self._assert_exit_3(["curve", "--data", str(zero_container), "--kind", kind], capsys)
+
+
 class TestStudy:
     def _config(self, tmp_path, **kw):
         cfg = {"version": 1,

@@ -505,6 +505,23 @@ class TestInfluenceStochastic:
         assert inf_s.sn_sq[0] == pytest.approx(inf_e.sn_sq[0], rel=1e-6)
         assert inf_s.frob_sq[0] == pytest.approx(inf_e.frob_sq[0], rel=0.05)
 
+    def test_tomography_measure_matches_recorded_values(self):
+        # paralleltomo 16^2 with the tomo_mf workload's seeds (power 3, 16 probes
+        # from seed 5).  ipro selects the top of this grid there, so a drift of
+        # the measure would not show in its selection; these samples show it.
+        p = rr.make_problem("paralleltomo", None, 16)
+        lam1 = rr.largest_eigenvalue(p.A, seed=3)
+        assert lam1 == pytest.approx(1801.413767185434, rel=1e-8)
+        m = rr.influence_path_stochastic(p.A, matrix_free_grid(lam1).values, probes=16,
+                                         seed=5, lam1=lam1)
+        recorded = {  # grid index: (frob_sq, trace, noise_amp)
+            0: (246.8650844131564, 246.86511528034876, 3.4269963895534206),
+            50: (246.79896629733798, 246.83205356828222, 3.425898056726383),
+            99: (196.47298441201661, 219.963700221203, 2.6080311183464278)}
+        for i, ref in recorded.items():
+            np.testing.assert_allclose([m.frob_sq[i], m.trace[i], m.noise_amp[i]], ref,
+                                       rtol=1e-8, err_msg=f"grid index {i}")
+
 
 class TestPaths:
     def test_residual_monotone_and_data_norm_monotone(self, benchmarks64):
