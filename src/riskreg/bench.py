@@ -9,14 +9,11 @@ count and scheduling.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,8 +36,8 @@ DEFAULT_PROBES = 32
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Log-equispaced grid; endpoints are hit exactly.  ``values`` is computed
-    once and is read-only."""
+    """Log-equispaced grid between finite positive endpoints, which are hit
+    exactly.  ``values`` is computed once and is read-only."""
 
     min: float
     max: float
@@ -48,8 +45,8 @@ class AlphaGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.min > 0 and self.max > self.min):
-            raise ValueError("need 0 < min < max")
+        if not 0 < self.min < self.max < np.inf:
+            raise ValueError("need 0 < min < max < inf")
         if self.points < 2:
             raise ValueError("need at least two grid points")
         values = np.geomspace(self.min, self.max, self.points)
@@ -312,6 +309,11 @@ def _run_chunk(config: StudyConfig, task) -> list[list]:
     """Replicates [lo, hi) of one problem at every SNR of the study, on one
     set-up; returns one list of (oracle_err, rows) per SNR."""
     name, variant, lo, hi = task
+    # Freeing one block above glibc's 128 KB mmap threshold raises that
+    # threshold and the heap's trim threshold with it.  Otherwise the heap top
+    # freed after each replicate (n = 64 temporaries of ~100 KB) goes back to
+    # the OS and is faulted in again: 13,000 page faults per study_dense config.
+    np.empty(1 << 17)
     problem = make_problem(name, variant, config.n)
     matrix_free = problem.A.representation != "dense"
     points = min(config.grid_points, MATRIX_FREE_GRID_POINTS) if matrix_free \
@@ -325,6 +327,8 @@ def _run_chunk(config: StudyConfig, task) -> list[list]:
 def _cap_blas_threads(threads: int) -> None:
     """Limit numpy's bundled OpenBLAS to ``threads`` threads in this process;
     nothing happens where that library or its setter is missing."""
+    import ctypes
+    import glob
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*.so"))
     try:
@@ -338,6 +342,8 @@ def _cap_blas_threads(threads: int) -> None:
 def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     """Run every (problem, xi) cell of the study; deterministic for any worker count.
     A task, one set-up, is a problem's chunk of replicates at every SNR."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     reps = config.replicates
     chunk = reps if workers <= 1 else max(1, -(-reps // workers))
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
@@ -347,6 +353,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     if workers <= 1:
         parts = [run(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         # workers x BLAS threads would oversubscribe the cores
         nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1

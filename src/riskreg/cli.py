@@ -99,6 +99,8 @@ def _cmd_generate(args) -> int:
     seed = _fallback_seed(args.seed)
     if args.replicates < 1:
         raise ValueError("need at least one replicate")
+    if args.replicate < 0:
+        raise ValueError(f"need a nonnegative first replicate, got {args.replicate}")
     problem = problems.make_problem(args.problem, args.variant, args.n)
     os.makedirs(args.out, exist_ok=True)
     tag = problem.name if problem.variant is None else f"{problem.name}{problem.variant}"
@@ -126,6 +128,8 @@ def _load_dataset(path):
 
 
 def _cmd_select(args, parser) -> int:
+    if args.probes < 1:
+        raise ValueError(f"need at least one probe, got {args.probes}")
     problem, noisy = _load_dataset(args.data)
     if noisy is None:
         parser.error("container has no noisy data vector")

@@ -7,12 +7,12 @@ concurrent use.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, DegenerateDataError
 from .rng import TAG_POWER, keyed_rng
@@ -66,6 +66,7 @@ class LinearOperator:
 
     @classmethod
     def from_sparse(cls, S) -> "LinearOperator":
+        import scipy.sparse as sp
         S = sp.csr_matrix(S)
         St = sp.csr_matrix(S.T)
         return cls(S.shape[0], S.shape[1], partial(operator.matmul, S),
@@ -95,17 +96,24 @@ class LinearOperator:
 
     def to_dense(self) -> np.ndarray:
         if self._matrix is not None:
-            if sp.issparse(self._matrix):
+            if _issparse(self._matrix):
                 return self._matrix.toarray()
             return np.asarray(self._matrix)
         return self.apply(np.eye(self.cols))
+
+
+def _issparse(A) -> bool:
+    # a scipy sparse matrix can exist only once scipy.sparse is loaded, so a
+    # dense caller never pays for importing it
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(A)
 
 
 def as_operator(A) -> LinearOperator:
     """Coerce an ndarray, sparse matrix or LinearOperator into a LinearOperator."""
     if isinstance(A, LinearOperator):
         return A
-    if sp.issparse(A):
+    if _issparse(A):
         return LinearOperator.from_sparse(A)
     return LinearOperator.from_dense(A)
 
@@ -132,6 +140,11 @@ class SpectralDecomposition:
         return self.right_vectors
 
 
+def numerical_rank(s) -> int:
+    """The number of nonincreasing singular values s above RANK_CUTOFF * s[0]."""
+    return int(np.count_nonzero(s > RANK_CUTOFF * s[:1]))
+
+
 def svd(A) -> SpectralDecomposition:
     """Full SVD of a dense operator, truncated at the relative rank cutoff."""
     op = as_operator(A)
@@ -141,7 +154,7 @@ def svd(A) -> SpectralDecomposition:
     if not np.all(np.isfinite(M)):
         raise ValueError("operator has non-finite entries")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > s[0] * RANK_CUTOFF)) if s.size and s[0] > 0 else 0
+    r = numerical_rank(s)
     return SpectralDecomposition(np.ascontiguousarray(U[:, :r]),
                                  np.ascontiguousarray(s[:r]),
                                  np.ascontiguousarray(Vt[:r].T), r)

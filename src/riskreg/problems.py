@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .linop import LinearOperator
 from .rng import TAG_NOISE, keyed_rng
@@ -119,7 +117,8 @@ def _heat(n: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     c = h / (2.0 * kappa * np.sqrt(np.pi))
     d = 1.0 / (4.0 * kappa * kappa)
     col = c * t ** (-1.5) * np.exp(-d / t)
-    A = scipy.linalg.toeplitz(col, np.r_[col[0], np.zeros(n - 1)])
+    i = np.arange(n)
+    A = np.tril(col[i[:, None] - i[None, :]])   # Toeplitz: A[i, j] = col[i - j], i >= j
     f = np.zeros(n)
     ti = 20.0 * np.arange(1, n // 2 + 1) / n
     seg1 = ti < 2.0
@@ -141,9 +140,10 @@ def _laguerre_nodes_logweights(n: int) -> tuple[np.ndarray, np.ndarray]:
     polynomials L_k(t) e^{-t/2}, with periodic renormalization, so the
     products w_j e^{t_j} stay representable for any n.
     """
+    from scipy.linalg import eigh_tridiagonal
     diag = 2.0 * np.arange(n) + 1.0
     off = np.arange(1, n, dtype=float)
-    t = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    t = eigh_tridiagonal(diag, off, eigvals_only=True)
     # scaled recurrence: same three-term relation as L_k, started at e^{-t/2}
     p_prev = np.ones_like(t)
     p_curr = 1.0 - t
@@ -332,6 +332,7 @@ def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
     one angle are traced together.  The exact solution is the classical head
     phantom.
     """
+    import scipy.sparse as sp
     ell = _count("cells_per_side", cells_per_side)
     angles = _count("angles", angles)
     rays_per_angle = _count("rays_per_angle", rays_per_angle)

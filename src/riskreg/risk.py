@@ -19,7 +19,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .linop import SpectralDecomposition
-from .tikhonov import InfluencePath, influence_measure
+from .tikhonov import InfluencePath, finite_data, influence_measure
 
 SEARCH_CAP = 0.5  # the minimizer is searched on [0, lam1 * SEARCH_CAP]
 
@@ -71,7 +71,7 @@ def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: fl
     """Expected squared prediction error at alpha: bias plus noise amplification."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    g_true = np.asarray(g_true, dtype=float)
+    g_true = finite_data(g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
     a = np.asarray(alpha, dtype=float)
@@ -84,7 +84,7 @@ def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: fl
 
 def predictive_risk_derivative(dec: SpectralDecomposition, g_true, sigma2: float, alpha: float):
     """d/dalpha of the predictive risk (diagnostic for the over-smoothing check)."""
-    g_true = np.asarray(g_true, dtype=float)
+    g_true = finite_data(g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
     a = np.asarray(alpha, dtype=float)

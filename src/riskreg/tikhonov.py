@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator,
-                    largest_eigenvalue)
+                    largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
 
 
@@ -29,11 +29,19 @@ class RegularizedSolution:
     residual_norm: float
 
 
+def finite_data(g) -> np.ndarray:
+    """The data vector g as a float array; a NaN or inf entry is a ValueError."""
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("data has non-finite entries")
+    return g
+
+
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
     """Tikhonov solution through the SVD filter; alpha = 0 gives the pseudoinverse."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    g = np.asarray(g, dtype=float)
+    g = finite_data(g)
     if g.shape[0] != dec.U.shape[0]:
         raise ValueError("dimension mismatch between decomposition and data")
     c = dec.U.T @ g
@@ -77,9 +85,10 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     min ||A x - b||^2 + a ||x||^2 becomes min ||B_k y - beta1 e1||^2 + a ||y||^2:
     ||A x|| = ||B_k y||, <b, A x> = beta1 (B_k y)_1, ||x|| = ||y|| and
     ||b - A x|| = ||beta1 e1 - B_k y||.  Returns ``(dec, rhs, residual)``: the
-    SVD P diag(s) Q^T of B_k with right vectors V_k Q (``dec.rank`` is k) and
-    rhs = beta1 e1, which pose that problem to ``spectral_path``, and the
-    largest normal-equation residual ||A^T(b - A x) - a x|| on the grid.
+    SVD P diag(s) Q^T of B_k with right vectors V_k Q, truncated at the
+    numerical rank as ``linop.svd`` truncates, and rhs = beta1 e1 (k + 1
+    entries), which pose that problem to ``spectral_path``, and the largest
+    normal-equation residual ||A^T(b - A x) - a x|| on the grid.
 
     ``b`` may also be a block of right-hand sides (rows x p); the result is
     then a list of p such triples, one per column, each as the column alone
@@ -137,8 +146,9 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
         W = Qt @ V[done, :k]  # (V_k Q)^T
         for i, j in enumerate(np.flatnonzero(done)):
             rhs = np.concatenate([beta1[j:j + 1], np.zeros(k)])
-            runs[live[j]] = (SpectralDecomposition(P[i], s[i], W[i].T, k), rhs,
-                             float(residual[j]))
+            r = numerical_rank(s[i])
+            runs[live[j]] = (SpectralDecomposition(P[i, :, :r], s[i, :r], W[i, :r].T, r),
+                             rhs, float(residual[j]))
 
     a = step_adjoint(beta1 > 0, np.zeros(p))
     scale, done = a.copy(), a == 0.0
@@ -322,7 +332,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
                          nodes=np.concatenate([dec.s ** 2 for dec, _, _ in runs]),
                          weights=np.concatenate([(dec.U[0] * rhs[0]) ** 2
                                                  for dec, rhs, _ in runs]) / probes,
-                         lam1=lam1, iterations=np.array([dec.rank for dec, _, _ in runs]),
+                         lam1=lam1, iterations=np.array([rhs.size - 1 for _, rhs, _ in runs]),
                          normal_residual=np.array([residual for _, _, residual in runs]))
 
 
@@ -354,7 +364,7 @@ class SolutionPath:
 def spectral_path(dec: SpectralDecomposition, g, alphas,
                   keep_solutions: bool = True) -> SolutionPath:
     """Evaluate the whole Tikhonov path at once through the SVD filter."""
-    g = np.asarray(g, dtype=float)
+    g = finite_data(g)
     alphas = np.asarray(alphas, dtype=float)
     c = dec.U.T @ g
     perp = g - dec.U @ c
@@ -385,4 +395,4 @@ def iterative_path(A, g, alphas, tol: float = 1e-8) -> SolutionPath:
     U_{k+1}, so residual norms, on the grid and from ``solve``, are exact."""
     dec, rhs, residual = golub_kahan(A, g, alphas, tol=tol, relative_to_solution=True)
     return replace(spectral_path(dec, rhs, alphas), data_size=np.size(g),
-                   iterations=dec.rank, normal_residual=residual)
+                   iterations=rhs.size - 1, normal_residual=residual)

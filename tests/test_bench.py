@@ -33,6 +33,12 @@ class TestAlphaGrid:
         with pytest.raises(ValueError):
             AlphaGrid(0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("lo,hi", [(1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0),
+                                       (np.inf, np.inf)])
+    def test_rejects_nonfinite_bound(self, lo, hi):
+        with pytest.raises(ValueError, match="< inf"):
+            AlphaGrid(lo, hi, 10)
+
     def test_default_ranges(self):
         g = default_grid(4.0)
         assert g.min == pytest.approx(4e-12) and g.max == pytest.approx(2.0)
@@ -114,6 +120,11 @@ class TestRunStudy:
         eps_o, _ = oracle_error(errs)
         assert entry.efficiency == pytest.approx(
             eps_o / errs[sel.diagnostics["grid_index"]])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="at least one worker"):
+            run_study(_tiny_config(), workers=workers)
 
     def test_rule_order_irrelevant(self):
         r1 = run_study(_tiny_config(rules=["pro", "gcv", "lc"]))
@@ -233,9 +244,9 @@ def test_study_efficiencies_and_selections(problem, half, xi, points, replicates
 class TestBlasThreadCap:
     def test_missing_library_or_symbol_is_a_no_op(self):
         for found in ([], ["/nonexistent/libscipy_openblas64_.so"], [None]):
-            with mock.patch.object(bench.glob, "glob", return_value=found):
+            with mock.patch.object(glob, "glob", return_value=found):
                 if found == [None]:  # a loaded library without the setter
-                    with mock.patch.object(bench.ctypes, "CDLL", return_value=object()):
+                    with mock.patch.object(ctypes, "CDLL", return_value=object()):
                         bench._cap_blas_threads(1)
                 else:
                     bench._cap_blas_threads(1)
@@ -251,7 +262,7 @@ class TestBlasThreadCap:
 
 
     def test_run_study_workers_share_the_cores(self):
-        with mock.patch.object(bench, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
             run_study(_tiny_config(replicates=2), workers=2)
         threads = max(1, len(os.sched_getaffinity(0)) // 2)
         assert pool.call_args.kwargs == {"max_workers": 2, "initializer": bench._cap_blas_threads,

@@ -426,6 +426,86 @@ class TestUsage:
         assert main(["generate", "--problem", "shaw", "--nope", "1"]) == 2
 
 
+class TestCountFlags:
+    """A count below its least valid value is a usage error: exit 2, one
+    ``error:`` line and no output."""
+
+    @staticmethod
+    def _assert_usage_error(argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_study_workers(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"problems": [{"name": "shaw"}], "xis": [10.0], "n": 16,
+                                   "rules": ["pro"], "replicates": 2}))
+        out_dir = tmp_path / "out"
+        self._assert_usage_error(["study", "--config", str(cfg), "--out", str(out_dir),
+                                  "--workers", workers], capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("probes", ["0", "-1"])
+    def test_select_probes(self, shaw_dataset, capsys, probes):
+        self._assert_usage_error(["select", "--data", str(shaw_dataset), "--rule", "pro",
+                                  "--probes", probes], capsys)
+
+    def test_generate_replicate(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        self._assert_usage_error(["generate", "--problem", "shaw", "--n", "16",
+                                  "--replicate", "-2", "--out", str(out_dir)], capsys)
+        assert not out_dir.exists()
+
+
+_IMPORT_FOOTPRINT = """
+import json, sys
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import riskreg
+seen["import riskreg"] = scipy_modules()
+import riskreg.cli
+seen["import riskreg.cli"] = scipy_modules()
+code = riskreg.cli.main(["select", "--data", sys.argv[1], "--rule", "ipro"])
+seen["dense select"] = scipy_modules()
+import scipy.sparse as sp
+S = sp.random(6, 4, density=0.5, random_state=0, format="csc")
+op = riskreg.as_operator(S)
+tomo = riskreg.make_problem("paralleltomo", None, 8)
+print(json.dumps({"seen": seen, "code": code, "sparse": op.representation,
+                  "sparse_dense": bool(np.array_equal(op.to_dense(), S.toarray())),
+                  "tomo": [tomo.A.representation, tomo.A.rows, tomo.A.cols]}))
+"""
+
+
+class TestImportFootprint:
+    """numpy is the only heavy import: scipy loads only for sparse operators,
+    tomography and the Gauss-Laguerre nodes of i_laplace."""
+
+    def test_dense_select_loads_no_scipy(self, tmp_path):
+        p = rr.make_problem("shaw", None, 16)
+        path = tmp_path / "data.rr"
+        save_container(path, problem=p, noisy=rr.add_noise(p, 20.0, seed=0))
+        src = os.path.dirname(os.path.dirname(rr.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _IMPORT_FOOTPRINT, str(path)],
+                             capture_output=True, text=True, env=env, check=True,
+                             timeout=120).stdout.splitlines()
+        assert json.loads("\n".join(out[:-1]))["rule"] == "ipro"   # the select JSON
+        result = json.loads(out[-1])
+        assert result["seen"] == {"import riskreg": [], "import riskreg.cli": [],
+                                  "dense select": []}
+        assert result["code"] == 0
+        assert result["sparse"] == "matrix-free" and result["sparse_dense"]
+        assert result["tomo"] == ["matrix-free", 2700, 64]
+
+
 @pytest.fixture(scope="module")
 def scaled_shaw(tmp_path_factory):
     """A writer of shaw n=16 containers with A, g_true, g and sigma multiplied by a scale."""

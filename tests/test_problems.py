@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -61,6 +62,13 @@ class TestGenerators:
             keep = ws > 1e-280
             np.testing.assert_allclose(logw[keep], np.log(ws[keep]) + ts[keep],
                                        atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_heat_matrix_is_scipy_toeplitz_bit_for_bit(n):
+    M = rr.make_problem("heat", 1, n).A.to_dense()
+    col = M[:, 0]
+    assert M.tobytes() == scipy.linalg.toeplitz(col, np.r_[col[0], np.zeros(n - 1)]).tobytes()
 
 
 class TestNoise:

@@ -47,6 +47,16 @@ class TestPredictiveRisk:
             assert d == pytest.approx(fd, rel=1e-5)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [rr.predictive_risk, rr.predictive_risk_derivative])
+    def test_rejects_nonfinite_data(self, shaw32, fn, bad):
+        p, dec = shaw32
+        g = p.g_true.copy()
+        g[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(dec, g, 1e-4, np.array([1e-3, 1e-2]))
+
+
 class TestLowerBound:
     def test_below_predictive_risk_on_grids(self, benchmarks64):
         for p, dec in benchmarks64:

@@ -45,6 +45,15 @@ class TestSolveSpectral:
         assert sol.residual_norm == pytest.approx(recomputed, rel=1e-8)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_data(self, shaw32, bad):
+        p, dec = shaw32
+        g = p.g_true.copy()
+        g[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rr.solve_spectral(dec, g, 1e-3)
+
+
 class TestSolveIterative:
     """Single-alpha solves without a decomposition: length-1 iterative paths."""
 
@@ -579,6 +588,28 @@ class TestPaths:
             for k in range(3):
                 gap = np.linalg.norm(it_path.solutions[k] - sp_path.solutions[k])
                 assert gap <= 1e-6 * np.linalg.norm(sp_path.solutions[k])
+
+    def test_iterative_path_keeps_the_svd_rank_on_heat(self):
+        # the projected SVD is truncated at the numerical rank svd uses, so the
+        # Golub-Kahan path drops the mode below RANK_CUTOFF * s1 that svd drops
+        p = rr.make_problem("heat", 1, 64)
+        dec = rr.svd(p.A)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        for seed in range(8):
+            g = rr.add_noise(p, 20.0, seed=seed).g
+            it_path = rr.iterative_path(p.A, g, grid)
+            sp_path = rr.spectral_path(dec, g, grid)
+            gap = np.linalg.norm(it_path.solutions - sp_path.solutions, axis=1)
+            assert np.all(gap <= 1e-10 * np.linalg.norm(sp_path.solutions, axis=1))
+            assert it_path.iterations == 62 > dec.rank  # the Krylov depth, not the rank
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectral_path_rejects_nonfinite_data(self, shaw32, bad):
+        p, dec = shaw32
+        g = p.g_true.copy()
+        g[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values)
 
     def test_iterative_solve_off_grid_from_projected_svd(self):
         # off-grid alphas come from the path's projected SVD: dense accuracy,
