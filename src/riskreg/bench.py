@@ -22,7 +22,7 @@ import numpy as np
 from . import rules as rules_mod
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import largest_eigenvalue, svd
-from .problems import add_noise, make_problem
+from .problems import _count, add_noise, make_problem
 from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
                        influence_path_stochastic, iterative_path, spectral_path)
 
@@ -175,8 +175,11 @@ class EfficiencyReport:
                 "median_oracle": self.median_oracle}
 
 
-_CONFIG_KEYS = {"version", "problems", "xis", "n", "rules", "replicates", "seed", "grid",
-                "probes", "bp"}
+_REQUIRED_KEYS = {"problems", "xis", "n", "rules", "replicates"}
+# the config's sections, each key mapped to the StudyConfig field it sets
+_SECTIONS = {"grid": {"points": "grid_points", "min": "grid_min", "max": "grid_max"},
+             "bp": {"gamma": "bp_gamma", "c": "bp_c"}}
+_CONFIG_KEYS = _REQUIRED_KEYS | {"version", "seed", "probes"} | set(_SECTIONS)
 
 
 def _json_object(value, where: str, keys: set) -> dict:
@@ -211,7 +214,7 @@ class StudyConfig:
     version: int = 1
 
     def __post_init__(self):
-        self.problems = [(str(p), None if v is None else int(v))
+        self.problems = [(str(p), None if v is None else _count("variant", v))
                          for p, v in self.problems]
         unknown = [r for r in self.rules if r not in rules_mod.RULE_NAMES]
         if unknown:
@@ -219,9 +222,7 @@ class StudyConfig:
         if not all(_finite_number(x) for x in self.xis):
             raise ValueError(f"xis must be finite numbers, got {list(self.xis)}")
         for name in ("n", "replicates", "seed", "grid_points", "probes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _count(name, getattr(self, name))
         for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):
             value = getattr(self, name)
             optional = name in ("grid_min", "grid_max")
@@ -229,37 +230,36 @@ class StudyConfig:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.probes < 1:
+            raise ValueError(f"need at least one probe, got {self.probes}")
         if self.version != 1:
             raise ValueError("unsupported config version")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "version": self.version,
-            "problems": [{"name": p, "variant": v} for p, v in self.problems],
-            "xis": list(self.xis), "n": self.n, "rules": list(self.rules),
-            "replicates": self.replicates, "seed": self.seed,
-            "grid": {"points": self.grid_points, "min": self.grid_min,
-                     "max": self.grid_max},
-            "probes": self.probes, "bp": {"gamma": self.bp_gamma, "c": self.bp_c},
-        }, indent=2, sort_keys=True)
+        doc = {"version": self.version,
+               "problems": [{"name": p, "variant": v} for p, v in self.problems],
+               "xis": list(self.xis), "n": self.n, "rules": list(self.rules),
+               "replicates": self.replicates, "seed": self.seed, "probes": self.probes}
+        for section, fields in _SECTIONS.items():
+            doc[section] = {key: getattr(self, name) for key, name in fields.items()}
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        """Parse a config document; a non-object or an unknown key at any level
-        is a ValueError."""
+        """Parse a config document; a non-object, a missing required key or an
+        unknown key at any level is a ValueError.  Absent keys take the field
+        defaults."""
         raw = _json_object(json.loads(text), "config", _CONFIG_KEYS)
-        grid = _json_object(raw.get("grid", {}), "grid", {"points", "min", "max"})
-        bp = _json_object(raw.get("bp", {}), "bp", {"gamma", "c"})
-        problems = [_json_object(p, "problem", {"name", "variant"})
-                    for p in raw["problems"]]
-        return cls(problems=[(p["name"], p.get("variant")) for p in problems],
-                   xis=raw["xis"], n=raw["n"], rules=raw["rules"],
-                   replicates=raw["replicates"], seed=raw.get("seed", 0),
-                   grid_points=grid.get("points", DEFAULT_GRID_POINTS),
-                   grid_min=grid.get("min"), grid_max=grid.get("max"),
-                   probes=raw.get("probes", DEFAULT_PROBES),
-                   bp_gamma=bp.get("gamma", 0.25), bp_c=bp.get("c", 1.5),
-                   version=raw.get("version", 1))
+        missing = sorted(_REQUIRED_KEYS - set(raw))
+        if missing:
+            raise ValueError(f"missing keys in config: {missing}")
+        kwargs = {key: value for key, value in raw.items() if key not in _SECTIONS}
+        for section, fields in _SECTIONS.items():
+            for key, value in _json_object(raw.get(section, {}), section, set(fields)).items():
+                kwargs[fields[key]] = value
+        problems = [_json_object(p, "problem", {"name", "variant"}) for p in raw["problems"]]
+        kwargs["problems"] = [(p["name"], p.get("variant")) for p in problems]
+        return cls(**kwargs)
 
 
 def _evaluate_replicate(setup: OperatorSetup, problem, config: StudyConfig,

@@ -187,8 +187,6 @@ def _cmd_curve(args, parser) -> int:
             raise DegenerateDataError("curve kind needs noisy data in the container")
 
         if args.kind == "predictive":
-            if problem.f_true is None:
-                raise DegenerateDataError("predictive curve needs f_true in the container")
             values = predictive_risk(dec, problem.g_true, sigma2, alphas)
         elif args.kind == "lower_bound":
             values = lower_bound_T(float(problem.g_true @ problem.g_true), sigma2, dec,

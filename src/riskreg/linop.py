@@ -122,22 +122,13 @@ def as_operator(A) -> LinearOperator:
 class SpectralDecomposition:
     """Truncated SVD: nonincreasing positive singular values and orthonormal vectors."""
 
-    left_vectors: np.ndarray   # (n, r)
-    singular_values: np.ndarray  # (r,)
-    right_vectors: np.ndarray  # (m, r)
-    rank: int
+    U: np.ndarray  # (n, r)
+    s: np.ndarray  # (r,)
+    V: np.ndarray  # (m, r)
 
     @property
-    def U(self):
-        return self.left_vectors
-
-    @property
-    def s(self):
-        return self.singular_values
-
-    @property
-    def V(self):
-        return self.right_vectors
+    def rank(self) -> int:
+        return self.s.size
 
 
 def numerical_rank(s) -> int:
@@ -157,7 +148,7 @@ def svd(A) -> SpectralDecomposition:
     r = numerical_rank(s)
     return SpectralDecomposition(np.ascontiguousarray(U[:, :r]),
                                  np.ascontiguousarray(s[:r]),
-                                 np.ascontiguousarray(Vt[:r].T), r)
+                                 np.ascontiguousarray(Vt[:r].T))
 
 
 def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0):

@@ -74,36 +74,41 @@ def nearest_index(alphas, alpha: float) -> int:
     return int(np.argmin(np.abs(np.log(alphas) - np.log(alpha))))
 
 
-def _select_min_T(source, rho2: float, sigma2: float):
+def _on_grid(rule: str, alphas, idx: int, **diagnostics) -> RuleSelection:
+    """The selection of grid point ``idx``: its alpha and index, with no flags
+    unless ``diagnostics`` names some."""
+    return RuleSelection(rule=rule, alpha=float(alphas[idx]),
+                         diagnostics={"flags": [], **diagnostics, "grid_index": int(idx)})
+
+
+def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
     """Minimize the lower bound: continuous on a spectrum, grid argmin on an
-    influence path's grid.  Returns (alpha, diagnostics)."""
+    influence path's grid."""
     m = influence_measure(source)
     h = sigma2 / rho2
     if not m.alphas.size:
         res = minimize_T(m, h)
-        diag = {"h": h, "objective": res.objective * rho2,
-                "iterations": res.iterations, "converged": res.converged,
-                "flags": (["boundary"] if res.at_boundary else [])}
-        return res.alpha_star, diag
+        return RuleSelection(rule="pro", alpha=res.alpha_star, diagnostics={
+            "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
+            "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
     values = lower_bound_T(rho2, sigma2, m)
     idx = argmin_last(values)
     flags = []
     if idx in (0, len(values) - 1):
         flags.append("grid_edge")
-    diag = {"h": h, "objective": float(values[idx]), "grid_index": idx,
-            "objective_samples": values, "flags": flags}
-    return float(m.alphas[idx]), diag
+    return _on_grid("pro", m.alphas, idx, h=h, objective=float(values[idx]),
+                    objective_samples=values, flags=flags)
 
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
     """Minimize the predictive-risk lower bound for known (rho2, sigma2)."""
     if not (0 < rho2 < np.inf and 0 < sigma2 < np.inf):
         raise ValueError("need finite rho2 > 0 and sigma2 > 0")
-    alpha, diag = _select_min_T(source, rho2, sigma2)
-    diag.update(rho2_hat=rho2, sigma2_hat=sigma2)
+    sel = _select_min_T(source, rho2, sigma2)
+    sel.diagnostics.update(rho2_hat=rho2, sigma2_hat=sigma2)
     if n is not None:
-        diag["xi_hat"] = snr_db(rho2, sigma2, n)
-    return RuleSelection(rule="pro", alpha=alpha, diagnostics=diag)
+        sel.diagnostics["xi_hat"] = snr_db(rho2, sigma2, n)
+    return sel
 
 
 def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> RuleSelection:
@@ -149,15 +154,16 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
     m = influence_measure(source)
-    grid_mode = m.alphas.size > 0
-    if grid_mode:
+    if m.alphas.size:
         if path is None:
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
-        idx = (len(m.alphas) // 2 if alpha_init is None
-               else nearest_index(m.alphas, alpha_init))
-        alpha = float(m.alphas[idx])
+        sel = _on_grid("ipro", m.alphas, len(m.alphas) // 2 if alpha_init is None
+                       else nearest_index(m.alphas, alpha_init))
+
+        def residual_sq(at: RuleSelection) -> float:
+            return float(path.residual_norms[at.diagnostics["grid_index"]]) ** 2
     else:
         c = source.U.T @ g
         c_sq, s2 = c * c, source.s * source.s
@@ -174,21 +180,15 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
                 raise DegenerateDataError(
                     f"the default start sqrt(1e-12 s1^2 * 0.5 s1^2) overflows at "
                     f"s1 = {source.s[0]:.3g}; pass alpha_init")
-        alpha = float(alpha_init)
-        idx = None
+        sel = RuleSelection(rule="ipro", alpha=float(alpha_init))
 
-    def residual_sq(alpha: float, idx: Optional[int]) -> float:
-        if grid_mode:
-            return float(path.residual_norms[idx]) ** 2
-        return float(np.sum((alpha / (s2 + alpha)) ** 2 * c_sq) + perp_sq)
+        def residual_sq(at: RuleSelection) -> float:
+            return float(np.sum((at.alpha / (s2 + at.alpha)) ** 2 * c_sq) + perp_sq)
 
-    trail = [alpha]
-    h_trail = []
-    converged = False
-    it = 0
+    trail, h_trail = [sel.alpha], []
     floor_sq = (RESIDUAL_FLOOR ** 2) * g_sq
-    for it in range(1, max_iter + 1):
-        r_sq = residual_sq(alpha, idx)
+    for _ in range(max_iter):
+        r_sq = residual_sq(sel)
         sigma2 = r_sq / n
         rho2 = g_sq - r_sq
         if r_sq <= floor_sq:
@@ -199,27 +199,22 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
             raise exc
         if rho2 <= 0.0:
             raise DegenerateDataError("residual exhausts the data energy")
-        new_alpha, step = _select_min_T(m, rho2, sigma2)
-        new_idx = step.get("grid_index")
-        h_trail.append(step["h"])
-        trail.append(new_alpha)
-        if abs(new_alpha - alpha) <= eps * new_alpha + 4.0 * np.spacing(new_alpha):
-            alpha, idx = new_alpha, new_idx
-            converged = True
+        step = _select_min_T(m, rho2, sigma2)
+        h_trail.append(step.diagnostics["h"])
+        trail.append(step.alpha)
+        settled = abs(step.alpha - sel.alpha) <= eps * step.alpha + 4.0 * np.spacing(step.alpha)
+        sel = step
+        if settled:
             break
-        alpha, idx = new_alpha, new_idx
-    diag_common = {"trail": trail, "h_trail": h_trail, "iterations": it}
-    if not converged:
-        raise ConvergenceError("iterative rule did not settle", last_iterate=alpha,
-                               iterations=it, trail=trail)
-    r_sq = residual_sq(alpha, idx)
-    sigma2_hat = r_sq / n
-    rho2_hat = g_sq - r_sq
-    diag = dict(diag_common)
-    diag.update(rho2_hat=rho2_hat, sigma2_hat=sigma2_hat,
-                xi_hat=snr_db(rho2_hat, sigma2_hat, n),
-                flags=[], grid_index=idx)
-    return RuleSelection(rule="ipro", alpha=alpha, diagnostics=diag)
+    else:
+        raise ConvergenceError("iterative rule did not settle", last_iterate=sel.alpha,
+                               iterations=len(h_trail), trail=trail)
+    r_sq = residual_sq(sel)
+    rho2_hat, sigma2_hat = g_sq - r_sq, r_sq / n
+    return RuleSelection(rule="ipro", alpha=sel.alpha, diagnostics={
+        "trail": trail, "h_trail": h_trail, "iterations": len(h_trail), "rho2_hat": rho2_hat,
+        "sigma2_hat": sigma2_hat, "xi_hat": snr_db(rho2_hat, sigma2_hat, n), "flags": [],
+        "grid_index": sel.diagnostics.get("grid_index")})
 
 
 def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
@@ -236,9 +231,8 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     flags = []
     above = np.nonzero(resid >= target)[0]
     if above.size == 0:
-        return RuleSelection(rule="dp", alpha=float(path.alphas[-1]),
-                             diagnostics={"target": target, "flags": ["saturated_max"],
-                                          "grid_index": len(path) - 1})
+        return _on_grid("dp", path.alphas, len(path) - 1, target=target,
+                        flags=["saturated_max"])
     j = int(above[0])
     alpha = float(path.alphas[j])
     if j == 0:
@@ -264,10 +258,7 @@ def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
         raise ValueError("sigma2 must be nonnegative and finite")
     tr = influence_measure(trace_source, path.alphas).trace
     values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
-    idx = argmin_last(values)
-    return RuleSelection(rule="upre", alpha=float(path.alphas[idx]),
-                         diagnostics={"objective_samples": values, "grid_index": idx,
-                                      "flags": []})
+    return _on_grid("upre", path.alphas, argmin_last(values), objective_samples=values)
 
 
 def gcv(path: SolutionPath, trace_source) -> RuleSelection:
@@ -275,10 +266,7 @@ def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     tr = influence_measure(trace_source, path.alphas).trace
     denom = (path.data_size - tr) ** 2
     values = path.residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
-    idx = argmin_last(values)
-    return RuleSelection(rule="gcv", alpha=float(path.alphas[idx]),
-                         diagnostics={"objective_samples": values, "grid_index": idx,
-                                      "flags": []})
+    return _on_grid("gcv", path.alphas, argmin_last(values), objective_samples=values)
 
 
 def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
@@ -324,9 +312,7 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     flags = []
     if chosen == sub[0]:
         flags.append("at_grid_min")
-    return RuleSelection(rule="bp", alpha=float(path.alphas[chosen]),
-                         diagnostics={"grid_index": int(chosen), "flags": flags,
-                                      "subgrid": sub, "gamma": gamma, "c": c})
+    return _on_grid("bp", path.alphas, chosen, flags=flags, subgrid=sub, gamma=gamma, c=c)
 
 
 def _gradient(f, dt):
@@ -357,9 +343,7 @@ def lc(path: SolutionPath) -> RuleSelection:
     flags = []
     if idx in (1, len(path) - 2):
         flags.append("curvature_at_boundary")
-    return RuleSelection(rule="lc", alpha=float(path.alphas[idx]),
-                         diagnostics={"curvature": kappa, "grid_index": idx,
-                                      "flags": flags})
+    return _on_grid("lc", path.alphas, idx, curvature=kappa, flags=flags)
 
 
 def qoc(path: SolutionPath) -> RuleSelection:
@@ -371,10 +355,7 @@ def qoc(path: SolutionPath) -> RuleSelection:
     D = np.diff(path.solutions, axis=0)
     D *= D
     diffs = np.sqrt(np.add.reduce(D, axis=1))
-    idx = argmin_last(diffs)
-    return RuleSelection(rule="qoc", alpha=float(path.alphas[idx]),
-                         diagnostics={"differences": diffs, "grid_index": idx,
-                                      "flags": []})
+    return _on_grid("qoc", path.alphas, argmin_last(diffs), differences=diffs)
 
 
 @dataclass

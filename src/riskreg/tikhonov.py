@@ -147,7 +147,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
         for i, j in enumerate(np.flatnonzero(done)):
             rhs = np.concatenate([beta1[j:j + 1], np.zeros(k)])
             r = numerical_rank(s[i])
-            runs[live[j]] = (SpectralDecomposition(P[i, :, :r], s[i, :r], W[i, :r].T, r),
+            runs[live[j]] = (SpectralDecomposition(P[i, :, :r], s[i, :r], W[i, :r].T),
                              rhs, float(residual[j]))
 
     a = step_adjoint(beta1 > 0, np.zeros(p))

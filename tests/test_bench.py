@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
@@ -183,7 +184,27 @@ class TestRunStudy:
         assert cfg2.rules == list(cfg.rules) or tuple(cfg2.rules) == tuple(cfg.rules)
         assert cfg2.replicates == 7 and cfg2.grid_points == cfg.grid_points
         full = _tiny_config(grid_min=1e-9, grid_max=2.0, probes=5, bp_gamma=0.5)
-        assert StudyConfig.from_json(full.to_json()) == full
+        # required keys only: every other field takes its default
+        required = dict(xis=[10.0], n=32, rules=["pro"], replicates=3)
+        minimal = StudyConfig.from_json(json.dumps({"problems": [{"name": "shaw"}],
+                                                    **required}))
+        assert minimal == StudyConfig(problems=[("shaw", None)], **required)
+        for config in (full, minimal):
+            assert StudyConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("probes", [0, -5])
+    def test_rejects_fewer_than_one_probe(self, probes):
+        with pytest.raises(ValueError, match="at least one probe"):
+            _tiny_config(probes=probes)
+
+    @pytest.mark.parametrize("variant", [1.7, True, "5"])
+    def test_rejects_a_variant_that_is_not_an_integer(self, variant):
+        with pytest.raises(ValueError, match="variant must be an integer"):
+            _tiny_config(problems=[("heat", variant)])
+        doc = json.loads(_tiny_config().to_json())
+        doc["problems"] = [{"name": "heat", "variant": variant}]
+        with pytest.raises(ValueError, match="variant must be an integer"):
+            StudyConfig.from_json(json.dumps(doc))
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

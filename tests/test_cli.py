@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import riskreg as rr
 from riskreg import cli
+from riskreg.bench import default_grid
 from riskreg.cli import main
 from riskreg.problems import load_container, problem_from_container, save_container
 from riskreg.rules import RULE_NAMES
@@ -230,6 +231,22 @@ class TestCurve:
         save_container(path, problem=p, noisy=d)
         assert main(["curve", "--data", str(path), "--kind", "predictive"]) == 3
 
+    def test_predictive_needs_no_f_true(self, tmp_path, capsys):
+        p = rr.make_problem("shaw", None, 16)
+        d = rr.add_noise(p, 20.0, seed=0)
+        q = rr.ProblemInstance(name="custom", variant=None, n=16, A=p.A, f_true=None,
+                               g_true=p.g_true)
+        path = tmp_path / "nof.rr"
+        save_container(path, problem=q, noisy=d)
+        assert main(["curve", "--data", str(path), "--kind", "predictive",
+                     "--grid-points", "20"]) == 0
+        dec = rr.svd(p.A)
+        alphas = default_grid(float(dec.s[0]) ** 2, 20).values
+        expected = rr.predictive_risk(dec, p.g_true, d.sigma ** 2, alphas)
+        out = io.StringIO()
+        rr.RiskCurve(alphas, expected, "predictive").to_csv(out)
+        assert capsys.readouterr().out == out.getvalue()
+
     def test_lcurve_numeric_csv(self, shaw_dataset, capsys):
         assert main(["curve", "--data", str(shaw_dataset), "--kind", "lcurve",
                      "--grid-points", "30"]) == 0
@@ -255,6 +272,11 @@ _MALFORMED = [
     ("config_nan_xi", ("study", dict(_GOOD_CONFIG, xis=[float("nan")])), 2),
     ("config_inf_xi", ("study", dict(_GOOD_CONFIG, xis=[10.0, float("inf")])), 2),
     ("config_string_xi", ("study", dict(_GOOD_CONFIG, xis=["10"])), 2),
+    ("config_missing_key",
+     ("study", {k: v for k, v in _GOOD_CONFIG.items() if k != "xis"}), 2),
+    ("config_zero_probes", ("study", dict(_GOOD_CONFIG, probes=0)), 2),
+    ("config_float_variant",
+     ("study", dict(_GOOD_CONFIG, problems=[{"name": "heat", "variant": 1.7}])), 2),
 ] + [(f"select_{rule}_nan_g", ("select", rule, float("nan")), 2) for rule in RULE_NAMES] \
   + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \

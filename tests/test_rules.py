@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import riskreg as rr
 from riskreg import rules
 from riskreg.bench import default_grid
-from riskreg.errors import DegenerateDataError
+from riskreg.errors import ConvergenceError, DegenerateDataError
 from riskreg.rng import keyed_rng
 from riskreg.tikhonov import SolutionPath, influence_measure
 
@@ -185,6 +185,20 @@ class TestIpro:
         s1_sq = float(dec.s[0]) ** 2
         trail = rules.ipro(dec, g / 1e100).diagnostics["trail"]
         assert trail[0] == np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
+
+    @pytest.mark.parametrize("grid_mode", [False, True])
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_running_out_of_iterations(self, shaw32, max_iter, grid_mode):
+        p, dec = shaw32
+        d = rr.add_noise(p, 20.0, seed=0, replicate=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        source = rr.influence_path_exact(dec, grid) if grid_mode else dec
+        path = rr.spectral_path(dec, d.g, grid) if grid_mode else None
+        with pytest.raises(ConvergenceError) as info:
+            rules.ipro(source, d.g, max_iter=max_iter, path=path)
+        exc = info.value
+        assert exc.iterations == max_iter and len(exc.trail) == max_iter + 1
+        assert exc.last_iterate == exc.trail[-1]
 
     def test_grid_mode_selects_through_the_bound(self, shaw64):
         # each step is the grid argmin of the lower bound at the current estimates
@@ -552,7 +566,11 @@ class TestSelectionInterface:
         inputs = rules.SelectionInputs(g=d.g, source=inf, path=path, sigma=d.sigma,
                                        sigma2=sigma2, refine=False, bp_gamma=0.5, bp_c=2.0)
         for name, sel in direct.items():
-            assert rules.RULES[name].run(inputs).alpha == sel.alpha, name
+            got = rules.RULES[name].run(inputs)
+            assert got.alpha == sel.alpha, name
+            # grid mode: the selection is the grid point it reports
+            assert got.alpha == grid[got.diagnostics["grid_index"]], name
+            assert got.diagnostics["flags"] == sel.diagnostics["flags"], name
         assert {n for n, r in rules.RULES.items() if not r.needs_path} == {"pro", "ipro"}
         assert {n: r.noise for n, r in rules.RULES.items() if r.noise} == \
             {"pro": "sigma2", "dp": "sigma", "upre": "sigma2", "bp": "sigma"}
