@@ -22,7 +22,7 @@ import numpy as np
 from . import rules as rules_mod
 from .errors import ConvergenceError, DegenerateDataError
 from .linop import largest_eigenvalue, svd
-from .problems import _count, add_noise, make_problem
+from .problems import _count, add_noise, check_problem, make_problem
 from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
                        influence_path_stochastic, iterative_path, spectral_path)
 
@@ -32,6 +32,16 @@ GRID_MAX_FACTOR = 0.5     # of s1^2
 MATRIX_FREE_GRID_POINTS = 100
 MATRIX_FREE_RANGE = (1e-8, 1e-2)   # of s1^2 / 2
 DEFAULT_PROBES = 32
+
+
+def _check_grid(lo, hi, points) -> None:
+    """AlphaGrid's conditions; an endpoint of None, taken from the operator
+    later, is left out of 0 < lo < hi < inf."""
+    chain = [0.0, *(x for x in (lo, hi) if x is not None), np.inf]
+    if not all(a < b for a, b in zip(chain, chain[1:])):
+        raise ValueError("need 0 < min < max < inf")
+    if points < 2:
+        raise ValueError("need at least two grid points")
 
 
 @dataclass(frozen=True)
@@ -45,10 +55,7 @@ class AlphaGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.min < self.max < np.inf:
-            raise ValueError("need 0 < min < max < inf")
-        if self.points < 2:
-            raise ValueError("need at least two grid points")
+        _check_grid(self.min, self.max, self.points)
         values = np.geomspace(self.min, self.max, self.points)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -214,8 +221,7 @@ class StudyConfig:
     version: int = 1
 
     def __post_init__(self):
-        self.problems = [(str(p), None if v is None else _count("variant", v))
-                         for p, v in self.problems]
+        self.problems = [(str(p), check_problem(str(p), v, self.n)) for p, v in self.problems]
         unknown = [r for r in self.rules if r not in rules_mod.RULE_NAMES]
         if unknown:
             raise ValueError(f"unknown rules: {unknown}")
@@ -232,6 +238,8 @@ class StudyConfig:
             raise ValueError("need at least one replicate")
         if self.probes < 1:
             raise ValueError(f"need at least one probe, got {self.probes}")
+        _check_grid(self.grid_min, self.grid_max, self.grid_points)
+        rules_mod.check_bp(self.bp_gamma, self.bp_c)
         if self.version != 1:
             raise ValueError("unsupported config version")
 
@@ -281,27 +289,19 @@ def _evaluate_replicate(setup: OperatorSetup, problem, config: StudyConfig,
                                        bp_gamma=config.bp_gamma, bp_c=config.bp_c)
     rows = {}
     for rule in config.rules:
-        flags: list[str] = []
         try:
             sel = rules_mod.RULES[rule].run(inputs)
             idx = sel.diagnostics.get("grid_index")
             if idx is None:
                 idx = rules_mod.nearest_index(grid, sel.alpha)
-            flags.extend(sel.diagnostics.get("flags", []))
-            alpha = float(grid[idx])
+            flags = sel.diagnostics.get("flags", [])
         except DegenerateDataError:
-            idx = len(grid) - 1
-            alpha = float(grid[idx])
-            flags.append("degenerate")
-        except ConvergenceError as exc:
-            alpha = float(exc.last_iterate) if isinstance(exc.last_iterate, (int, float)) \
-                else float(grid[-1])
-            idx = rules_mod.nearest_index(grid, alpha)
-            flags.append("no_convergence")
+            idx, flags = len(grid) - 1, ["degenerate"]
+        except ConvergenceError as exc:  # ipro's last iterate is a grid alpha
+            idx, flags = rules_mod.nearest_index(grid, exc.last_iterate), ["no_convergence"]
         err = float(errors[idx])
-        rows[rule] = ReplicateEntry(replicate=replicate, alpha=alpha, rel_error=err,
-                                    efficiency=efficiency(eps_o, err),
-                                    flags=tuple(flags))
+        rows[rule] = ReplicateEntry(replicate=replicate, alpha=float(grid[idx]), rel_error=err,
+                                    efficiency=efficiency(eps_o, err), flags=tuple(flags))
     return eps_o, rows
 
 

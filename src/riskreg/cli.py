@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -46,7 +45,8 @@ _finite_float.__name__ = "float"  # argparse names the type in its error for non
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; each parse fills a fresh namespace."""
+    """The command-line parser, built once per process; each parse fills a fresh namespace
+    whose ``run`` is the command's function."""
     parser = argparse.ArgumentParser(prog="riskreg",
                                      description="Regularization-parameter selection "
                                                  "for linear inverse problems")
@@ -62,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--replicates", type=int, default=1,
                      help="number of consecutive replicates to write")
     gen.add_argument("--out", required=True, help="output directory")
+    gen.set_defaults(run=_cmd_generate)
 
     sel = sub.add_parser("select", help="choose alpha for a data container")
     sel.add_argument("--data", required=True, help="container file with the data")
@@ -78,11 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--seed", type=int, default=None)
     sel.add_argument("--bp-gamma", type=_finite_float, default=0.25)
     sel.add_argument("--bp-c", type=_finite_float, default=1.5)
+    sel.set_defaults(run=_cmd_select)
 
     study = sub.add_parser("study", help="run a replicate study from a config file")
     study.add_argument("--config", required=True)
     study.add_argument("--out", required=True, help="output directory for the CSVs")
     study.add_argument("--workers", type=int, default=1)
+    study.set_defaults(run=_cmd_study)
 
     curve = sub.add_parser("curve", help="emit a risk-style curve as CSV")
     curve.add_argument("--data", required=True)
@@ -92,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--grid-max", type=_finite_float, default=None)
     curve.add_argument("--grid-points", type=int, default=None)
     curve.add_argument("--out", default=None, help="output file (default stdout)")
+    curve.set_defaults(run=_cmd_curve)
     return parser
 
 
@@ -127,12 +131,12 @@ def _load_dataset(path):
     return problem, noisy
 
 
-def _cmd_select(args, parser) -> int:
+def _cmd_select(args) -> int:
     if args.probes < 1:
         raise ValueError(f"need at least one probe, got {args.probes}")
     problem, noisy = _load_dataset(args.data)
     if noisy is None:
-        parser.error("container has no noisy data vector")
+        _build_parser().error("container has no noisy data vector")
     g = noisy.g
     seed = _fallback_seed(args.seed)
     sigma = args.sigma if args.sigma is not None else (noisy.sigma or None)
@@ -140,9 +144,9 @@ def _cmd_select(args, parser) -> int:
         None if sigma is None else sigma * sigma)
     rule = rules.RULES[args.rule]
     if rule.noise == "sigma" and sigma is None:
-        parser.error(f"{args.rule} needs --sigma")
+        _build_parser().error(f"{args.rule} needs --sigma")
     if rule.noise == "sigma2" and sigma2 is None:
-        parser.error(f"{args.rule} needs --sigma2 or --sigma")
+        _build_parser().error(f"{args.rule} needs --sigma2 or --sigma")
 
     with np.errstate(over="raise", invalid="raise"):
         setup = bench.OperatorSetup(problem.A, args.matrix_free, args.grid_points,
@@ -170,7 +174,7 @@ def _cmd_study(args) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args, parser) -> int:
+def _cmd_curve(args) -> int:
     problem, noisy = _load_dataset(args.data)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,
@@ -213,33 +217,20 @@ def _cmd_curve(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "select":
-            return _cmd_select(args, parser)
-        if args.command == "study":
-            return _cmd_study(args)
-        if args.command == "curve":
-            return _cmd_curve(args, parser)
-        parser.error(f"unknown command {args.command}")
-    except SystemExit as exc:  # parser.error inside a command
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError) as exc:
-        if isinstance(exc, (DegenerateDataError, FloatingPointError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # from argparse, also parser.error inside a command
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    except (DegenerateDataError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DEGENERATE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    return EXIT_OK
+    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

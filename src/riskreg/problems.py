@@ -207,18 +207,30 @@ _DEFAULT_VARIANTS = {"heat": 1, "i_laplace": 1}
 _ALLOWED_VARIANTS = {"heat": (1, 5), "i_laplace": (1, 2, 3)}
 
 
-def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> ProblemInstance:
-    """Build a named benchmark instance of size n (cells per side for tomography)."""
+def check_problem(name: str, variant, n) -> Optional[int]:
+    """``variant`` as an integer (None, the family's default, stays None) once
+    ``name`` is a known family, ``n`` an integer in [8, 4096] and ``variant``
+    one the family takes; a ValueError otherwise."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown problem {name!r}")
-    if not 8 <= n <= 4096:
+    if not 8 <= _count("n", n) <= 4096:
         raise ValueError("n out of supported range")
-    if name in _ALLOWED_VARIANTS:
-        variant = _DEFAULT_VARIANTS[name] if variant is None else int(variant)
-        if variant not in _ALLOWED_VARIANTS[name]:
-            raise ValueError(f"{name} variant must be one of {_ALLOWED_VARIANTS[name]}")
-    elif variant is not None:
+    if variant is None:
+        return None
+    if name not in _ALLOWED_VARIANTS:
         raise ValueError(f"{name} takes no variant")
+    variant = _count("variant", variant)
+    if variant not in _ALLOWED_VARIANTS[name]:
+        raise ValueError(f"{name} variant must be one of {_ALLOWED_VARIANTS[name]}")
+    return variant
+
+
+def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> ProblemInstance:
+    """Build a named benchmark instance of size n (cells per side for tomography);
+    ``check_problem`` says which inputs it rejects."""
+    variant = check_problem(name, variant, n)
+    if variant is None:
+        variant = _DEFAULT_VARIANTS.get(name)
     if name == "paralleltomo":
         return parallel_tomo(cells_per_side=n)
     M, f = _DENSE_GENERATORS[name](n, variant)

@@ -40,19 +40,11 @@ class RiskCurve:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("curve values must be finite")
 
-    def to_csv(self, target) -> None:
-        """Write alpha,value,kind rows; target is a path or text file object."""
-        close = False
-        if not hasattr(target, "write"):
-            target = open(target, "w", newline="")
-            close = True
-        try:
-            target.write("alpha,value,kind\n")
-            for a, v in zip(self.alphas, self.values):
-                target.write(f"{a:.12g},{v:.12g},{self.kind}\n")
-        finally:
-            if close:
-                target.close()
+    def to_csv(self, file) -> None:
+        """Write alpha,value,kind rows to the open text file ``file``."""
+        file.write("alpha,value,kind\n")
+        for a, v in zip(self.alphas, self.values):
+            file.write(f"{a:.12g},{v:.12g},{self.kind}\n")
 
 
 @dataclass
@@ -144,8 +136,7 @@ def _T_h_second(source, h: float, alpha: float) -> float:
     return float(f1 + h * f2)
 
 
-def minimize_T(source, h: float, rel_grad_tol: float = 1e-12,
-               width_tol: float = 1e-12, max_iter: int = 300) -> MinimizerResult:
+def minimize_T(source, h: float) -> MinimizerResult:
     """Minimize T_h over [0, lam1/2] by safeguarded Newton on its derivative,
     at any alpha (off an influence path's grid too).
 
@@ -155,8 +146,8 @@ def minimize_T(source, h: float, rel_grad_tol: float = 1e-12,
     there by Newton steps clipped to the sign-change bracket, with geometric
     bisection as the fallback (the root can sit many decades below the
     endpoint).  Convergence is relative: the derivative's two terms must
-    cancel to ``rel_grad_tol``, or the bracket must shrink to ``width_tol``
-    relative width.
+    cancel to 1e-12, or the bracket must shrink to 1e-12 relative width,
+    within 300 steps.
     """
     if not 0 < h < np.inf:
         raise ValueError("h must be positive and finite")
@@ -179,17 +170,17 @@ def minimize_T(source, h: float, rel_grad_tol: float = 1e-12,
     x = np.sqrt(lo * up)
     it = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, 301):
         t1, t2 = _T_h_derivative_terms(m, x)
         d = t1 - h * t2
-        if abs(d) <= rel_grad_tol * (t1 + h * t2):
+        if abs(d) <= 1e-12 * (t1 + h * t2):
             converged = True
             break
         if d < 0:
             lo = x
         else:
             up = x
-        if up - lo <= width_tol * up:
+        if up - lo <= 1e-12 * up:
             converged = True
             break
         curv = _T_h_second(m, h, x)

@@ -135,14 +135,14 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     return pro(source, rho2_hat, sigma2, n)
 
 
-def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
-         max_iter: int = 100, path: Optional[SolutionPath] = None) -> RuleSelection:
+def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = 100,
+         path: Optional[SolutionPath] = None) -> RuleSelection:
     """Alternate between SNR estimation from the residual and lower-bound
     minimization until the parameter stops moving.
 
     At each step sigma2 <- ||r||^2/n and rho2 <- ||g||^2 - ||r||^2 are taken at
     the current alpha, then alpha is reminimized.  The iterate sequence is
-    monotone; it stops when |a_k - a_{k-1}| <= eps * a_k, with a floor of a few
+    monotone; it stops when |a_k - a_{k-1}| <= 1e-16 a_k, with a floor of a few
     ulps of a_k so the loop terminates once the fixed point is resolved to
     floating-point precision.
 
@@ -202,7 +202,7 @@ def ipro(source, g, alpha_init: Optional[float] = None, eps: float = 1e-16,
         step = _select_min_T(m, rho2, sigma2)
         h_trail.append(step.diagnostics["h"])
         trail.append(step.alpha)
-        settled = abs(step.alpha - sel.alpha) <= eps * step.alpha + 4.0 * np.spacing(step.alpha)
+        settled = abs(step.alpha - sel.alpha) <= 1e-16 * step.alpha + 4.0 * np.spacing(step.alpha)
         sel = step
         if settled:
             break
@@ -269,6 +269,14 @@ def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     return _on_grid("gcv", path.alphas, argmin_last(values), objective_samples=values)
 
 
+def check_bp(gamma: float, c: float, sigma: float = 0.0) -> None:
+    """bp's conditions on its settings and, where one is given, the noise level."""
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must be in (0, 1)")
+    if not (0 <= sigma < np.inf and 0 <= c < np.inf):
+        raise ValueError("sigma and c must be nonnegative and finite")
+
+
 def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
        c: float = 1.5) -> RuleSelection:
     """Balancing principle over a geometrically thinned subgrid.
@@ -284,10 +292,7 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     """
     if path.solutions is None:
         raise ValueError("bp needs the solutions along the path")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must be in (0, 1)")
-    if not (0 <= sigma < np.inf and 0 <= c < np.inf):
-        raise ValueError("sigma and c must be nonnegative and finite")
+    check_bp(gamma, c, sigma)
     namp = influence_measure(noise_source, path.alphas).noise_amp
     ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))

@@ -310,15 +310,15 @@ def influence_measure(source, alphas=None) -> InfluencePath:
 
 
 def influence_path_stochastic(A, alphas, probes: int, seed: int,
-                              solve_tol: float = 1e-8, lam1: float | None = None) -> InfluencePath:
+                              lam1: float | None = None) -> InfluencePath:
     """The measure of frozen Gaussian probes, pooled, sampled on ``alphas`` > 0.
 
-    One ``golub_kahan`` run over the block of probes.  For a probe z with
-    projected SVD P diag(s) Q^T and c = beta1 P[0], w = (A^T A + a I)^{-1} A^T z
-    has ||A w||^2, <z, A w> and ||w||^2 equal to the sums of x^2, x and
-    s^2/(s^2 + a)^2 against weights c^2 on the nodes s^2 (x = s^2/(s^2 + a)).
-    Each probe's weights are divided by ``probes``.  ``lam1`` (default: power
-    iteration) sets sn_sq.
+    One ``golub_kahan`` run over the block of probes, at its tolerance 1e-8.
+    For a probe z with projected SVD P diag(s) Q^T and c = beta1 P[0],
+    w = (A^T A + a I)^{-1} A^T z has ||A w||^2, <z, A w> and ||w||^2 equal to
+    the sums of x^2, x and s^2/(s^2 + a)^2 against weights c^2 on the nodes
+    s^2 (x = s^2/(s^2 + a)).  Each probe's weights are divided by ``probes``.
+    ``lam1`` (default: power iteration) sets sn_sq.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
@@ -327,7 +327,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    runs = golub_kahan(op, Z, alphas, tol=solve_tol)
+    runs = golub_kahan(op, Z, alphas, tol=1e-8)
     return InfluencePath(alphas=alphas,
                          nodes=np.concatenate([dec.s ** 2 for dec, _, _ in runs]),
                          weights=np.concatenate([(dec.U[0] * rhs[0]) ** 2

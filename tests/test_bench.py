@@ -1,8 +1,10 @@
 import ctypes
+import dataclasses
 import glob
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import riskreg as rr
 from riskreg import bench
+from riskreg import rules as rules_mod
 from riskreg.bench import (AlphaGrid, StudyConfig, build_grid, default_grid, efficiency,
                            matrix_free_grid, oracle_error, rel_error, run_study,
                            write_reports)
@@ -209,6 +212,55 @@ class TestRunStudy:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             _tiny_config(rules=["pro", "hanke"])
+
+    # (fields, message): each passes the type checks but fails the run
+    _FAILS_THE_RUN = [
+        (dict(problems=[("shaw", None), ("nope", None)]), "unknown problem 'nope'"),
+        *[(dict(n=n), "n out of supported range") for n in (0, 1, -3, 7)],
+        (dict(problems=[("heat", 3)]), r"heat variant must be one of \(1, 5\)"),
+        (dict(problems=[("shaw", 2)]), "shaw takes no variant"),
+        (dict(grid_points=1), "at least two grid points"),
+        *[(dict(grid_min=lo), "need 0 < min < max < inf") for lo in (0.0, -1.0)],
+        *[(dict(grid_min=lo, grid_max=1.0), "need 0 < min < max < inf") for lo in (1.0, 2.0)],
+        *[(dict(bp_gamma=gamma), r"gamma must be in \(0, 1\)") for gamma in (0.0, 2.0)],
+        (dict(bp_c=-1.0), "c must be nonnegative and finite"),
+    ]
+
+    @pytest.mark.parametrize("fields,message", _FAILS_THE_RUN)
+    def test_rejects_what_the_run_would(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**fields)
+        # the same document, written without the constructor's checks
+        text = StudyConfig.to_json(SimpleNamespace(**{**vars(_tiny_config()), **fields}))
+        with pytest.raises(ValueError, match=message):
+            StudyConfig.from_json(text)
+
+    def test_keeps_the_variant_it_was_given(self):
+        cfg = _tiny_config(problems=[("heat", None), ("i_laplace", 2), ("shaw", None)])
+        assert cfg.problems == [("heat", None), ("i_laplace", 2), ("shaw", None)]
+
+    def test_ipro_out_of_iterations_row(self):
+        """The row of an ipro run that does not settle: the last iterate, a grid
+        alpha, and the path's error there."""
+        def short(x):
+            return rules_mod.ipro(x.source, x.g, alpha_init=x.alpha_init, max_iter=1,
+                                  path=x.path)
+        cfg = _tiny_config(rules=["ipro"], replicates=1)
+        short_ipro = dataclasses.replace(rules_mod.RULES["ipro"], run=short)
+        with mock.patch.dict(rules_mod.RULES, {"ipro": short_ipro}):
+            (report,) = run_study(cfg)
+        (entry,) = report.entries
+        p = rr.make_problem("shaw", None, 32)
+        g = rr.add_noise(p, 10.0, cfg.seed, 0).g
+        setup = bench.OperatorSetup(p.A, points=cfg.grid_points)
+        path = setup.path(g)
+        with pytest.raises(rr.ConvergenceError) as info:
+            short(rules_mod.SelectionInputs(g=g, source=setup.influence, path=path))
+        idx = rules_mod.nearest_index(setup.grid.values, info.value.last_iterate)
+        assert entry.flags == ("no_convergence",)
+        assert entry.alpha == info.value.last_iterate == setup.grid.values[idx]
+        assert entry.rel_error == pytest.approx(rel_error(path.solutions[idx], p.f_true),
+                                                rel=1e-12)
 
 
 class TestStudyStatistics:

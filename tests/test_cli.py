@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
-from riskreg import cli
+from riskreg import bench, cli
 from riskreg.bench import default_grid
 from riskreg.cli import main
 from riskreg.problems import load_container, problem_from_container, save_container
@@ -277,6 +278,16 @@ _MALFORMED = [
     ("config_zero_probes", ("study", dict(_GOOD_CONFIG, probes=0)), 2),
     ("config_float_variant",
      ("study", dict(_GOOD_CONFIG, problems=[{"name": "heat", "variant": 1.7}])), 2),
+    ("config_unknown_problem",
+     ("study", dict(_GOOD_CONFIG, problems=[{"name": "shaw"}, {"name": "nope"}])), 2),
+    ("config_n_7", ("study", dict(_GOOD_CONFIG, n=7)), 2),
+    ("config_heat_3", ("study", dict(_GOOD_CONFIG, problems=[{"name": "heat", "variant": 3}])),
+     2),
+    ("config_one_grid_point", ("study", dict(_GOOD_CONFIG, grid={"points": 1})), 2),
+    ("config_grid_min_above_max", ("study", dict(_GOOD_CONFIG, grid={"min": 2.0, "max": 1.0})),
+     2),
+    ("config_bp_gamma_2", ("study", dict(_GOOD_CONFIG, bp={"gamma": 2.0})), 2),
+    ("config_negative_bp_c", ("study", dict(_GOOD_CONFIG, bp={"c": -1.0})), 2),
 ] + [(f"select_{rule}_nan_g", ("select", rule, float("nan")), 2) for rule in RULE_NAMES] \
   + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \
@@ -438,6 +449,25 @@ class TestContainerFuzz:
         assert code in (0, 2, 3, 4)
         if code == 0:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+class TestCommandErrors:
+    """An exception from inside a command exits with its code, one ``error:``
+    line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("exc,code", [
+        (ValueError("bad value"), 2), (KeyError("key"), 2), (OSError("disk"), 2),
+        (rr.DegenerateDataError("pure noise"), 3), (FloatingPointError("overflow"), 3),
+        (rr.ConvergenceError("did not settle"), 4)], ids=lambda x: type(x).__name__)
+    def test_exit_code(self, tmp_path, capsys, exc, code):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(_GOOD_CONFIG))
+        with mock.patch.object(bench, "run_study", side_effect=exc) as run:
+            assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert run.call_count == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc}\n"
 
 
 class TestUsage:

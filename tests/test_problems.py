@@ -150,6 +150,10 @@ _INVALID = [
     ("rays_miss_box", lambda: rr.parallel_tomo(8, 4, 2, span=100.0), "degenerate instance"),
     ("tomo_variant", lambda: rr.make_problem("paralleltomo", 5, 8),
      "paralleltomo takes no variant"),
+    *[(f"heat_variant_{v!r}", lambda v=v: rr.make_problem("heat", v, 32),
+       "variant must be an integer") for v in (1.7, True, "5", 5.0)],
+    *[(f"n_{n!r}", lambda n=n: rr.make_problem("shaw", None, n), "n must be an integer")
+      for n in (64.0, "64")],
     ("noise_nan_xi", lambda: rr.add_noise(rr.make_problem("shaw", None, 16), float("nan"), 0),
      "xi must be finite"),
     ("noise_inf_xi", lambda: rr.add_noise(rr.make_problem("shaw", None, 16), float("inf"), 0),

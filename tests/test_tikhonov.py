@@ -174,8 +174,7 @@ class TestGolubKahan:
                   for a, f in zip(alphas, path.solutions)]
         assert max(actual) <= 1.01 * target
         assert max(actual) == pytest.approx(path.normal_residual, rel=1e-3)
-        inf = rr.influence_path_stochastic(p.A, alphas, probes=4, seed=2, lam1=lam1,
-                                           solve_tol=tol)
+        inf = rr.influence_path_stochastic(p.A, alphas, probes=4, seed=2, lam1=lam1)
         Z = keyed_rng(2, TAG_PROBES).standard_normal((A.shape[0], 4))
         assert np.all(inf.normal_residual <= tol * np.linalg.norm(A.T @ Z, axis=0))
         assert inf.iterations.shape == (4,) and np.all(inf.iterations >= 1)
