@@ -2,9 +2,12 @@
 
 A study cell is one (problem, SNR) pair.  For every replicate the solution
 path is computed once on a shared log grid; every rule then selects a point of
-that path, so each efficiency lies in (0, 1] by construction.  All randomness
-is keyed by (seed, replicate), which makes the output independent of worker
-count and scheduling.
+that path, so each efficiency lies in (0, 1] by construction.  A worker
+evaluates its replicates of a cell as one block: each replicate's path, errors,
+``bp`` and ``qoc`` one at a time, then the rules that read only norms on the
+grid (``RULES[rule].block``) for the whole block at once, each row as its
+replicate alone would select.  All randomness is keyed by (seed, replicate),
+which makes the output independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rules as rules_mod
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import DegenerateDataError
 from .linop import largest_eigenvalue, svd
 from .problems import _count, add_noise, check_problem, make_problem
-from .tikhonov import (InfluencePath, SolutionPath, influence_path_exact,
-                       influence_path_stochastic, iterative_path, spectral_path)
+from .tikhonov import (InfluencePath, SolutionPath, filtered_path, influence_path_exact,
+                       influence_path_stochastic, iterative_path, spectral_filters)
 
 DEFAULT_GRID_POINTS = 200
 GRID_MIN_FACTOR = 1e-12   # of s1^2
@@ -34,14 +37,18 @@ MATRIX_FREE_RANGE = (1e-8, 1e-2)   # of s1^2 / 2
 DEFAULT_PROBES = 32
 
 
-def _check_grid(lo, hi, points) -> None:
+def _check_grid(lo, hi, points, keys=("min", "max", "points")) -> None:
     """AlphaGrid's conditions; an endpoint of None, taken from the operator
-    later, is left out of 0 < lo < hi < inf."""
-    chain = [0.0, *(x for x in (lo, hi) if x is not None), np.inf]
-    if not all(a < b for a, b in zip(chain, chain[1:])):
-        raise ValueError("need 0 < min < max < inf")
+    later, is left out of 0 < lo < hi < inf.  A message names the values at
+    fault by their entries in ``keys``."""
+    chain = [(0.0, None), *((x, k) for x, k in zip((lo, hi), keys) if x is not None),
+             (np.inf, None)]
+    for (a, key_a), (b, key_b) in zip(chain, chain[1:]):
+        if not a < b:
+            at = " and ".join(f"{k} = {x!r}" for x, k in ((a, key_a), (b, key_b)) if k)
+            raise ValueError(f"{at}: need 0 < min < max < inf")
     if points < 2:
-        raise ValueError("need at least two grid points")
+        raise ValueError(f"{keys[2]} = {points!r}: need at least two grid points")
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,8 @@ class OperatorSetup:
     """An operator's spectrum, grid (``build_grid``), influence measure and solution
     paths: SVD, exact measure and spectral path when dense; power iteration, probe
     measure and Golub-Kahan path when matrix-free.  A zero operator is degenerate
-    data; the grid and the measure are built on first use."""
+    data; the grid, the measure and the spectral filters of the grid are built on
+    first use."""
 
     def __init__(self, A, matrix_free: bool = False, points: Optional[int] = None,
                  lo: Optional[float] = None, hi: Optional[float] = None,
@@ -122,10 +130,14 @@ class OperatorSetup:
         """The spectrum (continuous selection) or, matrix-free, the measure (grid mode)."""
         return self.influence if self.matrix_free else self.dec
 
+    @functools.cached_property
+    def filters(self):
+        return spectral_filters(self.dec.s, self.grid.values)
+
     def path(self, g, keep_solutions: bool = True) -> SolutionPath:
         if self.matrix_free:
             return iterative_path(self.A, g, self.grid.values)
-        return spectral_path(self.dec, g, self.grid.values, keep_solutions=keep_solutions)
+        return filtered_path(self.dec, g, self.grid.values, self.filters, keep_solutions)
 
 
 def rel_error(f, f_true) -> float:
@@ -187,6 +199,9 @@ _REQUIRED_KEYS = {"problems", "xis", "n", "rules", "replicates"}
 _SECTIONS = {"grid": {"points": "grid_points", "min": "grid_min", "max": "grid_max"},
              "bp": {"gamma": "bp_gamma", "c": "bp_c"}}
 _CONFIG_KEYS = _REQUIRED_KEYS | {"version", "seed", "probes"} | set(_SECTIONS)
+# each StudyConfig field by its key in the config, "section.key" inside a section
+_KEY_OF = {name: f"{section}.{key}" for section, fields in _SECTIONS.items()
+           for key, name in fields.items()}
 
 
 def _json_object(value, where: str, keys: set) -> dict:
@@ -228,18 +243,19 @@ class StudyConfig:
         if not all(_finite_number(x) for x in self.xis):
             raise ValueError(f"xis must be finite numbers, got {list(self.xis)}")
         for name in ("n", "replicates", "seed", "grid_points", "probes"):
-            _count(name, getattr(self, name))
+            _count(_KEY_OF.get(name, name), getattr(self, name))
         for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):
             value = getattr(self, name)
             optional = name in ("grid_min", "grid_max")
             if not (_finite_number(value) or (optional and value is None)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise ValueError(f"{_KEY_OF[name]} must be a finite number, got {value!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.probes < 1:
             raise ValueError(f"need at least one probe, got {self.probes}")
-        _check_grid(self.grid_min, self.grid_max, self.grid_points)
-        rules_mod.check_bp(self.bp_gamma, self.bp_c)
+        _check_grid(self.grid_min, self.grid_max, self.grid_points,
+                    tuple(_KEY_OF[f"grid_{k}"] for k in ("min", "max", "points")))
+        rules_mod.check_bp(self.bp_gamma, self.bp_c, keys=(_KEY_OF["bp_gamma"], _KEY_OF["bp_c"]))
         if self.version != 1:
             raise ValueError("unsupported config version")
 
@@ -270,39 +286,50 @@ class StudyConfig:
         return cls(**kwargs)
 
 
-def _evaluate_replicate(setup: OperatorSetup, problem, config: StudyConfig,
-                        xi: float, replicate: int):
-    """All rules on one replicate's shared path; returns (oracle_err, rows)."""
-    data = add_noise(problem, xi, config.seed, replicate)
+def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: float,
+                    replicates: range) -> list:
+    """All rules on a block of one cell's replicates; returns (oracle_err, rows)
+    per replicate.  Each replicate's path, errors and path rules run one at a
+    time; the block rules then select for every replicate at once from the
+    stacked residual and solution norms."""
     grid = setup.grid.values
-    path = setup.path(data.g)
-    D = path.solutions - problem.f_true[None, :]
-    D *= D
-    errors = np.sqrt(np.add.reduce(D, axis=1)) / np.linalg.norm(problem.f_true)
-    eps_o, _ = oracle_error(errors)
-    # Grid mode on the shared path: the influence path is the source, dp does
-    # not bisect off the grid, and pro falls back to the largest alpha rather
-    # than abort the study on a replicate that looks like pure noise.
-    inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
-                                       sigma=data.sigma, sigma2=data.sigma ** 2,
-                                       on_degenerate="max_alpha", refine=False,
-                                       bp_gamma=config.bp_gamma, bp_c=config.bp_c)
-    rows = {}
+    reps = len(replicates)
+    norms, errors = np.empty((2, reps, grid.size)), np.empty((reps, grid.size))
+    g_sq, sigma, sigma2 = np.empty((3, reps))
+    picks = {rule: [] for rule in config.rules if rules_mod.RULES[rule].block is None}
+    f_norm = np.linalg.norm(problem.f_true)
+    for i, rep in enumerate(replicates):
+        data = add_noise(problem, xi, config.seed, rep)
+        path = setup.path(data.g)
+        D = path.solutions - problem.f_true[None, :]
+        D *= D
+        errors[i] = np.sqrt(np.add.reduce(D, axis=1)) / f_norm
+        norms[0, i], norms[1, i] = path.residual_norms, path.solution_norms
+        g_sq[i], sigma[i], sigma2[i] = data.g @ data.g, data.sigma, data.sigma ** 2
+        # grid mode on the shared path: the influence path is the source and
+        # dp does not bisect off the grid
+        inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
+                                           sigma=data.sigma, sigma2=sigma2[i], refine=False,
+                                           bp_gamma=config.bp_gamma, bp_c=config.bp_c)
+        for rule, picked in picks.items():
+            d = rules_mod.RULES[rule].run(inputs).diagnostics
+            picked.append((d["grid_index"], tuple(d["flags"])))
+    block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], problem.g_true.size,
+                                g_sq, sigma, sigma2)
     for rule in config.rules:
-        try:
-            sel = rules_mod.RULES[rule].run(inputs)
-            idx = sel.diagnostics.get("grid_index")
-            if idx is None:
-                idx = rules_mod.nearest_index(grid, sel.alpha)
-            flags = sel.diagnostics.get("flags", [])
-        except DegenerateDataError:
-            idx, flags = len(grid) - 1, ["degenerate"]
-        except ConvergenceError as exc:  # ipro's last iterate is a grid alpha
-            idx, flags = rules_mod.nearest_index(grid, exc.last_iterate), ["no_convergence"]
-        err = float(errors[idx])
-        rows[rule] = ReplicateEntry(replicate=replicate, alpha=float(grid[idx]), rel_error=err,
-                                    efficiency=efficiency(eps_o, err), flags=tuple(flags))
-    return eps_o, rows
+        if rule not in picks:
+            picks[rule] = list(zip(*rules_mod.RULES[rule].block(block)))
+    eps_o = errors[np.arange(reps), rules_mod.argmin_last(errors)]
+    out = []
+    for i, rep in enumerate(replicates):
+        rows = {}
+        for rule in config.rules:
+            idx, flags = picks[rule][i]
+            err = float(errors[i, idx])
+            rows[rule] = ReplicateEntry(replicate=rep, alpha=float(grid[idx]), rel_error=err,
+                                        efficiency=efficiency(float(eps_o[i]), err), flags=flags)
+        out.append((float(eps_o[i]), rows))
+    return out
 
 
 def _run_chunk(config: StudyConfig, task) -> list[list]:
@@ -320,8 +347,7 @@ def _run_chunk(config: StudyConfig, task) -> list[list]:
         else config.grid_points
     setup = OperatorSetup(problem.A, matrix_free, points, config.grid_min, config.grid_max,
                           config.probes, config.seed)
-    return [[_evaluate_replicate(setup, problem, config, xi, rep) for rep in range(lo, hi)]
-            for xi in config.xis]
+    return [_evaluate_block(setup, problem, config, xi, range(lo, hi)) for xi in config.xis]
 
 
 def _cap_blas_threads(threads: int) -> None:

@@ -57,8 +57,6 @@ def _midpoints(a: float, b: float, n: int) -> np.ndarray:
 def _shaw(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Kernel ((cos s + cos t) * sin(u)/u)^2 with u = pi (sin s + sin t) on
     # [-pi/2, pi/2]^2, midpoint rule; the solution is a pair of Gaussians.
-    if n % 2:
-        raise ValueError("shaw requires even n")
     th = _midpoints(-np.pi / 2, np.pi / 2, n)
     co = np.cos(th)
     si = np.sin(th)
@@ -110,8 +108,6 @@ def _gravity(n: int, d: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
 def _heat(n: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     # Volterra convolution with k(t) = t^{-3/2} exp(-1/(4 kappa^2 t)) / (2 kappa sqrt(pi)),
     # midpoint rule; kappa = 1 is ill-conditioned, kappa = 5 almost well posed.
-    if n % 2:
-        raise ValueError("heat requires even n")
     h = 1.0 / n
     t = _midpoints(0.0, 1.0, n)
     c = h / (2.0 * kappa * np.sqrt(np.pi))
@@ -205,16 +201,19 @@ _DENSE_GENERATORS = {
 
 _DEFAULT_VARIANTS = {"heat": 1, "i_laplace": 1}
 _ALLOWED_VARIANTS = {"heat": (1, 5), "i_laplace": (1, 2, 3)}
+_EVEN_N = ("heat", "shaw")   # as the classical definitions of these problems
 
 
 def check_problem(name: str, variant, n) -> Optional[int]:
     """``variant`` as an integer (None, the family's default, stays None) once
-    ``name`` is a known family, ``n`` an integer in [8, 4096] and ``variant``
-    one the family takes; a ValueError otherwise."""
+    ``name`` is a known family, ``n`` an integer in [8, 4096], even for shaw
+    and heat, and ``variant`` one the family takes; a ValueError otherwise."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown problem {name!r}")
     if not 8 <= _count("n", n) <= 4096:
         raise ValueError("n out of supported range")
+    if name in _EVEN_N and n % 2:
+        raise ValueError(f"{name} requires even n")
     if variant is None:
         return None
     if name not in _ALLOWED_VARIANTS:

@@ -94,9 +94,16 @@ def lower_bound_T(rho2: float, sigma2: float,
     A spectrum or an influence path (exact or stochastic) is evaluated through
     its spectral measure at ``alpha``, a scalar or an array of any alphas >= 0;
     without ``alpha`` an influence path gives its samples on its own grid.  A
-    scalar alpha gives a float, otherwise an array.
+    scalar alpha gives a float, otherwise an array.  ``rho2`` and ``sigma2``
+    may be arrays that broadcast against the samples: columns give one row of
+    samples per (rho2, sigma2) pair.
     """
-    if not (0 < rho2 < np.inf and 0 <= sigma2 < np.inf):
+    if np.ndim(rho2) or np.ndim(sigma2):
+        valid = np.logical_and.reduce((0 < rho2) & (rho2 < np.inf) & (0 <= sigma2)
+                                      & (sigma2 < np.inf), axis=None)
+    else:   # the scalar test alone, at a tenth of the cost
+        valid = 0 < rho2 < np.inf and 0 <= sigma2 < np.inf
+    if not valid:
         raise ValueError("need finite rho2 > 0 and sigma2 >= 0")
     m = influence_measure(source, None if alpha is None else np.atleast_1d(alpha))
     if alpha is None and not m.alphas.size:

@@ -14,7 +14,11 @@ point of the shared path, so their error can never beat the path oracle.
 
 ``RULES`` maps each rule name to one way of running it on ``SelectionInputs``
 and to the inputs it needs; the CLI and the replicate harness both select
-through it.
+through it.  The rules that read only residual and solution norms on the grid
+(``pro``, ``ipro``, ``dp``, ``upre``, ``gcv``, ``lc``) also select for a
+``PathBlock``, many replicates' paths on one grid at once.  Each computes its
+objective and index row-wise, in one function that the single-path rule calls
+on its one row, so a block row selects what its path alone would.
 """
 
 from __future__ import annotations
@@ -63,10 +67,12 @@ class RuleSelection:
         return json.dumps(payload)
 
 
-def argmin_last(values) -> int:
-    """Index of the minimum of grid samples; ties go to the largest alpha."""
+def argmin_last(values):
+    """Index of the minimum of grid samples along the last axis; ties go to the
+    largest alpha.  An int for one row of samples, an array for a block of rows."""
     v = np.asarray(values)
-    return int(v.size - 1 - np.argmin(v[::-1]))
+    idx = v.shape[-1] - 1 - v[..., ::-1].argmin(axis=-1)
+    return int(idx) if v.ndim == 1 else idx
 
 
 def nearest_index(alphas, alpha: float) -> int:
@@ -81,6 +87,19 @@ def _on_grid(rule: str, alphas, idx: int, **diagnostics) -> RuleSelection:
                          diagnostics={"flags": [], **diagnostics, "grid_index": int(idx)})
 
 
+def _column(x):
+    """A scalar or a vector of per-row values as a column against grid samples."""
+    return np.asarray(x)[..., None]
+
+
+def _grid_min_T(m: InfluencePath, rho2, sigma2):
+    """The lower bound on m's grid for each row of (rho2, sigma2), its argmin
+    and whether that is a grid edge."""
+    values = lower_bound_T(_column(rho2), _column(sigma2), m)
+    idx = argmin_last(values)
+    return values, idx, (idx == 0) | (idx == m.alphas.size - 1)
+
+
 def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
     """Minimize the lower bound: continuous on a spectrum, grid argmin on an
     influence path's grid."""
@@ -91,13 +110,9 @@ def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
         return RuleSelection(rule="pro", alpha=res.alpha_star, diagnostics={
             "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
             "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
-    values = lower_bound_T(rho2, sigma2, m)
-    idx = argmin_last(values)
-    flags = []
-    if idx in (0, len(values) - 1):
-        flags.append("grid_edge")
+    values, idx, edge = _grid_min_T(m, rho2, sigma2)
     return _on_grid("pro", m.alphas, idx, h=h, objective=float(values[idx]),
-                    objective_samples=values, flags=flags)
+                    objective_samples=values, flags=["grid_edge"] if edge else [])
 
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
@@ -111,6 +126,11 @@ def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSele
     return sel
 
 
+def _signal_energy(g_sq, n: int, sigma2):
+    """The estimate ||g||^2 - n sigma2 of the exact data energy, row-wise."""
+    return g_sq - n * sigma2
+
+
 def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> RuleSelection:
     """Lower-bound rule with the signal energy estimated as ||g||^2 - n sigma2.
 
@@ -122,7 +142,7 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
         raise ValueError("sigma2 must be positive and finite")
     g = np.asarray(g, dtype=float)
     n = g.size
-    rho2_hat = float(g @ g) - n * sigma2
+    rho2_hat = _signal_energy(float(g @ g), n, sigma2)
     if rho2_hat <= 0:
         if on_degenerate == "max_alpha":
             m = influence_measure(source)
@@ -135,7 +155,65 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     return pro(source, rho2_hat, sigma2, n)
 
 
-def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = 100,
+# the outcome of one row of ipro's fixed-point iteration
+_SETTLED, _UNSETTLED, _AT_FLOOR, _EXHAUSTS = range(4)
+IPRO_MAX_ITER = 100
+
+
+def _ipro_rows(alpha, g_sq, n: int, residual_sq, step, max_iter: int):
+    """ipro's fixed-point iteration for rows of data at once, as each row alone.
+
+    ``alpha`` holds the rows' starts, ``residual_sq(rows, alpha)`` gives the
+    squared residual norms of the rows ``rows`` at their alphas, and
+    ``step(rho2, sigma2)`` the lower-bound minimizers of rows of estimates.  A
+    row stops once it settles, or when its residual falls below floating-point
+    resolution or exhausts the data energy; a row still moving after
+    ``max_iter`` steps is _UNSETTLED.  Returns each row's final alpha and
+    outcome, and per step the rows that took it, their new alphas and their
+    h = sigma2/rho2.
+    """
+    floor_sq = (RESIDUAL_FLOOR ** 2) * g_sq
+    # the rows still iterating, with their alphas, data energies and floors
+    rows, at, g_rows, floor_rows = np.arange(alpha.size), alpha, g_sq, floor_sq
+    alpha, status, history = alpha.copy(), np.full(alpha.size, _UNSETTLED), []
+    for _ in range(max_iter):
+        r_sq = residual_sq(rows, at)
+        sigma2, rho2 = r_sq / n, g_rows - r_sq
+        at_floor = r_sq <= floor_rows
+        stop = at_floor | (rho2 <= 0.0)
+        if stop.any():
+            status[rows[stop]] = np.where(at_floor[stop], _AT_FLOOR, _EXHAUSTS)
+            alpha[rows[stop]] = at[stop]
+            go = ~stop
+            rows, at, g_rows, floor_rows, sigma2, rho2 = (
+                x[go] for x in (rows, at, g_rows, floor_rows, sigma2, rho2))
+            if not rows.size:
+                break
+        new = step(rho2, sigma2)
+        settled = np.abs(new - at) <= 1e-16 * new + 4.0 * np.spacing(new)
+        history.append((rows, new, sigma2 / rho2))
+        at = new
+        if settled.any():
+            status[rows[settled]] = _SETTLED
+            alpha[rows[settled]] = at[settled]
+            go = ~settled
+            rows, at, g_rows, floor_rows = (x[go] for x in (rows, at, g_rows, floor_rows))
+            if not rows.size:
+                break
+    alpha[rows] = at
+    return alpha, status, history
+
+
+def _grid_ipro(m: InfluencePath, residual_norms):
+    """``_ipro_rows``' residual and step on m's grid, the residuals read from
+    rows of path residual norms on that grid; every alpha is a grid point."""
+    def residual_sq(rows, alpha):
+        r = residual_norms[rows, m.alphas.searchsorted(alpha)]
+        return r * r
+    return residual_sq, lambda rho2, sigma2: m.alphas[_grid_min_T(m, rho2, sigma2)[1]]
+
+
+def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX_ITER,
          path: Optional[SolutionPath] = None) -> RuleSelection:
     """Alternate between SNR estimation from the residual and lower-bound
     minimization until the parameter stops moving.
@@ -159,11 +237,9 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = 100,
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
-        sel = _on_grid("ipro", m.alphas, len(m.alphas) // 2 if alpha_init is None
-                       else nearest_index(m.alphas, alpha_init))
-
-        def residual_sq(at: RuleSelection) -> float:
-            return float(path.residual_norms[at.diagnostics["grid_index"]]) ** 2
+        alpha_init = m.alphas[len(m.alphas) // 2 if alpha_init is None
+                              else nearest_index(m.alphas, alpha_init)]
+        residual_sq, step = _grid_ipro(m, path.residual_norms[None])
     else:
         c = source.U.T @ g
         c_sq, s2 = c * c, source.s * source.s
@@ -180,41 +256,44 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = 100,
                 raise DegenerateDataError(
                     f"the default start sqrt(1e-12 s1^2 * 0.5 s1^2) overflows at "
                     f"s1 = {source.s[0]:.3g}; pass alpha_init")
-        sel = RuleSelection(rule="ipro", alpha=float(alpha_init))
 
-        def residual_sq(at: RuleSelection) -> float:
-            return float(np.sum((at.alpha / (s2 + at.alpha)) ** 2 * c_sq) + perp_sq)
+        def residual_sq(rows, alpha):
+            a = _column(alpha)
+            return np.sum((a / (s2 + a)) ** 2 * c_sq, axis=-1) + perp_sq
 
-    trail, h_trail = [sel.alpha], []
-    floor_sq = (RESIDUAL_FLOOR ** 2) * g_sq
-    for _ in range(max_iter):
-        r_sq = residual_sq(sel)
-        sigma2 = r_sq / n
-        rho2 = g_sq - r_sq
-        if r_sq <= floor_sq:
-            exc = DegenerateDataError(
-                "residual below floating-point resolution: noise level is "
-                "unidentifiable (zero is not a meaningful fixed point)")
-            exc.trail = trail
-            raise exc
-        if rho2 <= 0.0:
-            raise DegenerateDataError("residual exhausts the data energy")
-        step = _select_min_T(m, rho2, sigma2)
-        h_trail.append(step.diagnostics["h"])
-        trail.append(step.alpha)
-        settled = abs(step.alpha - sel.alpha) <= 1e-16 * step.alpha + 4.0 * np.spacing(step.alpha)
-        sel = step
-        if settled:
-            break
-    else:
-        raise ConvergenceError("iterative rule did not settle", last_iterate=sel.alpha,
-                               iterations=len(h_trail), trail=trail)
-    r_sq = residual_sq(sel)
+        def step(rho2, sigma2):
+            return np.array([minimize_T(m, h).alpha_star for h in sigma2 / rho2])
+
+    alpha, status, history = _ipro_rows(np.array([float(alpha_init)]), np.array([g_sq]), n,
+                                        residual_sq, step, max_iter)
+    trail = [float(alpha_init)] + [float(new[0]) for _, new, _ in history]
+    if status[0] == _AT_FLOOR:
+        exc = DegenerateDataError(
+            "residual below floating-point resolution: noise level is "
+            "unidentifiable (zero is not a meaningful fixed point)")
+        exc.trail = trail
+        raise exc
+    if status[0] == _EXHAUSTS:
+        raise DegenerateDataError("residual exhausts the data energy")
+    if status[0] == _UNSETTLED:
+        raise ConvergenceError("iterative rule did not settle", last_iterate=trail[-1],
+                               iterations=len(history), trail=trail)
+    r_sq = float(residual_sq(np.arange(1), alpha)[0])
     rho2_hat, sigma2_hat = g_sq - r_sq, r_sq / n
-    return RuleSelection(rule="ipro", alpha=sel.alpha, diagnostics={
-        "trail": trail, "h_trail": h_trail, "iterations": len(h_trail), "rho2_hat": rho2_hat,
-        "sigma2_hat": sigma2_hat, "xi_hat": snr_db(rho2_hat, sigma2_hat, n), "flags": [],
-        "grid_index": sel.diagnostics.get("grid_index")})
+    return RuleSelection(rule="ipro", alpha=trail[-1], diagnostics={
+        "trail": trail, "h_trail": [float(h[0]) for _, _, h in history],
+        "iterations": len(history), "rho2_hat": rho2_hat, "sigma2_hat": sigma2_hat,
+        "xi_hat": snr_db(rho2_hat, sigma2_hat, n), "flags": [],
+        "grid_index": int(m.alphas.searchsorted(trail[-1])) if m.alphas.size else None})
+
+
+def _dp_rows(residual_norms, data_size: int, sigma):
+    """Per row, the target sqrt(n) sigma, the first grid index whose residual
+    reaches it, whether none does and whether the first grid point does."""
+    target = np.sqrt(data_size) * sigma
+    reached = residual_norms >= _column(target)
+    j, saturated = reached.argmax(axis=-1), ~reached.any(axis=-1)
+    return target, j, saturated, ~saturated & (j == 0)
 
 
 def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
@@ -226,16 +305,14 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     """
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be nonnegative and finite")
-    target = np.sqrt(path.data_size) * sigma
-    resid = path.residual_norms
-    flags = []
-    above = np.nonzero(resid >= target)[0]
-    if above.size == 0:
+    target, j, saturated, at_grid_min = _dp_rows(path.residual_norms, path.data_size, sigma)
+    if saturated:
         return _on_grid("dp", path.alphas, len(path) - 1, target=target,
                         flags=["saturated_max"])
-    j = int(above[0])
+    flags = []
+    j = int(j)
     alpha = float(path.alphas[j])
-    if j == 0:
+    if at_grid_min:
         flags.append("at_grid_min")
     elif refine and path.solve is not None:
         lo, hi = float(path.alphas[j - 1]), alpha
@@ -252,29 +329,44 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
                          diagnostics={"target": target, "flags": flags, "grid_index": j})
 
 
+def _upre_rows(residual_norms, data_size: int, trace, sigma2):
+    """Per row, upre's objective on the grid and its argmin."""
+    values = residual_norms ** 2 - 2.0 * _column(sigma2) * (data_size - trace)
+    return values, argmin_last(values)
+
+
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     """Unbiased predictive-risk estimate: ||r||^2 - 2 sigma2 tr(I - X_a), on the grid."""
     if not 0 <= sigma2 < np.inf:
         raise ValueError("sigma2 must be nonnegative and finite")
     tr = influence_measure(trace_source, path.alphas).trace
-    values = path.residual_norms ** 2 - 2.0 * sigma2 * (path.data_size - tr)
-    return _on_grid("upre", path.alphas, argmin_last(values), objective_samples=values)
+    values, idx = _upre_rows(path.residual_norms, path.data_size, tr, sigma2)
+    return _on_grid("upre", path.alphas, idx, objective_samples=values)
+
+
+def _gcv_rows(residual_norms, data_size: int, trace):
+    """Per row, gcv's objective on the grid and its argmin."""
+    denom = (data_size - trace) ** 2
+    values = residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
+    return values, argmin_last(values)
 
 
 def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     """Generalized cross validation: ||r||^2 / tr(I - X_a)^2, on the grid."""
     tr = influence_measure(trace_source, path.alphas).trace
-    denom = (path.data_size - tr) ** 2
-    values = path.residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
-    return _on_grid("gcv", path.alphas, argmin_last(values), objective_samples=values)
+    values, idx = _gcv_rows(path.residual_norms, path.data_size, tr)
+    return _on_grid("gcv", path.alphas, idx, objective_samples=values)
 
 
-def check_bp(gamma: float, c: float, sigma: float = 0.0) -> None:
-    """bp's conditions on its settings and, where one is given, the noise level."""
+def check_bp(gamma: float, c: float, sigma: float = 0.0, keys=("gamma", "c")) -> None:
+    """bp's conditions on its settings and, where one is given, the noise level;
+    a message names the setting at fault by its entry in ``keys``."""
     if not 0 < gamma < 1:
-        raise ValueError("gamma must be in (0, 1)")
-    if not (0 <= sigma < np.inf and 0 <= c < np.inf):
-        raise ValueError("sigma and c must be nonnegative and finite")
+        raise ValueError(f"{keys[0]} must be in (0, 1), got {gamma!r}")
+    if not 0 <= c < np.inf:
+        raise ValueError(f"{keys[1]} must be nonnegative and finite, got {c!r}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be nonnegative and finite")
 
 
 def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
@@ -329,26 +421,30 @@ def _gradient(f, dt):
     return out
 
 
-def lc(path: SolutionPath) -> RuleSelection:
-    """L-curve corner: maximal curvature of (log ||r||, log ||f||) against log alpha,
-    via central differences on the grid."""
-    if len(path) < 5:
+def _lc_rows(alphas, residual_norms, solution_norms):
+    """Per row, the L-curve's curvature on the grid, its interior argmax and
+    whether that is next to a grid edge."""
+    if alphas.size < 5:
         raise ValueError("lc needs at least five grid points")
-    t = np.log(path.alphas)
+    t = np.log(alphas)
     tiny = np.finfo(float).tiny
-    x = np.log(np.maximum(path.residual_norms, tiny))
-    y = np.log(np.maximum(path.solution_norms, tiny))
+    x = np.log(np.maximum(residual_norms, tiny))
+    y = np.log(np.maximum(solution_norms, tiny))
     dt = t[1] - t[0]
     xp, yp = slopes = _gradient(np.stack([x, y]), dt)
     xpp, ypp = _gradient(slopes, dt)
     denom = np.maximum((xp * xp + yp * yp) ** 1.5, tiny)
     kappa = (xp * ypp - yp * xpp) / denom
-    interior = slice(1, len(path) - 1)
-    idx = 1 + argmin_last(-kappa[interior])
-    flags = []
-    if idx in (1, len(path) - 2):
-        flags.append("curvature_at_boundary")
-    return _on_grid("lc", path.alphas, idx, curvature=kappa, flags=flags)
+    idx = 1 + argmin_last(-kappa[..., 1:-1])
+    return kappa, idx, (idx == 1) | (idx == alphas.size - 2)
+
+
+def lc(path: SolutionPath) -> RuleSelection:
+    """L-curve corner: maximal curvature of (log ||r||, log ||f||) against log alpha,
+    via central differences on the grid."""
+    kappa, idx, at_boundary = _lc_rows(path.alphas, path.residual_norms, path.solution_norms)
+    return _on_grid("lc", path.alphas, idx, curvature=kappa,
+                    flags=["curvature_at_boundary"] if at_boundary else [])
 
 
 def qoc(path: SolutionPath) -> RuleSelection:
@@ -386,14 +482,85 @@ class SelectionInputs:
     bp_c: float = 1.5
 
 
+@dataclass
+class PathBlock:
+    """Grid-mode inputs of many data vectors on one grid, one row each: the
+    residual and solution norms of its path on the grid of the influence path
+    ``source``, ||g||^2, sigma and sigma2."""
+
+    source: InfluencePath
+    residual_norms: np.ndarray
+    solution_norms: np.ndarray
+    data_size: int
+    g_sq: np.ndarray
+    sigma: np.ndarray
+    sigma2: np.ndarray
+
+
+def _flag_rows(**masks) -> list[tuple[str, ...]]:
+    """Per row, the names whose mask is set in that row."""
+    return [tuple(name for name, on in zip(masks, row) if on) for row in zip(*masks.values())]
+
+
+def _pro_block(b: PathBlock):
+    # pro_estimated with on_degenerate="max_alpha"
+    rho2 = _signal_energy(b.g_sq, b.data_size, b.sigma2)
+    ok = rho2 > 0
+    idx, edge = np.full(ok.size, b.source.alphas.size - 1), np.zeros(ok.size, dtype=bool)
+    if ok.any():
+        _, idx[ok], edge[ok] = _grid_min_T(b.source, rho2[ok], b.sigma2[ok])
+    return idx, _flag_rows(degenerate_snr=~ok, fallback_max_alpha=~ok, grid_edge=edge)
+
+
+def _ipro_block(b: PathBlock):
+    # a row ipro raises on takes the largest alpha if the data is degenerate,
+    # its last iterate if it did not settle
+    m = b.source
+    alpha, status, _ = _ipro_rows(np.full(b.g_sq.size, m.alphas[m.alphas.size // 2]), b.g_sq,
+                                   b.data_size, *_grid_ipro(m, b.residual_norms), IPRO_MAX_ITER)
+    degenerate = status >= _AT_FLOOR
+    idx = np.where(degenerate, m.alphas.size - 1, m.alphas.searchsorted(alpha))
+    return idx, _flag_rows(degenerate=degenerate, no_convergence=status == _UNSETTLED)
+
+
+def _dp_block(b: PathBlock):
+    # dp with refine=False
+    _, j, saturated, at_grid_min = _dp_rows(b.residual_norms, b.data_size, b.sigma)
+    return (np.where(saturated, b.source.alphas.size - 1, j),
+            _flag_rows(saturated_max=saturated, at_grid_min=at_grid_min))
+
+
+def _upre_block(b: PathBlock):
+    _, idx = _upre_rows(b.residual_norms, b.data_size, b.source.trace, b.sigma2)
+    return idx, [()] * idx.size
+
+
+def _gcv_block(b: PathBlock):
+    _, idx = _gcv_rows(b.residual_norms, b.data_size, b.source.trace)
+    return idx, [()] * idx.size
+
+
+def _lc_block(b: PathBlock):
+    _, idx, at_boundary = _lc_rows(b.source.alphas, b.residual_norms, b.solution_norms)
+    return idx, _flag_rows(curvature_at_boundary=at_boundary)
+
+
 @dataclass(frozen=True)
 class Rule:
     """A registry entry: the rule on its inputs, whether it selects on a sampled
-    solution path, and the noise input (``"sigma"`` or ``"sigma2"``) it needs."""
+    solution path, and the noise input (``"sigma"`` or ``"sigma2"``) it needs.
+
+    ``block``, for the rules that read only norms on the grid, selects for
+    every row of a ``PathBlock`` at once and gives the grid indices and flags
+    the replicate study records: those of ``run`` in grid mode with
+    ``on_degenerate="max_alpha"`` and ``refine=False``, and for a row that
+    ``run`` raises on, the largest alpha flagged ``degenerate`` or the last
+    iterate flagged ``no_convergence``."""
 
     run: Callable[[SelectionInputs], RuleSelection]
     needs_path: bool
     noise: Optional[str] = None
+    block: Optional[Callable[[PathBlock], tuple[np.ndarray, list]]] = None
 
 
 def _run_pro(x: SelectionInputs) -> RuleSelection:
@@ -403,17 +570,17 @@ def _run_pro(x: SelectionInputs) -> RuleSelection:
 
 
 RULES = {
-    "pro": Rule(_run_pro, needs_path=False, noise="sigma2"),
+    "pro": Rule(_run_pro, needs_path=False, noise="sigma2", block=_pro_block),
     "ipro": Rule(lambda x: ipro(x.source, x.g, alpha_init=x.alpha_init, path=x.path),
-                 needs_path=False),
+                 needs_path=False, block=_ipro_block),
     "dp": Rule(lambda x: dp(x.path, x.sigma, refine=x.refine), needs_path=True,
-               noise="sigma"),
+               noise="sigma", block=_dp_block),
     "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
-                 noise="sigma2"),
+                 noise="sigma2", block=_upre_block),
     "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),
                needs_path=True, noise="sigma"),
-    "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True),
-    "lc": Rule(lambda x: lc(x.path), needs_path=True),
+    "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True, block=_gcv_block),
+    "lc": Rule(lambda x: lc(x.path), needs_path=True, block=_lc_block),
     "qoc": Rule(lambda x: qoc(x.path), needs_path=True),
 }
 RULE_NAMES = tuple(RULES)

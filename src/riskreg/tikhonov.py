@@ -361,26 +361,39 @@ class SolutionPath:
         return self.alphas.size
 
 
+def spectral_filters(s, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The Tikhonov filter factors s/(s^2 + a) and (a/(s^2 + a))^2 of the
+    singular values ``s`` at each alpha, one row per alpha; they hold all that
+    a spectral path reads of its grid."""
+    alphas = np.asarray(alphas, dtype=float)
+    d = (s * s)[None, :] + alphas[:, None]                       # (K, r)
+    psi = alphas[:, None] / d
+    psi *= psi
+    return np.divide(s[None, :], d, out=d), psi
+
+
 def spectral_path(dec: SpectralDecomposition, g, alphas,
                   keep_solutions: bool = True) -> SolutionPath:
     """Evaluate the whole Tikhonov path at once through the SVD filter."""
+    return filtered_path(dec, g, alphas, spectral_filters(dec.s, alphas), keep_solutions)
+
+
+def filtered_path(dec: SpectralDecomposition, g, alphas, filters,
+                  keep_solutions: bool = True) -> SolutionPath:
+    """``spectral_path`` with the ``spectral_filters`` of its grid given, so that
+    paths of many data vectors on one grid share them."""
     g = finite_data(g)
     alphas = np.asarray(alphas, dtype=float)
+    phi, psi = filters
     c = dec.U.T @ g
     perp = g - dec.U @ c
     perp_sq = float(perp @ perp)
-    s = dec.s
-    s2 = s * s
-    d = s2[None, :] + alphas[:, None]                            # (K, r)
-    coef = s[None, :] / d
-    coef *= c[None, :]
-    w = alphas[:, None] / d
+    w = phi * c[None, :]      # the solutions' coefficients, then one scratch array
+    F = w @ dec.V.T if keep_solutions else None
     w *= w
-    w *= (c * c)[None, :]
-    resid_sq = np.add.reduce(w, axis=1) + perp_sq
-    w = coef * coef
     sol_norms = np.sqrt(np.add.reduce(w, axis=1))
-    F = coef @ dec.V.T if keep_solutions else None
+    np.multiply(psi, (c * c)[None, :], out=w)
+    resid_sq = np.add.reduce(w, axis=1) + perp_sq
     return SolutionPath(alphas=alphas, residual_norms=np.sqrt(resid_sq),
                         solution_norms=sol_norms, data_size=g.size, solutions=F,
                         solve=lambda a: solve_spectral(dec, g, a))

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import glob
 import json
 import os
@@ -224,6 +223,8 @@ class TestRunStudy:
         *[(dict(grid_min=lo, grid_max=1.0), "need 0 < min < max < inf") for lo in (1.0, 2.0)],
         *[(dict(bp_gamma=gamma), r"gamma must be in \(0, 1\)") for gamma in (0.0, 2.0)],
         (dict(bp_c=-1.0), "c must be nonnegative and finite"),
+        (dict(problems=[("deriv2", None), ("shaw", None)], n=63), "shaw requires even n"),
+        (dict(problems=[("heat", 5)], n=63), "heat requires even n"),
     ]
 
     @pytest.mark.parametrize("fields,message", _FAILS_THE_RUN)
@@ -235,19 +236,31 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=message):
             StudyConfig.from_json(text)
 
+    # (config sections, the key a rejection must name)
+    _NAMED = [({"bp": {"c": -1.0}}, "bp.c"), ({"bp": {"c": float("inf")}}, "bp.c"),
+              ({"bp": {"gamma": 2.0}}, "bp.gamma"), ({"bp": {"gamma": "x"}}, "bp.gamma"),
+              ({"grid": {"min": 0.0}}, "grid.min"), ({"grid": {"max": -1.0}}, "grid.max"),
+              ({"grid": {"min": 2.0, "max": 1.0}}, "grid.min = 2.0 and grid.max = 1.0"),
+              ({"grid": {"points": 1}}, "grid.points"),
+              ({"grid": {"points": 2.5}}, "grid.points")]
+
+    @pytest.mark.parametrize("sections,key", _NAMED)
+    def test_config_rejections_name_their_key(self, sections, key):
+        doc = {**json.loads(_tiny_config().to_json()), **sections}
+        with pytest.raises(ValueError) as info:
+            StudyConfig.from_json(json.dumps(doc))
+        assert str(info.value).startswith(key)
+
     def test_keeps_the_variant_it_was_given(self):
         cfg = _tiny_config(problems=[("heat", None), ("i_laplace", 2), ("shaw", None)])
         assert cfg.problems == [("heat", None), ("i_laplace", 2), ("shaw", None)]
 
     def test_ipro_out_of_iterations_row(self):
         """The row of an ipro run that does not settle: the last iterate, a grid
-        alpha, and the path's error there."""
-        def short(x):
-            return rules_mod.ipro(x.source, x.g, alpha_init=x.alpha_init, max_iter=1,
-                                  path=x.path)
+        alpha, and the path's error there.  The block reads the iteration cap
+        when it runs, so a cap of one step stands in for a run that never settles."""
         cfg = _tiny_config(rules=["ipro"], replicates=1)
-        short_ipro = dataclasses.replace(rules_mod.RULES["ipro"], run=short)
-        with mock.patch.dict(rules_mod.RULES, {"ipro": short_ipro}):
+        with mock.patch.object(rules_mod, "IPRO_MAX_ITER", 1):
             (report,) = run_study(cfg)
         (entry,) = report.entries
         p = rr.make_problem("shaw", None, 32)
@@ -255,12 +268,100 @@ class TestRunStudy:
         setup = bench.OperatorSetup(p.A, points=cfg.grid_points)
         path = setup.path(g)
         with pytest.raises(rr.ConvergenceError) as info:
-            short(rules_mod.SelectionInputs(g=g, source=setup.influence, path=path))
+            rules_mod.ipro(setup.influence, g, max_iter=1, path=path)
         idx = rules_mod.nearest_index(setup.grid.values, info.value.last_iterate)
         assert entry.flags == ("no_convergence",)
         assert entry.alpha == info.value.last_iterate == setup.grid.values[idx]
         assert entry.rel_error == pytest.approx(rel_error(path.solutions[idx], p.f_true),
                                                 rel=1e-12)
+
+
+# the dense families, all of which take n = 16 and n = 32
+_DENSE = [("baart", None), ("deriv2", None), ("foxgood", None), ("gravity", None), ("heat", 1),
+          ("heat", 5), ("i_laplace", 1), ("i_laplace", 2), ("i_laplace", 3),
+          ("phillips", None), ("shaw", None)]
+# grid ranges as multiples of s1^2: the study's default, one past s1^2 on which
+# ipro creeps toward its fixed point at low SNR, one deep enough that the
+# residual of a nearly well-posed problem drops to rounding level
+_SPANS = {"default": (1e-12, 0.5), "wide": (1e-3, 1e3), "deep": (1e-16, 10.0)}
+
+
+def _path_selection(grid, inputs, rule):
+    """A rule's grid index and flags on one replicate's path, with the study's
+    record of a rule that raises."""
+    try:
+        sel = rules_mod.RULES[rule].run(inputs)
+    except rr.DegenerateDataError:
+        return len(grid) - 1, ("degenerate",)
+    except rr.ConvergenceError as exc:
+        return rules_mod.nearest_index(grid, exc.last_iterate), ("no_convergence",)
+    idx = sel.diagnostics.get("grid_index")   # pro's fallback names only its alpha
+    return (rules_mod.nearest_index(grid, sel.alpha) if idx is None else idx,
+            tuple(sel.diagnostics["flags"]))
+
+
+def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set:
+    """Evaluates replicates [first, first + size) of a cell as the study's block
+    and each on its own path through ``RULES``; asserts that every rule picks
+    the same grid point with the same flags, and returns the flags seen."""
+    p = rr.make_problem(*problem, n)
+    s1_sq = float(rr.svd(p.A).s[0]) ** 2
+    lo, hi = _SPANS[span]
+    cfg = StudyConfig(problems=[problem], xis=[xi], n=n, rules=list(RULE_NAMES), replicates=1,
+                      seed=seed, grid_points=points, grid_min=lo * s1_sq, grid_max=hi * s1_sq)
+    setup = bench.OperatorSetup(p.A, points=points, lo=cfg.grid_min, hi=cfg.grid_max)
+    grid = setup.grid.values
+    block = bench._evaluate_block(setup, p, cfg, xi, range(first, first + size))
+    seen = set()
+    for rep, (eps_o, rows) in zip(range(first, first + size), block):
+        data = rr.add_noise(p, xi, seed, rep)
+        path = rr.spectral_path(setup.dec, data.g, grid)
+        inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
+                                           sigma=data.sigma, sigma2=data.sigma ** 2,
+                                           on_degenerate="max_alpha", refine=False)
+        errors = np.array([rel_error(f, p.f_true) for f in path.solutions])
+        for rule in RULE_NAMES:
+            idx, flags = _path_selection(grid, inputs, rule)
+            entry = rows[rule]
+            assert (entry.replicate, entry.alpha, entry.flags) == (rep, grid[idx], flags), rule
+            assert entry.rel_error == pytest.approx(errors[idx], rel=1e-12)
+            seen.update((rule, f) for f in flags)
+        assert eps_o == pytest.approx(errors.min(), rel=1e-12)
+    return seen
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(problem=st.sampled_from(_DENSE), n=st.sampled_from([16, 32]),
+       xi=st.floats(-20.0, 40.0), first=st.integers(0, 50), size=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 31 - 1), points=st.sampled_from([5, 37, 200, 1000]),
+       span=st.sampled_from(sorted(_SPANS)))
+def test_block_selects_as_each_path(problem, n, xi, first, size, seed, points, span):
+    """A cell's block of replicates selects, rule by rule, what each replicate's
+    own path gives through ``RULES``."""
+    _block_against_paths(problem, n, xi, first, size, seed, points, span)
+
+
+@pytest.mark.parametrize("case,flag", [
+    ((("shaw", None), 16, -20.0, 0, 7, 0, 200, "default"), ("pro", "fallback_max_alpha")),
+    ((("heat", 5), 16, 10.0, 0, 3, 3, 40, "deep"), ("ipro", "degenerate")),
+    ((("i_laplace", 1), 16, -10.0, 0, 2, 0, 1000, "wide"), ("ipro", "no_convergence")),
+])
+def test_block_reaches_the_fallback_rows(case, flag):
+    """Blocks that reach each row the study makes of a rule that falls back or
+    raises select as their paths do."""
+    assert flag in _block_against_paths(*case)
+
+
+def test_block_rows_do_not_depend_on_worker_count(tmp_path):
+    # 7 replicates: chunks of 4 + 3 at two workers, 3 + 3 + 1 at three
+    cfg = StudyConfig(problems=[("shaw", None), ("heat", 1)], xis=[0.0, -10.0, 20.0], n=32,
+                      rules=list(RULE_NAMES), replicates=7, seed=5, grid_points=80)
+    outputs = []
+    for workers in (1, 2, 3):
+        files = write_reports(run_study(cfg, workers=workers), tmp_path / f"w{workers}")
+        outputs.append({os.path.basename(f): open(f, "rb").read() for f in files})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 4
 
 
 class TestStudyStatistics:

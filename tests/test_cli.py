@@ -174,6 +174,23 @@ class TestStudy:
         assert main(["study", "--config", str(bad), "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sections,message", [
+        ({"bp": {"c": -1.0}}, "bp.c must be nonnegative and finite, got -1.0"),
+        ({"bp": {"gamma": 2.0}}, "bp.gamma must be in (0, 1), got 2.0"),
+        ({"grid": {"min": 0.0}}, "grid.min = 0.0: need 0 < min < max < inf"),
+        ({"grid": {"min": 2.0, "max": 1.0}},
+         "grid.min = 2.0 and grid.max = 1.0: need 0 < min < max < inf"),
+        ({"grid": {"points": 1}}, "grid.points = 1: need at least two grid points"),
+        ({"problems": [{"name": "deriv2"}, {"name": "shaw"}], "n": 63},
+         "shaw requires even n"),
+    ])
+    def test_config_error_names_its_key(self, tmp_path, capsys, sections, message):
+        cfg = self._config(tmp_path, **sections)
+        out_dir = tmp_path / "out"
+        assert main(["study", "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_unknown_rule_in_config_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, rules=["pro", "bogus"])
         out_dir = tmp_path / "out2"

@@ -214,6 +214,54 @@ class TestIpro:
         assert sel.alpha == grid[len(values) - 1 - np.argmin(values[::-1])]
 
 
+def _ipro_grid_loop(m, residual_norms, g_sq, n, start, max_iter=100):
+    """ipro in grid mode one step at a time, the residual squared as a product:
+    its outcome and its trail of grid indices."""
+    idx, trail = start, [start]
+    for _ in range(max_iter):
+        r_sq = residual_norms[idx] * residual_norms[idx]
+        sigma2, rho2 = r_sq / n, g_sq - r_sq
+        if r_sq <= (rules.RESIDUAL_FLOOR ** 2) * g_sq or rho2 <= 0.0:
+            return "degenerate", trail
+        values = rho2 * m.sn_sq + sigma2 * m.frob_sq
+        new = len(values) - 1 - int(np.argmin(values[::-1]))
+        a, b = m.alphas[new], m.alphas[idx]
+        idx = new
+        trail.append(idx)
+        if abs(a - b) <= 1e-16 * a + 4.0 * np.spacing(a):
+            return "settled", trail
+    return "no_convergence", trail
+
+
+# (problem, n, xi, replicate, grid points, grid range in s1^2), one per outcome
+_IPRO_CASES = [(("shaw", None), 64, 10.0, 0, 200, (1e-12, 0.5), "settled"),
+               (("heat", 5), 16, 10.0, 0, 40, (1e-16, 10.0), "degenerate"),
+               (("i_laplace", 1), 16, -10.0, 1, 1000, (1e-3, 1e3), "no_convergence")]
+
+
+@pytest.mark.parametrize("problem,n,xi,rep,points,span,outcome", _IPRO_CASES)
+def test_ipro_grid_mode_matches_step_loop(problem, n, xi, rep, points, span, outcome):
+    p = rr.make_problem(*problem, n)
+    dec = rr.svd(p.A)
+    s1_sq = float(dec.s[0]) ** 2
+    grid = np.geomspace(span[0] * s1_sq, span[1] * s1_sq, points)
+    inf = rr.influence_path_exact(dec, grid)
+    g = rr.add_noise(p, xi, seed=0, replicate=rep).g
+    path = rr.spectral_path(dec, g, grid)
+    ref, trail = _ipro_grid_loop(inf, path.residual_norms, float(g @ g), n, points // 2)
+    assert ref == outcome
+    if outcome == "settled":
+        sel = rules.ipro(inf, g, path=path)
+        assert sel.diagnostics["grid_index"] == trail[-1]
+        got = sel.diagnostics["trail"]
+    else:
+        with pytest.raises(DegenerateDataError if outcome == "degenerate"
+                           else ConvergenceError) as info:
+            rules.ipro(inf, g, path=path)
+        got = info.value.trail
+    assert got == [grid[k] for k in trail]
+
+
 class TestInfluenceOnPathGrid:
     """upre, gcv and bp read the source's measure on the grid of their path."""
 

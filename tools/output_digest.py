@@ -9,8 +9,10 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
 - every ``curve`` kind on replicate 0 at 20 dB of each problem: exit code and
   the SHA-256 of the CSV;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
-  20 dB, 20 replicates, every rule) at 1 and 2 workers, and of paralleltomo
-  n = 8 (10, 20 and 40 dB, 6 replicates, 8 probes).
+  20 dB, 20 replicates, every rule) at 1 and 2 workers, of the same problems
+  at 0 and -10 dB (10 replicates, so three workers get uneven chunks) at 1 and
+  3 workers, where rules fall back, and of paralleltomo n = 8 (10, 20 and
+  40 dB, 6 replicates, 8 probes).
 
 Usage, once per tree, then diff the two outputs:
 
@@ -39,6 +41,11 @@ STUDIES = [
                             {"name": "deriv2", "variant": None}],
                "xis": [10.0, 20.0], "n": 64, "rules": list(rules.RULE_NAMES),
                "replicates": 20, "seed": SEED}, (1, 2)),
+    ("dense_low", {"problems": [{"name": "shaw", "variant": None},
+                                {"name": "heat", "variant": 1},
+                                {"name": "deriv2", "variant": None}],
+                   "xis": [0.0, -10.0], "n": 64, "rules": list(rules.RULE_NAMES),
+                   "replicates": 10, "seed": SEED}, (1, 3)),
     ("tomo", {"problems": [{"name": "paralleltomo", "variant": None}],
               "xis": [10.0, 20.0, 40.0], "n": 8, "rules": list(rules.RULE_NAMES),
               "replicates": 6, "seed": SEED, "probes": 8}, (1,)),
