@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rules as rules_mod
 from .errors import DegenerateDataError
-from .linop import largest_eigenvalue, svd
+from .linop import bundled_openblas, largest_eigenvalue, svd
 from .problems import _count, add_noise, check_problem, make_problem
 from .tikhonov import (InfluencePath, SolutionPath, filtered_path, influence_path_exact,
                        influence_path_stochastic, iterative_path, spectral_filters)
@@ -354,12 +354,8 @@ def _cap_blas_threads(threads: int) -> None:
     """Limit numpy's bundled OpenBLAS to ``threads`` threads in this process;
     nothing happens where that library or its setter is missing."""
     import ctypes
-    import glob
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
-    try:
-        setter = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    setter = getattr(bundled_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if setter is None:
         return
     setter.argtypes, setter.restype = [ctypes.c_int], None
     setter(threads)

@@ -6,10 +6,12 @@ concurrent use.
 
 from __future__ import annotations
 
+import ctypes
 import operator
+import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -149,6 +151,57 @@ def svd(A) -> SpectralDecomposition:
     return SpectralDecomposition(np.ascontiguousarray(U[:, :r]),
                                  np.ascontiguousarray(s[:r]),
                                  np.ascontiguousarray(Vt[:r].T))
+
+
+@cache
+def bundled_openblas():
+    """The OpenBLAS that numpy's wheels bundle (``numpy.libs``), already loaded
+    by numpy, as a ctypes library; None where numpy bundles none."""
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        return ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+
+
+@cache
+def _dstevd():
+    """LAPACK's dstevd for ``tridiagonal_eigh``, from the bundled OpenBLAS (its
+    64-bit LAPACKE entry point) or else from scipy.  Importing scipy.linalg
+    for it would cost a matrix-free run about 8 MB of resident memory and
+    55 ms; the bundled library is already mapped."""
+    lib = bundled_openblas()
+    fn = getattr(lib, "scipy_LAPACKE_dstevd64_", None)
+    if fn is None:
+        from scipy.linalg.lapack import dstevd
+        return lambda diag, off: dstevd(diag, off, compute_v=1)
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+
+    def dstevd(diag, off):
+        n = diag.size
+        w, e = np.array(diag, dtype=float), np.array(off, dtype=float)
+        Y = np.empty((n, n), order="F")
+        info = fn(102, b"V", n, w.ctypes.data, e.ctypes.data, Y.ctypes.data, n)  # column-major
+        return w, Y, info
+    return dstevd
+
+
+def tridiagonal_eigh(diag, off):
+    """Eigenvalues (ascending) and eigenvectors (columns) of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``, by
+    LAPACK's divide and conquer (dstevd, the default driver of scipy's
+    ``eigh_tridiagonal``)."""
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    if diag.ndim != 1 or off.shape != (diag.size - 1,):
+        raise ValueError("need a diagonal of n entries and an off-diagonal of n - 1")
+    w, Y, info = _dstevd()(diag, off)
+    if info:
+        raise ConvergenceError(f"the tridiagonal eigensolver failed (LAPACK info {info})")
+    return w, Y
 
 
 def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0):

@@ -231,8 +231,8 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
         raise ValueError("alpha_init must be positive and finite")
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
-    m = influence_measure(source)
-    if m.alphas.size:
+    if isinstance(source, InfluencePath) and source.alphas.size:
+        m = source
         if path is None:
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
@@ -256,6 +256,7 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
                 raise DegenerateDataError(
                     f"the default start sqrt(1e-12 s1^2 * 0.5 s1^2) overflows at "
                     f"s1 = {source.s[0]:.3g}; pass alpha_init")
+        m = influence_measure(source)  # after the check: an overflowed s1^2 is no measure
 
         def residual_sq(rows, alpha):
             a = _column(alpha)

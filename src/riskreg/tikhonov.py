@@ -2,13 +2,15 @@
 
 The spectral path works from a truncated SVD.  The matrix-free path needs only
 operator applications: a Golub-Kahan bidiagonalization of each right-hand side
-(a block of them in lockstep) projects the problem onto a small bidiagonal one,
-whose SVD then gives the damped least-squares solution at every alpha of a grid
-at once.
+(a block of them in lockstep) projects the problem onto a small bidiagonal one.
+For a solution path its SVD gives the damped least-squares solution at every
+alpha of a grid at once; for a probe of the influence measure the eigenproblem
+of its Golub-Kahan tridiagonal gives the Gauss quadrature, with no SVD.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator,
-                    largest_eigenvalue, numerical_rank)
+                    largest_eigenvalue, numerical_rank, tridiagonal_eigh)
 from .rng import TAG_PROBES, keyed_rng
 
 
@@ -52,29 +54,134 @@ def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSo
                                residual_norm=float(np.linalg.norm(r)))
 
 
-def _normalize(X, scale):
-    """Norms of the rows of X, zeroed at or below the rank cutoff of ``scale``
-    (each row's largest alpha_k or beta_k so far); the other rows are normalized."""
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("operator or right-hand side gives non-finite values")
-    norms[norms <= RANK_CUTOFF * np.maximum(scale, norms)] = 0.0
-    X /= np.where(norms > 0.0, norms, 1.0)[:, None]
+def _sq_norms(X):
+    """The squared norm of a vector, or of each row of a matrix."""
+    return X @ X if X.ndim == 1 else np.einsum("ij,ij->i", X, X)
+
+
+def _norms(sq, scale):
+    """Norms from the squared norms ``sq``, zeroed at or below the rank cutoff
+    of ``scale`` (each one's largest alpha_k or beta_k so far)."""
+    norms = np.sqrt(sq)
+    kept = norms > RANK_CUTOFF * np.maximum(scale, norms)
+    if not kept.all():  # also where a norm is NaN or inf
+        if not np.isfinite(norms).all():
+            raise ValueError("operator or right-hand side gives non-finite values")
+        norms[~kept] = 0.0
     return norms
 
 
-def _reorthogonalize(Q, x):
-    """Each row x[j] minus its projection on the orthonormal rows of Q[j].
+def _normalize(X, scale):
+    """``_norms`` of the rows of X; the rows whose norm is kept are normalized
+    in place."""
+    norms = _norms(_sq_norms(X), scale)
+    X /= (norms if norms.all() else np.where(norms > 0.0, norms, 1.0))[:, None]
+    return norms
 
-    Classical Gram-Schmidt, batched over j and repeated on the rows where it
-    cancels more than a factor 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman
-    & Stewart)."""
-    y = x - ((Q @ x[:, :, None]).transpose(0, 2, 1) @ Q)[:, 0]
-    again = ~(np.einsum("ij,ij->i", y, y) >= 0.5 * np.einsum("ij,ij->i", x, x))
-    if again.any():
-        Qa, ya = (Q, y) if again.all() else (Q[again], y[again])
-        y[again] = ya - ((Qa @ ya[:, :, None]).transpose(0, 2, 1) @ Qa)[:, 0]
+
+def _project_out(Q, x):
+    """x minus its projection on the orthonormal rows of Q: Q (k, n) with x (n,),
+    or a stack Q (p, k, n) with x (p, n), one projection per row of x."""
+    if x.ndim == 1:
+        return x - (Q @ x) @ Q
+    return x - (np.matmul(Q, x[:, :, None]).transpose(0, 2, 1) @ Q)[:, 0]
+
+
+def _reorthogonalize(Q, x):
+    """``_project_out``, repeated on the rows where it cancels more than a
+    factor 1/sqrt(2) of the norm (classical Gram-Schmidt, twice if needed:
+    Daniel, Gragg, Kaufman & Stewart).  A repeat on some rows of a stack
+    projects each of them against its own Q[j], gathering no stack."""
+    y = _project_out(Q, x)
+    again = _sq_norms(y) < 0.5 * _sq_norms(x)
+    if again.all():
+        y = _project_out(Q, y)
+    elif again.any():
+        for j in np.flatnonzero(again):
+            y[j] = _project_out(Q[j], y[j])
     return y
+
+
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+class _Stack:
+    """A (depth x width x cols) float array, ``view()``, that grows in depth.
+
+    It lives in anonymous memory private to the process, whose pages become
+    resident only once written.  Depth is the leading axis, so growing
+    appends to the mapping, which the kernel extends without copying
+    (mremap).  Where a view of the old stack is still held elsewhere (by an
+    operator that keeps its input, say), or the platform has no mremap, it
+    is copied into a larger mapping instead."""
+
+    def __init__(self, depth, width, cols):
+        self.shape = (depth, width, cols)
+        self._buf = mmap.mmap(-1, max(8 * depth * width * cols, mmap.PAGESIZE), **_PRIVATE)
+
+    def view(self):
+        return np.frombuffer(self._buf, dtype=float,
+                             count=int(np.prod(self.shape))).reshape(self.shape)
+
+    def grow(self, depth):
+        """Grow to ``depth``, in place unless a view of the stack is held."""
+        self.shape = (depth, *self.shape[1:])
+        nbytes = 8 * int(np.prod(self.shape))
+        try:
+            self._buf.resize(nbytes)
+        except (BufferError, OSError, SystemError):  # SystemError: no mremap
+            old, self._buf = self._buf, mmap.mmap(-1, nbytes, **_PRIVATE)
+            self._buf.write(old)
+
+
+def _check_solver_args(tol, max_iter):
+    """ValueError unless tol is finite and > 0 and max_iter None or an integer >= 1."""
+    if not (isinstance(tol, (int, float, np.integer, np.floating))
+            and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if max_iter is not None and not (isinstance(max_iter, (int, np.integer))
+                                     and not isinstance(max_iter, bool) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
+def _projected_svd(d, e, beta1, residual, V):
+    """A column's ``(dec, rhs, residual)`` for ``spectral_path``: the SVD
+    P diag(s) Q^T of its lower bidiagonal B_k (diagonal d, subdiagonal e) with
+    right vectors V_k Q, truncated at the numerical rank, and rhs = beta1 e1."""
+    k = d.size
+    B = np.zeros((k + 1, k))
+    B[np.arange(k), np.arange(k)] = d
+    B[np.arange(1, k + 1), np.arange(k)] = e
+    P, s, Qt = np.linalg.svd(B, full_matrices=False)
+    r = numerical_rank(s)
+    rhs = np.zeros(k + 1)
+    rhs[0] = beta1
+    return SpectralDecomposition(P[:, :r], s[:r], (Qt[:r] @ V).T), rhs, float(residual)
+
+
+def _gauss_quadrature(d, e, beta1, residual, V):
+    """A probe's Gauss quadrature ``(nodes, weights, depth, residual)`` from its
+    bidiagonal B_k (diagonal d, subdiagonal e), with no SVD of B_k.
+
+    The zero-diagonal tridiagonal of size 2k + 1 with off-diagonal
+    alpha_1, beta_2, alpha_2, ..., alpha_k, beta_{k+1} (the Golub-Kahan
+    tridiagonal, TGK) has eigenvalues +-s_i and 0, where s_i are the singular
+    values of B_k; the eigenvector of +s_i is (p_i, q_i)/sqrt(2) interleaved,
+    p_i and q_i its left and right singular vectors, so its first component is
+    P[0, i]/sqrt(2).  The nodes are s_i^2 and the weights (beta1 P[0, i])^2
+    (Golub & Welsch 1969), truncated at the numerical rank as ``linop.svd``
+    truncates.  B_k B_k^T would give the same nodes as eigenvalues, but its
+    small ones only to an absolute accuracy of rounding times s_1^2."""
+    k = d.size
+    if not k:
+        return np.empty(0), np.empty(0), 0, float(residual)
+    off = np.empty(2 * k)
+    off[0::2], off[1::2] = d, e
+    w, Y = tridiagonal_eigh(np.zeros(2 * k + 1), off)
+    s = w[:k:-1]  # the k largest, nonincreasing
+    r = numerical_rank(s)
+    c = Y[0, :k:-1][:r]
+    return s[:r] * s[:r], 2.0 * beta1 * beta1 * (c * c), k, float(residual)
 
 
 def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
@@ -97,60 +204,84 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     leaves the block at its own stopping test or breakdown.  Only V is
     reorthogonalized (one-sided, Simon & Zha 2000): it is the basis solutions
     are mapped back through, and only the newest u of each column is kept,
-    so the memory is p * k * cols for the V stack and no U basis is stored.
+    so no U basis is stored.  The V stack grows in place with the depth
+    reached (``_Stack``), and only the p * k * cols entries written become
+    resident.  The probe measure (``influence_path_stochastic``)
+    runs the same loop but takes Gauss quadrature from each B_k instead of
+    its SVD.
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
-    bounds the relative error of x by ``tol`` only while tol is above roughly
-    cond(A^T A + a I) times machine epsilon; below it rounding sets the error.
-    The plane rotations of damped LSQR (Paige & Saunders 1982), one set per
-    column and alpha, track both norms without operator applications.  A
-    vanishing alpha_k or beta_k (an invariant subspace) ends a column with a
-    zero residual; ``max_iter`` steps (default min(rows, cols)) in any column
-    raise ConvergenceError.
+    bounds the relative error of x by ``tol`` (finite, > 0) only while tol is
+    above roughly cond(A^T A + a I) times machine epsilon; below it rounding
+    sets the error.  The plane rotations of damped LSQR (Paige & Saunders
+    1982), one set per column and alpha, track both norms without operator
+    applications.  A vanishing alpha_k or beta_k (an invariant subspace) ends
+    a column with a zero residual; ``max_iter`` steps (an integer >= 1,
+    default min(rows, cols), at most cols: V has no more directions) in any
+    column raise ConvergenceError.
     """
+    runs = _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, _projected_svd)
+    return runs if np.ndim(b) == 2 else runs[0]
+
+
+def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
+    """The loop of ``golub_kahan``; each column, when it stops at depth k, is
+    handed to ``finish(d, e, beta1, residual, V_k)`` with the diagonal
+    alpha_1..alpha_k and subdiagonal beta_2..beta_{k+1} of its B_k, and V_k as
+    a (k x cols) view that is valid only during the call.  Returns the
+    finished columns in the order of b's."""
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
         raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
+    _check_solver_args(tol, max_iter)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != op.rows:
         raise ValueError(f"right-hand side must have {op.rows} rows")
-    max_iter = min(op.rows, op.cols) if max_iter is None else max_iter
-    U = b.reshape(op.rows, -1).T.copy()  # the newest u of each column, one per row
-    p = U.shape[0]
-    beta1 = _normalize(U, 0.0)
-    V = np.empty((p, 8, op.cols))  # V[j, :k + 1] holds v_1 .. v_{k+1} of column j
-    diag, sub, scale = np.empty((p, 8)), np.empty((p, 8)), np.zeros(p)
-    live, residual, k, runs = np.arange(p), np.zeros(p), 0, [None] * p
+    max_iter = min(op.rows if max_iter is None else max_iter, op.cols)
+    # U holds u_{k+1} of each live column times its norm ``unorm``, one per
+    # column in the layout the sparse kernels read and write: the division by
+    # the norm goes to the (cols x p) adjoint image and into the next update,
+    # not over U.  V[:k + 1, j] holds v_1 .. v_{k+1} of live column j: depth
+    # leads, so the stack grows in place (``_Stack``), and each column's
+    # basis is a (k x cols) matrix with a constant row stride.
+    U = np.array(b.reshape(op.rows, -1), order="C")
+    n = U.shape[1]
+    unorm = beta1 = _norms(np.einsum("ij,ij->j", U, U), 0.0)
+    depth = min(8, max_iter + 1)
+    stack = _Stack(depth, n, op.cols)
+    V = stack.view()
+    diag, sub = np.empty((n, depth)), np.empty((n, depth))
+    live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
 
     def step_adjoint(go, b_next):
-        # v = A^T u - beta v_k, reorthogonalized, for the rows in go; returns alpha
-        a = np.zeros(go.size)
-        if not go.any():
-            return a
-        go = slice(None) if go.all() else go  # a view of V, not a copy, if all go
-        x = op.apply_adjoint(U[go].T).T
+        # v = A^T u - b_next v_k, reorthogonalized, for the live columns in go;
+        # returns their alpha (zero for the others)
+        if go.all():
+            rows, x = slice(0, n), op.apply_adjoint(U).T
+        elif go.any():
+            rows = np.flatnonzero(go)
+            x = op.apply_adjoint(U[:, rows]).T
+        else:
+            return np.zeros(n)
+        y = x / unorm[rows, None]
         if k:
-            x = _reorthogonalize(V[go, :k], x - b_next[go, None] * V[go, k - 1])
-        a[go] = _normalize(x, np.maximum(scale, b_next)[go])
-        V[go, k] = x
+            y -= b_next[rows, None] * V[k - 1, rows]
+            if n > 1 and isinstance(rows, slice):
+                y = _reorthogonalize(V[:k, :n].transpose(1, 0, 2), y)
+            else:  # one column, or some: each against its own V_k, no gathered stack
+                for i, j in enumerate(range(n) if isinstance(rows, slice) else rows):
+                    y[i] = _reorthogonalize(V[:k, j], y[i])
+        if isinstance(rows, slice):
+            a = _normalize(y, np.maximum(scale, b_next))
+        else:
+            a = np.zeros(n)
+            a[rows] = _normalize(y, np.maximum(scale, b_next)[rows])
+        V[k, rows] = y
         return a
 
-    def retire(done):
-        # finish the columns in done at depth k, one batched SVD of their B_k
-        B = np.zeros((np.count_nonzero(done), k + 1, k))
-        B[:, np.arange(k), np.arange(k)] = diag[done, :k]
-        B[:, np.arange(1, k + 1), np.arange(k)] = sub[done, :k]
-        P, s, Qt = np.linalg.svd(B, full_matrices=False)
-        W = Qt @ V[done, :k]  # (V_k Q)^T
-        for i, j in enumerate(np.flatnonzero(done)):
-            rhs = np.concatenate([beta1[j:j + 1], np.zeros(k)])
-            r = numerical_rank(s[i])
-            runs[live[j]] = (SpectralDecomposition(P[i, :, :r], s[i, :r], W[i, :r].T),
-                             rhs, float(residual[j]))
-
-    a = step_adjoint(beta1 > 0, np.zeros(p))
+    a = step_adjoint(beta1 > 0, np.zeros(n))
     scale, done = a.copy(), a == 0.0
     bound = (tol * beta1 * a)[:, None]  # tol * ||A^T b||
     # damped LSQR per column and alpha, in scipy's names: left rotations give
@@ -160,24 +291,34 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     tol_alphas, work = tol * alphas, None
     while True:
         if done.any():
-            retire(done)
-            keep = ~done
-            live, U, V, a, beta1, scale, diag, sub, residual, bound = (
-                x[keep] for x in (live, U, V, a, beta1, scale, diag, sub, residual, bound))
+            for i in np.flatnonzero(done):
+                runs[live[i]] = finish(diag[i, :k], sub[i, :k], beta1[i], residual[i], V[:k, i])
+            keep = np.flatnonzero(~done)
+            for i, j in enumerate(keep):  # the kept columns' V move down in place
+                if i != j:
+                    V[:k + 1, i] = V[:k + 1, j]
+            n, U = keep.size, U[:, keep]
+            live, a, beta1, unorm, scale, diag, sub, residual, bound = (
+                x[keep] for x in (live, a, beta1, unorm, scale, diag, sub, residual, bound))
             rhobar, phibar, cs2, sn2, z, xxnorm = (
                 x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
             work = None
-        if not live.size:
+        if not n:
             break
         if k == max_iter:
             raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} steps "
                                    f"(residual {residual.max():.3g})", iterations=max_iter)
-        if k + 2 > V.shape[1]:
-            V = np.concatenate([V, np.empty_like(V)], axis=1)
-            diag, sub = (np.concatenate([x, np.empty_like(x)], axis=1) for x in (diag, sub))
+        if k + 2 > depth:
+            depth = min(2 * depth, max_iter + 1)
+            V = None  # the loop's only view: the stack can grow in place
+            stack.grow(depth)
+            V = stack.view()
+            diag, sub = (np.concatenate([x, np.empty((n, depth - x.shape[1]))], axis=1)
+                         for x in (diag, sub))
         diag[:, k] = a
-        U = op.apply(V[:, k].T).T - a[:, None] * U
-        b_next = _normalize(U, scale)
+        np.multiply(U, a / unorm, out=U)  # a_k u_k
+        np.subtract(op.apply(V[k, :n].T), U, out=U)
+        unorm = b_next = _norms(np.einsum("ij,ij->j", U, U), scale)
         sub[:, k] = b_next
         k += 1
         a = step_adjoint(b_next > 0, b_next)
@@ -187,7 +328,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
             # (live column, alpha) scratch for the rotations, kept until the
             # block is compacted: fresh temporaries of a wide block cost more
             # than their arithmetic
-            work = np.empty((12 if relative_to_solution else 7, live.size, alphas.size))
+            work = np.empty((12 if relative_to_solution else 7, n, alphas.size))
             within = np.empty(work.shape[1:], dtype=bool)
             rhobar1, rho, cs, sn, phi, arnorm, tmp, *solution_work = work
         # rhobar1 = sqrt(rhobar^2 + a), phibar *= rhobar / rhobar1,
@@ -211,7 +352,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
         np.multiply(sn, phi, out=arnorm)
         np.abs(arnorm, out=arnorm)
         arnorm *= an
-        residual = np.max(arnorm, axis=1)
+        residual = arnorm.max(axis=1)
         if relative_to_solution:
             # theta = sn an, gambar = -cs2 rho, t = phi - sn2 rho z,
             # bound = tol a sqrt(xxnorm + (t / gambar)^2),
@@ -239,8 +380,8 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
             np.multiply(z, z, out=tmp)
             xxnorm += tmp
         np.less_equal(arnorm, bound, out=within)
-        done = (a == 0.0) | np.all(within, axis=1)
-    return runs if b.ndim == 2 else runs[0]
+        done = (a == 0.0) | within.all(axis=1)
+    return runs
 
 
 @dataclass
@@ -256,7 +397,8 @@ class InfluencePath:
     ``influence_measure`` samples another grid.  A spectrum gives nodes s_i^2
     with unit weights; on the stochastic path each probe's Golub-Kahan run
     gives a Gauss quadrature, and ``iterations`` and ``normal_residual`` hold
-    its Krylov depth and final residual.
+    its Krylov depth (not its node count, which the numerical rank may cut)
+    and final residual.  ``lam1`` must be finite and >= 0.
     """
 
     alphas: np.ndarray
@@ -267,6 +409,8 @@ class InfluencePath:
     normal_residual: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not (np.ndim(self.lam1) == 0 and np.isfinite(self.lam1) and self.lam1 >= 0):
+            raise ValueError(f"lam1 must be finite and >= 0, got {self.lam1!r}")
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
                                                                                   self.alphas)
@@ -313,27 +457,32 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
                               lam1: float | None = None) -> InfluencePath:
     """The measure of frozen Gaussian probes, pooled, sampled on ``alphas`` > 0.
 
-    One ``golub_kahan`` run over the block of probes, at its tolerance 1e-8.
-    For a probe z with projected SVD P diag(s) Q^T and c = beta1 P[0],
+    One Golub-Kahan run (``golub_kahan``'s loop) over the block of ``probes``
+    (an integer >= 1), at tolerance 1e-8.  For a probe z whose bidiagonal B_k
+    has singular values s and left vectors P, and c = beta1 P[0],
     w = (A^T A + a I)^{-1} A^T z has ||A w||^2, <z, A w> and ||w||^2 equal to
     the sums of x^2, x and s^2/(s^2 + a)^2 against weights c^2 on the nodes
-    s^2 (x = s^2/(s^2 + a)).  Each probe's weights are divided by ``probes``.
-    ``lam1`` (default: power iteration) sets sn_sq.
+    s^2 (x = s^2/(s^2 + a)).  The nodes and weights come from the eigenproblem
+    of B_k's Golub-Kahan tridiagonal (``_gauss_quadrature``), so no probe
+    forms an SVD or its V_k Q.  Each probe's weights are divided by
+    ``probes``.  ``lam1`` (default: power iteration, which raises
+    DegenerateDataError on a zero operator) sets sn_sq and must be > 0.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
-    if probes < 1:
-        raise ValueError("need at least one probe")
+    if not (isinstance(probes, (int, np.integer)) and not isinstance(probes, bool)
+            and probes >= 1):
+        raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
+    if not lam1 > 0:  # given or estimated, one rule
+        raise ValueError(f"lam1 must be > 0, got {lam1!r}")
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    runs = golub_kahan(op, Z, alphas, tol=1e-8)
-    return InfluencePath(alphas=alphas,
-                         nodes=np.concatenate([dec.s ** 2 for dec, _, _ in runs]),
-                         weights=np.concatenate([(dec.U[0] * rhs[0]) ** 2
-                                                 for dec, rhs, _ in runs]) / probes,
-                         lam1=lam1, iterations=np.array([rhs.size - 1 for _, rhs, _ in runs]),
-                         normal_residual=np.array([residual for _, _, residual in runs]))
+    runs = _golub_kahan(op, Z, alphas, 1e-8, None, False, _gauss_quadrature)
+    return InfluencePath(alphas=alphas, nodes=np.concatenate([run[0] for run in runs]),
+                         weights=np.concatenate([run[1] for run in runs]) / probes,
+                         lam1=lam1, iterations=np.array([run[2] for run in runs]),
+                         normal_residual=np.array([run[3] for run in runs]))
 
 
 @dataclass

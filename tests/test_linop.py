@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import riskreg as rr
+from riskreg import linop
 from riskreg.errors import ConvergenceError
 from riskreg.linop import as_operator
 from riskreg.rng import keyed_rng
@@ -125,6 +126,28 @@ class TestPowerMethod:
         with pytest.raises(ConvergenceError) as err:
             rr.largest_eigenvalue(A, tol=1e-14, max_iter=3, seed=0)
         assert err.value.last_iterate == pytest.approx(1.0, rel=1e-2)
+
+
+class TestTridiagonalEigh:
+    def test_matches_dense_eigh_through_either_library(self, monkeypatch):
+        # the bundled OpenBLAS's dstevd, and scipy's where numpy bundles none
+        rng = keyed_rng(83)
+        diag, off = rng.standard_normal(9), rng.standard_normal(8)
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        ref = np.linalg.eigvalsh(T)
+        solvers = [linop._dstevd()]
+        monkeypatch.setattr(linop, "bundled_openblas", lambda: None)
+        solvers.append(linop._dstevd.__wrapped__())
+        for solve in solvers:
+            w, Y, info = solve(diag, off)
+            assert info == 0
+            np.testing.assert_allclose(w, ref, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(T @ Y, Y * w, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(Y.T @ Y, np.eye(9), rtol=0.0, atol=1e-14)
+
+    def test_rejects_mismatched_sizes(self):
+        with pytest.raises(ValueError, match="off-diagonal"):
+            linop.tridiagonal_eigh(np.zeros(4), np.ones(4))
 
 
 def _probe_stats(A, alpha, probes, seed):

@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
-from riskreg import rules
+from riskreg import rules, tikhonov
 from riskreg.bench import default_grid, matrix_free_grid
-from riskreg.errors import ConvergenceError
+from riskreg.errors import ConvergenceError, DegenerateDataError
 from riskreg.rng import TAG_PROBES, keyed_rng
 from riskreg.tikhonov import influence_measure
 
@@ -199,6 +201,61 @@ class TestGolubKahan:
         with pytest.raises(ValueError):
             rr.golub_kahan(np.eye(4), np.ones(4), [0.0])
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0])
+    def test_rejects_ill_formed_tol(self, tol):
+        # each ran to full depth and reported a normal residual of 0
+        A, b = keyed_rng(71).standard_normal((8, 6)), np.ones(8)
+        with pytest.raises(ValueError, match="tol"):
+            rr.golub_kahan(A, b, [1.0], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            rr.iterative_path(A, b, [1.0], tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [-3, 0, 2.5, True])
+    def test_rejects_ill_formed_max_iter(self, max_iter):
+        # -3 was ignored, 0 raised ConvergenceError
+        with pytest.raises(ValueError, match="max_iter"):
+            rr.golub_kahan(keyed_rng(71).standard_normal((8, 6)), np.ones(8), [1.0],
+                           max_iter=max_iter)
+
+    def test_stack_grows_with_the_depth_reached(self):
+        # a shallow run on a huge operator: a diagonal with three distinct
+        # entries on 10^6 coordinates has Krylov depth 3, while a V stack sized
+        # for the default max_iter (10^6 steps) would take 8 TB a column
+        cols = 10 ** 6
+        d = np.repeat([3.0, 2.0, 1.0], [1, 2, cols - 3])
+        op = rr.LinearOperator.from_functions(cols, cols, lambda x: d * x, lambda y: d * y)
+        b = np.full(cols, 1e-3)
+        dec, rhs, residual = rr.golub_kahan(op, b, [1e-2, 1.0])
+        assert dec.rank == 3 and rhs.size == 4 and residual == 0.0
+        np.testing.assert_allclose(dec.s, [3.0, 2.0, 1.0], rtol=1e-12)
+
+    def test_stack_grows_while_the_operator_keeps_a_view(self):
+        # the stack cannot grow in place while a view of it is held, and is
+        # copied instead: the run matches one through a forgetful operator
+        A = keyed_rng(89).standard_normal((40, 30))
+        kept = []
+
+        def keep(x):
+            kept.append(x)  # every input: views of the stack
+            return A @ x
+
+        op = rr.LinearOperator(40, 30, keep, partial(operator.matmul, A.T), "matrix-free")
+        B = keyed_rng(97).standard_normal((40, 2))
+        alphas = [1e-6, 1e-2]
+        held, plain = rr.golub_kahan(op, B, alphas, tol=1e-12), rr.golub_kahan(A, B, alphas,
+                                                                              tol=1e-12)
+        assert len(kept) > 8  # past the stack's first growth
+        for (dec, rhs, res), (ref, ref_rhs, ref_res) in zip(held, plain):
+            assert np.array_equal(dec.s, ref.s) and np.array_equal(dec.V, ref.V)
+            assert np.array_equal(rhs, ref_rhs) and res == ref_res
+
+    def test_max_iter_above_cols_stops_at_cols(self):
+        # V has no direction beyond cols, so a column still running there has failed
+        rng = keyed_rng(73)
+        A, b = rng.standard_normal((40, 5)), rng.standard_normal(40)
+        dec, _, _ = rr.golub_kahan(A, b, [1e-3], tol=1e-300, max_iter=100)
+        assert dec.rank == 5
+
 
 def _block_and_columns(A, B, alphas, **kw):
     """golub_kahan on the block B and on each of its columns alone."""
@@ -272,13 +329,13 @@ class TestGolubKahanBlock:
             entries.append((d, e, beta1))
             r0, c0 = r0 + m + 1, c0 + m
         alphas = np.geomspace(1e-2, 3.0, 7)
-        for tol in (1e-2, 1e-4, 1e-6, 0.0):
+        for tol in (1e-2, 1e-4, 1e-6, 1e-300):
             runs = rr.golub_kahan(A, B, alphas, tol=tol, relative_to_solution=relative)
             for (dec, _, residual), (d, e, beta1) in zip(runs, entries):
                 depth, ref = _damped_lsqr_reference(d, e, beta1, alphas, tol, relative)
                 assert dec.rank == depth and residual == ref
-            # a positive tol stops some column before its breakdown
-            assert (tol == 0.0) == all(run[0].rank == m for run, m in zip(runs, sizes))
+            # a tol above rounding stops some column before its breakdown
+            assert (tol == 1e-300) == all(run[0].rank == m for run, m in zip(runs, sizes))
 
     def test_tall_sparse_tomography(self):
         p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
@@ -294,9 +351,9 @@ class TestGolubKahanBlock:
         s1_sq = float(dec.s[0]) ** 2
         alphas = np.geomspace(1e-3 * s1_sq, 0.5 * s1_sq, 10)
         B = keyed_rng(53).standard_normal((32, 5))
-        block, columns = _block_and_columns(p.A, B, alphas, tol=0.0)
+        block, columns = _block_and_columns(p.A, B, alphas, tol=1e-300)
         _assert_runs_agree(block, columns, alphas)
-        for dec_j, _, residual in block:  # tol = 0 runs until a breakdown
+        for dec_j, _, residual in block:  # tol = 1e-300 runs until a breakdown
             assert residual == 0.0 and abs(dec_j.rank - dec.rank) <= 1
 
     def test_wide_dense_matches_direct_solve(self):
@@ -383,6 +440,78 @@ def test_golub_kahan_agrees_with_spectral_path(rows, cols, rank, columns, seed, 
         np.testing.assert_allclose(got.residual_norms, ref.residual_norms, rtol=1e-9)
         gaps = np.linalg.norm(got.solutions - ref.solutions, axis=1)
         assert np.all(gaps <= 1e-8 * np.linalg.norm(ref.solutions, axis=1))
+
+
+def _svd_measure(A, alphas, probes, seed):
+    """frob_sq, trace and noise_amp on ``alphas``, total weight and node count
+    of the probe measure taken from the SVD of each probe's bidiagonal, on the
+    probes ``influence_path_stochastic`` draws."""
+    Z = keyed_rng(seed, TAG_PROBES).standard_normal((rr.as_operator(A).rows, probes))
+    runs = rr.golub_kahan(A, Z, alphas)
+    forms = sum(np.array(_probe_forms(run, alphas)) for run in runs) / probes
+    weight = sum(float(np.sum((dec.U[0] * rhs[0]) ** 2)) for dec, rhs, _ in runs) / probes
+    return (*forms, weight, sum(dec.rank for dec, _, _ in runs))
+
+
+def _assert_quadrature_matches_svd(A, alphas, probes, seed, rtol_forms, rtol_weight):
+    alphas = np.asarray(alphas, dtype=float)
+    inf = rr.influence_path_stochastic(A, alphas, probes, seed, lam1=1.0)
+    frob, trace, noise, weight, nodes = _svd_measure(A, alphas, probes, seed)
+    np.testing.assert_allclose(inf.frob_sq, frob, rtol=rtol_forms, atol=0.0)
+    np.testing.assert_allclose(inf.trace, trace, rtol=rtol_forms, atol=0.0)
+    np.testing.assert_allclose(inf.noise_amp, noise, rtol=rtol_weight, atol=0.0)
+    assert float(np.sum(inf.weights)) == pytest.approx(weight, rel=rtol_weight, abs=0.0)
+    assert inf.nodes.size == inf.weights.size == nodes
+    return inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), rank=st.integers(1, 12),
+       decades=st.floats(0.0, 14.0), probes=st.integers(1, 5), seed=st.integers(0, 2 ** 31 - 1))
+def test_gauss_quadrature_matches_svd_measure(rows, cols, rank, decades, probes, seed):
+    """The probe measure from the Golub-Kahan tridiagonal equals the one from
+    the SVD of each bidiagonal, on tall, wide and rank-deficient operators
+    with singular values down to 1e-14 s1.  Its eigenvalues are accurate to
+    rounding times s1, not relative to each s_i as the bidiagonal SVD's, so
+    nodes near 1e-8 s1 move noise_amp and the total weight by up to ~2e-8
+    relative (the worst of 2,000 such random cases); frob_sq and trace, which
+    weigh those nodes by s^4 and s^2, by up to ~6e-11.  The rtols are 10x
+    that."""
+    rng = keyed_rng(seed)
+    rank = min(rank, rows, cols)
+    s = np.sort(10.0 ** rng.uniform(-decades, 0.0, rank))[::-1]
+    U = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :rank]
+    V = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :rank]
+    A = (U * (s / s[0])) @ V.T
+    _assert_quadrature_matches_svd(A, matrix_free_grid(1.0).values, probes, seed,
+                                   rtol_forms=1e-9, rtol_weight=2e-7)
+
+
+class TestGaussQuadrature:
+    """Edge cases of the probe quadrature, each against the SVD measure."""
+
+    def test_breakdown_at_step_one(self):
+        # the identity: every probe breaks down after one step on the node 1
+        inf = _assert_quadrature_matches_svd(np.eye(6), np.geomspace(1e-3, 1.0, 5), 3, 4,
+                                             rtol_forms=1e-14, rtol_weight=1e-14)
+        assert np.all(inf.iterations == 1)
+        np.testing.assert_allclose(inf.nodes, 1.0, rtol=1e-15)
+
+    def test_probe_with_no_adjoint_image(self):
+        # A^T z = 0: the run stops before its first step and adds no node
+        inf = _assert_quadrature_matches_svd(np.zeros((5, 3)), [1e-2, 1.0], 2, 0,
+                                             rtol_forms=0.0, rtol_weight=0.0)
+        assert inf.nodes.size == 0 and np.all(inf.iterations == 0)
+        assert np.array_equal(inf.frob_sq, [0.0, 0.0]) and np.array_equal(inf.sn_sq, [1.0, 1.0])
+
+    def test_depth_one(self):
+        # a rank-one operator breaks down at its second adjoint step: k = 1
+        # with a nonzero beta_2
+        rng = keyed_rng(79)
+        A = np.outer(rng.standard_normal(7), rng.standard_normal(4))
+        inf = _assert_quadrature_matches_svd(A, np.geomspace(1e-3, 10.0, 6), 4, 2,
+                                             rtol_forms=1e-13, rtol_weight=1e-13)
+        assert np.all(inf.iterations == 1) and inf.nodes.size == 4
 
 
 class TestInfluenceExact:
@@ -498,6 +627,71 @@ class TestInfluenceMeasure:
 
 
 class TestInfluenceStochastic:
+    @pytest.mark.parametrize("lam1", [np.nan, -1.0, 0.0, np.inf])
+    def test_rejects_ill_formed_lam1(self, lam1):
+        # nan gave a NaN sn_sq, on which ipro returned alpha 0.5 unflagged;
+        # the others a wrong sn_sq
+        p = rr.parallel_tomo(cells_per_side=8, angles=12, rays_per_angle=11)
+        with pytest.raises(ValueError, match="lam1"):
+            rr.influence_path_stochastic(p.A, [1e-3, 1e-2], probes=2, seed=0, lam1=lam1)
+
+    def test_estimated_lam1_meets_the_same_rule(self, monkeypatch):
+        # a zero operator fails in the power iteration; an estimate of 0 would
+        # fail the check an explicit lam1 of 0 fails
+        with pytest.raises(DegenerateDataError):
+            rr.influence_path_stochastic(np.zeros((5, 3)), [1.0], probes=2, seed=0)
+        monkeypatch.setattr(tikhonov, "largest_eigenvalue", lambda op, seed: 0.0)
+        with pytest.raises(ValueError, match="lam1"):
+            rr.influence_path_stochastic(np.eye(4), [1.0], probes=2, seed=0)
+
+    @pytest.mark.parametrize("lam1", [np.nan, -1.0, np.inf, np.ones(2)])
+    def test_measure_rejects_ill_formed_lam1(self, shaw32, lam1):
+        # every constructor, and influence_measure's copy on another grid
+        _, dec = shaw32
+        inf = rr.influence_path_exact(dec, [1e-3])
+        with pytest.raises(ValueError, match="lam1"):
+            rr.InfluencePath(alphas=[1e-3], nodes=inf.nodes, weights=inf.weights, lam1=lam1)
+        inf.lam1 = lam1  # a measure changed after its construction
+        with pytest.raises(ValueError, match="lam1"):
+            influence_measure(inf, [1e-2])
+
+    @pytest.mark.parametrize("probes", [1.5, True, 0])
+    def test_rejects_ill_formed_probes(self, probes):
+        # 1.5 and True raised a numpy TypeError
+        with pytest.raises(ValueError, match="probes"):
+            rr.influence_path_stochastic(np.eye(4), [1.0], probes=probes, seed=0, lam1=1.0)
+
+    def test_tomography_apply_counts(self):
+        # the tomo_mf workload's sequence on replicate 0 (paralleltomo 16^2, power
+        # seed 3, 16 probes from seed 5, noise seed 1 at 20 dB): the columns each
+        # stage applies, which no change of arithmetic may alter
+        class Counting(rr.LinearOperator):
+            def __init__(self, op):
+                super().__init__(op.rows, op.cols, op._apply, op._apply_adjoint,
+                                 op.representation, op._matrix)
+                self.counts = [0, 0]
+
+            def apply(self, x):
+                self.counts[0] += 1 if np.ndim(x) == 1 else np.shape(x)[1]
+                return super().apply(x)
+
+            def apply_adjoint(self, y):
+                self.counts[1] += 1 if np.ndim(y) == 1 else np.shape(y)[1]
+                return super().apply_adjoint(y)
+
+        p = rr.make_problem("paralleltomo", None, 16)
+        op = Counting(p.A)
+        lam1 = rr.largest_eigenvalue(op, seed=3)
+        assert op.counts == [17, 17]
+        grid = matrix_free_grid(lam1).values
+        op.counts = [0, 0]
+        inf = rr.influence_path_stochastic(op, grid, probes=16, seed=5, lam1=lam1)
+        assert op.counts == [515, 531]
+        assert inf.iterations.tolist() == [32] * 8 + [33] + [32] * 2 + [33] + [32] * 2 + [33, 32]
+        op.counts = [0, 0]
+        path = rr.iterative_path(op, rr.add_noise(p, 20.0, 1, 0).g, grid)
+        assert op.counts == [50, 51] and path.iterations == 50
+
     def test_identity_sn_exact(self):
         inf = rr.influence_path_stochastic(np.eye(8), [1.0], probes=4, seed=0)
         assert inf.sn_sq[0] == pytest.approx(0.25, rel=1e-8)

@@ -8,6 +8,13 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   on the n = 64 ones at replicate 0, 20 dB: exit code, stdout and stderr;
 - every ``curve`` kind on replicate 0 at 20 dB of each problem: exit code and
   the SHA-256 of the CSV;
+- the probe measure (``influence_path_stochastic``) of paralleltomo 16x16
+  with the ``tomo_mf`` benchmark's seeds (power 3, 16 probes from seed 5,
+  ``matrix_free_grid``) and of shaw n = 64 on the default grid (32 probes,
+  seed 0, lam1 = s1^2): ``frob_sq``, ``trace`` and ``noise_amp`` at the first,
+  middle and last grid index, and the total weight, at full precision;
+- ``select --matrix-free`` for every rule on a paralleltomo 16x16 container
+  (replicate 0, 20 dB): exit code, stdout and stderr;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
   20 dB, 20 replicates, every rule) at 1 and 2 workers, of the same problems
   at 0 and -10 dB (10 replicates, so three workers get uneven chunks) at 1 and
@@ -26,7 +33,7 @@ import json
 import os
 import tempfile
 
-from riskreg import cli, problems, rules
+from riskreg import bench, cli, linop, problems, rules, tikhonov
 
 SEED = 1
 XIS = (10.0, 20.0, 40.0)
@@ -68,8 +75,34 @@ def _tag(name, variant, n) -> str:
     return f"{name}{'' if variant is None else variant}_n{n}"
 
 
+def _print_measure(label, m) -> None:
+    for i in (0, m.alphas.size // 2, m.alphas.size - 1):
+        print(f"measure {label} index={i} frob_sq={float(m.frob_sq[i])!r} "
+              f"trace={float(m.trace[i])!r} noise_amp={float(m.noise_amp[i])!r}")
+    print(f"measure {label} total_weight={float(m.weights.sum())!r} nodes={m.nodes.size} "
+          f"depths={m.iterations.tolist()}")
+
+
 def main() -> None:
+    tomo = problems.make_problem("paralleltomo", None, 16)
+    lam1 = linop.largest_eigenvalue(tomo.A, seed=3)
+    _print_measure("paralleltomo16", tikhonov.influence_path_stochastic(
+        tomo.A, bench.matrix_free_grid(lam1).values, probes=16, seed=5, lam1=lam1))
+    shaw = problems.make_problem("shaw", None, 64)
+    s1_sq = float(linop.svd(shaw.A).s[0]) ** 2
+    _print_measure("shaw64", tikhonov.influence_path_stochastic(
+        shaw.A, bench.default_grid(s1_sq).values, probes=32, seed=0, lam1=s1_sq))
+
     with tempfile.TemporaryDirectory() as tmp:
+        tomo_path = os.path.join(tmp, "paralleltomo16.rr")
+        problems.save_container(tomo_path, problem=tomo,
+                                noisy=problems.add_noise(tomo, 20.0, SEED, 0))
+        for rule in rules.RULE_NAMES:
+            code, out, err = _run(["select", "--data", tomo_path, "--rule", rule,
+                                   "--seed", "0", "--matrix-free"])
+            print(f"select-mf paralleltomo16_xi20_r0 {rule} {code} {json.dumps(out)} "
+                  f"{json.dumps(err)}")
+
         containers = {}
         for name, variant, n in CONTAINERS:
             problem = problems.make_problem(name, variant, n)
