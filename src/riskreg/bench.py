@@ -306,11 +306,10 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
         errors[i] = np.sqrt(np.add.reduce(D, axis=1)) / f_norm
         norms[0, i], norms[1, i] = path.residual_norms, path.solution_norms
         g_sq[i], sigma[i], sigma2[i] = data.g @ data.g, data.sigma, data.sigma ** 2
-        # grid mode on the shared path: the influence path is the source and
-        # dp does not bisect off the grid
+        # grid mode on the shared path, with what bp and qoc read
         inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
-                                           sigma=data.sigma, sigma2=sigma2[i], refine=False,
-                                           bp_gamma=config.bp_gamma, bp_c=config.bp_c)
+                                           sigma=data.sigma, bp_gamma=config.bp_gamma,
+                                           bp_c=config.bp_c)
         for rule, picked in picks.items():
             d = rules_mod.RULES[rule].run(inputs).diagnostics
             picked.append((d["grid_index"], tuple(d["flags"])))

@@ -228,7 +228,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        # JSONDecodeError is a ValueError; MemoryError, an allocation numpy
+        # refuses (a count flag too large for the machine)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

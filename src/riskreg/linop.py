@@ -204,14 +204,24 @@ def tridiagonal_eigh(diag, off):
     return w, Y
 
 
+def check_solver_args(tol, max_iter):
+    """ValueError unless tol is finite and > 0 and max_iter None or an integer >= 1."""
+    if not (isinstance(tol, (int, float, np.integer, np.floating))
+            and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if max_iter is not None and not (isinstance(max_iter, (int, np.integer))
+                                     and not isinstance(max_iter, bool) and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+
+
 def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0):
     """Power method on A^T A from a seeded Gaussian start vector.
 
     Returns (lam, v, iterations, rayleighs) where lam estimates the largest
     eigenvalue of A^T A and rayleighs is the (nondecreasing) quotient history.
+    ``tol`` must be finite and > 0 and ``max_iter`` an integer >= 1.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_solver_args(tol, max_iter)
     op = as_operator(A)
     rng = keyed_rng(seed, TAG_POWER)
     v = rng.standard_normal(op.cols)

@@ -10,14 +10,13 @@ of its Golub-Kahan tridiagonal gives the Gauss quadrature, with no SVD.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator,
+from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, check_solver_args,
                     largest_eigenvalue, numerical_rank, tridiagonal_eigh)
 from .rng import TAG_PROBES, keyed_rng
 
@@ -102,48 +101,6 @@ def _reorthogonalize(Q, x):
     return y
 
 
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-class _Stack:
-    """A (depth x width x cols) float array, ``view()``, that grows in depth.
-
-    It lives in anonymous memory private to the process, whose pages become
-    resident only once written.  Depth is the leading axis, so growing
-    appends to the mapping, which the kernel extends without copying
-    (mremap).  Where a view of the old stack is still held elsewhere (by an
-    operator that keeps its input, say), or the platform has no mremap, it
-    is copied into a larger mapping instead."""
-
-    def __init__(self, depth, width, cols):
-        self.shape = (depth, width, cols)
-        self._buf = mmap.mmap(-1, max(8 * depth * width * cols, mmap.PAGESIZE), **_PRIVATE)
-
-    def view(self):
-        return np.frombuffer(self._buf, dtype=float,
-                             count=int(np.prod(self.shape))).reshape(self.shape)
-
-    def grow(self, depth):
-        """Grow to ``depth``, in place unless a view of the stack is held."""
-        self.shape = (depth, *self.shape[1:])
-        nbytes = 8 * int(np.prod(self.shape))
-        try:
-            self._buf.resize(nbytes)
-        except (BufferError, OSError, SystemError):  # SystemError: no mremap
-            old, self._buf = self._buf, mmap.mmap(-1, nbytes, **_PRIVATE)
-            self._buf.write(old)
-
-
-def _check_solver_args(tol, max_iter):
-    """ValueError unless tol is finite and > 0 and max_iter None or an integer >= 1."""
-    if not (isinstance(tol, (int, float, np.integer, np.floating))
-            and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    if max_iter is not None and not (isinstance(max_iter, (int, np.integer))
-                                     and not isinstance(max_iter, bool) and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-
-
 def _projected_svd(d, e, beta1, residual, V):
     """A column's ``(dec, rhs, residual)`` for ``spectral_path``: the SVD
     P diag(s) Q^T of its lower bidiagonal B_k (diagonal d, subdiagonal e) with
@@ -204,11 +161,12 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     leaves the block at its own stopping test or breakdown.  Only V is
     reorthogonalized (one-sided, Simon & Zha 2000): it is the basis solutions
     are mapped back through, and only the newest u of each column is kept,
-    so no U basis is stored.  The V stack grows in place with the depth
-    reached (``_Stack``), and only the p * k * cols entries written become
-    resident.  The probe measure (``influence_path_stochastic``)
-    runs the same loop but takes Gauss quadrature from each B_k instead of
-    its SVD.
+    so no U basis is stored.  The V stack starts at 8 rows and doubles in
+    place as the columns deepen, up to max_iter + 1 rows; numpy zero-fills
+    what it adds, so all of it is resident, past 8 rows at most twice the
+    k + 1 rows of the deepest column.  The probe measure
+    (``influence_path_stochastic``) runs the same loop but takes Gauss
+    quadrature from each B_k instead of its SVD.
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
@@ -235,7 +193,7 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
         raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
-    _check_solver_args(tol, max_iter)
+    check_solver_args(tol, max_iter)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != op.rows:
         raise ValueError(f"right-hand side must have {op.rows} rows")
@@ -244,14 +202,14 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     # column in the layout the sparse kernels read and write: the division by
     # the norm goes to the (cols x p) adjoint image and into the next update,
     # not over U.  V[:k + 1, j] holds v_1 .. v_{k+1} of live column j: depth
-    # leads, so the stack grows in place (``_Stack``), and each column's
-    # basis is a (k x cols) matrix with a constant row stride.
+    # leads, so ``ndarray.resize`` grows the stack in place (glibc's realloc
+    # remaps a large block), and each column's basis is a (k x cols) matrix
+    # with a constant row stride.
     U = np.array(b.reshape(op.rows, -1), order="C")
     n = U.shape[1]
     unorm = beta1 = _norms(np.einsum("ij,ij->j", U, U), 0.0)
     depth = min(8, max_iter + 1)
-    stack = _Stack(depth, n, op.cols)
-    V = stack.view()
+    V = np.empty((depth, n, op.cols))
     diag, sub = np.empty((n, depth)), np.empty((n, depth))
     live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
 
@@ -310,9 +268,10 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
                                    f"(residual {residual.max():.3g})", iterations=max_iter)
         if k + 2 > depth:
             depth = min(2 * depth, max_iter + 1)
-            V = None  # the loop's only view: the stack can grow in place
-            stack.grow(depth)
-            V = stack.view()
+            try:  # the loop holds V once: a second reference would refuse every resize
+                V.resize((depth, *V.shape[1:]))
+            except ValueError:  # an operator keeps a view of V
+                V = np.concatenate([V, np.empty((depth - V.shape[0], *V.shape[1:]))])
             diag, sub = (np.concatenate([x, np.empty((n, depth - x.shape[1]))], axis=1)
                          for x in (diag, sub))
         diag[:, k] = a

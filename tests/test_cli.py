@@ -521,6 +521,20 @@ class TestCountFlags:
         self._assert_usage_error(["select", "--data", str(shaw_dataset), "--rule", "pro",
                                   "--probes", probes], capsys)
 
+    # counts whose arrays take over 2^50 bytes, which numpy's allocation is
+    # refused up front on any machine: a MemoryError, not a traceback
+    def test_select_probes_beyond_memory(self, tmp_path, capsys):
+        assert main(["generate", "--problem", "paralleltomo", "--n", "8", "--xi", "20",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        data = next(tmp_path.glob("data_*.rr"))
+        self._assert_usage_error(["select", "--data", str(data), "--rule", "pro",
+                                  "--matrix-free", "--probes", str(10 ** 12)], capsys)
+
+    def test_select_grid_points_beyond_memory(self, shaw_dataset, capsys):
+        self._assert_usage_error(["select", "--data", str(shaw_dataset), "--rule", "gcv",
+                                  "--grid-points", str(10 ** 15)], capsys)
+
     def test_generate_replicate(self, tmp_path, capsys):
         out_dir = tmp_path / "gen"
         self._assert_usage_error(["generate", "--problem", "shaw", "--n", "16",

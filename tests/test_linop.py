@@ -127,6 +127,20 @@ class TestPowerMethod:
             rr.largest_eigenvalue(A, tol=1e-14, max_iter=3, seed=0)
         assert err.value.last_iterate == pytest.approx(1.0, rel=1e-2)
 
+    @pytest.mark.parametrize("arg,value", [
+        ("tol", np.nan),      # ran all 10,000 iterations, then ConvergenceError
+        ("tol", np.inf),      # stopped at once: lam 2.10 on shaw 16, where s1^2 is 8.96
+        ("max_iter", 2.5),    # a TypeError from range
+        ("max_iter", 0),      # ConvergenceError "in 0 iterations"
+        ("max_iter", -3),     # ConvergenceError "in -3 iterations"
+    ])
+    def test_rejects_ill_formed_solver_args(self, arg, value):
+        A = rr.make_problem("shaw", None, 16).A
+        with pytest.raises(ValueError, match=arg):
+            rr.power_iteration(A, seed=0, **{arg: value})
+        with pytest.raises(ValueError, match=arg):
+            rr.largest_eigenvalue(A, seed=0, **{arg: value})
+
 
 class TestTridiagonalEigh:
     def test_matches_dense_eigh_through_either_library(self, monkeypatch):

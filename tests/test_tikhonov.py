@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -248,6 +249,23 @@ class TestGolubKahan:
         for (dec, rhs, res), (ref, ref_rhs, ref_res) in zip(held, plain):
             assert np.array_equal(dec.s, ref.s) and np.array_equal(dec.V, ref.V)
             assert np.array_equal(rhs, ref_rhs) and res == ref_res
+
+    def test_stack_grows_without_a_copy(self):
+        # two probes of a diagonal with 40 distinct entries on 50,000
+        # coordinates reach depth 17, so the stack doubles 8 -> 16 -> 32 rows;
+        # a copy at a doubling would hold the old and new stacks at once
+        # (>= 1.5x the final one), growing in place holds only the final one
+        cols = 50_000
+        d = np.repeat(np.linspace(1.0, 2.0, 40), cols // 40)
+        op = rr.LinearOperator.from_functions(cols, cols, lambda x: d * x, lambda y: d * y)
+        tracemalloc.start()
+        try:
+            m = tikhonov.influence_path_stochastic(op, [1e-2, 1.0], 2, seed=1, lam1=4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(m.iterations) == [17, 17]
+        assert peak < 1.4 * (32 * 2 * cols * 8)
 
     def test_max_iter_above_cols_stops_at_cols(self):
         # V has no direction beyond cols, so a column still running there has failed
