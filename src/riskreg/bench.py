@@ -38,16 +38,16 @@ DEFAULT_PROBES = 32
 
 
 def _check_grid(lo, hi, points, keys=("min", "max", "points")) -> None:
-    """AlphaGrid's conditions; an endpoint of None, taken from the operator
-    later, is left out of 0 < lo < hi < inf.  A message names the values at
-    fault by their entries in ``keys``."""
+    """AlphaGrid's conditions; an endpoint or point count of None, taken from
+    the operator later, is left out.  A message names the values at fault by
+    their entries in ``keys``."""
     chain = [(0.0, None), *((x, k) for x, k in zip((lo, hi), keys) if x is not None),
              (np.inf, None)]
     for (a, key_a), (b, key_b) in zip(chain, chain[1:]):
         if not a < b:
             at = " and ".join(f"{k} = {x!r}" for x, k in ((a, key_a), (b, key_b)) if k)
             raise ValueError(f"{at}: need 0 < min < max < inf")
-    if points < 2:
+    if points is not None and points < 2:
         raise ValueError(f"{keys[2]} = {points!r}: need at least two grid points")
 
 

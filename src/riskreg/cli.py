@@ -131,9 +131,16 @@ def _load_dataset(path):
     return problem, noisy
 
 
+def _check_grid_flags(args) -> None:
+    bench._check_grid(args.grid_min, args.grid_max, args.grid_points,
+                      ("--grid-min", "--grid-max", "--grid-points"))
+
+
 def _cmd_select(args) -> int:
     if args.probes < 1:
         raise ValueError(f"need at least one probe, got {args.probes}")
+    _check_grid_flags(args)  # also for the rules that read no grid or bp setting
+    rules.check_bp(args.bp_gamma, args.bp_c, keys=("--bp-gamma", "--bp-c"))
     problem, noisy = _load_dataset(args.data)
     if noisy is None:
         _build_parser().error("container has no noisy data vector")
@@ -175,6 +182,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    _check_grid_flags(args)
     problem, noisy = _load_dataset(args.data)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,

@@ -205,12 +205,12 @@ def tridiagonal_eigh(diag, off):
 
 
 def check_solver_args(tol, max_iter):
-    """ValueError unless tol is finite and > 0 and max_iter None or an integer >= 1."""
+    """ValueError unless tol is finite and > 0 and max_iter an integer >= 1."""
     if not (isinstance(tol, (int, float, np.integer, np.floating))
             and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    if max_iter is not None and not (isinstance(max_iter, (int, np.integer))
-                                     and not isinstance(max_iter, bool) and max_iter >= 1):
+    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+            and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
 

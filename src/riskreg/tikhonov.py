@@ -54,8 +54,8 @@ def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSo
 
 
 def _sq_norms(X):
-    """The squared norm of a vector, or of each row of a matrix."""
-    return X @ X if X.ndim == 1 else np.einsum("ij,ij->i", X, X)
+    """The squared norm of each row of X."""
+    return np.einsum("ij,ij->i", X, X)
 
 
 def _norms(sq, scale):
@@ -79,36 +79,34 @@ def _normalize(X, scale):
 
 
 def _project_out(Q, x):
-    """x minus its projection on the orthonormal rows of Q: Q (k, n) with x (n,),
-    or a stack Q (p, k, n) with x (p, n), one projection per row of x."""
-    if x.ndim == 1:
-        return x - (Q @ x) @ Q
+    """x minus its projection on the orthonormal rows of Q: for a stack Q
+    (p, k, n) and x (p, n), each row of x against its own Q[j]."""
     return x - (np.matmul(Q, x[:, :, None]).transpose(0, 2, 1) @ Q)[:, 0]
 
 
 def _reorthogonalize(Q, x):
     """``_project_out``, repeated on the rows where it cancels more than a
     factor 1/sqrt(2) of the norm (classical Gram-Schmidt, twice if needed:
-    Daniel, Gragg, Kaufman & Stewart).  A repeat on some rows of a stack
-    projects each of them against its own Q[j], gathering no stack."""
+    Daniel, Gragg, Kaufman & Stewart).  A repeat on some rows projects each
+    of them as a one-row stack, against the view Q[j:j + 1]."""
     y = _project_out(Q, x)
     again = _sq_norms(y) < 0.5 * _sq_norms(x)
     if again.all():
         y = _project_out(Q, y)
     elif again.any():
         for j in np.flatnonzero(again):
-            y[j] = _project_out(Q[j], y[j])
+            y[j:j + 1] = _project_out(Q[j:j + 1], y[j:j + 1])
     return y
 
 
-def _projected_svd(d, e, beta1, residual, V):
+def _projected_svd(B_k, beta1, residual, V):
     """A column's ``(dec, rhs, residual)`` for ``spectral_path``: the SVD
-    P diag(s) Q^T of its lower bidiagonal B_k (diagonal d, subdiagonal e) with
+    P diag(s) Q^T of its lower bidiagonal B_k (rows alpha_j, beta_{j+1}) with
     right vectors V_k Q, truncated at the numerical rank, and rhs = beta1 e1."""
-    k = d.size
+    k = B_k.shape[0]
     B = np.zeros((k + 1, k))
-    B[np.arange(k), np.arange(k)] = d
-    B[np.arange(1, k + 1), np.arange(k)] = e
+    B[np.arange(k), np.arange(k)] = B_k[:, 0]
+    B[np.arange(1, k + 1), np.arange(k)] = B_k[:, 1]
     P, s, Qt = np.linalg.svd(B, full_matrices=False)
     r = numerical_rank(s)
     rhs = np.zeros(k + 1)
@@ -116,25 +114,23 @@ def _projected_svd(d, e, beta1, residual, V):
     return SpectralDecomposition(P[:, :r], s[:r], (Qt[:r] @ V).T), rhs, float(residual)
 
 
-def _gauss_quadrature(d, e, beta1, residual, V):
+def _gauss_quadrature(B_k, beta1, residual, V):
     """A probe's Gauss quadrature ``(nodes, weights, depth, residual)`` from its
-    bidiagonal B_k (diagonal d, subdiagonal e), with no SVD of B_k.
+    bidiagonal B_k (rows alpha_j, beta_{j+1}), with no SVD of B_k.
 
-    The zero-diagonal tridiagonal of size 2k + 1 with off-diagonal
-    alpha_1, beta_2, alpha_2, ..., alpha_k, beta_{k+1} (the Golub-Kahan
-    tridiagonal, TGK) has eigenvalues +-s_i and 0, where s_i are the singular
+    The zero-diagonal tridiagonal of size 2k + 1 with off-diagonal B_k read
+    row by row, alpha_1, beta_2, ..., alpha_k, beta_{k+1} (the Golub-Kahan
+    tridiagonal, TGK), has eigenvalues +-s_i and 0, where s_i are the singular
     values of B_k; the eigenvector of +s_i is (p_i, q_i)/sqrt(2) interleaved,
     p_i and q_i its left and right singular vectors, so its first component is
     P[0, i]/sqrt(2).  The nodes are s_i^2 and the weights (beta1 P[0, i])^2
     (Golub & Welsch 1969), truncated at the numerical rank as ``linop.svd``
     truncates.  B_k B_k^T would give the same nodes as eigenvalues, but its
     small ones only to an absolute accuracy of rounding times s_1^2."""
-    k = d.size
+    k = B_k.shape[0]
     if not k:
         return np.empty(0), np.empty(0), 0, float(residual)
-    off = np.empty(2 * k)
-    off[0::2], off[1::2] = d, e
-    w, Y = tridiagonal_eigh(np.zeros(2 * k + 1), off)
+    w, Y = tridiagonal_eigh(np.zeros(2 * k + 1), B_k.ravel())
     s = w[:k:-1]  # the k largest, nonincreasing
     r = numerical_rank(s)
     c = Y[0, :k:-1][:r]
@@ -158,15 +154,17 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     then a list of p such triples, one per column, each as the column alone
     would give it up to rounding.  The columns advance in lockstep, with one
     ``apply`` and one ``apply_adjoint`` of the active block per step, and each
-    leaves the block at its own stopping test or breakdown.  Only V is
-    reorthogonalized (one-sided, Simon & Zha 2000): it is the basis solutions
-    are mapped back through, and only the newest u of each column is kept,
-    so no U basis is stored.  The V stack starts at 8 rows and doubles in
-    place as the columns deepen, up to max_iter + 1 rows; numpy zero-fills
-    what it adds, so all of it is resident, past 8 rows at most twice the
-    k + 1 rows of the deepest column.  The probe measure
-    (``influence_path_stochastic``) runs the same loop but takes Gauss
-    quadrature from each B_k instead of its SVD.
+    leaves the block at its own stopping test or breakdown.  Every step takes
+    one path for the whole block, a single column too: a column whose u
+    vanished (beta_{k+1} = 0) is carried to the end of the step as a zero row,
+    with no operator application, and gets alpha_{k+1} = 0.  Only V is
+    reorthogonalized (one-sided, Simon & Zha 2000), each column against its
+    own basis in one stacked projection: solutions are mapped back through
+    it, and only the newest u of each column is kept.  The V stack doubles in
+    place as the columns deepen, from 8 rows up to max_iter + 1, so past
+    8 rows it holds at most twice the k + 1 rows of the deepest column.  The
+    probe measure (``influence_path_stochastic``) runs the same loop but takes
+    Gauss quadrature from each B_k instead of its SVD.
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
@@ -185,19 +183,20 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
 
 def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     """The loop of ``golub_kahan``; each column, when it stops at depth k, is
-    handed to ``finish(d, e, beta1, residual, V_k)`` with the diagonal
-    alpha_1..alpha_k and subdiagonal beta_2..beta_{k+1} of its B_k, and V_k as
-    a (k x cols) view that is valid only during the call.  Returns the
-    finished columns in the order of b's."""
+    handed to ``finish(B_k, beta1, residual, V_k)``: B_k (k x 2) holds
+    alpha_j and beta_{j+1} of its bidiagonal in row j, V_k is its (k x cols)
+    basis, both views valid only during the call.  Returns the finished
+    columns in the order of b's."""
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
         raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
+    max_iter = op.rows if max_iter is None else max_iter
     check_solver_args(tol, max_iter)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != op.rows:
         raise ValueError(f"right-hand side must have {op.rows} rows")
-    max_iter = min(op.rows if max_iter is None else max_iter, op.cols)
+    max_iter = min(max_iter, op.cols)
     # U holds u_{k+1} of each live column times its norm ``unorm``, one per
     # column in the layout the sparse kernels read and write: the division by
     # the norm goes to the (cols x p) adjoint image and into the next update,
@@ -210,33 +209,23 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     unorm = beta1 = _norms(np.einsum("ij,ij->j", U, U), 0.0)
     depth = min(8, max_iter + 1)
     V = np.empty((depth, n, op.cols))
-    diag, sub = np.empty((n, depth)), np.empty((n, depth))
+    bidiag = np.empty((n, depth, 2))  # B_k of each column: rows alpha_j, beta_{j+1}
     live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
 
     def step_adjoint(go, b_next):
-        # v = A^T u - b_next v_k, reorthogonalized, for the live columns in go;
-        # returns their alpha (zero for the others)
+        # v = A^T u - b_next v_k, reorthogonalized, and its norm alpha; a column
+        # not in go (its u vanished) is a zero row of y and gets alpha 0
         if go.all():
-            rows, x = slice(0, n), op.apply_adjoint(U).T
-        elif go.any():
-            rows = np.flatnonzero(go)
-            x = op.apply_adjoint(U[:, rows]).T
-        else:
-            return np.zeros(n)
-        y = x / unorm[rows, None]
+            y = op.apply_adjoint(U).T / unorm[:, None]
+        else:  # in the adjoint image's layout, on which the projections' rounding depends
+            y = np.zeros((op.cols, n)).T
+            if go.any():
+                y[go] = op.apply_adjoint(U[:, go]).T / unorm[go, None]
         if k:
-            y -= b_next[rows, None] * V[k - 1, rows]
-            if n > 1 and isinstance(rows, slice):
-                y = _reorthogonalize(V[:k, :n].transpose(1, 0, 2), y)
-            else:  # one column, or some: each against its own V_k, no gathered stack
-                for i, j in enumerate(range(n) if isinstance(rows, slice) else rows):
-                    y[i] = _reorthogonalize(V[:k, j], y[i])
-        if isinstance(rows, slice):
-            a = _normalize(y, np.maximum(scale, b_next))
-        else:
-            a = np.zeros(n)
-            a[rows] = _normalize(y, np.maximum(scale, b_next)[rows])
-        V[k, rows] = y
+            y -= b_next[:, None] * V[k - 1, :n]
+            y = _reorthogonalize(V[:k, :n].transpose(1, 0, 2), y)
+        a = _normalize(y, np.maximum(scale, b_next))
+        V[k, :n] = y
         return a
 
     a = step_adjoint(beta1 > 0, np.zeros(n))
@@ -250,14 +239,14 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     while True:
         if done.any():
             for i in np.flatnonzero(done):
-                runs[live[i]] = finish(diag[i, :k], sub[i, :k], beta1[i], residual[i], V[:k, i])
+                runs[live[i]] = finish(bidiag[i, :k], beta1[i], residual[i], V[:k, i])
             keep = np.flatnonzero(~done)
             for i, j in enumerate(keep):  # the kept columns' V move down in place
                 if i != j:
                     V[:k + 1, i] = V[:k + 1, j]
             n, U = keep.size, U[:, keep]
-            live, a, beta1, unorm, scale, diag, sub, residual, bound = (
-                x[keep] for x in (live, a, beta1, unorm, scale, diag, sub, residual, bound))
+            live, a, beta1, unorm, scale, bidiag, residual, bound = (
+                x[keep] for x in (live, a, beta1, unorm, scale, bidiag, residual, bound))
             rhobar, phibar, cs2, sn2, z, xxnorm = (
                 x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
             work = None
@@ -272,13 +261,12 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
                 V.resize((depth, *V.shape[1:]))
             except ValueError:  # an operator keeps a view of V
                 V = np.concatenate([V, np.empty((depth - V.shape[0], *V.shape[1:]))])
-            diag, sub = (np.concatenate([x, np.empty((n, depth - x.shape[1]))], axis=1)
-                         for x in (diag, sub))
-        diag[:, k] = a
+            bidiag = np.concatenate([bidiag, np.empty((n, depth - bidiag.shape[1], 2))], axis=1)
+        bidiag[:, k, 0] = a
         np.multiply(U, a / unorm, out=U)  # a_k u_k
         np.subtract(op.apply(V[k, :n].T), U, out=U)
         unorm = b_next = _norms(np.einsum("ij,ij->j", U, U), scale)
-        sub[:, k] = b_next
+        bidiag[:, k, 1] = b_next
         k += 1
         a = step_adjoint(b_next > 0, b_next)
         scale = np.maximum(scale, np.maximum(b_next, a))

@@ -88,13 +88,28 @@ class TestSelect:
         assert isinstance(payload["trail"], list) and len(payload["trail"]) >= 2
         assert payload["xi_hat"] is not None
 
-    def test_dp_requires_sigma_flag_or_container(self, tmp_path, capsys):
+    @staticmethod
+    def _assert_needs_noise_flag(tmp_path, capsys, rule, message):
         # container without recorded noise level and no --sigma: usage error
         p = rr.make_problem("shaw", None, 16)
         d = rr.NoisyData(g=p.g_true + 0.01, sigma=0.0, xi=0.0, seed=0, replicate=0)
         path = tmp_path / "nosigma.rr"
         save_container(path, problem=p, noisy=d)
-        assert main(["select", "--data", str(path), "--rule", "dp"]) == 2
+        assert main(["select", "--data", str(path), "--rule", rule]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    def test_dp_requires_sigma_flag_or_container(self, tmp_path, capsys):
+        self._assert_needs_noise_flag(tmp_path, capsys, "dp", "dp needs --sigma")
+
+    def test_upre_requires_sigma2_flag_or_container(self, tmp_path, capsys):
+        self._assert_needs_noise_flag(tmp_path, capsys, "upre",
+                                      "upre needs --sigma2 or --sigma")
+
+    def test_problem_only_container_exits_2(self, problem_only, capsys):
+        assert main(["select", "--data", str(problem_only), "--rule", "pro"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: container has no noisy data vector\n")
 
     def test_degenerate_data_exits_3(self, tmp_path):
         p = rr.ProblemInstance(name="custom", variant=None, n=8,
@@ -112,6 +127,14 @@ class TestSelect:
             assert code == 0, rule
             payload = json.loads(capsys.readouterr().out)
             assert payload["rule"] == rule and payload["alpha"] > 0
+
+
+@pytest.fixture(scope="module")
+def problem_only(tmp_path_factory):
+    # an operator and its exact data, with no noisy replicate
+    path = tmp_path_factory.mktemp("problem") / "problem.rr"
+    save_container(path, problem=rr.make_problem("shaw", None, 16))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +272,15 @@ class TestCurve:
         save_container(path, problem=p, noisy=d)
         assert main(["curve", "--data", str(path), "--kind", "predictive"]) == 3
 
+    @pytest.mark.parametrize("kind,message", [
+        ("lower_bound", "curve kind needs the noise level in the container"),
+        ("upre", "curve kind needs noisy data in the container"),
+        ("gcv", "curve kind needs noisy data in the container"),
+        ("lcurve", "curve kind needs noisy data in the container")])
+    def test_needs_noisy_data_exit_3(self, problem_only, capsys, kind, message):
+        assert main(["curve", "--data", str(problem_only), "--kind", kind]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_predictive_needs_no_f_true(self, tmp_path, capsys):
         p = rr.make_problem("shaw", None, 16)
         d = rr.add_noise(p, 20.0, seed=0)
@@ -305,6 +337,8 @@ _MALFORMED = [
      2),
     ("config_bp_gamma_2", ("study", dict(_GOOD_CONFIG, bp={"gamma": 2.0})), 2),
     ("config_negative_bp_c", ("study", dict(_GOOD_CONFIG, bp={"c": -1.0})), 2),
+    ("config_version_2", ("study", dict(_GOOD_CONFIG, version=2)), 2),
+    ("config_zero_replicates", ("study", dict(_GOOD_CONFIG, replicates=0)), 2),
 ] + [(f"select_{rule}_nan_g", ("select", rule, float("nan")), 2) for rule in RULE_NAMES] \
   + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \
@@ -316,13 +350,17 @@ _MALFORMED = [
                              ("bp", "--sigma", "nan"), ("pro", "--sigma", "nan"),
                              ("upre", "--sigma2", "inf"), ("pro", "--sigma2", "nan"),
                              ("pro", "--rho2", "nan"), ("ipro", "--alpha-init", "inf"),
-                             ("gcv", "--grid-min", "nan"), ("bp", "--bp-c", "-inf"))] \
+                             ("gcv", "--grid-min", "nan"), ("bp", "--bp-c", "-inf"),
+                             # flags of a setting the rule does not read
+                             ("pro", "--grid-points", "1"), ("ipro", "--grid-min", "-3"),
+                             ("pro", "--bp-gamma", "7"), ("gcv", "--bp-c", "-1"))] \
   + [("curve_gcv_grid_max_nan", ("curve", "gcv", 0.0, "--grid-max", "nan"), 2)] \
   + [(f"container_{damage}", ("container", damage), 2)
      for damage in ("truncated", "huge_header", "huge_section")] \
   + [(f"container_{damage}", ("container", damage, "dp"), 2)
      for damage in ("header_list", "sections_int", "section_str", "shape_int",
-                    "order_int", "sigma_str")]
+                    "order_int", "sigma_str", "array_outside_sections",
+                    "vectors_mismatch")]
 
 
 def _edit_section(header, i, **fields):
@@ -340,6 +378,8 @@ _HEADER_DAMAGE = {
     "shape_int": lambda h: _edit_section(h, 0, shape=5),
     "order_int": lambda h: _edit_section(h, 0, order=5),
     "sigma_str": lambda h: dict(h, sigma="abc"),
+    "array_outside_sections": lambda h: dict(h, g=[1.0]),
+    "vectors_mismatch": lambda h: _edit_section(h, 0, shape=[8, 32]),  # A was 16 x 16
 }
 
 
@@ -393,6 +433,25 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "error" in captured.err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["select", "--rule", "dp", "--grid-points", "1"],
+         "--grid-points = 1: need at least two grid points"),
+        (["select", "--rule", "ipro", "--grid-min", "-3"],
+         "--grid-min = -3.0: need 0 < min < max < inf"),
+        (["select", "--rule", "pro", "--grid-min", "2", "--grid-max", "1"],
+         "--grid-min = 2.0 and --grid-max = 1.0: need 0 < min < max < inf"),
+        (["select", "--rule", "pro", "--bp-gamma", "7"], "--bp-gamma must be in (0, 1), got 7.0"),
+        (["select", "--rule", "gcv", "--bp-c", "-1"],
+         "--bp-c must be nonnegative and finite, got -1.0"),
+        (["curve", "--kind", "gcv", "--grid-points", "1"],
+         "--grid-points = 1: need at least two grid points"),
+    ], ids=["select_dp_grid_points", "select_ipro_grid_min", "select_grid_min_above_max",
+            "select_pro_bp_gamma", "select_gcv_bp_c", "curve_grid_points"])
+    def test_flag_error_names_its_flag(self, shaw_dataset, capsys, argv, message):
+        # as a study config names its key; every rule checks every flag
+        assert main([argv[0], "--data", str(shaw_dataset), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +598,12 @@ class TestCountFlags:
         out_dir = tmp_path / "gen"
         self._assert_usage_error(["generate", "--problem", "shaw", "--n", "16",
                                   "--replicate", "-2", "--out", str(out_dir)], capsys)
+        assert not out_dir.exists()
+
+    def test_generate_replicates(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        self._assert_usage_error(["generate", "--problem", "shaw", "--n", "16",
+                                  "--replicates", "0", "--out", str(out_dir)], capsys)
         assert not out_dir.exists()
 
 

@@ -133,6 +133,7 @@ class TestPowerMethod:
         ("max_iter", 2.5),    # a TypeError from range
         ("max_iter", 0),      # ConvergenceError "in 0 iterations"
         ("max_iter", -3),     # ConvergenceError "in -3 iterations"
+        ("max_iter", None),   # a TypeError from range
     ])
     def test_rejects_ill_formed_solver_args(self, arg, value):
         A = rr.make_problem("shaw", None, 16).A

@@ -160,6 +160,7 @@ _INVALID = [
      "xi must be finite"),
     ("snr_minus_inf_xi", lambda: rr.sigma_for_snr(np.ones(4), float("-inf")),
      "xi must be finite"),
+    ("save_nothing", lambda: save_container("unwritten.rr"), "nothing to save"),
 ]
 
 

@@ -641,10 +641,47 @@ _NONFINITE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", list(_NONFINITE_CALLS.values()), ids=list(_NONFINITE_CALLS))
-def test_nonfinite_arguments_rejected(shaw32, call):
+@pytest.fixture()
+def shaw32_inputs(shaw32):
+    """(dec, path, g) of shaw(32) on its default grid."""
     p, dec = shaw32
     g = rr.add_noise(p, 20.0, seed=1, replicate=0).g
-    path = rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values)
+    return dec, rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values), g
+
+
+@pytest.mark.parametrize("call", list(_NONFINITE_CALLS.values()), ids=list(_NONFINITE_CALLS))
+def test_nonfinite_arguments_rejected(shaw32_inputs, call):
     with pytest.raises(ValueError):
-        call(dec, path, g)
+        call(*shaw32_inputs)
+
+
+# each call gets (dec, path, g) as above and raises a ValueError with its message
+_ILL_FORMED_CALLS = {
+    "ipro_grid_mode_without_path": (
+        lambda dec, path, g: rules.ipro(rr.influence_path_exact(dec, path.alphas), g),
+        "grid mode needs a solution path"),
+    "ipro_path_on_other_grid": (
+        lambda dec, path, g: rules.ipro(rr.influence_path_exact(dec, path.alphas), g,
+                                        path=rr.spectral_path(dec, g, path.alphas[::2])),
+        "influence path and solution path use different grids"),
+    "lc_four_points": (lambda dec, path, g: rules.lc(rr.spectral_path(dec, g, path.alphas[:4])),
+                       "lc needs at least five grid points"),
+    "qoc_without_solutions": (
+        lambda dec, path, g: rules.qoc(rr.spectral_path(dec, g, path.alphas,
+                                                        keep_solutions=False)),
+        "qoc needs the solutions"),
+    "qoc_one_point": (lambda dec, path, g: rules.qoc(rr.spectral_path(dec, g, path.alphas[:1])),
+                      "qoc needs at least two grid points"),
+    "lower_bound_T_spectrum_without_alpha": (
+        lambda dec, path, g: rr.lower_bound_T(1.0, 1e-4, dec), "alpha is required"),
+    "minimize_T_zero_measure": (
+        lambda dec, path, g: rr.minimize_T(rr.svd(np.zeros((4, 3))), 1e-4),
+        "cannot minimize over a zero operator"),
+}
+
+
+@pytest.mark.parametrize("call,message", list(_ILL_FORMED_CALLS.values()),
+                         ids=list(_ILL_FORMED_CALLS))
+def test_ill_formed_arguments_rejected(shaw32_inputs, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*shaw32_inputs)

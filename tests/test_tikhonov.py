@@ -56,6 +56,14 @@ class TestSolveSpectral:
         with pytest.raises(ValueError, match="non-finite"):
             rr.solve_spectral(dec, g, 1e-3)
 
+    @pytest.mark.parametrize("alpha,size,message", [
+        (-1e-3, 32, "alpha must be nonnegative"),
+        (1e-3, 31, "dimension mismatch between decomposition and data")])
+    def test_rejects_ill_formed_args(self, shaw32, alpha, size, message):
+        p, dec = shaw32
+        with pytest.raises(ValueError, match=message):
+            rr.solve_spectral(dec, p.g_true[:size], alpha)
+
 
 class TestSolveIterative:
     """Single-alpha solves without a decomposition: length-1 iterative paths."""

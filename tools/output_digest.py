@@ -13,6 +13,14 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   ``matrix_free_grid``) and of shaw n = 64 on the default grid (32 probes,
   seed 0, lam1 = s1^2): ``frob_sq``, ``trace`` and ``noise_amp`` at the first,
   middle and last grid index, and the total weight, at full precision;
+- Golub-Kahan blocks whose columns stop at different steps, so that some
+  steps run with some but not all columns live: the 12 x 9 block of
+  ``test_column_retires_at_step_one`` (a column that breaks down at step one,
+  a zero column and two that run on) and 5 probes of a rank-5 5 x 9 operator
+  (seed 258), two of whose u vanish at a step where the other three go on:
+  each column's probe quadrature (nodes and weights) and path (its
+  ``golub_kahan`` run and the spectral path of the projected problem), and
+  the probe measure of the 5 x 9 operator, at full precision;
 - ``select --matrix-free`` for every rule on a paralleltomo 16x16 container
   (replicate 0, 20 dB): exit code, stdout and stderr;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
@@ -33,7 +41,10 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from riskreg import bench, cli, linop, problems, rules, tikhonov
+from riskreg.rng import TAG_PROBES, keyed_rng
 
 SEED = 1
 XIS = (10.0, 20.0, 40.0)
@@ -83,6 +94,37 @@ def _print_measure(label, m) -> None:
           f"depths={m.iterations.tolist()}")
 
 
+def _print_block(label, A, B, alphas, tol) -> None:
+    quadratures = tikhonov._golub_kahan(A, B, alphas, 1e-8, None, False,
+                                        tikhonov._gauss_quadrature)
+    for j, (nodes, weights, depth, residual) in enumerate(quadratures):
+        print(f"block {label} column={j} quadrature depth={depth} residual={residual!r} "
+              f"nodes={nodes.tolist()} weights={weights.tolist()}")
+    for j, (dec, rhs, residual) in enumerate(tikhonov.golub_kahan(A, B, alphas, tol=tol)):
+        path = tikhonov.spectral_path(dec, rhs, alphas)
+        print(f"block {label} column={j} path depth={rhs.size - 1} residual={residual!r} "
+              f"s={dec.s.tolist()} residual_norms={path.residual_norms.tolist()} "
+              f"solutions_sha256={hashlib.sha256(path.solutions.tobytes()).hexdigest()}")
+
+
+def _breakdown_blocks() -> None:
+    rng = keyed_rng(61)  # test_column_retires_at_step_one
+    A = rng.standard_normal((12, 9))
+    B = rng.standard_normal((12, 4))
+    B[:, 1] = 3.0 * linop.svd(A).U[:, 0]
+    B[:, 2] = 0.0
+    _print_block("retire12x9", A, B, [1e-2, 1.0], 1e-12)
+    rng = keyed_rng(258)  # an example of test_gauss_quadrature_matches_svd_measure
+    s = np.sort(10.0 ** rng.uniform(-0.11, 0.0, 5))[::-1]
+    U = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    V = np.linalg.qr(rng.standard_normal((9, 9)))[0][:, :5]
+    A = (U * (s / s[0])) @ V.T
+    alphas = bench.matrix_free_grid(1.0).values
+    _print_measure("rank5_5x9", tikhonov.influence_path_stochastic(A, alphas, 5, 258, lam1=1.0))
+    _print_block("rank5_5x9", A, keyed_rng(258, TAG_PROBES).standard_normal((5, 5)), alphas,
+                 1e-8)
+
+
 def main() -> None:
     tomo = problems.make_problem("paralleltomo", None, 16)
     lam1 = linop.largest_eigenvalue(tomo.A, seed=3)
@@ -92,6 +134,7 @@ def main() -> None:
     s1_sq = float(linop.svd(shaw.A).s[0]) ** 2
     _print_measure("shaw64", tikhonov.influence_path_stochastic(
         shaw.A, bench.default_grid(s1_sq).values, probes=32, seed=0, lam1=s1_sq))
+    _breakdown_blocks()
 
     with tempfile.TemporaryDirectory() as tmp:
         tomo_path = os.path.join(tmp, "paralleltomo16.rr")
