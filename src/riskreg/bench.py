@@ -79,9 +79,12 @@ def matrix_free_grid(s1_sq: float, points: int = MATRIX_FREE_GRID_POINTS) -> Alp
 
 
 def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
-               lo: Optional[float] = None, hi: Optional[float] = None) -> AlphaGrid:
+               lo: Optional[float] = None, hi: Optional[float] = None,
+               keys=("min", "max", "points")) -> AlphaGrid:
     """The default grid of the operator's representation, with any of its point
-    count and endpoints overridden; used by both the study and the CLI."""
+    count and endpoints overridden; used by both the study and the CLI.  An
+    override that crosses the other endpoint is a ValueError naming it by its
+    entry in ``keys`` and the endpoint left to the operator as its default."""
     if matrix_free:
         lo_factor, hi_factor = MATRIX_FREE_RANGE
         bounds = (lo_factor * s1_sq / 2.0, hi_factor * s1_sq / 2.0)
@@ -89,8 +92,11 @@ def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
     else:
         bounds = (GRID_MIN_FACTOR * s1_sq, GRID_MAX_FACTOR * s1_sq)
         default_points = DEFAULT_GRID_POINTS
-    return AlphaGrid(bounds[0] if lo is None else lo, bounds[1] if hi is None else hi,
-                     default_points if points is None else points)
+    given = (lo, hi)
+    lo, hi = (bound if x is None else x for x, bound in zip(given, bounds))
+    _check_grid(lo, hi, None, tuple(f"the operator's default {key}" if x is None else key
+                                    for x, key in zip(given, keys)))
+    return AlphaGrid(lo, hi, default_points if points is None else points)
 
 
 class OperatorSetup:
@@ -102,9 +108,9 @@ class OperatorSetup:
 
     def __init__(self, A, matrix_free: bool = False, points: Optional[int] = None,
                  lo: Optional[float] = None, hi: Optional[float] = None,
-                 probes: int = DEFAULT_PROBES, seed: int = 0):
+                 probes: int = DEFAULT_PROBES, seed: int = 0, keys=("min", "max", "points")):
         self.A, self.matrix_free, self.probes, self.seed = A, matrix_free, probes, seed
-        self._grid_args = (points, lo, hi)
+        self._grid_args = (points, lo, hi, keys)
         if matrix_free:   # power iteration raises on a zero operator
             self.dec = None
             self.s1_sq = largest_eigenvalue(A, seed=seed)
@@ -202,6 +208,7 @@ _CONFIG_KEYS = _REQUIRED_KEYS | {"version", "seed", "probes"} | set(_SECTIONS)
 # each StudyConfig field by its key in the config, "section.key" inside a section
 _KEY_OF = {name: f"{section}.{key}" for section, fields in _SECTIONS.items()
            for key, name in fields.items()}
+_GRID_KEYS = tuple(_KEY_OF[f"grid_{k}"] for k in ("min", "max", "points"))
 
 
 def _json_object(value, where: str, keys: set) -> dict:
@@ -253,8 +260,7 @@ class StudyConfig:
             raise ValueError("need at least one replicate")
         if self.probes < 1:
             raise ValueError(f"need at least one probe, got {self.probes}")
-        _check_grid(self.grid_min, self.grid_max, self.grid_points,
-                    tuple(_KEY_OF[f"grid_{k}"] for k in ("min", "max", "points")))
+        _check_grid(self.grid_min, self.grid_max, self.grid_points, _GRID_KEYS)
         rules_mod.check_bp(self.bp_gamma, self.bp_c, keys=(_KEY_OF["bp_gamma"], _KEY_OF["bp_c"]))
         if self.version != 1:
             raise ValueError("unsupported config version")
@@ -345,7 +351,7 @@ def _run_chunk(config: StudyConfig, task) -> list[list]:
     points = min(config.grid_points, MATRIX_FREE_GRID_POINTS) if matrix_free \
         else config.grid_points
     setup = OperatorSetup(problem.A, matrix_free, points, config.grid_min, config.grid_max,
-                          config.probes, config.seed)
+                          config.probes, config.seed, _GRID_KEYS)
     return [_evaluate_block(setup, problem, config, xi, range(lo, hi)) for xi in config.xis]
 
 

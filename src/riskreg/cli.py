@@ -131,9 +131,11 @@ def _load_dataset(path):
     return problem, noisy
 
 
+_GRID_FLAGS = ("--grid-min", "--grid-max", "--grid-points")
+
+
 def _check_grid_flags(args) -> None:
-    bench._check_grid(args.grid_min, args.grid_max, args.grid_points,
-                      ("--grid-min", "--grid-max", "--grid-points"))
+    bench._check_grid(args.grid_min, args.grid_max, args.grid_points, _GRID_FLAGS)
 
 
 def _cmd_select(args) -> int:
@@ -157,7 +159,8 @@ def _cmd_select(args) -> int:
 
     with np.errstate(over="raise", invalid="raise"):
         setup = bench.OperatorSetup(problem.A, args.matrix_free, args.grid_points,
-                                    args.grid_min, args.grid_max, args.probes, seed)
+                                    args.grid_min, args.grid_max, args.probes, seed,
+                                    _GRID_FLAGS)
         source = setup.source
         # in grid mode (matrix-free) ipro reads its residuals from the path
         path = setup.path(g) if rule.needs_path or args.matrix_free else None
@@ -186,7 +189,7 @@ def _cmd_curve(args) -> int:
     problem, noisy = _load_dataset(args.data)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,
-                                    hi=args.grid_max)
+                                    hi=args.grid_max, keys=_GRID_FLAGS)
         dec, alphas = setup.dec, setup.grid.values
         sigma2 = None if noisy is None else noisy.sigma ** 2
 

@@ -166,42 +166,57 @@ def bundled_openblas():
         return None
 
 
+def _dense_bidiagonal_svd(diag, sub):
+    # dbdsqr's result from numpy's SVD of the dense matrix: O(n^2) memory
+    n = diag.size
+    M = np.zeros((n, n))
+    M[np.arange(n), np.arange(n)] = diag
+    M[np.arange(1, n), np.arange(n - 1)] = sub
+    P, s, _ = np.linalg.svd(M)
+    return s, P[0], 0
+
+
 @cache
-def _dstevd():
-    """LAPACK's dstevd for ``tridiagonal_eigh``, from the bundled OpenBLAS (its
-    64-bit LAPACKE entry point) or else from scipy.  Importing scipy.linalg
-    for it would cost a matrix-free run about 8 MB of resident memory and
-    55 ms; the bundled library is already mapped."""
-    lib = bundled_openblas()
-    fn = getattr(lib, "scipy_LAPACKE_dstevd64_", None)
+def _dbdsqr():
+    """LAPACK's dbdsqr for ``bidiagonal_svd``, from the bundled OpenBLAS (its
+    64-bit LAPACKE entry point), or else numpy's SVD of the dense matrix.
+    Importing scipy.linalg for it would cost a matrix-free run about 8 MB of
+    resident memory and 55 ms; the bundled library is already mapped."""
+    fn = getattr(bundled_openblas(), "scipy_LAPACKE_dbdsqr64_", None)
     if fn is None:
-        from scipy.linalg.lapack import dstevd
-        return lambda diag, off: dstevd(diag, off, compute_v=1)
+        return _dense_bidiagonal_svd
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    # (layout, uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc)
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                   ctypes.c_void_p, ctypes.c_int64]
 
-    def dstevd(diag, off):
+    def dbdsqr(diag, sub):
         n = diag.size
-        w, e = np.array(diag, dtype=float), np.array(off, dtype=float)
-        Y = np.empty((n, n), order="F")
-        info = fn(102, b"V", n, w.ctypes.data, e.ctypes.data, Y.ctypes.data, n)  # column-major
-        return w, Y, info
-    return dstevd
+        s, e = np.array(diag, dtype=float), np.array(sub, dtype=float)  # overwritten
+        p0 = np.zeros(n)
+        p0[0] = 1.0  # U = e_1^T (NRU = 1), which dbdsqr overwrites with U Q
+        # column-major, NCVT = NCC = 0: VT and C are not referenced
+        info = fn(102, b"L", n, 0, 1, 0, s.ctypes.data, e.ctypes.data, None, 1,
+                  p0.ctypes.data, 1, None, 1)
+        return s, p0, info
+    return dbdsqr
 
 
-def tridiagonal_eigh(diag, off):
-    """Eigenvalues (ascending) and eigenvectors (columns) of the symmetric
-    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``, by
-    LAPACK's divide and conquer (dstevd, the default driver of scipy's
-    ``eigh_tridiagonal``)."""
-    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
-    if diag.ndim != 1 or off.shape != (diag.size - 1,):
-        raise ValueError("need a diagonal of n entries and an off-diagonal of n - 1")
-    w, Y, info = _dstevd()(diag, off)
+def bidiagonal_svd(diag, sub):
+    """Singular values (nonincreasing) of the square lower bidiagonal matrix
+    with diagonal ``diag`` and subdiagonal ``sub``, and the first row of its
+    left singular vectors, by LAPACK's implicit zero-shift QR (dbdsqr, Demmel
+    & Kahan 1990): each singular value to high relative accuracy, in O(n^2)
+    time and O(n) memory, as no singular vector but that row is formed."""
+    diag, sub = np.asarray(diag, dtype=float), np.asarray(sub, dtype=float)
+    if diag.ndim != 1 or not diag.size or sub.shape != (diag.size - 1,):
+        raise ValueError("need a diagonal of n >= 1 entries and a subdiagonal of n - 1")
+    s, p0, info = _dbdsqr()(diag, sub)
     if info:
-        raise ConvergenceError(f"the tridiagonal eigensolver failed (LAPACK info {info})")
-    return w, Y
+        raise ConvergenceError(f"the bidiagonal SVD failed (LAPACK info {info})")
+    return s, p0
 
 
 def check_solver_args(tol, max_iter):

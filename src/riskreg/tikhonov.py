@@ -4,8 +4,9 @@ The spectral path works from a truncated SVD.  The matrix-free path needs only
 operator applications: a Golub-Kahan bidiagonalization of each right-hand side
 (a block of them in lockstep) projects the problem onto a small bidiagonal one.
 For a solution path its SVD gives the damped least-squares solution at every
-alpha of a grid at once; for a probe of the influence measure the eigenproblem
-of its Golub-Kahan tridiagonal gives the Gauss quadrature, with no SVD.
+alpha of a grid at once; for a probe of the influence measure a QR sweep of
+its bidiagonal gives the Gauss quadrature, from the singular values and the
+first row of the left singular vectors alone.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConvergenceError
-from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, check_solver_args,
-                    largest_eigenvalue, numerical_rank, tridiagonal_eigh)
+from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_svd,
+                    check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
 
 
@@ -116,25 +117,22 @@ def _projected_svd(B_k, beta1, residual, V):
 
 def _gauss_quadrature(B_k, beta1, residual, V):
     """A probe's Gauss quadrature ``(nodes, weights, depth, residual)`` from its
-    bidiagonal B_k (rows alpha_j, beta_{j+1}), with no SVD of B_k.
+    bidiagonal B_k (rows alpha_j, beta_{j+1}), with no SVD of B_k formed.
 
-    The zero-diagonal tridiagonal of size 2k + 1 with off-diagonal B_k read
-    row by row, alpha_1, beta_2, ..., alpha_k, beta_{k+1} (the Golub-Kahan
-    tridiagonal, TGK), has eigenvalues +-s_i and 0, where s_i are the singular
-    values of B_k; the eigenvector of +s_i is (p_i, q_i)/sqrt(2) interleaved,
-    p_i and q_i its left and right singular vectors, so its first component is
-    P[0, i]/sqrt(2).  The nodes are s_i^2 and the weights (beta1 P[0, i])^2
-    (Golub & Welsch 1969), truncated at the numerical rank as ``linop.svd``
-    truncates.  B_k B_k^T would give the same nodes as eigenvalues, but its
-    small ones only to an absolute accuracy of rounding times s_1^2."""
+    The square lower bidiagonal [B_k | 0], diagonal alpha_1 .. alpha_k, 0 and
+    subdiagonal beta_2 .. beta_{k+1}, has the singular values s_i of B_k, and
+    a zero, with the same left singular vectors P.  The nodes are s_i^2 and
+    the weights (beta1 P[0, i])^2 (Golub & Welsch 1969), truncated at the
+    numerical rank as ``linop.svd`` truncates.  ``linop.bidiagonal_svd``
+    gives each s_i to high relative accuracy and, of P, only its first row:
+    no probe holds more than O(k) numbers for it."""
     k = B_k.shape[0]
     if not k:
         return np.empty(0), np.empty(0), 0, float(residual)
-    w, Y = tridiagonal_eigh(np.zeros(2 * k + 1), B_k.ravel())
-    s = w[:k:-1]  # the k largest, nonincreasing
-    r = numerical_rank(s)
-    c = Y[0, :k:-1][:r]
-    return s[:r] * s[:r], 2.0 * beta1 * beta1 * (c * c), k, float(residual)
+    s, p0 = bidiagonal_svd(np.append(B_k[:, 0], 0.0), B_k[:, 1])
+    r = numerical_rank(s[:k])  # the zero singular value, the smallest, is dropped
+    c = beta1 * p0[:r]
+    return s[:r] * s[:r], c * c, k, float(residual)
 
 
 def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
@@ -409,9 +407,10 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     has singular values s and left vectors P, and c = beta1 P[0],
     w = (A^T A + a I)^{-1} A^T z has ||A w||^2, <z, A w> and ||w||^2 equal to
     the sums of x^2, x and s^2/(s^2 + a)^2 against weights c^2 on the nodes
-    s^2 (x = s^2/(s^2 + a)).  The nodes and weights come from the eigenproblem
-    of B_k's Golub-Kahan tridiagonal (``_gauss_quadrature``), so no probe
-    forms an SVD or its V_k Q.  Each probe's weights are divided by
+    s^2 (x = s^2/(s^2 + a)).  The nodes and weights come from LAPACK's QR
+    sweep of B_k (``_gauss_quadrature``), which carries of P only its first
+    row, so no probe forms a singular vector matrix or its V_k Q and its
+    quadrature takes O(k) memory.  Each probe's weights are divided by
     ``probes``.  ``lam1`` (default: power iteration, which raises
     DegenerateDataError on a zero operator) sets sn_sq and must be > 0.
     """

@@ -214,6 +214,16 @@ class TestStudy:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    def test_config_endpoint_past_the_default_names_its_key(self, tmp_path, capsys):
+        # as select and curve name their flag; the default grid.max is 0.5 s1^2
+        cfg = self._config(tmp_path, grid={"points": 50, "min": 1e9})
+        assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        s1_sq = float(rr.svd(rr.make_problem("shaw", None, 32).A).s[0]) ** 2
+        assert capsys.readouterr() == (
+            "", f"error: grid.min = 1000000000.0 and the operator's default grid.max = "
+                f"{default_grid(s1_sq).max!r}: need 0 < min < max < inf\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_rule_in_config_exits_2(self, tmp_path):
         cfg = self._config(tmp_path, rules=["pro", "bogus"])
         out_dir = tmp_path / "out2"
@@ -446,10 +456,20 @@ class TestMalformedInput:
          "--bp-c must be nonnegative and finite, got -1.0"),
         (["curve", "--kind", "gcv", "--grid-points", "1"],
          "--grid-points = 1: need at least two grid points"),
+        # a lone endpoint that crosses the operator's default other one
+        (["select", "--rule", "gcv", "--grid-min", "1e9"],
+         "--grid-min = 1000000000.0 and the operator's default --grid-max = {grid.max!r}: "
+         "need 0 < min < max < inf"),
+        (["curve", "--kind", "gcv", "--grid-max", "1e-30"],
+         "the operator's default --grid-min = {grid.min!r} and --grid-max = 1e-30: "
+         "need 0 < min < max < inf"),
     ], ids=["select_dp_grid_points", "select_ipro_grid_min", "select_grid_min_above_max",
-            "select_pro_bp_gamma", "select_gcv_bp_c", "curve_grid_points"])
+            "select_pro_bp_gamma", "select_gcv_bp_c", "curve_grid_points",
+            "select_grid_min_above_default", "curve_grid_max_below_default"])
     def test_flag_error_names_its_flag(self, shaw_dataset, capsys, argv, message):
         # as a study config names its key; every rule checks every flag
+        A = problem_from_container(load_container(shaw_dataset)).A
+        message = message.format(grid=default_grid(float(rr.svd(A).s[0]) ** 2))
         assert main([argv[0], "--data", str(shaw_dataset), *argv[1:]]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -625,15 +645,24 @@ import scipy.sparse as sp
 S = sp.random(6, 4, density=0.5, random_state=0, format="csc")
 op = riskreg.as_operator(S)
 tomo = riskreg.make_problem("paralleltomo", None, 8)
+probes = []  # the probe measure through the bundled dbdsqr, then through its fallback
+for route in ("bundled", "fallback"):
+    if route == "fallback":
+        riskreg.linop.bundled_openblas = lambda: None
+        riskreg.linop._dbdsqr.cache_clear()
+    m = riskreg.influence_path_stochastic(tomo.A, riskreg.matrix_free_grid(1.0).values, 4, 0)
+    probes.append([route, int(m.nodes.size), "scipy.linalg" in sys.modules])
 print(json.dumps({"seen": seen, "code": code, "sparse": op.representation,
                   "sparse_dense": bool(np.array_equal(op.to_dense(), S.toarray())),
-                  "tomo": [tomo.A.representation, tomo.A.rows, tomo.A.cols]}))
+                  "tomo": [tomo.A.representation, tomo.A.rows, tomo.A.cols],
+                  "probes": probes}))
 """
 
 
 class TestImportFootprint:
     """numpy is the only heavy import: scipy loads only for sparse operators,
-    tomography and the Gauss-Laguerre nodes of i_laplace."""
+    tomography and the Gauss-Laguerre nodes of i_laplace, and scipy.linalg
+    not for the probe quadrature of a matrix-free run."""
 
     def test_dense_select_loads_no_scipy(self, tmp_path):
         p = rr.make_problem("shaw", None, 16)
@@ -652,6 +681,9 @@ class TestImportFootprint:
         assert result["code"] == 0
         assert result["sparse"] == "matrix-free" and result["sparse_dense"]
         assert result["tomo"] == ["matrix-free", 2700, 64]
+        # the probe quadrature loads no scipy.linalg, through either route
+        assert [route for route, nodes, linalg in result["probes"] if nodes > 0 and not linalg] \
+            == ["bundled", "fallback"]
 
 
 @pytest.fixture(scope="module")

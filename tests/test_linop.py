@@ -6,8 +6,10 @@ import scipy.sparse as sp
 
 import riskreg as rr
 from riskreg import linop
+from riskreg.cli import main
 from riskreg.errors import ConvergenceError
 from riskreg.linop import as_operator
+from riskreg.problems import save_container
 from riskreg.rng import keyed_rng
 
 
@@ -143,26 +145,67 @@ class TestPowerMethod:
             rr.largest_eigenvalue(A, seed=0, **{arg: value})
 
 
-class TestTridiagonalEigh:
-    def test_matches_dense_eigh_through_either_library(self, monkeypatch):
-        # the bundled OpenBLAS's dstevd, and scipy's where numpy bundles none
-        rng = keyed_rng(83)
-        diag, off = rng.standard_normal(9), rng.standard_normal(8)
-        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        ref = np.linalg.eigvalsh(T)
-        solvers = [linop._dstevd()]
+class TestBidiagonalSvd:
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_matches_dense_svd_through_either_library(self, monkeypatch, k):
+        # a probe's [B_k | 0] with entries over 14 decades: the bundled
+        # OpenBLAS's dbdsqr, and numpy's SVD where numpy bundles none
+        rng = keyed_rng(83, k)
+        entries = 10.0 ** rng.uniform(-14.0, 0.0, (k, 2))
+        B = np.zeros((k + 1, k))  # the dense bidiagonal B_k
+        B[np.arange(k), np.arange(k)] = entries[:, 0]
+        B[np.arange(1, k + 1), np.arange(k)] = entries[:, 1]
+        P, ref, _ = np.linalg.svd(B, full_matrices=False)
+        solvers = [linop._dbdsqr()]
         monkeypatch.setattr(linop, "bundled_openblas", lambda: None)
-        solvers.append(linop._dstevd.__wrapped__())
+        solvers.append(linop._dbdsqr.__wrapped__())
         for solve in solvers:
-            w, Y, info = solve(diag, off)
-            assert info == 0
-            np.testing.assert_allclose(w, ref, rtol=0.0, atol=1e-13)
-            np.testing.assert_allclose(T @ Y, Y * w, rtol=0.0, atol=1e-13)
-            np.testing.assert_allclose(Y.T @ Y, np.eye(9), rtol=0.0, atol=1e-14)
+            s, p0, info = solve(np.append(entries[:, 0], 0.0), entries[:, 1])
+            assert info == 0 and s.shape == p0.shape == (k + 1,)
+            assert s[k] <= 1e-15 * s[0]   # the zero column's singular value, last
+            # numpy's SVD is accurate to rounding times s1, not relative to each s_i
+            np.testing.assert_allclose(s[:k], ref, rtol=0.0, atol=1e-14 * ref[0])
+            np.testing.assert_allclose(p0[:k] ** 2, P[0] ** 2, rtol=0.0, atol=1e-14)
+            assert float(p0 @ p0) == pytest.approx(1.0, rel=1e-14)
+
+    def test_bundled_kernel_has_high_relative_accuracy(self):
+        # the product of the singular values of a square bidiagonal is that of
+        # its |diagonal|; numpy's SVD of this matrix returns a zero among them
+        if linop._dbdsqr() is linop._dense_bidiagonal_svd:
+            pytest.skip("numpy bundles no OpenBLAS with dbdsqr")
+        rng = keyed_rng(83)
+        diag, sub = 10.0 ** rng.uniform(-14.0, 0.0, 40), 10.0 ** rng.uniform(-14.0, 0.0, 39)
+        s, _ = linop.bidiagonal_svd(diag, sub)
+        assert np.sum(np.log(s)) == pytest.approx(np.sum(np.log(diag)), rel=0.0, abs=1e-12)
 
     def test_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError, match="off-diagonal"):
-            linop.tridiagonal_eigh(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="subdiagonal"):
+            linop.bidiagonal_svd(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="subdiagonal"):
+            linop.bidiagonal_svd(np.zeros(0), np.zeros(0))
+
+
+@pytest.fixture
+def failing_dbdsqr(monkeypatch):
+    """dbdsqr reporting that it did not converge (LAPACK info 1)."""
+    solve = linop._dbdsqr()
+    monkeypatch.setattr(linop, "_dbdsqr", lambda: lambda diag, sub: (*solve(diag, sub)[:2], 1))
+
+
+class TestBidiagonalSvdFailure:
+    """A nonzero LAPACK info is a ConvergenceError, exit 4 from the CLI."""
+
+    def test_probe_measure_raises(self, failing_dbdsqr):
+        with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+            rr.influence_path_stochastic(rr.make_problem("shaw", None, 16).A, [1e-3], 2, 0)
+
+    def test_matrix_free_select_exits_4(self, failing_dbdsqr, tmp_path, capsys):
+        p = rr.make_problem("shaw", None, 16)
+        path = tmp_path / "data.rr"
+        save_container(path, problem=p, noisy=rr.add_noise(p, 20.0, seed=0))
+        assert main(["select", "--data", str(path), "--rule", "upre", "--matrix-free"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: the bidiagonal SVD failed (LAPACK info 1)\n")
 
 
 def _probe_stats(A, alpha, probes, seed):
