@@ -466,8 +466,7 @@ class SelectionInputs:
 
     ``source`` is a spectrum (continuous selection) or an influence path on
     the grid of ``path`` (grid mode).  ``rho2`` makes ``pro`` use a known
-    signal energy instead of estimating it; ``on_degenerate`` is passed to
-    ``pro_estimated``, ``refine`` to ``dp``.
+    signal energy instead of estimating it.
     """
 
     g: np.ndarray
@@ -477,8 +476,6 @@ class SelectionInputs:
     sigma2: Optional[float] = None
     rho2: Optional[float] = None
     alpha_init: Optional[float] = None
-    on_degenerate: str = "raise"
-    refine: bool = True
     bp_gamma: float = 0.25
     bp_c: float = 1.5
 
@@ -553,10 +550,10 @@ class Rule:
 
     ``block``, for the rules that read only norms on the grid, selects for
     every row of a ``PathBlock`` at once and gives the grid indices and flags
-    the replicate study records: those of ``run`` in grid mode with
-    ``on_degenerate="max_alpha"`` and ``refine=False``, and for a row that
-    ``run`` raises on, the largest alpha flagged ``degenerate`` or the last
-    iterate flagged ``no_convergence``."""
+    the replicate study records: those of ``run`` in grid mode (of
+    ``pro_estimated`` with ``on_degenerate="max_alpha"`` and ``dp`` with
+    ``refine=False``), and for a row that ``run`` raises on, the largest alpha
+    flagged ``degenerate`` or the last iterate flagged ``no_convergence``."""
 
     run: Callable[[SelectionInputs], RuleSelection]
     needs_path: bool
@@ -567,15 +564,15 @@ class Rule:
 def _run_pro(x: SelectionInputs) -> RuleSelection:
     if x.rho2 is not None:
         return pro(x.source, x.rho2, x.sigma2, n=x.g.size)
-    return pro_estimated(x.source, x.g, x.sigma2, on_degenerate=x.on_degenerate)
+    return pro_estimated(x.source, x.g, x.sigma2)
 
 
 RULES = {
     "pro": Rule(_run_pro, needs_path=False, noise="sigma2", block=_pro_block),
     "ipro": Rule(lambda x: ipro(x.source, x.g, alpha_init=x.alpha_init, path=x.path),
                  needs_path=False, block=_ipro_block),
-    "dp": Rule(lambda x: dp(x.path, x.sigma, refine=x.refine), needs_path=True,
-               noise="sigma", block=_dp_block),
+    "dp": Rule(lambda x: dp(x.path, x.sigma), needs_path=True, noise="sigma",
+               block=_dp_block),
     "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
                  noise="sigma2", block=_upre_block),
     "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),

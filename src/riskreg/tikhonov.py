@@ -158,11 +158,12 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     with no operator application, and gets alpha_{k+1} = 0.  Only V is
     reorthogonalized (one-sided, Simon & Zha 2000), each column against its
     own basis in one stacked projection: solutions are mapped back through
-    it, and only the newest u of each column is kept.  The V stack doubles in
-    place as the columns deepen, from 8 rows up to max_iter + 1, so past
-    8 rows it holds at most twice the k + 1 rows of the deepest column.  The
-    probe measure (``influence_path_stochastic``) runs the same loop but takes
-    Gauss quadrature from each B_k instead of its SVD.
+    it, and only the newest u of each column is kept.  V and the bidiagonals
+    share one depth-major layout and double in place together as the columns
+    deepen, from 8 rows up to max_iter + 1, so past 8 rows they hold at most
+    twice the k + 1 rows of the deepest column.  The probe measure
+    (``influence_path_stochastic``) runs the same loop but takes Gauss
+    quadrature from each B_k instead of its SVD.
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
@@ -170,10 +171,11 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     above roughly cond(A^T A + a I) times machine epsilon; below it rounding
     sets the error.  The plane rotations of damped LSQR (Paige & Saunders
     1982), one set per column and alpha, track both norms without operator
-    applications.  A vanishing alpha_k or beta_k (an invariant subspace) ends
-    a column with a zero residual; ``max_iter`` steps (an integer >= 1,
-    default min(rows, cols), at most cols: V has no more directions) in any
-    column raise ConvergenceError.
+    applications; each is a numpy expression over the (column, alpha) array,
+    in the scalar recurrence's order of operations.  A vanishing alpha_k or
+    beta_k (an invariant subspace) ends a column with a zero residual;
+    ``max_iter`` steps (an integer >= 1, default min(rows, cols), at most
+    cols: V has no more directions) in any column raise ConvergenceError.
     """
     runs = _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, _projected_svd)
     return runs if np.ndim(b) == 2 else runs[0]
@@ -183,8 +185,8 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     """The loop of ``golub_kahan``; each column, when it stops at depth k, is
     handed to ``finish(B_k, beta1, residual, V_k)``: B_k (k x 2) holds
     alpha_j and beta_{j+1} of its bidiagonal in row j, V_k is its (k x cols)
-    basis, both views valid only during the call.  Returns the finished
-    columns in the order of b's."""
+    basis, both views of the loop's depth-major stacks, valid only during the
+    call.  Returns the finished columns in the order of b's."""
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
@@ -198,16 +200,16 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     # U holds u_{k+1} of each live column times its norm ``unorm``, one per
     # column in the layout the sparse kernels read and write: the division by
     # the norm goes to the (cols x p) adjoint image and into the next update,
-    # not over U.  V[:k + 1, j] holds v_1 .. v_{k+1} of live column j: depth
-    # leads, so ``ndarray.resize`` grows the stack in place (glibc's realloc
-    # remaps a large block), and each column's basis is a (k x cols) matrix
-    # with a constant row stride.
+    # not over U.  V[:k + 1, j] holds v_1 .. v_{k+1} of live column j and
+    # bidiag[:k, j] its B_k (rows alpha_i, beta_{i+1}): depth leads, so
+    # ``ndarray.resize`` grows both in place (glibc's realloc remaps a large
+    # block), and each column's basis is a (k x cols) matrix with a constant
+    # row stride.
     U = np.array(b.reshape(op.rows, -1), order="C")
     n = U.shape[1]
     unorm = beta1 = _norms(np.einsum("ij,ij->j", U, U), 0.0)
     depth = min(8, max_iter + 1)
-    V = np.empty((depth, n, op.cols))
-    bidiag = np.empty((n, depth, 2))  # B_k of each column: rows alpha_j, beta_{j+1}
+    V, bidiag = np.empty((depth, n, op.cols)), np.empty((depth, n, 2))
     live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
 
     def step_adjoint(go, b_next):
@@ -233,21 +235,19 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     # the residual, a right rotation ||x||
     rhobar, phibar = np.outer(a, np.ones(alphas.size)), np.outer(beta1, np.ones(alphas.size))
     cs2, sn2, z, xxnorm = np.full(rhobar.shape, -1.0), *np.zeros((3, *rhobar.shape))
-    tol_alphas, work = tol * alphas, None
     while True:
         if done.any():
             for i in np.flatnonzero(done):
-                runs[live[i]] = finish(bidiag[i, :k], beta1[i], residual[i], V[:k, i])
+                runs[live[i]] = finish(bidiag[:k, i], beta1[i], residual[i], V[:k, i])
             keep = np.flatnonzero(~done)
-            for i, j in enumerate(keep):  # the kept columns' V move down in place
+            for i, j in enumerate(keep):  # the kept columns move down in place
                 if i != j:
-                    V[:k + 1, i] = V[:k + 1, j]
+                    V[:k + 1, i], bidiag[:k, i] = V[:k + 1, j], bidiag[:k, j]
             n, U = keep.size, U[:, keep]
-            live, a, beta1, unorm, scale, bidiag, residual, bound = (
-                x[keep] for x in (live, a, beta1, unorm, scale, bidiag, residual, bound))
+            live, a, beta1, unorm, scale, residual, bound = (
+                x[keep] for x in (live, a, beta1, unorm, scale, residual, bound))
             rhobar, phibar, cs2, sn2, z, xxnorm = (
                 x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
-            work = None
         if not n:
             break
         if k == max_iter:
@@ -255,77 +255,39 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
                                    f"(residual {residual.max():.3g})", iterations=max_iter)
         if k + 2 > depth:
             depth = min(2 * depth, max_iter + 1)
-            try:  # the loop holds V once: a second reference would refuse every resize
+            try:  # the loop holds each once: a second reference would refuse the resize
                 V.resize((depth, *V.shape[1:]))
-            except ValueError:  # an operator keeps a view of V
-                V = np.concatenate([V, np.empty((depth - V.shape[0], *V.shape[1:]))])
-            bidiag = np.concatenate([bidiag, np.empty((n, depth - bidiag.shape[1], 2))], axis=1)
-        bidiag[:, k, 0] = a
+                bidiag.resize((depth, *bidiag.shape[1:]))
+            except ValueError:  # an operator keeps a view of V, or a tracer the locals
+                V, bidiag = (np.concatenate([x, np.empty((depth - x.shape[0], *x.shape[1:]))])
+                             for x in (V, bidiag))
+        bidiag[k, :n, 0] = a
         np.multiply(U, a / unorm, out=U)  # a_k u_k
         np.subtract(op.apply(V[k, :n].T), U, out=U)
         unorm = b_next = _norms(np.einsum("ij,ij->j", U, U), scale)
-        bidiag[:, k, 1] = b_next
+        bidiag[k, :n, 1] = b_next
         k += 1
         a = step_adjoint(b_next > 0, b_next)
         scale = np.maximum(scale, np.maximum(b_next, a))
         bn, an = b_next[:, None], a[:, None]
-        if work is None:
-            # (live column, alpha) scratch for the rotations, kept until the
-            # block is compacted: fresh temporaries of a wide block cost more
-            # than their arithmetic
-            work = np.empty((12 if relative_to_solution else 7, n, alphas.size))
-            within = np.empty(work.shape[1:], dtype=bool)
-            rhobar1, rho, cs, sn, phi, arnorm, tmp, *solution_work = work
-        # rhobar1 = sqrt(rhobar^2 + a), phibar *= rhobar / rhobar1,
-        # rho = sqrt(rhobar1^2 + bn^2), cs, sn = rhobar1 / rho, bn / rho,
-        # rhobar = -cs an, phi, phibar = cs phibar, sn phibar and
-        # arnorm = an |sn phi|, each operation in this order
-        np.multiply(rhobar, rhobar, out=rhobar1)
-        rhobar1 += alphas
-        np.sqrt(rhobar1, out=rhobar1)
-        np.divide(rhobar, rhobar1, out=tmp)
-        phibar *= tmp
-        np.multiply(rhobar1, rhobar1, out=rho)
-        rho += bn * bn
-        np.sqrt(rho, out=rho)  # np.hypot is ~20x slower
-        np.divide(rhobar1, rho, out=cs)
-        np.divide(bn, rho, out=sn)
-        np.negative(cs, out=rhobar)
-        rhobar *= an
-        np.multiply(cs, phibar, out=phi)
-        phibar *= sn
-        np.multiply(sn, phi, out=arnorm)
-        np.abs(arnorm, out=arnorm)
-        arnorm *= an
+        # each rotation in the order of the scalar recurrence (Paige & Saunders)
+        rhobar1 = np.sqrt(rhobar * rhobar + alphas)
+        phibar = phibar * (rhobar / rhobar1)
+        rho = np.sqrt(rhobar1 * rhobar1 + bn * bn)  # np.hypot is ~20x slower
+        cs, sn = rhobar1 / rho, bn / rho
+        rhobar = -cs * an
+        phi, phibar = cs * phibar, sn * phibar
+        arnorm = an * np.abs(sn * phi)
         residual = arnorm.max(axis=1)
-        if relative_to_solution:
-            # theta = sn an, gambar = -cs2 rho, t = phi - sn2 rho z,
-            # bound = tol a sqrt(xxnorm + (t / gambar)^2),
-            # gamma = sqrt(gambar^2 + theta^2), cs2, sn2, z = (gambar, theta,
-            # t) / gamma and xxnorm += z^2
-            theta, gambar, t, gamma, bound = solution_work
-            np.multiply(sn, an, out=theta)
-            np.negative(cs2, out=gambar)
-            gambar *= rho
-            np.multiply(sn2, rho, out=t)
-            t *= z
-            np.subtract(phi, t, out=t)
-            np.divide(t, gambar, out=tmp)
-            tmp *= tmp
-            tmp += xxnorm
-            np.sqrt(tmp, out=tmp)
-            np.multiply(tol_alphas, tmp, out=bound)
-            np.multiply(gambar, gambar, out=gamma)
-            np.multiply(theta, theta, out=tmp)
-            gamma += tmp
-            np.sqrt(gamma, out=gamma)
-            np.divide(gambar, gamma, out=cs2)
-            np.divide(theta, gamma, out=sn2)
-            np.divide(t, gamma, out=z)
-            np.multiply(z, z, out=tmp)
-            xxnorm += tmp
-        np.less_equal(arnorm, bound, out=within)
-        done = (a == 0.0) | within.all(axis=1)
+        if relative_to_solution:  # bound = tol a ||x||
+            theta, gambar = sn * an, -cs2 * rho
+            t = phi - sn2 * rho * z
+            q = t / gambar
+            bound = tol * alphas * np.sqrt(xxnorm + q * q)
+            gamma = np.sqrt(gambar * gambar + theta * theta)
+            cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
+            xxnorm = xxnorm + z * z
+        done = (a == 0.0) | (arnorm <= bound).all(axis=1)
     return runs
 
 

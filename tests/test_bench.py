@@ -3,6 +3,7 @@ import glob
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -286,11 +287,11 @@ _DENSE = [("baart", None), ("deriv2", None), ("foxgood", None), ("gravity", None
 _SPANS = {"default": (1e-12, 0.5), "wide": (1e-3, 1e3), "deep": (1e-16, 10.0)}
 
 
-def _path_selection(grid, inputs, rule):
-    """A rule's grid index and flags on one replicate's path, with the study's
-    record of a rule that raises."""
+def _path_selection(grid, select):
+    """The grid index and flags of the selection ``select()`` on one
+    replicate's path, with the study's record of a rule that raises."""
     try:
-        sel = rules_mod.RULES[rule].run(inputs)
+        sel = select()
     except rr.DegenerateDataError:
         return len(grid) - 1, ("degenerate",)
     except rr.ConvergenceError as exc:
@@ -302,8 +303,10 @@ def _path_selection(grid, inputs, rule):
 
 def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set:
     """Evaluates replicates [first, first + size) of a cell as the study's block
-    and each on its own path through ``RULES``; asserts that every rule picks
-    the same grid point with the same flags, and returns the flags seen."""
+    and each on its own path, through ``RULES`` but for ``pro_estimated`` with
+    its ``max_alpha`` fallback and ``dp`` without refinement; asserts that every
+    rule picks the same grid point with the same flags, and returns the flags
+    seen."""
     p = rr.make_problem(*problem, n)
     s1_sq = float(rr.svd(p.A).s[0]) ** 2
     lo, hi = _SPANS[span]
@@ -317,11 +320,14 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
         data = rr.add_noise(p, xi, seed, rep)
         path = rr.spectral_path(setup.dec, data.g, grid)
         inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
-                                           sigma=data.sigma, sigma2=data.sigma ** 2,
-                                           on_degenerate="max_alpha", refine=False)
+                                           sigma=data.sigma, sigma2=data.sigma ** 2)
+        select = {rule: partial(rules_mod.RULES[rule].run, inputs) for rule in RULE_NAMES}
+        select["pro"] = partial(rules_mod.pro_estimated, setup.influence, data.g,
+                                data.sigma ** 2, on_degenerate="max_alpha")
+        select["dp"] = partial(rules_mod.dp, path, data.sigma, refine=False)
         errors = np.array([rel_error(f, p.f_true) for f in path.solutions])
         for rule in RULE_NAMES:
-            idx, flags = _path_selection(grid, inputs, rule)
+            idx, flags = _path_selection(grid, select[rule])
             entry = rows[rule]
             assert (entry.replicate, entry.alpha, entry.flags) == (rep, grid[idx], flags), rule
             assert entry.rel_error == pytest.approx(errors[idx], rel=1e-12)

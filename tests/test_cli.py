@@ -120,6 +120,18 @@ class TestSelect:
         save_container(path, problem=p, noisy=d)
         assert main(["select", "--data", str(path), "--rule", "pro"]) == 3
 
+    @pytest.mark.parametrize("rule,paths", [("pro", 0), ("ipro", 1), ("dp", 1)])
+    def test_matrix_free_builds_a_path_only_for_its_readers(self, shaw_dataset, capsys, rule,
+                                                             paths):
+        # grid-mode pro selects from the probe measure alone; ipro and the
+        # path rules read the solution path
+        with mock.patch.object(bench.OperatorSetup, "path", autospec=True,
+                               side_effect=bench.OperatorSetup.path) as path:
+            assert main(["select", "--data", str(shaw_dataset), "--rule", rule,
+                         "--matrix-free", "--probes", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["rule"] == rule
+        assert path.call_count == paths
+
     def test_every_rule_runs_on_dataset(self, shaw_dataset, capsys):
         for rule in ("pro", "ipro", "dp", "upre", "bp", "gcv", "lc", "qoc"):
             code = main(["select", "--data", str(shaw_dataset), "--rule", rule,

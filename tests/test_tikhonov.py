@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 import tracemalloc
 from functools import partial
 
@@ -255,6 +256,27 @@ class TestGolubKahan:
                                                                               tol=1e-12)
         assert len(kept) > 8  # past the stack's first growth
         for (dec, rhs, res), (ref, ref_rhs, ref_res) in zip(held, plain):
+            assert np.array_equal(dec.s, ref.s) and np.array_equal(dec.V, ref.V)
+            assert np.array_equal(rhs, ref_rhs) and res == ref_res
+
+    def test_stack_grows_under_a_tracer(self):
+        # a Python trace function (pdb's, say) holds the loop's locals, so V
+        # and the bidiagonal cannot grow in place and are copied instead: the
+        # run matches an untraced one
+        A, B = keyed_rng(89).standard_normal((40, 30)), keyed_rng(97).standard_normal((40, 2))
+        plain = rr.golub_kahan(A, B, [1e-6, 1e-2], tol=1e-12)
+
+        def trace(frame, event, arg):
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            traced = rr.golub_kahan(A, B, [1e-6, 1e-2], tol=1e-12)
+        finally:
+            sys.settrace(previous)
+        for (dec, rhs, res), (ref, ref_rhs, ref_res) in zip(traced, plain):
+            assert rhs.size > 8  # past the stack's first growth
             assert np.array_equal(dec.s, ref.s) and np.array_equal(dec.V, ref.V)
             assert np.array_equal(rhs, ref_rhs) and res == ref_res
 
@@ -724,6 +746,24 @@ class TestInfluenceStochastic:
         # each probe's run breaks down after one step, on the node 1
         np.testing.assert_array_equal(inf.iterations, [1, 1, 1, 1])
         np.testing.assert_allclose(inf.nodes, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("smallest,depth", [(0.01, 97), (0.1, 48)])
+    def test_probes_past_the_krylov_dimension_keep_the_exact_forms(self, smallest, depth):
+        # a diagonal with 40 distinct values, 25 coordinates each: with only V
+        # reorthogonalized, beta_k stays above the breakdown cutoff and each
+        # probe runs past the Krylov dimension (40); the extra nodes do not move
+        # the measure off the probes' exact quadratic forms sum_i z_i^2 f(d_i^2)
+        d = np.repeat(np.geomspace(1.0, smallest, 40), 25)
+        op = rr.LinearOperator.from_functions(d.size, d.size, lambda x: d * x, lambda y: d * y)
+        alphas = matrix_free_grid(1.0).values
+        m = rr.influence_path_stochastic(op, alphas, 2, seed=1, lam1=1.0)
+        assert m.iterations.tolist() == [depth, depth]
+        w = np.mean(keyed_rng(1, TAG_PROBES).standard_normal((d.size, 2)) ** 2, axis=1)
+        t = d * d
+        x = t / (t + alphas[:, None])
+        np.testing.assert_allclose(m.frob_sq, (w * x * x).sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m.trace, (w * x).sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(m.noise_amp, (w * x * x / t).sum(axis=1), rtol=1e-12)
 
     def test_matches_exact_on_shaw(self, shaw64):
         p, dec = shaw64

@@ -13,6 +13,10 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   ``matrix_free_grid``) and of shaw n = 64 on the default grid (32 probes,
   seed 0, lam1 = s1^2): ``frob_sq``, ``trace`` and ``noise_amp`` at the first,
   middle and last grid index, and the total weight, at full precision;
+- the ``iterative_path`` of that paralleltomo 16x16 operator from replicate 0
+  at 20 dB on its ``matrix_free_grid``, the ``tomo_mf`` benchmark's path: its
+  Krylov depth and normal residual at full precision and the SHA-256 of its
+  residual norms, solution norms and solutions;
 - Golub-Kahan blocks whose columns stop at different steps, so that some
   steps run with some but not all columns live: the 12 x 9 block of
   ``test_column_retires_at_step_one`` (a column that breaks down at step one,
@@ -104,7 +108,11 @@ def _print_block(label, A, B, alphas, tol) -> None:
         path = tikhonov.spectral_path(dec, rhs, alphas)
         print(f"block {label} column={j} path depth={rhs.size - 1} residual={residual!r} "
               f"s={dec.s.tolist()} residual_norms={path.residual_norms.tolist()} "
-              f"solutions_sha256={hashlib.sha256(path.solutions.tobytes()).hexdigest()}")
+              f"solutions_sha256={_sha256_of(path.solutions)}")
+
+
+def _sha256_of(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 def _breakdown_blocks() -> None:
@@ -128,8 +136,15 @@ def _breakdown_blocks() -> None:
 def main() -> None:
     tomo = problems.make_problem("paralleltomo", None, 16)
     lam1 = linop.largest_eigenvalue(tomo.A, seed=3)
+    tomo_grid = bench.matrix_free_grid(lam1).values
     _print_measure("paralleltomo16", tikhonov.influence_path_stochastic(
-        tomo.A, bench.matrix_free_grid(lam1).values, probes=16, seed=5, lam1=lam1))
+        tomo.A, tomo_grid, probes=16, seed=5, lam1=lam1))
+    path = tikhonov.iterative_path(tomo.A, problems.add_noise(tomo, 20.0, SEED, 0).g, tomo_grid)
+    print(f"path paralleltomo16_xi20_r0 depth={path.iterations} "
+          f"normal_residual={path.normal_residual!r} "
+          f"residual_norms_sha256={_sha256_of(path.residual_norms)} "
+          f"solution_norms_sha256={_sha256_of(path.solution_norms)} "
+          f"solutions_sha256={_sha256_of(path.solutions)}")
     shaw = problems.make_problem("shaw", None, 64)
     s1_sq = float(linop.svd(shaw.A).s[0]) ** 2
     _print_measure("shaw64", tikhonov.influence_path_stochastic(
