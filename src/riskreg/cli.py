@@ -161,7 +161,8 @@ def _cmd_select(args) -> int:
         setup = bench.OperatorSetup(problem.A, args.matrix_free, args.grid_points,
                                     args.grid_min, args.grid_max, args.probes, seed,
                                     _GRID_FLAGS)
-        source = setup.source
+        # matrix-free, the probe measure is built only for a rule that reads it
+        source = setup.source if rule.needs_measure else None
         # in grid mode (matrix-free) ipro reads its residuals from the path
         ipro_grid = args.matrix_free and args.rule == "ipro"
         path = setup.path(g) if rule.needs_path or ipro_grid else None

@@ -465,12 +465,13 @@ class SelectionInputs:
     """Everything a registered rule may read, and the settings a caller may vary.
 
     ``source`` is a spectrum (continuous selection) or an influence path on
-    the grid of ``path`` (grid mode).  ``rho2`` makes ``pro`` use a known
+    the grid of ``path`` (grid mode), and may be None for a rule that does
+    not read it (``Rule.needs_measure``).  ``rho2`` makes ``pro`` use a known
     signal energy instead of estimating it.
     """
 
     g: np.ndarray
-    source: Union[SpectralDecomposition, InfluencePath]
+    source: Optional[Union[SpectralDecomposition, InfluencePath]]
     path: Optional[SolutionPath] = None
     sigma: Optional[float] = None
     sigma2: Optional[float] = None
@@ -546,7 +547,9 @@ def _lc_block(b: PathBlock):
 @dataclass(frozen=True)
 class Rule:
     """A registry entry: the rule on its inputs, whether it selects on a sampled
-    solution path, and the noise input (``"sigma"`` or ``"sigma2"``) it needs.
+    solution path and whether it reads the influence measure or spectrum
+    (``SelectionInputs.source``), and the noise input (``"sigma"`` or
+    ``"sigma2"``) it needs.
 
     ``block``, for the rules that read only norms on the grid, selects for
     every row of a ``PathBlock`` at once and gives the grid indices and flags
@@ -557,6 +560,7 @@ class Rule:
 
     run: Callable[[SelectionInputs], RuleSelection]
     needs_path: bool
+    needs_measure: bool = True
     noise: Optional[str] = None
     block: Optional[Callable[[PathBlock], tuple[np.ndarray, list]]] = None
 
@@ -571,14 +575,14 @@ RULES = {
     "pro": Rule(_run_pro, needs_path=False, noise="sigma2", block=_pro_block),
     "ipro": Rule(lambda x: ipro(x.source, x.g, alpha_init=x.alpha_init, path=x.path),
                  needs_path=False, block=_ipro_block),
-    "dp": Rule(lambda x: dp(x.path, x.sigma), needs_path=True, noise="sigma",
-               block=_dp_block),
+    "dp": Rule(lambda x: dp(x.path, x.sigma), needs_path=True, needs_measure=False,
+               noise="sigma", block=_dp_block),
     "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
                  noise="sigma2", block=_upre_block),
     "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),
                needs_path=True, noise="sigma"),
     "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True, block=_gcv_block),
-    "lc": Rule(lambda x: lc(x.path), needs_path=True, block=_lc_block),
-    "qoc": Rule(lambda x: qoc(x.path), needs_path=True),
+    "lc": Rule(lambda x: lc(x.path), needs_path=True, needs_measure=False, block=_lc_block),
+    "qoc": Rule(lambda x: qoc(x.path), needs_path=True, needs_measure=False),
 }
 RULE_NAMES = tuple(RULES)

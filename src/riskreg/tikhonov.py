@@ -21,6 +21,15 @@ from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_
                     check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
 
+# A probe's Golub-Kahan run stops once its quadratic forms have each moved by
+# at most SETTLE_TOL of themselves over the last SETTLE_DELAY steps at every
+# grid alpha (``_golub_kahan``'s "settle" test).  A delay of 2 stopped a probe
+# 33 SETTLE_TOL short of its limit of ||w||^2 on a diagonal with 40 values from
+# 1 to 0.01; at 4 no probe of that diagonal, of one from 1 to 0.1 or of
+# paralleltomo 16x16 and 24x24 stopped more than 0.07 SETTLE_TOL short.
+SETTLE_TOL = 1e-8
+SETTLE_DELAY = 4
+
 
 @dataclass
 class RegularizedSolution:
@@ -100,10 +109,10 @@ def _reorthogonalize(Q, x):
     return y
 
 
-def _projected_svd(B_k, beta1, residual, V):
-    """A column's ``(dec, rhs, residual)`` for ``spectral_path``: the SVD
-    P diag(s) Q^T of its lower bidiagonal B_k (rows alpha_j, beta_{j+1}) with
-    right vectors V_k Q, truncated at the numerical rank, and rhs = beta1 e1."""
+def _projected_svd(B_k, beta1, V):
+    """A column's ``(dec, rhs)`` for ``spectral_path``: the SVD P diag(s) Q^T
+    of its lower bidiagonal B_k (rows alpha_j, beta_{j+1}) with right vectors
+    V_k Q, truncated at the numerical rank, and rhs = beta1 e1."""
     k = B_k.shape[0]
     B = np.zeros((k + 1, k))
     B[np.arange(k), np.arange(k)] = B_k[:, 0]
@@ -112,11 +121,11 @@ def _projected_svd(B_k, beta1, residual, V):
     r = numerical_rank(s)
     rhs = np.zeros(k + 1)
     rhs[0] = beta1
-    return SpectralDecomposition(P[:, :r], s[:r], (Qt[:r] @ V).T), rhs, float(residual)
+    return SpectralDecomposition(P[:, :r], s[:r], (Qt[:r] @ V).T), rhs
 
 
-def _gauss_quadrature(B_k, beta1, residual, V):
-    """A probe's Gauss quadrature ``(nodes, weights, depth, residual)`` from its
+def _gauss_quadrature(B_k, beta1, V):
+    """A probe's Gauss quadrature ``(nodes, weights, depth)`` from its
     bidiagonal B_k (rows alpha_j, beta_{j+1}), with no SVD of B_k formed.
 
     The square lower bidiagonal [B_k | 0], diagonal alpha_1 .. alpha_k, 0 and
@@ -128,11 +137,11 @@ def _gauss_quadrature(B_k, beta1, residual, V):
     no probe holds more than O(k) numbers for it."""
     k = B_k.shape[0]
     if not k:
-        return np.empty(0), np.empty(0), 0, float(residual)
+        return np.empty(0), np.empty(0), 0
     s, p0 = bidiagonal_svd(np.append(B_k[:, 0], 0.0), B_k[:, 1])
     r = numerical_rank(s[:k])  # the zero singular value, the smallest, is dropped
     c = beta1 * p0[:r]
-    return s[:r] * s[:r], c * c, k, float(residual)
+    return s[:r] * s[:r], c * c, k
 
 
 def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
@@ -163,7 +172,8 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     deepen, from 8 rows up to max_iter + 1, so past 8 rows they hold at most
     twice the k + 1 rows of the deepest column.  The probe measure
     (``influence_path_stochastic``) runs the same loop but takes Gauss
-    quadrature from each B_k instead of its SVD.
+    quadrature from each B_k instead of its SVD, and stops each probe on its
+    own test (``_golub_kahan``).
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
@@ -177,16 +187,42 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     ``max_iter`` steps (an integer >= 1, default min(rows, cols), at most
     cols: V has no more directions) in any column raise ConvergenceError.
     """
-    runs = _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, _projected_svd)
+    runs = [(*run, residual) for run, residual, _ in _golub_kahan(
+        A, b, alphas, tol, max_iter, "solution" if relative_to_solution else "normal",
+        _projected_svd)]
     return runs if np.ndim(b) == 2 else runs[0]
 
 
-def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
-    """The loop of ``golub_kahan``; each column, when it stops at depth k, is
-    handed to ``finish(B_k, beta1, residual, V_k)``: B_k (k x 2) holds
-    alpha_j and beta_{j+1} of its bidiagonal in row j, V_k is its (k x cols)
-    basis, both views of the loop's depth-major stacks, valid only during the
-    call.  Returns the finished columns in the order of b's."""
+def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
+    """The loop of ``golub_kahan``, each column stopped by the test ``stop``.
+    A column that stops at depth k is handed to ``finish(B_k, beta1, V_k)``:
+    B_k (k x 2) holds alpha_j and beta_{j+1} of its bidiagonal in row j, V_k
+    is its (k x cols) basis, both views of the loop's depth-major stacks,
+    valid only during the call.  Returns, in the order of b's columns,
+    ``(finished, residual, settle)``: finish's result, the largest
+    normal-equation residual on the grid, and the settle estimate (0 unless
+    ``stop`` is "settle").
+
+    ``stop`` is "normal" or "solution", ``golub_kahan``'s residual tests
+    (without and with ``relative_to_solution``), or "settle", a probe's.  A
+    probe needs only two quadratic forms of the damped solution x_k = V_k y_k
+    at depth k, the ones its Gauss quadrature at depth k gives:
+    trace_k = <b, A x_k> = ||b||^2 - ||rbar_k||^2, where ||rbar_k||^2 =
+    ||b - A x_k||^2 + a ||x_k||^2 (phibar^2 plus the damping rotations'
+    psi^2), and noise_k = ||x_k||^2 (the right rotation's ||x||).  Step j
+    lowers ||rbar||^2 by exactly phi_j^2, so trace_k is summed as
+    phi_1^2 + .. + phi_k^2, with no cancellation against ||b||^2.  Both forms
+    grow with k toward their limits, and the error of the Gauss rule is the
+    solve's CG energy-norm error, roughly its square (Golub & Meurant 2010),
+    so the forms settle well before the solve converges.  A column stops once
+    each has moved by at most ``tol`` of itself over the last SETTLE_DELAY
+    steps at every alpha: the change over those steps estimates the forms'
+    error at the older step (Hestenes & Stiefel 1952; Strakos & Tichy 2002),
+    and the largest relative change is the column's settle estimate.  It
+    costs the loop no operator application: both come from the rotations.
+    A column also stops at the "normal" test, if it comes first (a small
+    operator may bring the solve to tol before SETTLE_DELAY steps have run),
+    so no probe runs deeper than its solve needs."""
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
@@ -211,6 +247,7 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     depth = min(8, max_iter + 1)
     V, bidiag = np.empty((depth, n, op.cols)), np.empty((depth, n, 2))
     live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
+    settle = np.zeros(n)
 
     def step_adjoint(go, b_next):
         # v = A^T u - b_next v_k, reorthogonalized, and its norm alpha; a column
@@ -235,19 +272,26 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
     # the residual, a right rotation ||x||
     rhobar, phibar = np.outer(a, np.ones(alphas.size)), np.outer(beta1, np.ones(alphas.size))
     cs2, sn2, z, xxnorm = np.full(rhobar.shape, -1.0), *np.zeros((3, *rhobar.shape))
+    # the settle test's (trace_j, noise_j) of the last SETTLE_DELAY + 1 depths
+    # j, each in slot j % (SETTLE_DELAY + 1) (zero before step 1); the
+    # "solution" test keeps noise_k alone, the "normal" test neither
+    slots = {"normal": 0, "solution": 1, "settle": SETTLE_DELAY + 1}[stop]
+    forms = np.zeros((slots, 2, *rhobar.shape))
     while True:
         if done.any():
             for i in np.flatnonzero(done):
-                runs[live[i]] = finish(bidiag[:k, i], beta1[i], residual[i], V[:k, i])
+                runs[live[i]] = (finish(bidiag[:k, i], beta1[i], V[:k, i]), float(residual[i]),
+                                 float(settle[i]))
             keep = np.flatnonzero(~done)
             for i, j in enumerate(keep):  # the kept columns move down in place
                 if i != j:
                     V[:k + 1, i], bidiag[:k, i] = V[:k + 1, j], bidiag[:k, j]
             n, U = keep.size, U[:, keep]
-            live, a, beta1, unorm, scale, residual, bound = (
-                x[keep] for x in (live, a, beta1, unorm, scale, residual, bound))
+            live, a, beta1, unorm, scale, residual, settle, bound = (
+                x[keep] for x in (live, a, beta1, unorm, scale, residual, settle, bound))
             rhobar, phibar, cs2, sn2, z, xxnorm = (
                 x[keep] for x in (rhobar, phibar, cs2, sn2, z, xxnorm))
+            forms = forms[:, :, keep]
         if not n:
             break
         if k == max_iter:
@@ -279,15 +323,29 @@ def _golub_kahan(A, b, alphas, tol, max_iter, relative_to_solution, finish):
         phi, phibar = cs * phibar, sn * phibar
         arnorm = an * np.abs(sn * phi)
         residual = arnorm.max(axis=1)
-        if relative_to_solution:  # bound = tol a ||x||
-            theta, gambar = sn * an, -cs2 * rho
-            t = phi - sn2 * rho * z
-            q = t / gambar
-            bound = tol * alphas * np.sqrt(xxnorm + q * q)
-            gamma = np.sqrt(gambar * gambar + theta * theta)
-            cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
-            xxnorm = xxnorm + z * z
+        if stop != "normal":  # ||x||^2 = xxnorm + q^2, each product in place over
+            # the arrays the left rotations are done with: a probe block is
+            # (probes x alphas)
+            theta = np.multiply(sn, an, out=sn)
+            gambar = np.multiply(np.negative(cs2, out=cs2), rho, out=cs2)
+            t = np.subtract(phi, np.multiply(np.multiply(sn2, rho, out=sn2), z, out=sn2),
+                            out=sn2)
+            q = np.divide(t, gambar, out=rho)
+            xnorm_sq = np.add(xxnorm, np.multiply(q, q, out=q), out=forms[k % slots, 1])
+            gamma = np.add(np.multiply(gambar, gambar, out=cs),
+                           np.multiply(theta, theta, out=rhobar1), out=cs)
+            gamma = np.sqrt(gamma, out=gamma)
+            cs2, sn2, z = (np.divide(x, gamma, out=x) for x in (gambar, theta, t))
+            xxnorm += np.multiply(z, z, out=gamma)
+        if stop == "solution":  # bound = tol a ||x||
+            bound = tol * alphas * np.sqrt(xnorm_sq)
         done = (a == 0.0) | (arnorm <= bound).all(axis=1)
+        if stop == "settle":  # the slot of depth k - SETTLE_DELAY is the next one
+            now, then = forms[k % slots], forms[(k + 1) % slots]
+            np.add(forms[(k - 1) % slots, 0], np.multiply(phi, phi, out=phi), out=now[0])
+            np.subtract(now, then, out=then)
+            settle = np.divide(then, now, out=then).max(axis=(0, 2))
+            done |= settle <= tol
     return runs
 
 
@@ -303,9 +361,13 @@ class InfluencePath:
     They are sampled once on ``alphas`` (one alpha is a grid of length one);
     ``influence_measure`` samples another grid.  A spectrum gives nodes s_i^2
     with unit weights; on the stochastic path each probe's Golub-Kahan run
-    gives a Gauss quadrature, and ``iterations`` and ``normal_residual`` hold
-    its Krylov depth (not its node count, which the numerical rank may cut)
-    and final residual.  ``lam1`` must be finite and >= 0.
+    gives a Gauss quadrature, and ``iterations``, ``normal_residual`` and
+    ``settle`` hold, per probe, its Krylov depth (not its node count, which
+    the numerical rank may cut), its final normal-equation residual and its
+    settle estimate at its stop: the largest relative change of its forms
+    over the last SETTLE_DELAY steps, at most SETTLE_TOL unless the run
+    broke down or its solve met ``golub_kahan``'s residual test at SETTLE_TOL
+    first.  ``lam1`` must be finite and >= 0.
     """
 
     alphas: np.ndarray
@@ -314,6 +376,7 @@ class InfluencePath:
     lam1: float
     iterations: Optional[np.ndarray] = None
     normal_residual: Optional[np.ndarray] = None
+    settle: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (np.ndim(self.lam1) == 0 and np.isfinite(self.lam1) and self.lam1 >= 0):
@@ -365,15 +428,20 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     """The measure of frozen Gaussian probes, pooled, sampled on ``alphas`` > 0.
 
     One Golub-Kahan run (``golub_kahan``'s loop) over the block of ``probes``
-    (an integer >= 1), at tolerance 1e-8.  For a probe z whose bidiagonal B_k
-    has singular values s and left vectors P, and c = beta1 P[0],
+    (an integer >= 1).  For a probe z whose bidiagonal B_k has singular
+    values s and left vectors P, and c = beta1 P[0],
     w = (A^T A + a I)^{-1} A^T z has ||A w||^2, <z, A w> and ||w||^2 equal to
     the sums of x^2, x and s^2/(s^2 + a)^2 against weights c^2 on the nodes
-    s^2 (x = s^2/(s^2 + a)).  The nodes and weights come from LAPACK's QR
-    sweep of B_k (``_gauss_quadrature``), which carries of P only its first
-    row, so no probe forms a singular vector matrix or its V_k Q and its
-    quadrature takes O(k) memory.  Each probe's weights are divided by
-    ``probes``.  ``lam1`` (default: power iteration, which raises
+    s^2 (x = s^2/(s^2 + a)).  A probe stops once <z, A w> and ||w||^2 at
+    depth k, which the damped-LSQR rotations give, have each moved by at most
+    SETTLE_TOL of themselves over the last SETTLE_DELAY steps at every alpha
+    (``_golub_kahan``'s "settle" test): the forms' error is roughly the
+    square of the solve's, so they settle before the solve meets
+    ``golub_kahan``'s residual test at SETTLE_TOL, which also stops a probe
+    if it comes first.  The nodes and weights come from LAPACK's QR sweep of
+    B_k (``_gauss_quadrature``), which carries of P only its first row, so no
+    probe forms a singular vector matrix or its V_k Q and its quadrature
+    takes O(k) memory.  Each probe's weights are divided by ``probes``.  ``lam1`` (default: power iteration, which raises
     DegenerateDataError on a zero operator) sets sn_sq and must be > 0.
     """
     op = as_operator(A)
@@ -386,11 +454,13 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     if not lam1 > 0:  # given or estimated, one rule
         raise ValueError(f"lam1 must be > 0, got {lam1!r}")
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    runs = _golub_kahan(op, Z, alphas, 1e-8, None, False, _gauss_quadrature)
-    return InfluencePath(alphas=alphas, nodes=np.concatenate([run[0] for run in runs]),
-                         weights=np.concatenate([run[1] for run in runs]) / probes,
-                         lam1=lam1, iterations=np.array([run[2] for run in runs]),
-                         normal_residual=np.array([run[3] for run in runs]))
+    runs = _golub_kahan(op, Z, alphas, SETTLE_TOL, None, "settle", _gauss_quadrature)
+    quadratures, residuals, settle = zip(*runs)
+    nodes, weights, depths = zip(*quadratures)
+    return InfluencePath(alphas=alphas, nodes=np.concatenate(nodes),
+                         weights=np.concatenate(weights) / probes, lam1=lam1,
+                         iterations=np.array(depths), normal_residual=np.array(residuals),
+                         settle=np.array(settle))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
-from riskreg import bench, cli
+from riskreg import bench, cli, rules
 from riskreg.bench import default_grid
 from riskreg.cli import main
 from riskreg.problems import load_container, problem_from_container, save_container
@@ -131,6 +131,19 @@ class TestSelect:
                          "--matrix-free", "--probes", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["rule"] == rule
         assert path.call_count == paths
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_matrix_free_builds_the_measure_only_for_its_readers(self, shaw_dataset, capsys,
+                                                                 rule):
+        # dp, lc and qoc select on the solution path alone; the probe measure
+        # cost them two thirds of a select on a paralleltomo 16x16 container
+        with mock.patch.object(bench, "influence_path_stochastic", autospec=True,
+                               side_effect=bench.influence_path_stochastic) as measure:
+            assert main(["select", "--data", str(shaw_dataset), "--rule", rule,
+                         "--matrix-free", "--probes", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["rule"] == rule
+        assert measure.call_count == int(rule not in ("dp", "lc", "qoc"))
+        assert rules.RULES[rule].needs_measure == (measure.call_count == 1)
 
     def test_every_rule_runs_on_dataset(self, shaw_dataset, capsys):
         for rule in ("pro", "ipro", "dp", "upre", "bp", "gcv", "lc", "qoc"):

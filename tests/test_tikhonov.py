@@ -1,3 +1,4 @@
+import inspect
 import math
 import operator
 import sys
@@ -186,9 +187,9 @@ class TestGolubKahan:
                   for a, f in zip(alphas, path.solutions)]
         assert max(actual) <= 1.01 * target
         assert max(actual) == pytest.approx(path.normal_residual, rel=1e-3)
+        # a probe stops on its forms' settle estimate, which it reports
         inf = rr.influence_path_stochastic(p.A, alphas, probes=4, seed=2, lam1=lam1)
-        Z = keyed_rng(2, TAG_PROBES).standard_normal((A.shape[0], 4))
-        assert np.all(inf.normal_residual <= tol * np.linalg.norm(A.T @ Z, axis=0))
+        assert np.all(inf.settle <= tikhonov.SETTLE_TOL) and np.all(inf.normal_residual > 0)
         assert inf.iterations.shape == (4,) and np.all(inf.iterations >= 1)
 
     def test_same_seed_same_bits(self):
@@ -282,19 +283,19 @@ class TestGolubKahan:
 
     def test_stack_grows_without_a_copy(self):
         # two probes of a diagonal with 40 distinct entries on 50,000
-        # coordinates reach depth 17, so the stack doubles 8 -> 16 -> 32 rows;
+        # coordinates reach depth 26, so the stack doubles 8 -> 16 -> 32 rows;
         # a copy at a doubling would hold the old and new stacks at once
         # (>= 1.5x the final one), growing in place holds only the final one
         cols = 50_000
-        d = np.repeat(np.linspace(1.0, 2.0, 40), cols // 40)
+        d = np.repeat(np.linspace(0.5, 2.0, 40), cols // 40)
         op = rr.LinearOperator.from_functions(cols, cols, lambda x: d * x, lambda y: d * y)
         tracemalloc.start()
         try:
-            m = tikhonov.influence_path_stochastic(op, [1e-2, 1.0], 2, seed=1, lam1=4.0)
+            m = tikhonov.influence_path_stochastic(op, [1e-3, 1.0], 2, seed=1, lam1=4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(m.iterations) == [17, 17]
+        assert list(m.iterations) == [26, 26]
         assert peak < 1.4 * (32 * 2 * cols * 8)
 
     def test_max_iter_above_cols_stops_at_cols(self):
@@ -322,16 +323,18 @@ def _assert_runs_agree(block, columns, alphas, rtol=1e-12):
 
 
 def _damped_lsqr_reference(d, e, beta1, alphas, tol, relative):
-    """Depth and reported residual of damped LSQR on the bidiagonal with
-    diagonal d and subdiagonal e from beta1 e1, one scalar rotation at a time
-    in the order of Paige & Saunders."""
+    """Damped LSQR on the bidiagonal with diagonal d and subdiagonal e from
+    beta1 e1, one scalar rotation at a time in the order of Paige & Saunders:
+    the depth and reported residual at golub_kahan's stopping test, and per
+    step its relative_to_solution bound, trace_k = phi_1^2 + .. + phi_k^2 and
+    ||x_k||^2, each a list over the alphas."""
     K = len(alphas)
-    rhobar, phibar = [d[0]] * K, [beta1] * K
+    rhobar, phibar, trace = [d[0]] * K, [beta1] * K, [0.0] * K
     cs2, sn2, z, xxnorm = [-1.0] * K, [0.0] * K, [0.0] * K, [0.0] * K
-    bound = [tol * beta1 * d[0]] * K
+    bound, steps = [tol * beta1 * d[0]] * K, []
     for j in range(len(e)):
         bn, an = e[j], (d[j + 1] if j + 1 < len(d) else 0.0)
-        arnorm = [0.0] * K
+        arnorm, solution_bound, xnorm_sq = [0.0] * K, [0.0] * K, [0.0] * K
         for i, alpha in enumerate(alphas):
             rhobar1 = math.sqrt(rhobar[i] * rhobar[i] + alpha)
             phibar[i] *= rhobar[i] / rhobar1
@@ -340,17 +343,46 @@ def _damped_lsqr_reference(d, e, beta1, alphas, tol, relative):
             theta, rhobar[i] = sn * an, -cs * an
             phi, phibar[i] = cs * phibar[i], sn * phibar[i]
             arnorm[i] = an * abs(sn * phi)
-            if relative:
-                gambar = -cs2[i] * rho
-                t = phi - sn2[i] * rho * z[i]
-                q = t / gambar
-                bound[i] = tol * alpha * math.sqrt(xxnorm[i] + q * q)
-                gamma = math.sqrt(gambar * gambar + theta * theta)
-                cs2[i], sn2[i], z[i] = gambar / gamma, theta / gamma, t / gamma
-                xxnorm[i] += z[i] * z[i]
+            trace[i] += phi * phi
+            gambar = -cs2[i] * rho
+            t = phi - sn2[i] * rho * z[i]
+            q = t / gambar
+            xnorm_sq[i] = xxnorm[i] + q * q
+            solution_bound[i] = tol * alpha * math.sqrt(xnorm_sq[i])
+            gamma = math.sqrt(gambar * gambar + theta * theta)
+            cs2[i], sn2[i], z[i] = gambar / gamma, theta / gamma, t / gamma
+            xxnorm[i] += z[i] * z[i]
+        steps.append((solution_bound, list(trace), xnorm_sq))
+        if relative:
+            bound = solution_bound
         if an == 0.0 or all(r <= b for r, b in zip(arnorm, bound)):
-            return j + 1, max(arnorm)
+            return j + 1, max(arnorm), steps
     raise AssertionError("the bidiagonal ends in a breakdown")
+
+
+def _loop_states(run):
+    """``run()``, and the state of ``tikhonov._golub_kahan`` at the head of
+    each pass of its loop after the first: per pass the depth k, the live
+    columns, the stopping bound and the settle test's forms at depth k."""
+    code = tikhonov._golub_kahan.__code__
+    lines, first = inspect.getsourcelines(code)
+    head = first + next(i for i, line in enumerate(lines) if line.strip() == "if done.any():")
+    states = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == head and frame.f_locals["k"]:
+            f = frame.f_locals
+            states.append((f["k"], f["live"].copy(), np.array(f["bound"]),
+                           f["forms"][f["k"] % f["forms"].shape[0]].copy()))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return states
 
 
 class TestGolubKahanBlock:
@@ -380,10 +412,29 @@ class TestGolubKahanBlock:
         for tol in (1e-2, 1e-4, 1e-6, 1e-300):
             runs = rr.golub_kahan(A, B, alphas, tol=tol, relative_to_solution=relative)
             for (dec, _, residual), (d, e, beta1) in zip(runs, entries):
-                depth, ref = _damped_lsqr_reference(d, e, beta1, alphas, tol, relative)
+                depth, ref, _ = _damped_lsqr_reference(d, e, beta1, alphas, tol, relative)
                 assert dec.rank == depth and residual == ref
             # a tol above rounding stops some column before its breakdown
             assert (tol == 1e-300) == all(run[0].rank == m for run, m in zip(runs, sizes))
+        # every step's right rotation: ||x_k||^2 and the relative_to_solution
+        # bound on a path, ||x_k||^2 and trace_k on a probe, each run to its
+        # breakdown or, a probe, until its forms stop changing in the last bit
+        stop, runs = ("solution" if relative else "settle"), []
+        states = _loop_states(lambda: runs.extend(tikhonov._golub_kahan(
+            A, B, alphas, 1e-300, None, stop, lambda B_k, beta1, V_k: None)))
+        for col, ((d, e, beta1), m) in enumerate(zip(entries, sizes)):
+            steps = _damped_lsqr_reference(d, e, beta1, alphas, 1e-300, relative)[2]
+            seen = [(k, bound[live == col][0], forms[:, live == col, :][:, 0])
+                    for k, live, bound, forms in states if col in live]
+            assert [k for k, _, _ in seen] == list(range(1, len(seen) + 1))
+            assert len(seen) == m or (not relative and runs[col][2] == 0.0)
+            for (k, bound, (trace, xnorm_sq)), (ref_bound, ref_trace, ref_xnorm_sq) in zip(
+                    seen, steps):
+                assert xnorm_sq.tolist() == ref_xnorm_sq, k
+                if relative:
+                    assert bound.tolist() == ref_bound, k
+                else:
+                    assert trace.tolist() == ref_trace, k
 
     def test_tall_sparse_tomography(self):
         p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
@@ -663,13 +714,17 @@ class TestInfluenceMeasure:
         probes, seed = 6, 3
         inf = rr.influence_path_stochastic(p.A, alphas, probes, seed, lam1=lam1)
         Z = keyed_rng(seed, TAG_PROBES).standard_normal((p.A.rows, probes))
-        sums = sum(np.array(_probe_forms(run, alphas)) for run in rr.golub_kahan(p.A, Z, alphas))
+        # the same runs, each to its own depth, finished by the bidiagonal's SVD
+        runs = [(*run, residual) for run, residual, _ in tikhonov._golub_kahan(
+            p.A, Z, alphas, tikhonov.SETTLE_TOL, None, "settle", tikhonov._projected_svd)]
+        assert [rhs.size - 1 for _, rhs, _ in runs] == inf.iterations.tolist()
+        sums = sum(np.array(_probe_forms(run, alphas)) for run in runs)
         for got, ref in zip((inf.frob_sq, inf.trace, inf.noise_amp), sums / probes):
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
         assert inf.nodes.size == inf.weights.size == int(np.sum(inf.iterations))
         # off the grid too: the measure at the grid's midpoints
         mid = np.sqrt(alphas[1:] * alphas[:-1])
-        sums = sum(np.array(_probe_forms(run, mid)) for run in rr.golub_kahan(p.A, Z, alphas))
+        sums = sum(np.array(_probe_forms(run, mid)) for run in runs)
         np.testing.assert_allclose(influence_measure(inf, mid).frob_sq, sums[0] / probes,
                                    rtol=1e-14, atol=0.0)
 
@@ -734,8 +789,8 @@ class TestInfluenceStochastic:
         grid = matrix_free_grid(lam1).values
         op.counts = [0, 0]
         inf = rr.influence_path_stochastic(op, grid, probes=16, seed=5, lam1=lam1)
-        assert op.counts == [515, 531]
-        assert inf.iterations.tolist() == [32] * 8 + [33] + [32] * 2 + [33] + [32] * 2 + [33, 32]
+        assert op.counts == [401, 417]  # 515 and 531 while each probe's solve converged
+        assert inf.iterations.tolist() == [25] * 6 + [26] + [25] * 9
         op.counts = [0, 0]
         path = rr.iterative_path(op, rr.add_noise(p, 20.0, 1, 0).g, grid)
         assert op.counts == [50, 51] and path.iterations == 50
@@ -750,20 +805,58 @@ class TestInfluenceStochastic:
     @pytest.mark.parametrize("smallest,depth", [(0.01, 97), (0.1, 48)])
     def test_probes_past_the_krylov_dimension_keep_the_exact_forms(self, smallest, depth):
         # a diagonal with 40 distinct values, 25 coordinates each: with only V
-        # reorthogonalized, beta_k stays above the breakdown cutoff and each
-        # probe runs past the Krylov dimension (40); the extra nodes do not move
-        # the measure off the probes' exact quadratic forms sum_i z_i^2 f(d_i^2)
+        # reorthogonalized, beta_k stays above the breakdown cutoff and a solve
+        # to golub_kahan's tolerance runs past the Krylov dimension (40) to
+        # ``depth``; the extra nodes do not move its forms off the exact
+        # quadratic forms sum_i z_i^2 f(d_i^2).  The probe measure stops once
+        # its forms settle, no deeper, and within 10 SETTLE_TOL of them.
         d = np.repeat(np.geomspace(1.0, smallest, 40), 25)
         op = rr.LinearOperator.from_functions(d.size, d.size, lambda x: d * x, lambda y: d * y)
         alphas = matrix_free_grid(1.0).values
-        m = rr.influence_path_stochastic(op, alphas, 2, seed=1, lam1=1.0)
-        assert m.iterations.tolist() == [depth, depth]
-        w = np.mean(keyed_rng(1, TAG_PROBES).standard_normal((d.size, 2)) ** 2, axis=1)
+        Z = keyed_rng(1, TAG_PROBES).standard_normal((d.size, 2))
+        runs = rr.golub_kahan(op, Z, alphas)
+        assert [rhs.size - 1 for _, rhs, _ in runs] == [depth, depth]
+        w = np.mean(Z ** 2, axis=1)
         t = d * d
         x = t / (t + alphas[:, None])
-        np.testing.assert_allclose(m.frob_sq, (w * x * x).sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(m.trace, (w * x).sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(m.noise_amp, (w * x * x / t).sum(axis=1), rtol=1e-12)
+        exact = ((w * x * x).sum(axis=1), (w * x).sum(axis=1), (w * x * x / t).sum(axis=1))
+        forms = sum(np.array(_probe_forms(run, alphas)) for run in runs) / 2
+        m = rr.influence_path_stochastic(op, alphas, 2, seed=1, lam1=1.0)
+        assert np.all(m.iterations <= depth)
+        for solved, measure, ref in zip(forms, (m.frob_sq, m.trace, m.noise_amp), exact):
+            np.testing.assert_allclose(solved, ref, rtol=1e-12)
+            np.testing.assert_allclose(measure, ref, rtol=10 * tikhonov.SETTLE_TOL)
+
+    @pytest.mark.parametrize("operator_kind,size", [("paralleltomo", 16), ("paralleltomo", 24),
+                                                    ("diagonal", 0.01), ("diagonal", 0.1)])
+    def test_probes_stop_once_their_forms_settle(self, operator_kind, size):
+        # paralleltomo with the tomo_mf workload's seeds (power 3, 16 probes
+        # from seed 5), and 2 probes of the 40-value diagonals above: each
+        # probe's measure at its stop is within 10 SETTLE_TOL of its fully
+        # converged forms (its solve to golub_kahan's tolerance), shallower,
+        # and unless it broke down it reports a settle estimate <= SETTLE_TOL
+        if operator_kind == "paralleltomo":
+            op = rr.make_problem("paralleltomo", None, size).A
+            lam1, probes, seed = rr.largest_eigenvalue(op, seed=3), 16, 5
+        else:
+            d = np.repeat(np.geomspace(1.0, size, 40), 25)
+            op = rr.LinearOperator.from_functions(d.size, d.size, lambda x: d * x,
+                                                  lambda y: d * y)
+            lam1, probes, seed = 1.0, 2, 1
+        alphas = matrix_free_grid(lam1).values
+        Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
+        runs = tikhonov._golub_kahan(op, Z, alphas, tikhonov.SETTLE_TOL, None, "settle",
+                                     tikhonov._gauss_quadrature)
+        m = rr.influence_path_stochastic(op, alphas, probes, seed, lam1=lam1)
+        assert m.settle.tolist() == [settle for _, _, settle in runs]
+        for ((nodes, weights, depth), residual, settle), solved in zip(
+                runs, rr.golub_kahan(op, Z, alphas)):
+            probe = rr.InfluencePath(alphas=alphas, nodes=nodes, weights=weights, lam1=lam1)
+            for got, ref in zip((probe.frob_sq, probe.trace, probe.noise_amp),
+                                _probe_forms(solved, alphas)):
+                np.testing.assert_allclose(got, ref, rtol=10 * tikhonov.SETTLE_TOL, atol=0.0)
+            assert depth <= solved[1].size - 1
+            assert residual == 0.0 or settle <= tikhonov.SETTLE_TOL
 
     def test_matches_exact_on_shaw(self, shaw64):
         p, dec = shaw64

@@ -12,7 +12,8 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   with the ``tomo_mf`` benchmark's seeds (power 3, 16 probes from seed 5,
   ``matrix_free_grid``) and of shaw n = 64 on the default grid (32 probes,
   seed 0, lam1 = s1^2): ``frob_sq``, ``trace`` and ``noise_amp`` at the first,
-  middle and last grid index, and the total weight, at full precision;
+  middle and last grid index, and the total weight, at full precision, and
+  each probe's depth and settle estimate;
 - the ``iterative_path`` of that paralleltomo 16x16 operator from replicate 0
   at 20 dB on its ``matrix_free_grid``, the ``tomo_mf`` benchmark's path: its
   Krylov depth and normal residual at full precision and the SHA-256 of its
@@ -22,9 +23,10 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   ``test_column_retires_at_step_one`` (a column that breaks down at step one,
   a zero column and two that run on) and 5 probes of a rank-5 5 x 9 operator
   (seed 258), two of whose u vanish at a step where the other three go on:
-  each column's probe quadrature (nodes and weights) and path (its
-  ``golub_kahan`` run and the spectral path of the projected problem), and
-  the probe measure of the 5 x 9 operator, at full precision;
+  each column's probe quadrature (nodes, weights, normal residual and settle
+  estimate) and path (its ``golub_kahan`` run and the spectral path of the
+  projected problem), and the probe measure of the 5 x 9 operator, at full
+  precision;
 - ``select --matrix-free`` for every rule on a paralleltomo 16x16 container
   (replicate 0, 20 dB): exit code, stdout and stderr;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
@@ -95,15 +97,15 @@ def _print_measure(label, m) -> None:
         print(f"measure {label} index={i} frob_sq={float(m.frob_sq[i])!r} "
               f"trace={float(m.trace[i])!r} noise_amp={float(m.noise_amp[i])!r}")
     print(f"measure {label} total_weight={float(m.weights.sum())!r} nodes={m.nodes.size} "
-          f"depths={m.iterations.tolist()}")
+          f"depths={m.iterations.tolist()} settle={m.settle.tolist()}")
 
 
 def _print_block(label, A, B, alphas, tol) -> None:
-    quadratures = tikhonov._golub_kahan(A, B, alphas, 1e-8, None, False,
+    quadratures = tikhonov._golub_kahan(A, B, alphas, tikhonov.SETTLE_TOL, None, "settle",
                                         tikhonov._gauss_quadrature)
-    for j, (nodes, weights, depth, residual) in enumerate(quadratures):
+    for j, ((nodes, weights, depth), residual, settle) in enumerate(quadratures):
         print(f"block {label} column={j} quadrature depth={depth} residual={residual!r} "
-              f"nodes={nodes.tolist()} weights={weights.tolist()}")
+              f"settle={settle!r} nodes={nodes.tolist()} weights={weights.tolist()}")
     for j, (dec, rhs, residual) in enumerate(tikhonov.golub_kahan(A, B, alphas, tol=tol)):
         path = tikhonov.spectral_path(dec, rhs, alphas)
         print(f"block {label} column={j} path depth={rhs.size - 1} residual={residual!r} "
