@@ -25,7 +25,7 @@ import numpy as np
 from . import rules as rules_mod
 from .errors import DegenerateDataError
 from .linop import bundled_openblas, largest_eigenvalue, svd
-from .problems import _count, add_noise, check_problem, make_problem
+from .problems import _DEFAULT_VARIANTS, _count, add_noise, check_problem, make_problem
 from .tikhonov import (InfluencePath, SolutionPath, filtered_path, influence_path_exact,
                        influence_path_stochastic, iterative_path, spectral_filters)
 
@@ -249,6 +249,12 @@ class StudyConfig:
             raise ValueError(f"unknown rules: {unknown}")
         if not all(_finite_number(x) for x in self.xis):
             raise ValueError(f"xis must be finite numbers, got {list(self.xis)}")
+        # a repeat doubles its rows; xis that print alike share a detail CSV
+        for key, ids in (("problems", [(p, _DEFAULT_VARIANTS.get(p) if v is None else v)
+                                       for p, v in self.problems]),
+                         ("xis", [_fmt(x) for x in self.xis]), ("rules", list(self.rules))):
+            if not ids or len(set(ids)) < len(ids):
+                raise ValueError(f"{key} must be nonempty and without repeats, got {ids}")
         for name in ("n", "replicates", "seed", "grid_points", "probes"):
             _count(_KEY_OF.get(name, name), getattr(self, name))
         for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):

@@ -24,6 +24,7 @@ on its one row, so a block row selects what its path alone would.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -320,7 +321,9 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
         for _ in range(80):
             if (hi - lo) <= 1e-6 * hi:
                 break
-            mid = np.sqrt(lo * hi)
+            mid = math.sqrt(lo * hi)
+            if mid == math.inf:  # lo * hi overflows once alpha passes about 1e154
+                mid = math.sqrt(lo) * math.sqrt(hi)
             if path.solve(mid).residual_norm >= target:
                 hi = mid
             else:

@@ -21,9 +21,8 @@ from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_
                     check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
 
-# A probe's Golub-Kahan run stops once its quadratic forms have each moved by
-# at most SETTLE_TOL of themselves over the last SETTLE_DELAY steps at every
-# grid alpha (``_golub_kahan``'s "settle" test).  A delay of 2 stopped a probe
+# The tolerance and delay of a probe's stop, ``_golub_kahan``'s "settle"
+# test (its docstring says how it works).  A delay of 2 stopped a probe
 # 33 SETTLE_TOL short of its limit of ||w||^2 on a diagonal with 40 values from
 # 1 to 0.01; at 4 no probe of that diagonal, of one from 1 to 0.1 or of
 # paralleltomo 16x16 and 24x24 stopped more than 0.07 SETTLE_TOL short.
@@ -50,8 +49,8 @@ def finite_data(g) -> np.ndarray:
 
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
     """Tikhonov solution through the SVD filter; alpha = 0 gives the pseudoinverse."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
     g = finite_data(g)
     if g.shape[0] != dec.U.shape[0]:
         raise ValueError("dimension mismatch between decomposition and data")
@@ -182,10 +181,12 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     sets the error.  The plane rotations of damped LSQR (Paige & Saunders
     1982), one set per column and alpha, track both norms without operator
     applications; each is a numpy expression over the (column, alpha) array,
-    in the scalar recurrence's order of operations.  A vanishing alpha_k or
-    beta_k (an invariant subspace) ends a column with a zero residual;
-    ``max_iter`` steps (an integer >= 1, default min(rows, cols), at most
-    cols: V has no more directions) in any column raise ConvergenceError.
+    in the scalar recurrence's order of operations, and every column runs
+    both the left and the right rotations whichever test stops it.  A
+    vanishing alpha_k or beta_k (an invariant subspace) ends a column with a
+    zero residual; ``max_iter`` steps (an integer >= 1, default min(rows,
+    cols), at most cols: V has no more directions) in any column raise
+    ConvergenceError.
     """
     runs = [(*run, residual) for run, residual, _ in _golub_kahan(
         A, b, alphas, tol, max_iter, "solution" if relative_to_solution else "normal",
@@ -204,25 +205,27 @@ def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
     ``stop`` is "settle").
 
     ``stop`` is "normal" or "solution", ``golub_kahan``'s residual tests
-    (without and with ``relative_to_solution``), or "settle", a probe's.  A
-    probe needs only two quadratic forms of the damped solution x_k = V_k y_k
-    at depth k, the ones its Gauss quadrature at depth k gives:
-    trace_k = <b, A x_k> = ||b||^2 - ||rbar_k||^2, where ||rbar_k||^2 =
-    ||b - A x_k||^2 + a ||x_k||^2 (phibar^2 plus the damping rotations'
-    psi^2), and noise_k = ||x_k||^2 (the right rotation's ||x||).  Step j
-    lowers ||rbar||^2 by exactly phi_j^2, so trace_k is summed as
+    (without and with ``relative_to_solution``), or "settle", a probe's; it
+    only picks the test, for every column runs the same rotations and keeps
+    the same two quadratic forms of the damped solution x_k = V_k y_k at
+    depth k.  They are all that a probe needs, the ones its Gauss quadrature
+    at depth k gives: trace_k = <b, A x_k> = ||b||^2 - ||rbar_k||^2, where
+    ||rbar_k||^2 = ||b - A x_k||^2 + a ||x_k||^2 (phibar^2 plus the damping
+    rotations' psi^2), and noise_k = ||x_k||^2 (the right rotation's ||x||).
+    Step j lowers ||rbar||^2 by exactly phi_j^2, so trace_k is summed as
     phi_1^2 + .. + phi_k^2, with no cancellation against ||b||^2.  Both forms
     grow with k toward their limits, and the error of the Gauss rule is the
     solve's CG energy-norm error, roughly its square (Golub & Meurant 2010),
-    so the forms settle well before the solve converges.  A column stops once
-    each has moved by at most ``tol`` of itself over the last SETTLE_DELAY
-    steps at every alpha: the change over those steps estimates the forms'
-    error at the older step (Hestenes & Stiefel 1952; Strakos & Tichy 2002),
-    and the largest relative change is the column's settle estimate.  It
-    costs the loop no operator application: both come from the rotations.
-    A column also stops at the "normal" test, if it comes first (a small
-    operator may bring the solve to tol before SETTLE_DELAY steps have run),
-    so no probe runs deeper than its solve needs."""
+    so the forms settle well before the solve converges.  A "settle" column
+    stops once each has moved by at most ``tol`` of itself over the last
+    SETTLE_DELAY steps at every alpha: the change over those steps estimates
+    the forms' error at the older step (Hestenes & Stiefel 1952; Strakos &
+    Tichy 2002), and the largest relative change is the column's settle
+    estimate.  It costs the loop no operator application: both forms come
+    from the rotations.  A "settle" column also stops at the "normal" test,
+    or at a breakdown, if that comes first (a small operator may bring the
+    solve to tol before SETTLE_DELAY steps have run), so no probe runs deeper
+    than its solve needs; only then can its estimate exceed ``tol``."""
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
@@ -272,11 +275,9 @@ def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
     # the residual, a right rotation ||x||
     rhobar, phibar = np.outer(a, np.ones(alphas.size)), np.outer(beta1, np.ones(alphas.size))
     cs2, sn2, z, xxnorm = np.full(rhobar.shape, -1.0), *np.zeros((3, *rhobar.shape))
-    # the settle test's (trace_j, noise_j) of the last SETTLE_DELAY + 1 depths
-    # j, each in slot j % (SETTLE_DELAY + 1) (zero before step 1); the
-    # "solution" test keeps noise_k alone, the "normal" test neither
-    slots = {"normal": 0, "solution": 1, "settle": SETTLE_DELAY + 1}[stop]
-    forms = np.zeros((slots, 2, *rhobar.shape))
+    # (trace_j, noise_j) of the last SETTLE_DELAY + 1 depths j, each in slot
+    # j % (SETTLE_DELAY + 1) (zero before step 1)
+    forms = np.zeros((SETTLE_DELAY + 1, 2, *rhobar.shape))
     while True:
         if done.any():
             for i in np.flatnonzero(done):
@@ -323,28 +324,21 @@ def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
         phi, phibar = cs * phibar, sn * phibar
         arnorm = an * np.abs(sn * phi)
         residual = arnorm.max(axis=1)
-        if stop != "normal":  # ||x||^2 = xxnorm + q^2, each product in place over
-            # the arrays the left rotations are done with: a probe block is
-            # (probes x alphas)
-            theta = np.multiply(sn, an, out=sn)
-            gambar = np.multiply(np.negative(cs2, out=cs2), rho, out=cs2)
-            t = np.subtract(phi, np.multiply(np.multiply(sn2, rho, out=sn2), z, out=sn2),
-                            out=sn2)
-            q = np.divide(t, gambar, out=rho)
-            xnorm_sq = np.add(xxnorm, np.multiply(q, q, out=q), out=forms[k % slots, 1])
-            gamma = np.add(np.multiply(gambar, gambar, out=cs),
-                           np.multiply(theta, theta, out=rhobar1), out=cs)
-            gamma = np.sqrt(gamma, out=gamma)
-            cs2, sn2, z = (np.divide(x, gamma, out=x) for x in (gambar, theta, t))
-            xxnorm += np.multiply(z, z, out=gamma)
+        theta, gambar = sn * an, -cs2 * rho
+        t = phi - sn2 * rho * z
+        q = t / gambar
+        gamma = np.sqrt(gambar * gambar + theta * theta)
+        cs2, sn2, z = gambar / gamma, theta / gamma, t / gamma
+        # the slot of depth k - SETTLE_DELAY is the next one
+        now, then = forms[k % len(forms)], forms[(k + 1) % len(forms)]
+        np.add(forms[(k - 1) % len(forms), 0], phi * phi, out=now[0])
+        np.add(xxnorm, q * q, out=now[1])  # ||x_k||^2
+        xxnorm = xxnorm + z * z
         if stop == "solution":  # bound = tol a ||x||
-            bound = tol * alphas * np.sqrt(xnorm_sq)
+            bound = tol * alphas * np.sqrt(now[1])
         done = (a == 0.0) | (arnorm <= bound).all(axis=1)
-        if stop == "settle":  # the slot of depth k - SETTLE_DELAY is the next one
-            now, then = forms[k % slots], forms[(k + 1) % slots]
-            np.add(forms[(k - 1) % slots, 0], np.multiply(phi, phi, out=phi), out=now[0])
-            np.subtract(now, then, out=then)
-            settle = np.divide(then, now, out=then).max(axis=(0, 2))
+        if stop == "settle":
+            settle = ((now - then) / now).max(axis=(0, 2))
             done |= settle <= tol
     return runs
 
@@ -364,10 +358,8 @@ class InfluencePath:
     gives a Gauss quadrature, and ``iterations``, ``normal_residual`` and
     ``settle`` hold, per probe, its Krylov depth (not its node count, which
     the numerical rank may cut), its final normal-equation residual and its
-    settle estimate at its stop: the largest relative change of its forms
-    over the last SETTLE_DELAY steps, at most SETTLE_TOL unless the run
-    broke down or its solve met ``golub_kahan``'s residual test at SETTLE_TOL
-    first.  ``lam1`` must be finite and >= 0.
+    settle estimate at its stop (``_golub_kahan``'s "settle" test).  ``lam1``
+    must be finite and >= 0.
     """
 
     alphas: np.ndarray
@@ -432,17 +424,14 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     values s and left vectors P, and c = beta1 P[0],
     w = (A^T A + a I)^{-1} A^T z has ||A w||^2, <z, A w> and ||w||^2 equal to
     the sums of x^2, x and s^2/(s^2 + a)^2 against weights c^2 on the nodes
-    s^2 (x = s^2/(s^2 + a)).  A probe stops once <z, A w> and ||w||^2 at
-    depth k, which the damped-LSQR rotations give, have each moved by at most
-    SETTLE_TOL of themselves over the last SETTLE_DELAY steps at every alpha
-    (``_golub_kahan``'s "settle" test): the forms' error is roughly the
-    square of the solve's, so they settle before the solve meets
-    ``golub_kahan``'s residual test at SETTLE_TOL, which also stops a probe
-    if it comes first.  The nodes and weights come from LAPACK's QR sweep of
-    B_k (``_gauss_quadrature``), which carries of P only its first row, so no
-    probe forms a singular vector matrix or its V_k Q and its quadrature
-    takes O(k) memory.  Each probe's weights are divided by ``probes``.  ``lam1`` (default: power iteration, which raises
-    DegenerateDataError on a zero operator) sets sn_sq and must be > 0.
+    s^2 (x = s^2/(s^2 + a)).  A probe stops once <z, A w> and ||w||^2 have
+    settled at SETTLE_TOL (``_golub_kahan``'s "settle" test).  The nodes and
+    weights come from LAPACK's QR sweep of B_k (``_gauss_quadrature``), which
+    carries of P only its first row, so no probe forms a singular vector
+    matrix or its V_k Q and its quadrature takes O(k) memory.  Each probe's
+    weights are divided by ``probes``.  ``lam1`` (default: power iteration,
+    which raises DegenerateDataError on a zero operator) sets sn_sq and must
+    be > 0.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
@@ -491,8 +480,10 @@ class SolutionPath:
 def spectral_filters(s, alphas) -> tuple[np.ndarray, np.ndarray]:
     """The Tikhonov filter factors s/(s^2 + a) and (a/(s^2 + a))^2 of the
     singular values ``s`` at each alpha, one row per alpha; they hold all that
-    a spectral path reads of its grid."""
+    a spectral path reads of its grid, which must be nonnegative and finite."""
     alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas >= 0) & (alphas < np.inf)):
+        raise ValueError("alphas must be nonnegative and finite")
     d = (s * s)[None, :] + alphas[:, None]                       # (K, r)
     psi = alphas[:, None] / d
     psi *= psi

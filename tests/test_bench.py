@@ -243,7 +243,14 @@ class TestRunStudy:
               ({"grid": {"min": 0.0}}, "grid.min"), ({"grid": {"max": -1.0}}, "grid.max"),
               ({"grid": {"min": 2.0, "max": 1.0}}, "grid.min = 2.0 and grid.max = 1.0"),
               ({"grid": {"points": 1}}, "grid.points"),
-              ({"grid": {"points": 2.5}}, "grid.points")]
+              ({"grid": {"points": 2.5}}, "grid.points"),
+              ({"problems": []}, "problems"), ({"xis": []}, "xis"), ({"rules": []}, "rules"),
+              ({"problems": [{"name": "shaw"}, {"name": "heat"}, {"name": "shaw"}]}, "problems"),
+              # a variant of None is the family's default
+              ({"problems": [{"name": "heat"}, {"name": "heat", "variant": 1}]}, "problems"),
+              ({"xis": [20.0, 20]}, "xis"),
+              ({"xis": [10.0, 10.0000000000001]}, "xis"),  # one details_xi10.csv
+              ({"rules": ["dp", "pro", "dp"]}, "rules")]
 
     @pytest.mark.parametrize("sections,key", _NAMED)
     def test_config_rejections_name_their_key(self, sections, key):

@@ -374,6 +374,18 @@ _MALFORMED = [
     ("config_negative_bp_c", ("study", dict(_GOOD_CONFIG, bp={"c": -1.0})), 2),
     ("config_version_2", ("study", dict(_GOOD_CONFIG, version=2)), 2),
     ("config_zero_replicates", ("study", dict(_GOOD_CONFIG, replicates=0)), 2),
+    ("config_no_problems", ("study", dict(_GOOD_CONFIG, problems=[])), 2),
+    ("config_no_xis", ("study", dict(_GOOD_CONFIG, xis=[])), 2),
+    ("config_no_rules", ("study", dict(_GOOD_CONFIG, rules=[])), 2),
+    ("config_repeated_xi", ("study", dict(_GOOD_CONFIG, xis=[20, 20])), 2),
+    # both would write details_xi10.csv
+    ("config_xis_print_alike", ("study", dict(_GOOD_CONFIG, xis=[10, 10.0000000000001])), 2),
+    ("config_repeated_rule", ("study", dict(_GOOD_CONFIG, rules=["pro", "gcv", "pro"])), 2),
+    ("config_repeated_problem",
+     ("study", dict(_GOOD_CONFIG, problems=[{"name": "shaw"}, {"name": "shaw"}])), 2),
+    ("config_default_variant_repeated",
+     ("study", dict(_GOOD_CONFIG, problems=[{"name": "heat"}, {"name": "heat", "variant": 1}])),
+     2),
 ] + [(f"select_{rule}_nan_g", ("select", rule, float("nan")), 2) for rule in RULE_NAMES] \
   + [("select_pro_inf_g", ("select", "pro", float("inf")), 2),
      ("select_mf_gcv_nan_g", ("select", "gcv", float("nan"), "--matrix-free"), 2)] \

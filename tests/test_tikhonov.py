@@ -58,6 +58,12 @@ class TestSolveSpectral:
         with pytest.raises(ValueError, match="non-finite"):
             rr.solve_spectral(dec, g, 1e-3)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_rejects_nonfinite_or_negative_alpha(self, shaw32, alpha):
+        p, dec = shaw32
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+            rr.solve_spectral(dec, p.g_true, alpha)
+
     @pytest.mark.parametrize("alpha,size,message", [
         (-1e-3, 32, "alpha must be nonnegative"),
         (1e-3, 31, "dimension mismatch between decomposition and data")])
@@ -389,8 +395,8 @@ class TestGolubKahanBlock:
     """A block of right-hand sides advances in lockstep; each column's run is
     the one it would get alone."""
 
-    @pytest.mark.parametrize("relative", [False, True])
-    def test_rotations_match_scalar_recurrence_bit_for_bit(self, relative):
+    @pytest.mark.parametrize("stop", ["normal", "solution", "settle"])
+    def test_rotations_match_scalar_recurrence_bit_for_bit(self, stop):
         # On a block-diagonal of lower-bidiagonal matrices with dyadic entries,
         # started from multiples of e1 of each block, every Golub-Kahan vector
         # is a unit vector, so the bidiagonal is the matrix itself and the
@@ -409,6 +415,7 @@ class TestGolubKahanBlock:
             entries.append((d, e, beta1))
             r0, c0 = r0 + m + 1, c0 + m
         alphas = np.geomspace(1e-2, 3.0, 7)
+        relative = stop == "solution"
         for tol in (1e-2, 1e-4, 1e-6, 1e-300):
             runs = rr.golub_kahan(A, B, alphas, tol=tol, relative_to_solution=relative)
             for (dec, _, residual), (d, e, beta1) in zip(runs, entries):
@@ -416,10 +423,10 @@ class TestGolubKahanBlock:
                 assert dec.rank == depth and residual == ref
             # a tol above rounding stops some column before its breakdown
             assert (tol == 1e-300) == all(run[0].rank == m for run, m in zip(runs, sizes))
-        # every step's right rotation: ||x_k||^2 and the relative_to_solution
-        # bound on a path, ||x_k||^2 and trace_k on a probe, each run to its
+        # every step's rotations, whichever test stops the column: trace_k,
+        # ||x_k||^2 and, on a "solution" path, its bound, each run to its
         # breakdown or, a probe, until its forms stop changing in the last bit
-        stop, runs = ("solution" if relative else "settle"), []
+        runs = []
         states = _loop_states(lambda: runs.extend(tikhonov._golub_kahan(
             A, B, alphas, 1e-300, None, stop, lambda B_k, beta1, V_k: None)))
         for col, ((d, e, beta1), m) in enumerate(zip(entries, sizes)):
@@ -427,14 +434,13 @@ class TestGolubKahanBlock:
             seen = [(k, bound[live == col][0], forms[:, live == col, :][:, 0])
                     for k, live, bound, forms in states if col in live]
             assert [k for k, _, _ in seen] == list(range(1, len(seen) + 1))
-            assert len(seen) == m or (not relative and runs[col][2] == 0.0)
+            assert len(seen) == m or (stop == "settle" and runs[col][2] == 0.0)
             for (k, bound, (trace, xnorm_sq)), (ref_bound, ref_trace, ref_xnorm_sq) in zip(
                     seen, steps):
+                assert trace.tolist() == ref_trace, k
                 assert xnorm_sq.tolist() == ref_xnorm_sq, k
                 if relative:
                     assert bound.tolist() == ref_bound, k
-                else:
-                    assert trace.tolist() == ref_trace, k
 
     def test_tall_sparse_tomography(self):
         p = rr.parallel_tomo(cells_per_side=12, angles=18, rays_per_angle=17)
@@ -962,6 +968,15 @@ class TestPaths:
         g[3] = bad
         with pytest.raises(ValueError, match="non-finite"):
             rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
+    def test_spectral_filters_reject_nonfinite_or_negative_alphas(self, shaw32, alpha):
+        # checked once per grid: spectral_path builds its filters there
+        p, dec = shaw32
+        for build in (lambda grid: tikhonov.spectral_filters(dec.s, grid),
+                      lambda grid: rr.spectral_path(dec, p.g_true, grid)):
+            with pytest.raises(ValueError, match="alphas must be nonnegative and finite"):
+                build(np.array([alpha, 1.0]))
 
     def test_iterative_solve_off_grid_from_projected_svd(self):
         # off-grid alphas come from the path's projected SVD: dense accuracy,
