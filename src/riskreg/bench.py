@@ -3,11 +3,12 @@
 A study cell is one (problem, SNR) pair.  For every replicate the solution
 path is computed once on a shared log grid; every rule then selects a point of
 that path, so each efficiency lies in (0, 1] by construction.  A worker
-evaluates its replicates of a cell as one block: each replicate's path, errors,
-``bp`` and ``qoc`` one at a time, then the rules that read only norms on the
-grid (``RULES[rule].block``) for the whole block at once, each row as its
-replicate alone would select.  All randomness is keyed by (seed, replicate),
-which makes the output independent of worker count and scheduling.
+draws each of its replicates' noise once and evaluates the replicates of a
+cell as one block: paths, errors, ``bp`` and ``qoc`` on cache-sized stacks of
+replicates, then the rules that read only norms on the grid for the whole
+block at once, all through ``RULES[rule].block``, each row as its replicate
+alone would select.  All randomness is keyed by (seed, replicate), which makes
+the output independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ import numpy as np
 from . import rules as rules_mod
 from .errors import DegenerateDataError
 from .linop import bundled_openblas, largest_eigenvalue, svd
-from .problems import _DEFAULT_VARIANTS, _count, add_noise, check_problem, make_problem
-from .tikhonov import (InfluencePath, SolutionPath, filtered_path, influence_path_exact,
-                       influence_path_stochastic, iterative_path, spectral_filters)
+from .problems import (_DEFAULT_VARIANTS, _count, check_problem, make_problem, sigma_for_snr,
+                       unit_noise)
+from .tikhonov import (InfluencePath, SolutionPath, filtered_path, filtered_paths,
+                       influence_path_exact, influence_path_stochastic, iterative_path,
+                       spectral_filters)
 
 DEFAULT_GRID_POINTS = 200
 GRID_MIN_FACTOR = 1e-12   # of s1^2
@@ -145,6 +148,15 @@ class OperatorSetup:
             return iterative_path(self.A, g, self.grid.values)
         return filtered_path(self.dec, g, self.grid.values, self.filters, keep_solutions)
 
+    def paths(self, G):
+        """The paths of the rows of G as ``filtered_paths``' stacks: solutions,
+        residual norms and solution norms, one row per data vector."""
+        if not self.matrix_free:
+            return filtered_paths(self.dec, G, self.filters)
+        paths = [self.path(g) for g in G]
+        return tuple(np.stack([getattr(p, key) for p in paths])
+                     for key in ("solutions", "residual_norms", "solution_norms"))
+
 
 def rel_error(f, f_true) -> float:
     """Relative l2 reconstruction error."""
@@ -187,15 +199,16 @@ class EfficiencyReport:
 
     @property
     def efficiencies(self) -> np.ndarray:
-        return np.array([e.efficiency for e in self.entries])
+        return np.fromiter((e.efficiency for e in self.entries), float, len(self.entries))
 
     def summary(self) -> dict:
         eff = self.efficiencies
+        # both quartiles from one call, as each from its own; the median stays
+        # np.median, which np.percentile(eff, 50) may differ from in the last bit
+        q1, q3 = np.percentile(eff, [25, 75])
         return {"problem": self.problem, "variant": self.variant, "n": self.n,
                 "xi": self.xi, "rule": self.rule,
-                "median_eff": float(np.median(eff)),
-                "q1": float(np.percentile(eff, 25)),
-                "q3": float(np.percentile(eff, 75)),
+                "median_eff": float(np.median(eff)), "q1": float(q1), "q3": float(q3),
                 "min": float(np.min(eff)), "max": float(np.max(eff)),
                 "median_oracle": self.median_oracle}
 
@@ -298,35 +311,51 @@ class StudyConfig:
         return cls(**kwargs)
 
 
+# Largest number of solution entries a stack of replicates' paths holds: 1 MB
+# of float64, 10 replicates at 200 grid points and n = 64.
+_STACK_ELEMENTS = 1 << 17
+
+
+def _unit_noise_rows(problem, seed: int, replicates: range) -> np.ndarray:
+    """The replicates' ``unit_noise`` draws, one row each."""
+    return np.stack([unit_noise(problem.g_true.size, seed, rep) for rep in replicates])
+
+
 def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: float,
-                    replicates: range) -> list:
+                    replicates: range, noise: Optional[np.ndarray] = None) -> list:
     """All rules on a block of one cell's replicates; returns (oracle_err, rows)
-    per replicate.  Each replicate's path, errors and path rules run one at a
-    time; the block rules then select for every replicate at once from the
-    stacked residual and solution norms."""
+    per replicate.  ``noise`` holds the replicates' ``unit_noise`` draws, one
+    row each, and is drawn here when not given.  The data, paths, errors and
+    the rules that read solutions (``bp``, ``qoc``) run on stacks of at most
+    ``_STACK_ELEMENTS`` solution entries; the rules that read only norms on the
+    grid then select for every replicate at once.  Each row is what its
+    replicate alone gives, bit for bit."""
     grid = setup.grid.values
-    reps = len(replicates)
+    reps, m = len(replicates), problem.g_true.size
+    if noise is None:
+        noise = _unit_noise_rows(problem, config.seed, replicates)
+    sigma = sigma_for_snr(problem.g_true, xi)
+    sigmas, sigmas2 = np.full(reps, sigma), np.full(reps, sigma ** 2)
     norms, errors = np.empty((2, reps, grid.size)), np.empty((reps, grid.size))
-    g_sq, sigma, sigma2 = np.empty((3, reps))
-    picks = {rule: [] for rule in config.rules if rules_mod.RULES[rule].block is None}
+    g_sq = np.empty(reps)
     f_norm = np.linalg.norm(problem.f_true)
-    for i, rep in enumerate(replicates):
-        data = add_noise(problem, xi, config.seed, rep)
-        path = setup.path(data.g)
-        D = path.solutions - problem.f_true[None, :]
+    stacked = [rule for rule in config.rules if rules_mod.RULES[rule].needs_solutions]
+    picks = {rule: [] for rule in stacked}
+    size = max(1, _STACK_ELEMENTS // (grid.size * problem.f_true.size))
+    for lo in range(0, reps, size):
+        part = slice(lo, lo + size)
+        G = problem.g_true + sigma * noise[part]     # add_noise's arithmetic
+        g_sq[part] = [g @ g for g in G]
+        F, norms[0, part], norms[1, part] = setup.paths(G)
+        D = F - problem.f_true
         D *= D
-        errors[i] = np.sqrt(np.add.reduce(D, axis=1)) / f_norm
-        norms[0, i], norms[1, i] = path.residual_norms, path.solution_norms
-        g_sq[i], sigma[i], sigma2[i] = data.g @ data.g, data.sigma, data.sigma ** 2
-        # grid mode on the shared path, with what bp and qoc read
-        inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
-                                           sigma=data.sigma, bp_gamma=config.bp_gamma,
-                                           bp_c=config.bp_c)
-        for rule, picked in picks.items():
-            d = rules_mod.RULES[rule].run(inputs).diagnostics
-            picked.append((d["grid_index"], tuple(d["flags"])))
-    block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], problem.g_true.size,
-                                g_sq, sigma, sigma2)
+        errors[part] = np.sqrt(np.add.reduce(D, axis=-1)) / f_norm
+        stack = rules_mod.PathBlock(setup.influence, norms[0, part], norms[1, part], m,
+                                    g_sq[part], sigmas[part], sigmas2[part], F,
+                                    config.bp_gamma, config.bp_c)
+        for rule in stacked:
+            picks[rule].extend(zip(*rules_mod.RULES[rule].block(stack)))
+    block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], m, g_sq, sigmas, sigmas2)
     for rule in config.rules:
         if rule not in picks:
             picks[rule] = list(zip(*rules_mod.RULES[rule].block(block)))
@@ -345,20 +374,25 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
 
 def _run_chunk(config: StudyConfig, task) -> list[list]:
     """Replicates [lo, hi) of one problem at every SNR of the study, on one
-    set-up; returns one list of (oracle_err, rows) per SNR."""
+    set-up and one noise draw per replicate; returns one list of
+    (oracle_err, rows) per SNR."""
     name, variant, lo, hi = task
     # Freeing one block above glibc's 128 KB mmap threshold raises that
-    # threshold and the heap's trim threshold with it.  Otherwise the heap top
-    # freed after each replicate (n = 64 temporaries of ~100 KB) goes back to
-    # the OS and is faulted in again: 13,000 page faults per study_dense config.
-    np.empty(1 << 17)
+    # threshold to the block's size and the heap's trim threshold to twice it.
+    # Otherwise the heap top freed after each stack (up to three stacks of
+    # _STACK_ELEMENTS live at once) goes back to the OS and is faulted in
+    # again: about 17,700 page faults per serial study_dense config with no
+    # block or one of a stack's size, none with four stacks' size.
+    np.empty(4 * _STACK_ELEMENTS)
     problem = make_problem(name, variant, config.n)
     matrix_free = problem.A.representation != "dense"
     points = min(config.grid_points, MATRIX_FREE_GRID_POINTS) if matrix_free \
         else config.grid_points
     setup = OperatorSetup(problem.A, matrix_free, points, config.grid_min, config.grid_max,
                           config.probes, config.seed, _GRID_KEYS)
-    return [_evaluate_block(setup, problem, config, xi, range(lo, hi)) for xi in config.xis]
+    noise = _unit_noise_rows(problem, config.seed, range(lo, hi))
+    return [_evaluate_block(setup, problem, config, xi, range(lo, hi), noise)
+            for xi in config.xis]
 
 
 def _cap_blas_threads(threads: int) -> None:
@@ -383,15 +417,17 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     tasks = [(name, variant, lo, hi) for name, variant in config.problems
              for lo, hi in bounds]
     run = functools.partial(_run_chunk, config)
-    if workers <= 1:
+    pool_size = min(workers, len(tasks))
+    if pool_size <= 1:
         parts = [run(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        # workers x BLAS threads would oversubscribe the cores
+        # the pool starts all its processes at once, so it is no larger than
+        # the task list; pool processes x BLAS threads would oversubscribe the cores
         nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
-                                 initargs=(max(1, nproc // workers),)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_cap_blas_threads,
+                                 initargs=(max(1, nproc // pool_size),)) as pool:
             parts = list(pool.map(run, tasks))
 
     reports = []
@@ -419,29 +455,28 @@ def write_reports(reports: list[EfficiencyReport], out_dir) -> list[str]:
     Summary schema: problem,variant,n,xi,rule,median_eff,q1,q3,median_oracle
     """
     os.makedirs(out_dir, exist_ok=True)
+    by_xi: dict = {}   # xi -> (row head, report) pairs, in report order
+    summary = ["problem,variant,n,xi,rule,median_eff,q1,q3,median_oracle\n"]
+    for rep in reports:
+        variant = "" if rep.variant is None else str(rep.variant)
+        head = f"{rep.problem},{variant},{rep.n},{_fmt(rep.xi)},{rep.rule},"
+        by_xi.setdefault(rep.xi, []).append((head, rep))
+        s = rep.summary()
+        summary.append(f"{head}{_fmt(s['median_eff'])},{_fmt(s['q1'])},{_fmt(s['q3'])},"
+                       f"{_fmt(s['median_oracle'])}\n")
     written = []
-    xis = sorted({r.xi for r in reports})
-    for xi in xis:
+    for xi in sorted(by_xi):
         fname = os.path.join(out_dir, f"details_xi{_fmt(xi)}.csv")
         with open(fname, "w", newline="") as fh:
             fh.write("problem,variant,n,xi,rule,replicate,alpha,rel_error,efficiency,flags\n")
-            for rep in reports:
-                if rep.xi != xi:
-                    continue
-                variant = "" if rep.variant is None else str(rep.variant)
-                for e in rep.entries:
-                    fh.write(f"{rep.problem},{variant},{rep.n},{_fmt(rep.xi)},{rep.rule},"
-                             f"{e.replicate},{_fmt(e.alpha)},{_fmt(e.rel_error)},"
-                             f"{_fmt(e.efficiency)},{';'.join(e.flags)}\n")
+            # the f-string formats as _fmt does; rows from a generator are never
+            # all held at once (joining them raised study_dense's peak RSS ~0.4 MB)
+            fh.writelines(f"{head}{e.replicate},{e.alpha:.12g},{e.rel_error:.12g},"
+                          f"{e.efficiency:.12g},{';'.join(e.flags)}\n"
+                          for head, rep in by_xi[xi] for e in rep.entries)
         written.append(fname)
     fname = os.path.join(out_dir, "summary.csv")
     with open(fname, "w", newline="") as fh:
-        fh.write("problem,variant,n,xi,rule,median_eff,q1,q3,median_oracle\n")
-        for rep in reports:
-            s = rep.summary()
-            variant = "" if s["variant"] is None else str(s["variant"])
-            fh.write(f"{s['problem']},{variant},{s['n']},{_fmt(s['xi'])},{s['rule']},"
-                     f"{_fmt(s['median_eff'])},{_fmt(s['q1'])},{_fmt(s['q3'])},"
-                     f"{_fmt(s['median_oracle'])}\n")
+        fh.writelines(summary)
     written.append(fname)
     return written

@@ -165,7 +165,7 @@ def _cmd_select(args) -> int:
         source = setup.source if rule.needs_measure else None
         # in grid mode (matrix-free) ipro reads its residuals from the path
         ipro_grid = args.matrix_free and args.rule == "ipro"
-        path = setup.path(g) if rule.needs_path or ipro_grid else None
+        path = setup.path(g, rule.needs_solutions) if rule.needs_path or ipro_grid else None
         inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
                                        sigma2=sigma2, rho2=args.rho2,
                                        alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,

@@ -254,11 +254,16 @@ def snr_db(rho2: float, sigma2: float, n: int) -> float:
     return 10.0 * np.log10(rho2 / (n * sigma2))
 
 
+def unit_noise(size: int, seed: int, replicate: int = 0) -> np.ndarray:
+    """The standard normal draw keyed by (seed, replicate) that ``add_noise``
+    scales by sigma, at every SNR."""
+    return keyed_rng(seed, replicate, TAG_NOISE).standard_normal(size)
+
+
 def add_noise(p: ProblemInstance, xi: float, seed: int, replicate: int = 0) -> NoisyData:
     """White Gaussian noise at the requested SNR; keyed by (seed, replicate)."""
     sigma = sigma_for_snr(p.g_true, xi)
-    rng = keyed_rng(seed, replicate, TAG_NOISE)
-    eta = sigma * rng.standard_normal(p.g_true.size)
+    eta = sigma * unit_noise(p.g_true.size, seed, replicate)
     return NoisyData(g=p.g_true + eta, sigma=sigma, xi=float(xi), seed=int(seed),
                      replicate=int(replicate))
 

@@ -12,13 +12,14 @@ Two families share the machinery:
 Rules used inside the replicate harness operate in grid mode: they select a
 point of the shared path, so their error can never beat the path oracle.
 
-``RULES`` maps each rule name to one way of running it on ``SelectionInputs``
-and to the inputs it needs; the CLI and the replicate harness both select
-through it.  The rules that read only residual and solution norms on the grid
-(``pro``, ``ipro``, ``dp``, ``upre``, ``gcv``, ``lc``) also select for a
-``PathBlock``, many replicates' paths on one grid at once.  Each computes its
-objective and index row-wise, in one function that the single-path rule calls
-on its one row, so a block row selects what its path alone would.
+``RULES`` maps each rule name to one way of running it on ``SelectionInputs``,
+through which the CLI selects, and to the inputs it needs.  Every rule also
+selects for a ``PathBlock``, many replicates' paths on one grid at once, as
+the replicate harness does: ``pro``, ``ipro``, ``dp``, ``upre``, ``gcv`` and
+``lc`` from residual and solution norms on the grid, ``bp`` and ``qoc`` from
+the stacked solutions.  Each computes its objective and index row-wise, in one
+function that the single-path rule calls on its one row, so a block row
+selects what its path alone would.
 """
 
 from __future__ import annotations
@@ -381,39 +382,53 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     solution differs from every less-smoothed subgrid solution by at most
     c * sigma * sqrt(noise amplification there); the largest admissible alpha
     is returned.  The admissible set is a contiguous lower segment by
-    construction, so the scan stops at the first failure.  The comparisons
-    run on blocks of pairwise subgrid distances of bounded size
-    (``_BP_BLOCK_ELEMENTS`` entries), and no block after the first failing
-    one is formed.
+    construction, so the scan stops at the first failure (``_bp_rows`` on
+    the one-row stack of the path).
     """
     if path.solutions is None:
         raise ValueError("bp needs the solutions along the path")
     check_bp(gamma, c, sigma)
     namp = influence_measure(noise_source, path.alphas).noise_amp
-    ratio = path.alphas[1] / path.alphas[0] if len(path) > 1 else np.e
+    chosen, sub = _bp_rows(path.alphas, path.solutions[None], np.array([sigma]), namp, gamma, c)
+    flags = ["at_grid_min"] if chosen[0] == sub[0] else []
+    return _on_grid("bp", path.alphas, chosen[0], flags=flags, subgrid=sub, gamma=gamma, c=c)
+
+
+def _bp_rows(alphas, solutions, sigma, namp, gamma: float, c: float):
+    """bp on a stack of solution paths on the grid ``alphas``, one per row, with
+    noise levels ``sigma`` per row and noise amplification ``namp`` on the
+    grid: per row the chosen grid index, and the ascending subgrid indices.
+
+    The distances ||F_i - F_pos|| of the subgrid pairs i < pos are formed in
+    order of pos, a block of rows and pairs at a time, each block at most
+    ``_BP_BLOCK_ELEMENTS`` entries in size (or one pair of each row), and no
+    block is formed for a row after the block holding its first violation.
+    """
+    ratio = alphas[1] / alphas[0] if alphas.size > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
-    sub = np.arange(len(path) - 1, -1, -step)[::-1]   # ascending subgrid indices
-    thresholds = c * sigma * np.sqrt(namp[sub])
-    F = path.solutions[sub]
-    # rows pos of dist[pos, i] = ||F[i] - F[pos]||, i < pos, a block at a time;
-    # the chosen point is the one before the first row with a violation
-    chosen = sub[-1]
-    rows = max(1, _BP_BLOCK_ELEMENTS // max(1, sub.size * F.shape[1]))
-    for lo in range(1, sub.size, rows):
-        hi = min(lo + rows, sub.size)
-        D = F[None, :hi - 1] - F[lo:hi, None]
+    sub = np.arange(alphas.size - 1, -1, -step)[::-1]   # ascending subgrid indices
+    thresholds = c * _column(sigma) * np.sqrt(namp[sub])
+    F = solutions[:, sub]
+    pos = np.repeat(np.arange(sub.size), np.arange(sub.size))
+    i = np.arange(pos.size) - pos * (pos - 1) // 2
+    # a row's first position with a violation is the one after its chosen point
+    first_bad = np.full(len(F), sub.size)
+    scanned = np.arange(len(F))   # the rows of the stack still in F
+    lo = 0
+    while lo < pos.size and scanned.size:
+        hi = lo + max(1, _BP_BLOCK_ELEMENTS // (scanned.size * F.shape[2]))
+        D = F.take(i[lo:hi], axis=1)
+        D -= F.take(pos[lo:hi], axis=1)
         D *= D
         dist = np.sqrt(np.add.reduce(D, axis=-1))
-        pos = np.arange(lo, hi)[:, None]
-        violated = (dist > thresholds[:hi - 1]) & (np.arange(hi - 1) < pos)
-        bad = np.flatnonzero(violated.any(axis=1))
-        if bad.size:
-            chosen = sub[lo + bad[0] - 1]
-            break
-    flags = []
-    if chosen == sub[0]:
-        flags.append("at_grid_min")
-    return _on_grid("bp", path.alphas, chosen, flags=flags, subgrid=sub, gamma=gamma, c=c)
+        violated = dist > thresholds.take(i[lo:hi], axis=1)
+        first = np.where(violated, pos[lo:hi], sub.size).min(axis=-1)
+        bad = first < sub.size
+        if bad.any():
+            first_bad[scanned[bad]] = first[bad]
+            F, thresholds, scanned = F[~bad], thresholds[~bad], scanned[~bad]
+        lo = hi
+    return sub[first_bad - 1], sub
 
 
 def _gradient(f, dt):
@@ -457,15 +472,23 @@ def qoc(path: SolutionPath) -> RuleSelection:
         raise ValueError("qoc needs the solutions along the path")
     if len(path) < 2:
         raise ValueError("qoc needs at least two grid points")
-    D = np.diff(path.solutions, axis=0)
+    diffs, idx = _qoc_rows(path.solutions[None])
+    return _on_grid("qoc", path.alphas, idx[0], differences=diffs[0])
+
+
+def _qoc_rows(solutions):
+    """Per row of a stack of solution paths, the norms of consecutive solution
+    differences and their argmin."""
+    D = solutions[..., 1:, :] - solutions[..., :-1, :]    # np.diff's arithmetic
     D *= D
-    diffs = np.sqrt(np.add.reduce(D, axis=1))
-    return _on_grid("qoc", path.alphas, argmin_last(diffs), differences=diffs)
+    diffs = np.sqrt(np.add.reduce(D, axis=-1))
+    return diffs, argmin_last(diffs)
 
 
 @dataclass
 class SelectionInputs:
-    """Everything a registered rule may read, and the settings a caller may vary.
+    """Everything a registered rule may read on one path (``Rule.run``, as
+    ``select`` runs it), and the settings a caller may vary.
 
     ``source`` is a spectrum (continuous selection) or an influence path on
     the grid of ``path`` (grid mode), and may be None for a rule that does
@@ -488,7 +511,9 @@ class SelectionInputs:
 class PathBlock:
     """Grid-mode inputs of many data vectors on one grid, one row each: the
     residual and solution norms of its path on the grid of the influence path
-    ``source``, ||g||^2, sigma and sigma2."""
+    ``source``, ||g||^2, sigma and sigma2; for the rules that read them
+    (``Rule.needs_solutions``), the stacked solutions along the paths and
+    bp's settings."""
 
     source: InfluencePath
     residual_norms: np.ndarray
@@ -497,6 +522,9 @@ class PathBlock:
     g_sq: np.ndarray
     sigma: np.ndarray
     sigma2: np.ndarray
+    solutions: Optional[np.ndarray] = None
+    bp_gamma: float = 0.25
+    bp_c: float = 1.5
 
 
 def _flag_rows(**masks) -> list[tuple[str, ...]]:
@@ -547,6 +575,17 @@ def _lc_block(b: PathBlock):
     return idx, _flag_rows(curvature_at_boundary=at_boundary)
 
 
+def _bp_block(b: PathBlock):
+    idx, sub = _bp_rows(b.source.alphas, b.solutions, b.sigma, b.source.noise_amp, b.bp_gamma,
+                        b.bp_c)
+    return idx, _flag_rows(at_grid_min=idx == sub[0])
+
+
+def _qoc_block(b: PathBlock):
+    _, idx = _qoc_rows(b.solutions)
+    return idx, [()] * idx.size
+
+
 @dataclass(frozen=True)
 class Rule:
     """A registry entry: the rule on its inputs, whether it selects on a sampled
@@ -554,18 +593,20 @@ class Rule:
     (``SelectionInputs.source``), and the noise input (``"sigma"`` or
     ``"sigma2"``) it needs.
 
-    ``block``, for the rules that read only norms on the grid, selects for
-    every row of a ``PathBlock`` at once and gives the grid indices and flags
-    the replicate study records: those of ``run`` in grid mode (of
-    ``pro_estimated`` with ``on_degenerate="max_alpha"`` and ``dp`` with
-    ``refine=False``), and for a row that ``run`` raises on, the largest alpha
-    flagged ``degenerate`` or the last iterate flagged ``no_convergence``."""
+    ``block`` selects for every row of a ``PathBlock`` at once and gives the
+    grid indices and flags the replicate study records: those of ``run`` in
+    grid mode (of ``pro_estimated`` with ``on_degenerate="max_alpha"`` and
+    ``dp`` with ``refine=False``), and for a row that ``run`` raises on, the
+    largest alpha flagged ``degenerate`` or the last iterate flagged
+    ``no_convergence``.  It reads the block's solutions where
+    ``needs_solutions`` is set, and only norms on the grid otherwise."""
 
     run: Callable[[SelectionInputs], RuleSelection]
+    block: Callable[[PathBlock], tuple[np.ndarray, list]]
     needs_path: bool
     needs_measure: bool = True
     noise: Optional[str] = None
-    block: Optional[Callable[[PathBlock], tuple[np.ndarray, list]]] = None
+    needs_solutions: bool = False
 
 
 def _run_pro(x: SelectionInputs) -> RuleSelection:
@@ -583,9 +624,10 @@ RULES = {
     "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
                  noise="sigma2", block=_upre_block),
     "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),
-               needs_path=True, noise="sigma"),
+               needs_path=True, noise="sigma", block=_bp_block, needs_solutions=True),
     "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True, block=_gcv_block),
     "lc": Rule(lambda x: lc(x.path), needs_path=True, needs_measure=False, block=_lc_block),
-    "qoc": Rule(lambda x: qoc(x.path), needs_path=True, needs_measure=False),
+    "qoc": Rule(lambda x: qoc(x.path), needs_path=True, needs_measure=False, block=_qoc_block,
+                needs_solutions=True),
 }
 RULE_NAMES = tuple(RULES)

@@ -499,22 +499,38 @@ def spectral_path(dec: SpectralDecomposition, g, alphas,
 def filtered_path(dec: SpectralDecomposition, g, alphas, filters,
                   keep_solutions: bool = True) -> SolutionPath:
     """``spectral_path`` with the ``spectral_filters`` of its grid given, so that
-    paths of many data vectors on one grid share them."""
-    g = finite_data(g)
-    alphas = np.asarray(alphas, dtype=float)
-    phi, psi = filters
-    c = dec.U.T @ g
-    perp = g - dec.U @ c
-    perp_sq = float(perp @ perp)
-    w = phi * c[None, :]      # the solutions' coefficients, then one scratch array
-    F = w @ dec.V.T if keep_solutions else None
-    w *= w
-    sol_norms = np.sqrt(np.add.reduce(w, axis=1))
-    np.multiply(psi, (c * c)[None, :], out=w)
-    resid_sq = np.add.reduce(w, axis=1) + perp_sq
-    return SolutionPath(alphas=alphas, residual_norms=np.sqrt(resid_sq),
-                        solution_norms=sol_norms, data_size=g.size, solutions=F,
+    paths of many data vectors on one grid share them; ``filtered_paths`` on
+    the one-row stack of g."""
+    g = np.asarray(g, dtype=float)
+    F, residual_norms, solution_norms = filtered_paths(dec, g[None], filters, keep_solutions)
+    return SolutionPath(alphas=np.asarray(alphas, dtype=float), residual_norms=residual_norms[0],
+                        solution_norms=solution_norms[0], data_size=g.size,
+                        solutions=None if F is None else F[0],
                         solve=lambda a: solve_spectral(dec, g, a))
+
+
+def filtered_paths(dec: SpectralDecomposition, G, filters, keep_solutions: bool = True):
+    """The spectral paths of the rows of G on the grid of ``filters``, as stacks:
+    the solutions (rows x alphas x n, or None) and the residual and solution
+    norms (rows x alphas).  Each row is what its path alone gives, bit for bit:
+    U^T g and the residual outside the range of U are taken a row at a time, and
+    the solutions come from one batched product of the coefficient stack by
+    V^T, a product per row; one product over the coefficients of all rows at
+    once would not reproduce each row's."""
+    G = finite_data(G)
+    phi, psi = filters
+    C, perp_sq = np.empty((len(G), phi.shape[1])), np.empty(len(G))
+    for i, g in enumerate(G):
+        C[i] = c = dec.U.T @ g
+        perp = g - dec.U @ c
+        perp_sq[i] = perp @ perp
+    W = phi * C[:, None, :]      # the solutions' coefficients, then one scratch array
+    F = np.matmul(W, dec.V.T) if keep_solutions else None
+    W *= W
+    solution_norms = np.sqrt(np.add.reduce(W, axis=-1))
+    np.multiply(psi, (C * C)[:, None, :], out=W)
+    resid_sq = np.add.reduce(W, axis=-1) + perp_sq[:, None]
+    return F, np.sqrt(resid_sq), solution_norms
 
 
 def iterative_path(A, g, alphas, tol: float = 1e-8) -> SolutionPath:

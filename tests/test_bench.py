@@ -377,6 +377,26 @@ def test_block_rows_do_not_depend_on_worker_count(tmp_path):
     assert len(outputs[0]) == 4
 
 
+@pytest.mark.parametrize("config", [
+    dict(problems=[("shaw", None), ("heat", 1)], xis=[0.0, 20.0], n=16, replicates=13,
+         grid_points=60, bp_gamma=0.9),
+    # a sparse operator: its Golub-Kahan paths are stacked
+    dict(problems=[("paralleltomo", None)], xis=[10.0, 20.0], n=8, replicates=5, probes=4),
+], ids=["dense", "paralleltomo"])
+def test_stack_bound_never_changes_a_row(tmp_path, config):
+    """Stacks of one replicate, of three and of a whole chunk give the same CSVs."""
+    cfg = StudyConfig(rules=list(RULE_NAMES), seed=2, **config)
+    p = rr.make_problem(*cfg.problems[0], cfg.n)
+    points = cfg.grid_points if p.A.representation == "dense" \
+        else bench.MATRIX_FREE_GRID_POINTS
+    outputs = []
+    for bound in (1, 3 * points * p.f_true.size, cfg.replicates * points * p.f_true.size):
+        with mock.patch.object(bench, "_STACK_ELEMENTS", bound):
+            files = write_reports(run_study(cfg), tmp_path / str(bound))
+        outputs.append({os.path.basename(f): open(f, "rb").read() for f in files})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestStudyStatistics:
     """Desk-scale statistical behavior of the rules on shaw at 10 dB."""
 
@@ -454,6 +474,33 @@ class TestBlasThreadCap:
         threads = max(1, len(os.sched_getaffinity(0)) // 2)
         assert pool.call_args.kwargs == {"max_workers": 2, "initializer": bench._cap_blas_threads,
                                          "initargs": (threads,)}
+
+
+    def test_run_study_pool_no_larger_than_its_tasks(self):
+        # 3 replicates of one problem are 3 tasks however many workers are asked for
+        pools = []
+
+        class InProcessPool:
+            """Records the pool's size and runs its tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        cfg = _tiny_config(rules=list(RULE_NAMES))
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", InProcessPool):
+            reports = run_study(cfg, workers=64)
+        assert pools == [(3, (max(1, len(os.sched_getaffinity(0)) // 3),))]
+        serial = run_study(cfg, workers=1)
+        assert [r.entries for r in reports] == [r.entries for r in serial]
 
 
 def _blas_threads(lib):

@@ -48,6 +48,16 @@ def test_study_dense_matches_reference_digest(perfbench, tmp_path):
     assert w.check(config_seed, w.op(config_seed))
 
 
+def test_study_dense_traced_replay_matches(perfbench, tmp_path):
+    # traced_op raises ReplayMismatch when the call-by-call replay of the study,
+    # or a serial run, differs from the study's rows; "ok" compares its CSVs
+    # with the recorded digest
+    workloads, spans, refs = perfbench
+    w = workloads.StudyDense(1, str(tmp_path), 1, refs["study_dense"])
+    w.setup()
+    assert w.traced_op(w.cycle[0], spans.SpanRecorder())["ok"]
+
+
 def test_tomo_mf_matches_recorded_grid_indices(perfbench):
     # the matrix-free path: power iteration, stochastic influence path,
     # Golub-Kahan solution path and grid-mode ipro, replicates 0-7

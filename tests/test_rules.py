@@ -483,14 +483,23 @@ def _bp_loop(path, sigma, namp, gamma, c):
 @given(seed=st.integers(0, 2 ** 31 - 1), points=st.integers(3, 80), n=st.integers(1, 12),
        log_gamma=st.floats(-12.0, -1e-9), c=st.floats(0.1, 6.0),
        sigma=st.floats(1e-3, 2.0), level=st.floats(1e-3, 3.0),
-       block=st.sampled_from([1, 5, 64, rules._BP_BLOCK_ELEMENTS]))
-@example(seed=1, points=60, n=8, log_gamma=-1e-3, c=1.5, sigma=0.3, level=0.3, block=40)  # step 1
-@example(seed=2, points=60, n=8, log_gamma=-690.0, c=1.5, sigma=0.3, level=0.3, block=40)  # one point
-@example(seed=3, points=1, n=3, log_gamma=-1.4, c=1.5, sigma=0.3, level=0.3, block=1)  # one alpha
-@example(seed=4, points=60, n=8, log_gamma=-0.5, c=0.0, sigma=0.0, level=0.3, block=40)  # c, sigma 0
-def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, block):
+       block=st.sampled_from([1, 5, 64, rules._BP_BLOCK_ELEMENTS]), rows=st.integers(1, 4))
+@example(seed=1, points=60, n=8, log_gamma=-1e-3, c=1.5, sigma=0.3, level=0.3, block=40,
+         rows=1)  # step 1
+@example(seed=2, points=60, n=8, log_gamma=-690.0, c=1.5, sigma=0.3, level=0.3, block=40,
+         rows=1)  # one point
+@example(seed=3, points=1, n=3, log_gamma=-1.4, c=1.5, sigma=0.3, level=0.3, block=1,
+         rows=1)  # one alpha
+@example(seed=4, points=60, n=8, log_gamma=-0.5, c=0.0, sigma=0.0, level=0.3, block=40,
+         rows=1)  # c, sigma 0
+@example(seed=5, points=60, n=8, log_gamma=np.log(0.999), c=1.5, sigma=0.3, level=0.3,
+         block=1, rows=3)  # step 1 on a stack, one pair a block
+@example(seed=6, points=40, n=5, log_gamma=np.log(0.999), c=1.5, sigma=0.3, level=1.0,
+         block=17, rows=4)  # step 1 on a stack, blocks cutting across positions
+def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, block, rows):
     """Blocks of pairwise subgrid distances pick what the row-by-row loop
-    picks, to the bit, however small the block."""
+    picks, to the bit, however small the block, for one path and for each
+    row of a stack of paths."""
     gamma = np.exp(log_gamma)
     rng = keyed_rng(seed)
     A = rng.standard_normal((n + 2, n)) * np.geomspace(1.0, 1e-4, n)
@@ -501,15 +510,24 @@ def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, b
     # thresholds around `level` times the path's overall spread
     spread = np.linalg.norm(path.solutions[-1] - path.solutions[0])
     namp = (level * spread / max(c * sigma, 1e-3)) ** 2 * rng.uniform(0.1, 1.0, points)
+    # the stack: this path, then paths of other data with noise levels around sigma
+    paths = [path] + [rr.spectral_path(dec, A @ rng.standard_normal(n)
+                                       + rng.standard_normal(n + 2), grid)
+                      for _ in range(rows - 1)]
+    sigmas = sigma * np.concatenate([[1.0], rng.uniform(0.5, 2.0, rows - 1)])
     source = rr.influence_path_exact(dec, path.alphas)
     source.noise_amp = namp  # bp reads only the noise samples on the path's grid
     with mock.patch.object(rules, "_BP_BLOCK_ELEMENTS", block):
         sel = rules.bp(path, sigma, source, gamma=gamma, c=c)
+        stacked, sub = rules._bp_rows(path.alphas, np.stack([p.solutions for p in paths]),
+                                      sigmas, namp, gamma, c)
     chosen = _bp_loop(path, sigma, namp, gamma, c)
     assert sel.diagnostics["grid_index"] == chosen
     assert sel.alpha == float(path.alphas[chosen])
     at_min = chosen == sel.diagnostics["subgrid"][0]
     assert ("at_grid_min" in sel.diagnostics["flags"]) == at_min
+    assert stacked.tolist() == [_bp_loop(p, s, namp, gamma, c) for p, s in zip(paths, sigmas)]
+    assert np.array_equal(sub, sel.diagnostics["subgrid"])
 
 
 class TestLc:
@@ -624,6 +642,24 @@ class TestSelectionInterface:
         assert {n for n, r in rules.RULES.items() if not r.needs_path} == {"pro", "ipro"}
         assert {n: r.noise for n, r in rules.RULES.items() if r.noise} == \
             {"pro": "sigma2", "dp": "sigma", "upre": "sigma2", "bp": "sigma"}
+
+    def test_only_rules_that_need_solutions_read_them(self, shaw64):
+        # select forms a dense path's solutions only where Rule.needs_solutions is set
+        p, dec = shaw64
+        d = rr.add_noise(p, 10.0, seed=3, replicate=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        inf = rr.influence_path_exact(dec, grid)
+        full, bare = (rr.spectral_path(dec, d.g, grid, keep_solutions=keep)
+                      for keep in (True, False))
+        for name, rule in rules.RULES.items():
+            inputs = [rules.SelectionInputs(g=d.g, source=inf, path=path, sigma=d.sigma,
+                                            sigma2=d.sigma ** 2) for path in (full, bare)]
+            if rule.needs_solutions:
+                with pytest.raises(ValueError, match="needs the solutions"):
+                    rule.run(inputs[1])
+            else:
+                assert rule.run(inputs[1]).alpha == rule.run(inputs[0]).alpha, name
+        assert {n for n, r in rules.RULES.items() if r.needs_solutions} == {"bp", "qoc"}
 
 
 _NAN, _INF = float("nan"), float("inf")
