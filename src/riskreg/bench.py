@@ -6,7 +6,7 @@ that path, so each efficiency lies in (0, 1] by construction.  A worker
 draws each of its replicates' noise once and evaluates the replicates of a
 cell as one block: paths, errors, ``bp`` and ``qoc`` on cache-sized stacks of
 replicates, then the rules that read only norms on the grid for the whole
-block at once, all through ``RULES[rule].block``, each row as its replicate
+block at once, all through ``RULES[rule]``, each row as its replicate
 alone would select.  All randomness is keyed by (seed, replicate), which makes
 the output independent of worker count and scheduling.
 """
@@ -280,6 +280,9 @@ class StudyConfig:
         if self.probes < 1:
             raise ValueError(f"need at least one probe, got {self.probes}")
         _check_grid(self.grid_min, self.grid_max, self.grid_points, _GRID_KEYS)
+        if "lc" in self.rules and self.grid_points < 5:
+            raise ValueError(f"{_KEY_OF['grid_points']} = {self.grid_points!r}: "
+                             "lc needs at least five grid points")
         rules_mod.check_bp(self.bp_gamma, self.bp_c, keys=(_KEY_OF["bp_gamma"], _KEY_OF["bp_c"]))
         if self.version != 1:
             raise ValueError("unsupported config version")
@@ -339,7 +342,7 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
     norms, errors = np.empty((2, reps, grid.size)), np.empty((reps, grid.size))
     g_sq = np.empty(reps)
     f_norm = np.linalg.norm(problem.f_true)
-    stacked = [rule for rule in config.rules if rules_mod.RULES[rule].needs_solutions]
+    stacked = [rule for rule in config.rules if rule in rules_mod.NEEDS_SOLUTIONS]
     picks = {rule: [] for rule in stacked}
     size = max(1, _STACK_ELEMENTS // (grid.size * problem.f_true.size))
     for lo in range(0, reps, size):
@@ -354,11 +357,11 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
                                     g_sq[part], sigmas[part], sigmas2[part], F,
                                     config.bp_gamma, config.bp_c)
         for rule in stacked:
-            picks[rule].extend(zip(*rules_mod.RULES[rule].block(stack)))
+            picks[rule].extend(zip(*rules_mod.RULES[rule](stack)))
     block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], m, g_sq, sigmas, sigmas2)
     for rule in config.rules:
         if rule not in picks:
-            picks[rule] = list(zip(*rules_mod.RULES[rule].block(block)))
+            picks[rule] = list(zip(*rules_mod.RULES[rule](block)))
     eps_o = errors[np.arange(reps), rules_mod.argmin_last(errors)]
     out = []
     for i, rep in enumerate(replicates):

@@ -138,6 +138,30 @@ def _check_grid_flags(args) -> None:
     bench._check_grid(args.grid_min, args.grid_max, args.grid_points, _GRID_FLAGS)
 
 
+# Per rule, the noise input select needs ("sigma", "sigma2" or None) and the
+# rule's call on (setup, g, sigma, sigma2, args).  A call fetches only what its
+# rule reads, the measure or spectrum (``setup.source``) before the path, so a
+# matrix-free select builds each only for its readers, and a rule that reads
+# both fails on the measure before it builds the path.
+_SELECT = {
+    "pro": ("sigma2", lambda s, g, sigma, sigma2, a: (
+        rules.pro_estimated(s.source, g, sigma2) if a.rho2 is None
+        else rules.pro(s.source, a.rho2, sigma2, n=g.size))),
+    # in grid mode (matrix-free) ipro reads its residuals from the path
+    "ipro": (None, lambda s, g, sigma, sigma2, a: rules.ipro(
+        s.source, g, alpha_init=a.alpha_init, path=s.path(g, False) if s.matrix_free else None)),
+    "dp": ("sigma", lambda s, g, sigma, sigma2, a: rules.dp(s.path(g, False), sigma)),
+    "upre": ("sigma2", lambda s, g, sigma, sigma2, a: rules.upre(
+        trace_source=s.source, path=s.path(g, False), sigma2=sigma2)),
+    "bp": ("sigma", lambda s, g, sigma, sigma2, a: rules.bp(
+        noise_source=s.source, path=s.path(g, True), sigma=sigma, gamma=a.bp_gamma, c=a.bp_c)),
+    "gcv": (None, lambda s, g, sigma, sigma2, a: rules.gcv(
+        trace_source=s.source, path=s.path(g, False))),
+    "lc": (None, lambda s, g, sigma, sigma2, a: rules.lc(s.path(g, False))),
+    "qoc": (None, lambda s, g, sigma, sigma2, a: rules.qoc(s.path(g, True))),
+}
+
+
 def _cmd_select(args) -> int:
     if args.probes < 1:
         raise ValueError(f"need at least one probe, got {args.probes}")
@@ -151,26 +175,17 @@ def _cmd_select(args) -> int:
     sigma = args.sigma if args.sigma is not None else (noisy.sigma or None)
     sigma2 = args.sigma2 if args.sigma2 is not None else (
         None if sigma is None else sigma * sigma)
-    rule = rules.RULES[args.rule]
-    if rule.noise == "sigma" and sigma is None:
+    noise, select = _SELECT[args.rule]
+    if noise == "sigma" and sigma is None:
         _build_parser().error(f"{args.rule} needs --sigma")
-    if rule.noise == "sigma2" and sigma2 is None:
+    if noise == "sigma2" and sigma2 is None:
         _build_parser().error(f"{args.rule} needs --sigma2 or --sigma")
 
     with np.errstate(over="raise", invalid="raise"):
         setup = bench.OperatorSetup(problem.A, args.matrix_free, args.grid_points,
                                     args.grid_min, args.grid_max, args.probes, seed,
                                     _GRID_FLAGS)
-        # matrix-free, the probe measure is built only for a rule that reads it
-        source = setup.source if rule.needs_measure else None
-        # in grid mode (matrix-free) ipro reads its residuals from the path
-        ipro_grid = args.matrix_free and args.rule == "ipro"
-        path = setup.path(g, rule.needs_solutions) if rule.needs_path or ipro_grid else None
-        inputs = rules.SelectionInputs(g=g, source=source, path=path, sigma=sigma,
-                                       sigma2=sigma2, rho2=args.rho2,
-                                       alpha_init=args.alpha_init, bp_gamma=args.bp_gamma,
-                                       bp_c=args.bp_c)
-        selection = rule.run(inputs)
+        selection = select(setup, g, sigma, sigma2, args)
     if not math.isfinite(selection.alpha):
         raise DegenerateDataError(f"{args.rule} selected a non-finite alpha")
     print(selection.to_json())

@@ -12,14 +12,14 @@ Two families share the machinery:
 Rules used inside the replicate harness operate in grid mode: they select a
 point of the shared path, so their error can never beat the path oracle.
 
-``RULES`` maps each rule name to one way of running it on ``SelectionInputs``,
-through which the CLI selects, and to the inputs it needs.  Every rule also
-selects for a ``PathBlock``, many replicates' paths on one grid at once, as
-the replicate harness does: ``pro``, ``ipro``, ``dp``, ``upre``, ``gcv`` and
-``lc`` from residual and solution norms on the grid, ``bp`` and ``qoc`` from
-the stacked solutions.  Each computes its objective and index row-wise, in one
-function that the single-path rule calls on its one row, so a block row
-selects what its path alone would.
+The public functions select on one path; ``select`` calls them directly.
+``RULES`` maps each rule name to its block form, which selects for a
+``PathBlock``, many replicates' paths on one grid at once, as the replicate
+harness does: ``pro``, ``ipro``, ``dp``, ``upre``, ``gcv`` and ``lc`` from
+residual and solution norms on the grid, ``bp`` and ``qoc``
+(``NEEDS_SOLUTIONS``) from the stacked solutions.  Each computes its objective
+and index row-wise, in one function that the single-path rule calls on its one
+row, so a block row selects what its path alone would.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
-from .linop import SpectralDecomposition
 from .problems import snr_db
 from .risk import SEARCH_CAP, lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_measure
@@ -89,6 +88,13 @@ def _on_grid(rule: str, alphas, idx: int, **diagnostics) -> RuleSelection:
                          diagnostics={"flags": [], **diagnostics, "grid_index": int(idx)})
 
 
+def _check_increasing(alphas) -> None:
+    """The rules that read a grid's order (``dp``, ``bp``, ``lc``, ``qoc``, grid-mode
+    ``pro`` and ``ipro``) need it strictly increasing."""
+    if not np.all(alphas[1:] > alphas[:-1]):
+        raise ValueError("the grid of alphas must be strictly increasing")
+
+
 def _column(x):
     """A scalar or a vector of per-row values as a column against grid samples."""
     return np.asarray(x)[..., None]
@@ -112,6 +118,7 @@ def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
         return RuleSelection(rule="pro", alpha=res.alpha_star, diagnostics={
             "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
             "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
+    _check_increasing(m.alphas)
     values, idx, edge = _grid_min_T(m, rho2, sigma2)
     return _on_grid("pro", m.alphas, idx, h=h, objective=float(values[idx]),
                     objective_samples=values, flags=["grid_edge"] if edge else [])
@@ -148,6 +155,7 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     if rho2_hat <= 0:
         if on_degenerate == "max_alpha":
             m = influence_measure(source)
+            _check_increasing(m.alphas)
             alpha = float(m.alphas[-1]) if m.alphas.size else SEARCH_CAP * m.lam1
             return RuleSelection(rule="pro", alpha=alpha, diagnostics={
                 "rho2_hat": rho2_hat, "sigma2_hat": sigma2,
@@ -228,13 +236,18 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
 
     On an influence path (grid mode) the residual is read from ``path``, a
     solution path on the same grid; on a spectrum it is evaluated at any alpha.
+    ``max_iter`` is an integer >= 0; at 0 no step runs, so the rule does not settle.
     """
     if alpha_init is not None and not 0 < alpha_init < np.inf:
         raise ValueError("alpha_init must be positive and finite")
+    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+            and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
     if isinstance(source, InfluencePath) and source.alphas.size:
         m = source
+        _check_increasing(m.alphas)
         if path is None:
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
@@ -308,6 +321,7 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     """
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be nonnegative and finite")
+    _check_increasing(path.alphas)
     target, j, saturated, at_grid_min = _dp_rows(path.residual_norms, path.data_size, sigma)
     if saturated:
         return _on_grid("dp", path.alphas, len(path) - 1, target=target,
@@ -388,6 +402,7 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     if path.solutions is None:
         raise ValueError("bp needs the solutions along the path")
     check_bp(gamma, c, sigma)
+    _check_increasing(path.alphas)
     namp = influence_measure(noise_source, path.alphas).noise_amp
     chosen, sub = _bp_rows(path.alphas, path.solutions[None], np.array([sigma]), namp, gamma, c)
     flags = ["at_grid_min"] if chosen[0] == sub[0] else []
@@ -461,6 +476,7 @@ def _lc_rows(alphas, residual_norms, solution_norms):
 def lc(path: SolutionPath) -> RuleSelection:
     """L-curve corner: maximal curvature of (log ||r||, log ||f||) against log alpha,
     via central differences on the grid."""
+    _check_increasing(path.alphas)
     kappa, idx, at_boundary = _lc_rows(path.alphas, path.residual_norms, path.solution_norms)
     return _on_grid("lc", path.alphas, idx, curvature=kappa,
                     flags=["curvature_at_boundary"] if at_boundary else [])
@@ -472,6 +488,7 @@ def qoc(path: SolutionPath) -> RuleSelection:
         raise ValueError("qoc needs the solutions along the path")
     if len(path) < 2:
         raise ValueError("qoc needs at least two grid points")
+    _check_increasing(path.alphas)
     diffs, idx = _qoc_rows(path.solutions[None])
     return _on_grid("qoc", path.alphas, idx[0], differences=diffs[0])
 
@@ -486,33 +503,11 @@ def _qoc_rows(solutions):
 
 
 @dataclass
-class SelectionInputs:
-    """Everything a registered rule may read on one path (``Rule.run``, as
-    ``select`` runs it), and the settings a caller may vary.
-
-    ``source`` is a spectrum (continuous selection) or an influence path on
-    the grid of ``path`` (grid mode), and may be None for a rule that does
-    not read it (``Rule.needs_measure``).  ``rho2`` makes ``pro`` use a known
-    signal energy instead of estimating it.
-    """
-
-    g: np.ndarray
-    source: Optional[Union[SpectralDecomposition, InfluencePath]]
-    path: Optional[SolutionPath] = None
-    sigma: Optional[float] = None
-    sigma2: Optional[float] = None
-    rho2: Optional[float] = None
-    alpha_init: Optional[float] = None
-    bp_gamma: float = 0.25
-    bp_c: float = 1.5
-
-
-@dataclass
 class PathBlock:
     """Grid-mode inputs of many data vectors on one grid, one row each: the
     residual and solution norms of its path on the grid of the influence path
     ``source``, ||g||^2, sigma and sigma2; for the rules that read them
-    (``Rule.needs_solutions``), the stacked solutions along the paths and
+    (``NEEDS_SOLUTIONS``), the stacked solutions along the paths and
     bp's settings."""
 
     source: InfluencePath
@@ -586,48 +581,14 @@ def _qoc_block(b: PathBlock):
     return idx, [()] * idx.size
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A registry entry: the rule on its inputs, whether it selects on a sampled
-    solution path and whether it reads the influence measure or spectrum
-    (``SelectionInputs.source``), and the noise input (``"sigma"`` or
-    ``"sigma2"``) it needs.
-
-    ``block`` selects for every row of a ``PathBlock`` at once and gives the
-    grid indices and flags the replicate study records: those of ``run`` in
-    grid mode (of ``pro_estimated`` with ``on_degenerate="max_alpha"`` and
-    ``dp`` with ``refine=False``), and for a row that ``run`` raises on, the
-    largest alpha flagged ``degenerate`` or the last iterate flagged
-    ``no_convergence``.  It reads the block's solutions where
-    ``needs_solutions`` is set, and only norms on the grid otherwise."""
-
-    run: Callable[[SelectionInputs], RuleSelection]
-    block: Callable[[PathBlock], tuple[np.ndarray, list]]
-    needs_path: bool
-    needs_measure: bool = True
-    noise: Optional[str] = None
-    needs_solutions: bool = False
-
-
-def _run_pro(x: SelectionInputs) -> RuleSelection:
-    if x.rho2 is not None:
-        return pro(x.source, x.rho2, x.sigma2, n=x.g.size)
-    return pro_estimated(x.source, x.g, x.sigma2)
-
-
-RULES = {
-    "pro": Rule(_run_pro, needs_path=False, noise="sigma2", block=_pro_block),
-    "ipro": Rule(lambda x: ipro(x.source, x.g, alpha_init=x.alpha_init, path=x.path),
-                 needs_path=False, block=_ipro_block),
-    "dp": Rule(lambda x: dp(x.path, x.sigma), needs_path=True, needs_measure=False,
-               noise="sigma", block=_dp_block),
-    "upre": Rule(lambda x: upre(x.path, x.source, x.sigma2), needs_path=True,
-                 noise="sigma2", block=_upre_block),
-    "bp": Rule(lambda x: bp(x.path, x.sigma, x.source, gamma=x.bp_gamma, c=x.bp_c),
-               needs_path=True, noise="sigma", block=_bp_block, needs_solutions=True),
-    "gcv": Rule(lambda x: gcv(x.path, x.source), needs_path=True, block=_gcv_block),
-    "lc": Rule(lambda x: lc(x.path), needs_path=True, needs_measure=False, block=_lc_block),
-    "qoc": Rule(lambda x: qoc(x.path), needs_path=True, needs_measure=False, block=_qoc_block,
-                needs_solutions=True),
-}
+# Each rule's block form selects for every row of a ``PathBlock`` at once and
+# gives the grid indices and flags the replicate study records: those of the
+# single-path rule in grid mode (of ``pro_estimated`` with
+# ``on_degenerate="max_alpha"`` and ``dp`` with ``refine=False``), and for a row
+# the single-path rule raises on, the largest alpha flagged ``degenerate`` or
+# the last iterate flagged ``no_convergence``.  The rules of ``NEEDS_SOLUTIONS``
+# read the block's solutions, the others only norms on the grid.
+RULES = {"pro": _pro_block, "ipro": _ipro_block, "dp": _dp_block, "upre": _upre_block,
+         "bp": _bp_block, "gcv": _gcv_block, "lc": _lc_block, "qoc": _qoc_block}
 RULE_NAMES = tuple(RULES)
+NEEDS_SOLUTIONS = frozenset({"bp", "qoc"})

@@ -310,8 +310,8 @@ def _path_selection(grid, select):
 
 def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set:
     """Evaluates replicates [first, first + size) of a cell as the study's block
-    and each on its own path, through ``RULES`` but for ``pro_estimated`` with
-    its ``max_alpha`` fallback and ``dp`` without refinement; asserts that every
+    and each on its own path, through the public rules, with ``pro_estimated``'s
+    ``max_alpha`` fallback and ``dp`` without refinement; asserts that every
     rule picks the same grid point with the same flags, and returns the flags
     seen."""
     p = rr.make_problem(*problem, n)
@@ -326,12 +326,18 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
     for rep, (eps_o, rows) in zip(range(first, first + size), block):
         data = rr.add_noise(p, xi, seed, rep)
         path = rr.spectral_path(setup.dec, data.g, grid)
-        inputs = rules_mod.SelectionInputs(g=data.g, source=setup.influence, path=path,
-                                           sigma=data.sigma, sigma2=data.sigma ** 2)
-        select = {rule: partial(rules_mod.RULES[rule].run, inputs) for rule in RULE_NAMES}
-        select["pro"] = partial(rules_mod.pro_estimated, setup.influence, data.g,
-                                data.sigma ** 2, on_degenerate="max_alpha")
-        select["dp"] = partial(rules_mod.dp, path, data.sigma, refine=False)
+        inf, sigma2 = setup.influence, data.sigma ** 2
+        select = {
+            "pro": partial(rules_mod.pro_estimated, inf, data.g, sigma2,
+                           on_degenerate="max_alpha"),
+            "ipro": partial(rules_mod.ipro, inf, data.g, path=path),
+            "dp": partial(rules_mod.dp, path, data.sigma, refine=False),
+            "upre": partial(rules_mod.upre, path, inf, sigma2),
+            "bp": partial(rules_mod.bp, path, data.sigma, inf),
+            "gcv": partial(rules_mod.gcv, path, inf),
+            "lc": partial(rules_mod.lc, path),
+            "qoc": partial(rules_mod.qoc, path),
+        }
         errors = np.array([rel_error(f, p.f_true) for f in path.solutions])
         for rule in RULE_NAMES:
             idx, flags = _path_selection(grid, select[rule])
@@ -350,7 +356,7 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
        span=st.sampled_from(sorted(_SPANS)))
 def test_block_selects_as_each_path(problem, n, xi, first, size, seed, points, span):
     """A cell's block of replicates selects, rule by rule, what each replicate's
-    own path gives through ``RULES``."""
+    own path gives through the public rules."""
     _block_against_paths(problem, n, xi, first, size, seed, points, span)
 
 

@@ -143,7 +143,23 @@ class TestSelect:
                          "--matrix-free", "--probes", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["rule"] == rule
         assert measure.call_count == int(rule not in ("dp", "lc", "qoc"))
-        assert rules.RULES[rule].needs_measure == (measure.call_count == 1)
+
+    @pytest.mark.parametrize("rule", ["ipro", "upre", "bp", "gcv"])
+    def test_matrix_free_builds_the_measure_before_the_path(self, shaw_dataset, capsys, rule):
+        # a rule that reads both fails on the measure before it builds the path
+        built = []
+        measure, path = bench.influence_path_stochastic, bench.OperatorSetup.path
+        with mock.patch.object(bench, "influence_path_stochastic",
+                               lambda *a, **k: built.append("measure") or measure(*a, **k)), \
+                mock.patch.object(bench.OperatorSetup, "path",
+                                  lambda *a: built.append("path") or path(*a)):
+            assert main(["select", "--data", str(shaw_dataset), "--rule", rule,
+                         "--matrix-free", "--probes", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["rule"] == rule
+        assert built == ["measure", "path"]
+
+    def test_select_table_lists_every_rule_in_order(self):
+        assert tuple(cli._SELECT) == rules.RULE_NAMES
 
     def test_every_rule_runs_on_dataset(self, shaw_dataset, capsys):
         for rule in ("pro", "ipro", "dp", "upre", "bp", "gcv", "lc", "qoc"):
@@ -231,6 +247,8 @@ class TestStudy:
         ({"grid": {"points": 1}}, "grid.points = 1: need at least two grid points"),
         ({"problems": [{"name": "deriv2"}, {"name": "shaw"}], "n": 63},
          "shaw requires even n"),
+        ({"rules": ["lc"], "grid": {"points": 3}},
+         "grid.points = 3: lc needs at least five grid points"),
     ])
     def test_config_error_names_its_key(self, tmp_path, capsys, sections, message):
         cfg = self._config(tmp_path, **sections)

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
-from riskreg import rules
+from riskreg import cli, rules
 from riskreg.bench import default_grid
 from riskreg.errors import ConvergenceError, DegenerateDataError
 from riskreg.rng import keyed_rng
@@ -629,37 +630,49 @@ class TestSelectionInterface:
             "qoc": rules.qoc(path),
         }
         assert rules.RULE_NAMES == tuple(direct)
-        inputs = rules.SelectionInputs(g=d.g, source=inf, path=path, sigma=d.sigma,
-                                       sigma2=sigma2, bp_gamma=0.5, bp_c=2.0)
+        # grid mode, as select runs matrix-free: the measure and path on one grid
+        setup = SimpleNamespace(source=inf, matrix_free=True, path=lambda g, keep: path)
+        args = SimpleNamespace(rho2=None, alpha_init=None, bp_gamma=0.5, bp_c=2.0)
         for name, sel in direct.items():
-            got = rules.RULES[name].run(inputs)
+            got = cli._SELECT[name][1](setup, d.g, d.sigma, sigma2, args)
             assert got.alpha == sel.alpha, name
             # grid mode: the selection is the grid point it reports, but for
             # dp's bisection between two grid points
             if name != "dp":
                 assert got.alpha == grid[got.diagnostics["grid_index"]], name
             assert got.diagnostics["flags"] == sel.diagnostics["flags"], name
-        assert {n for n, r in rules.RULES.items() if not r.needs_path} == {"pro", "ipro"}
-        assert {n: r.noise for n, r in rules.RULES.items() if r.noise} == \
+        # on a spectrum, pro and ipro select without a sampled path
+        readers = set()
+        for name, (_, select) in cli._SELECT.items():
+            dense = SimpleNamespace(source=dec, matrix_free=False,
+                                    path=lambda g, keep, name=name: readers.add(name) or path)
+            select(dense, d.g, d.sigma, sigma2, args)
+        assert set(cli._SELECT) - readers == {"pro", "ipro"}
+        assert {n: noise for n, (noise, _) in cli._SELECT.items() if noise} == \
             {"pro": "sigma2", "dp": "sigma", "upre": "sigma2", "bp": "sigma"}
 
     def test_only_rules_that_need_solutions_read_them(self, shaw64):
-        # select forms a dense path's solutions only where Rule.needs_solutions is set
+        # select forms a dense path's solutions only for the rules of NEEDS_SOLUTIONS
         p, dec = shaw64
         d = rr.add_noise(p, 10.0, seed=3, replicate=0)
         grid = default_grid(float(dec.s[0]) ** 2).values
         inf = rr.influence_path_exact(dec, grid)
         full, bare = (rr.spectral_path(dec, d.g, grid, keep_solutions=keep)
                       for keep in (True, False))
-        for name, rule in rules.RULES.items():
-            inputs = [rules.SelectionInputs(g=d.g, source=inf, path=path, sigma=d.sigma,
-                                            sigma2=d.sigma ** 2) for path in (full, bare)]
-            if rule.needs_solutions:
+        args = SimpleNamespace(rho2=None, alpha_init=None, bp_gamma=0.25, bp_c=1.5)
+        for name, (_, select) in cli._SELECT.items():
+            asked = []
+            setups = [SimpleNamespace(source=inf, matrix_free=True,
+                                      path=lambda g, keep, path=path: asked.append(keep) or path)
+                      for path in (full, bare)]
+            if name in rules.NEEDS_SOLUTIONS:
                 with pytest.raises(ValueError, match="needs the solutions"):
-                    rule.run(inputs[1])
+                    select(setups[1], d.g, d.sigma, d.sigma ** 2, args)
             else:
-                assert rule.run(inputs[1]).alpha == rule.run(inputs[0]).alpha, name
-        assert {n for n, r in rules.RULES.items() if r.needs_solutions} == {"bp", "qoc"}
+                assert select(setups[1], d.g, d.sigma, d.sigma ** 2, args).alpha == \
+                    select(setups[0], d.g, d.sigma, d.sigma ** 2, args).alpha, name
+            assert set(asked) <= {name in rules.NEEDS_SOLUTIONS}, name
+        assert rules.NEEDS_SOLUTIONS == {"bp", "qoc"}
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -712,6 +725,12 @@ _ILL_FORMED_CALLS = {
                       "qoc needs at least two grid points"),
     "lower_bound_T_spectrum_without_alpha": (
         lambda dec, path, g: rr.lower_bound_T(1.0, 1e-4, dec), "alpha is required"),
+    "ipro_max_iter_negative": (lambda dec, path, g: rules.ipro(dec, g, max_iter=-3),
+                               "max_iter must be an integer >= 0, got -3"),
+    "ipro_max_iter_bool": (lambda dec, path, g: rules.ipro(dec, g, max_iter=True),
+                           "max_iter must be an integer >= 0, got True"),
+    "ipro_max_iter_float": (lambda dec, path, g: rules.ipro(dec, g, max_iter=2.5),
+                            "max_iter must be an integer >= 0, got 2.5"),
     "minimize_T_zero_measure": (
         lambda dec, path, g: rr.minimize_T(rr.svd(np.zeros((4, 3))), 1e-4),
         "cannot minimize over a zero operator"),
@@ -723,3 +742,30 @@ _ILL_FORMED_CALLS = {
 def test_ill_formed_arguments_rejected(shaw32_inputs, call, message):
     with pytest.raises(ValueError, match=message):
         call(*shaw32_inputs)
+
+
+# each call gets shaw(32) at 20 dB, its (path, influence path) on a grid that is
+# not strictly increasing, and its noisy data
+_GRID_ORDER_CALLS = {
+    "pro": lambda path, inf, d: rules.pro(inf, float(d.g @ d.g), d.sigma ** 2),
+    "pro_estimated_fallback": lambda path, inf, d: rules.pro_estimated(
+        inf, np.zeros_like(d.g), d.sigma ** 2, on_degenerate="max_alpha"),
+    "ipro": lambda path, inf, d: rules.ipro(inf, d.g, path=path),
+    "dp": lambda path, inf, d: rules.dp(path, d.sigma),
+    "bp": lambda path, inf, d: rules.bp(path, d.sigma, inf),
+    "lc": lambda path, inf, d: rules.lc(path),
+    "qoc": lambda path, inf, d: rules.qoc(path),
+}
+
+
+@pytest.mark.parametrize("order", ["reversed", "repeated_point"])
+@pytest.mark.parametrize("call", list(_GRID_ORDER_CALLS.values()), ids=list(_GRID_ORDER_CALLS))
+def test_rules_that_read_grid_order_reject_an_unsorted_grid(shaw32, call, order):
+    # on the reversed grid dp and bp returned its largest alpha flagged at_grid_min
+    p, dec = shaw32
+    d = rr.add_noise(p, 20.0, seed=0, replicate=0)
+    grid = default_grid(float(dec.s[0]) ** 2).values
+    grid = grid[::-1] if order == "reversed" else np.insert(grid, 100, grid[100])
+    path, inf = rr.spectral_path(dec, d.g, grid), rr.influence_path_exact(dec, grid)
+    with pytest.raises(ValueError, match="grid of alphas must be strictly increasing"):
+        call(path, inf, d)

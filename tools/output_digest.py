@@ -29,6 +29,12 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   precision;
 - ``select --matrix-free`` for every rule on a paralleltomo 16x16 container
   (replicate 0, 20 dB): exit code, stdout and stderr;
+- ``select``, dense and ``--matrix-free``, on shaw n = 64 (replicate 0, 20 dB)
+  with the flags that feed a rule's inputs: ``--rho2`` with ``pro``,
+  ``--alpha-init`` with ``ipro``, ``--sigma`` alone and ``--sigma2`` alone,
+  ``--bp-gamma`` and ``--bp-c`` with ``bp`` and a grid override for every
+  rule; and every rule on that data saved without a noise level, alone and
+  with ``--sigma``: exit code, stdout and stderr;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
   20 dB, 20 replicates, every rule) at 1 and 2 workers, of the same problems
   at 0 and -10 dB (10 replicates, so three workers get uneven chunks) at 1 and
@@ -41,6 +47,7 @@ Usage, once per tree, then diff the two outputs:
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -59,6 +66,20 @@ CONTAINERS = [("shaw", None, 64), ("heat", 1, 64), ("baart", None, 64),
               ("i_laplace", 1, 64), ("phillips", None, 64), ("foxgood", None, 64),
               ("deriv2", None, 32), ("heat", 1, 256)]
 CURVE_KINDS = ("lower_bound", "predictive", "upre", "gcv", "lcurve")
+# (label, container, rules, flags) of the select runs that vary a rule's inputs
+# on shaw n = 64, replicate 0 at 20 dB, saved with ("noisy") or without
+# ("nosigma") its noise level
+SELECT_FLAGS = [
+    ("rho2", "noisy", ("pro",), ["--rho2", "1.5"]),
+    ("alpha_init", "noisy", ("ipro",), ["--alpha-init", "1e-3"]),
+    ("sigma", "noisy", rules.RULE_NAMES, ["--sigma", "0.01"]),
+    ("sigma2", "noisy", rules.RULE_NAMES, ["--sigma2", "1e-4"]),
+    ("bp_settings", "noisy", ("bp",), ["--bp-gamma", "0.5", "--bp-c", "2"]),
+    ("grid", "noisy", rules.RULE_NAMES,
+     ["--grid-min", "1e-6", "--grid-max", "1", "--grid-points", "37"]),
+    ("nosigma", "nosigma", rules.RULE_NAMES, []),
+    ("nosigma_sigma", "nosigma", rules.RULE_NAMES, ["--sigma", "0.01"]),
+]
 STUDIES = [
     ("dense", {"problems": [{"name": "shaw", "variant": None},
                             {"name": "heat", "variant": 1},
@@ -187,6 +208,18 @@ def main() -> None:
                 code, out, err = _run(["select", "--data", containers[key], "--rule", rule,
                                        "--seed", "0", "--matrix-free"])
                 print(f"select-mf {key} {rule} {code} {json.dumps(out)} {json.dumps(err)}")
+
+        flagged = {"noisy": containers["shaw_n64_xi20_r0"],
+                   "nosigma": os.path.join(tmp, "shaw_n64_xi20_r0_nosigma.rr")}
+        problems.save_container(flagged["nosigma"], problem=shaw, noisy=dataclasses.replace(
+            problems.add_noise(shaw, 20.0, SEED, 0), sigma=0.0))
+        for mode, extra in (("dense", []), ("mf", ["--matrix-free"])):
+            for label, container, flag_rules, flags in SELECT_FLAGS:
+                for rule in flag_rules:
+                    code, out, err = _run(["select", "--data", flagged[container], "--rule",
+                                           rule, "--seed", "0", *extra, *flags])
+                    print(f"select-flags {mode} {label} {rule} {code} {json.dumps(out)} "
+                          f"{json.dumps(err)}")
 
         for name, variant, n in CONTAINERS:
             key = f"{_tag(name, variant, n)}_xi20_r0"
