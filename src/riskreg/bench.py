@@ -7,8 +7,10 @@ draws each of its replicates' noise once and evaluates the replicates of a
 cell as one block: paths, errors, ``bp`` and ``qoc`` on cache-sized stacks of
 replicates, then the rules that read only norms on the grid for the whole
 block at once, all through ``RULES[rule]``, each row as its replicate
-alone would select.  All randomness is keyed by (seed, replicate), which makes
-the output independent of worker count and scheduling.
+alone would select.  A block returns its cell as columns, which the study
+joins, and each cell's summary statistics come from one call per statistic.
+All randomness is keyed by (seed, replicate), which makes the output
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
@@ -171,9 +173,14 @@ def oracle_error(errors: np.ndarray) -> tuple[float, int]:
     return float(errors[idx]), idx
 
 
-def efficiency(eps_oracle: float, eps_rule: float) -> float:
-    """Oracle-to-rule error ratio, in (0, 1] when both come from one path."""
-    return eps_oracle / eps_rule if eps_rule > 0 else 1.0
+def efficiency(eps_oracle, eps_rule):
+    """Oracle-to-rule error ratio, elementwise, in (0, 1] when both come from
+    one path; 1.0 where the rule's error is 0.  A float for scalar arguments."""
+    eps_oracle, eps_rule = np.broadcast_arrays(np.asarray(eps_oracle, dtype=float),
+                                               np.asarray(eps_rule, dtype=float))
+    out = np.ones(eps_rule.shape)
+    np.divide(eps_oracle, eps_rule, out=out, where=eps_rule > 0)
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -185,31 +192,50 @@ class ReplicateEntry:
     flags: tuple[str, ...] = ()
 
 
-@dataclass
+_STATISTICS = ("median_eff", "q1", "q3", "min", "max")
+
+
+def _statistics(eff: np.ndarray) -> list[list[float]]:
+    """Per row of ``eff``, the ``_STATISTICS``, each from one call for every row."""
+    # both quartiles from one call, as each from its own; the median stays
+    # np.median, which np.percentile(eff, 50) may differ from in the last bit
+    q1, q3 = np.percentile(eff, [25, 75], axis=1)
+    return np.stack([np.median(eff, axis=1), q1, q3, np.min(eff, axis=1),
+                     np.max(eff, axis=1)], axis=1).tolist()
+
+
+@dataclass(eq=False)
 class EfficiencyReport:
-    """Per-(problem, SNR, rule) replicate results with summary statistics."""
+    """Per-(problem, SNR, rule) replicate results as columns, replicate i in
+    row i, with the median oracle error of the cell and the summary
+    statistics of the efficiencies (``_STATISTICS``, from ``_statistics``)."""
 
     problem: str
     variant: Optional[int]
     n: int
     xi: float
     rule: str
-    entries: list[ReplicateEntry] = field(default_factory=list)
-    median_oracle: float = float("nan")
+    alphas: np.ndarray
+    rel_errors: np.ndarray
+    efficiencies: np.ndarray
+    flags: Sequence[tuple[str, ...]]
+    median_oracle: float
+    statistics: Sequence[float]
+
+    def rows(self):
+        """(replicate, alpha, rel_error, efficiency, flags) of each replicate,
+        as Python values."""
+        return zip(range(len(self.flags)), self.alphas.tolist(), self.rel_errors.tolist(),
+                   self.efficiencies.tolist(), self.flags)
 
     @property
-    def efficiencies(self) -> np.ndarray:
-        return np.fromiter((e.efficiency for e in self.entries), float, len(self.entries))
+    def entries(self) -> list[ReplicateEntry]:
+        """The rows as ``ReplicateEntry`` objects, built on each read."""
+        return [ReplicateEntry(*row) for row in self.rows()]
 
     def summary(self) -> dict:
-        eff = self.efficiencies
-        # both quartiles from one call, as each from its own; the median stays
-        # np.median, which np.percentile(eff, 50) may differ from in the last bit
-        q1, q3 = np.percentile(eff, [25, 75])
         return {"problem": self.problem, "variant": self.variant, "n": self.n,
-                "xi": self.xi, "rule": self.rule,
-                "median_eff": float(np.median(eff)), "q1": float(q1), "q3": float(q3),
-                "min": float(np.min(eff)), "max": float(np.max(eff)),
+                "xi": self.xi, "rule": self.rule, **dict(zip(_STATISTICS, self.statistics)),
                 "median_oracle": self.median_oracle}
 
 
@@ -325,14 +351,17 @@ def _unit_noise_rows(problem, seed: int, replicates: range) -> np.ndarray:
 
 
 def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: float,
-                    replicates: range, noise: Optional[np.ndarray] = None) -> list:
-    """All rules on a block of one cell's replicates; returns (oracle_err, rows)
-    per replicate.  ``noise`` holds the replicates' ``unit_noise`` draws, one
-    row each, and is drawn here when not given.  The data, paths, errors and
-    the rules that read solutions (``bp``, ``qoc``) run on stacks of at most
-    ``_STACK_ELEMENTS`` solution entries; the rules that read only norms on the
-    grid then select for every replicate at once.  Each row is what its
-    replicate alone gives, bit for bit."""
+                    replicates: range, noise: Optional[np.ndarray] = None) -> tuple:
+    """All rules on a block of one cell's replicates; returns the columns
+    (oracle_err, alphas, rel_errors, flags): the oracle errors, one per
+    replicate; the selected alphas and their errors, one row per rule of
+    ``config.rules`` and one column per replicate; and per rule a tuple of the
+    replicates' flag tuples.  ``noise`` holds the replicates' ``unit_noise``
+    draws, one row each, and is drawn here when not given.  The data, paths,
+    errors and the rules that read solutions (``bp``, ``qoc``) run on stacks of
+    at most ``_STACK_ELEMENTS`` solution entries; the rules that read only
+    norms on the grid then select for every replicate at once.  Each column is
+    what its replicate alone gives, bit for bit."""
     grid = setup.grid.values
     reps, m = len(replicates), problem.g_true.size
     if noise is None:
@@ -343,7 +372,7 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
     g_sq = np.empty(reps)
     f_norm = np.linalg.norm(problem.f_true)
     stacked = [rule for rule in config.rules if rule in rules_mod.NEEDS_SOLUTIONS]
-    picks = {rule: [] for rule in stacked}
+    picks = {rule: [] for rule in stacked}   # (grid indices, flags) per stack
     size = max(1, _STACK_ELEMENTS // (grid.size * problem.f_true.size))
     for lo in range(0, reps, size):
         part = slice(lo, lo + size)
@@ -357,28 +386,21 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
                                     g_sq[part], sigmas[part], sigmas2[part], F,
                                     config.bp_gamma, config.bp_c)
         for rule in stacked:
-            picks[rule].extend(zip(*rules_mod.RULES[rule](stack)))
+            picks[rule].append(rules_mod.RULES[rule](stack))
     block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], m, g_sq, sigmas, sigmas2)
     for rule in config.rules:
         if rule not in picks:
-            picks[rule] = list(zip(*rules_mod.RULES[rule](block)))
-    eps_o = errors[np.arange(reps), rules_mod.argmin_last(errors)]
-    out = []
-    for i, rep in enumerate(replicates):
-        rows = {}
-        for rule in config.rules:
-            idx, flags = picks[rule][i]
-            err = float(errors[i, idx])
-            rows[rule] = ReplicateEntry(replicate=rep, alpha=float(grid[idx]), rel_error=err,
-                                        efficiency=efficiency(float(eps_o[i]), err), flags=flags)
-        out.append((float(eps_o[i]), rows))
-    return out
+            picks[rule] = [rules_mod.RULES[rule](block)]
+    idx = np.array([np.concatenate([i for i, _ in picks[rule]]) for rule in config.rules])
+    rows = np.arange(reps)
+    return (errors[rows, rules_mod.argmin_last(errors)], grid[idx], errors[rows, idx],
+            tuple(tuple(f for _, flags in picks[rule] for f in flags) for rule in config.rules))
 
 
-def _run_chunk(config: StudyConfig, task) -> list[list]:
+def _run_chunk(config: StudyConfig, task) -> list[tuple]:
     """Replicates [lo, hi) of one problem at every SNR of the study, on one
-    set-up and one noise draw per replicate; returns one list of
-    (oracle_err, rows) per SNR."""
+    set-up and one noise draw per replicate; returns ``_evaluate_block``'s
+    columns per SNR."""
     name, variant, lo, hi = task
     # Freeing one block above glibc's 128 KB mmap threshold raises that
     # threshold to the block's size and the heap's trim threshold to twice it.
@@ -429,6 +451,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
         # the task list; pool processes x BLAS threads would oversubscribe the cores
         nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
+        bundled_openblas()   # looked up (and cached) here, not in each forked worker
         with ProcessPoolExecutor(max_workers=pool_size, initializer=_cap_blas_threads,
                                  initargs=(max(1, nproc // pool_size),)) as pool:
             parts = list(pool.map(run, tasks))
@@ -437,13 +460,14 @@ def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     for p, (name, variant) in enumerate(config.problems):
         chunks = parts[p * len(bounds):(p + 1) * len(bounds)]
         for k, xi in enumerate(config.xis):
-            cell_rows = [row for part in chunks for row in part[k]]
-            median_oracle = float(np.median([eps_o for eps_o, _ in cell_rows]))
-            for rule in config.rules:
-                rep = EfficiencyReport(problem=name, variant=variant, n=config.n,
-                                       xi=xi, rule=rule, median_oracle=median_oracle)
-                rep.entries.extend(rows[rule] for _, rows in cell_rows)
-                reports.append(rep)
+            eps_o, alphas, errs = (np.concatenate([part[k][j] for part in chunks], axis=-1)
+                                   for j in range(3))
+            eff = efficiency(eps_o, errs)
+            median_oracle = float(np.median(eps_o))
+            for r, (rule, stats) in enumerate(zip(config.rules, _statistics(eff))):
+                flags = [f for part in chunks for f in part[k][3][r]]
+                reports.append(EfficiencyReport(name, variant, config.n, xi, rule, alphas[r],
+                                                errs[r], eff[r], flags, median_oracle, stats))
     return reports
 
 
@@ -474,9 +498,9 @@ def write_reports(reports: list[EfficiencyReport], out_dir) -> list[str]:
             fh.write("problem,variant,n,xi,rule,replicate,alpha,rel_error,efficiency,flags\n")
             # the f-string formats as _fmt does; rows from a generator are never
             # all held at once (joining them raised study_dense's peak RSS ~0.4 MB)
-            fh.writelines(f"{head}{e.replicate},{e.alpha:.12g},{e.rel_error:.12g},"
-                          f"{e.efficiency:.12g},{';'.join(e.flags)}\n"
-                          for head, rep in by_xi[xi] for e in rep.entries)
+            fh.writelines(f"{head}{i},{alpha:.12g},{err:.12g},{eff:.12g},{';'.join(flags)}\n"
+                          for head, rep in by_xi[xi]
+                          for i, alpha, err, eff, flags in rep.rows())
         written.append(fname)
     fname = os.path.join(out_dir, "summary.csv")
     with open(fname, "w", newline="") as fh:

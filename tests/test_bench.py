@@ -2,6 +2,7 @@ import ctypes
 import glob
 import json
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from types import SimpleNamespace
@@ -97,6 +98,16 @@ class TestScalarMetrics:
     def test_efficiency_trivials(self):
         assert efficiency(0.3, 0.3) == 1.0
         assert efficiency(0.3, 0.6) == 0.5
+        assert efficiency(0.0, 0.0) == 1.0   # a rule that hits f_true exactly
+        assert type(efficiency(0.3, 0.6)) is float
+
+    def test_efficiency_is_elementwise(self):
+        eps_o = np.array([0.3, 0.2, 0.0])
+        errs = np.array([[0.3, 0.4, 0.0], [0.6, 0.2, 0.5]])
+        eff = efficiency(eps_o, errs)
+        assert eff.shape == (2, 3)
+        assert eff.tolist() == [[efficiency(o, e) for o, e in zip(eps_o.tolist(), row)]
+                                for row in errs.tolist()] == [[1.0, 0.5, 1.0], [0.5, 1.0, 0.0]]
 
 
 def _tiny_config(**kw):
@@ -321,9 +332,14 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
                       seed=seed, grid_points=points, grid_min=lo * s1_sq, grid_max=hi * s1_sq)
     setup = bench.OperatorSetup(p.A, points=points, lo=cfg.grid_min, hi=cfg.grid_max)
     grid = setup.grid.values
-    block = bench._evaluate_block(setup, p, cfg, xi, range(first, first + size))
+    eps_o, alphas, errs, flags = bench._evaluate_block(setup, p, cfg, xi,
+                                                       range(first, first + size))
+    # column i of the block is replicate first + i, which its own path checks
+    # below; row r is rule RULE_NAMES[r]
+    assert eps_o.shape == (size,) and alphas.shape == errs.shape == (len(RULE_NAMES), size)
+    assert [len(f) for f in flags] == [size] * len(RULE_NAMES)
     seen = set()
-    for rep, (eps_o, rows) in zip(range(first, first + size), block):
+    for i, rep in enumerate(range(first, first + size)):
         data = rr.add_noise(p, xi, seed, rep)
         path = rr.spectral_path(setup.dec, data.g, grid)
         inf, sigma2 = setup.influence, data.sigma ** 2
@@ -339,13 +355,12 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
             "qoc": partial(rules_mod.qoc, path),
         }
         errors = np.array([rel_error(f, p.f_true) for f in path.solutions])
-        for rule in RULE_NAMES:
-            idx, flags = _path_selection(grid, select[rule])
-            entry = rows[rule]
-            assert (entry.replicate, entry.alpha, entry.flags) == (rep, grid[idx], flags), rule
-            assert entry.rel_error == pytest.approx(errors[idx], rel=1e-12)
-            seen.update((rule, f) for f in flags)
-        assert eps_o == pytest.approx(errors.min(), rel=1e-12)
+        for r, rule in enumerate(RULE_NAMES):
+            idx, rule_flags = _path_selection(grid, select[rule])
+            assert (alphas[r, i], flags[r][i]) == (grid[idx], rule_flags), (rule, rep)
+            assert errs[r, i] == pytest.approx(errors[idx], rel=1e-12)
+            seen.update((rule, f) for f in rule_flags)
+        assert eps_o[i] == pytest.approx(errors.min(), rel=1e-12)
     return seen
 
 
@@ -381,6 +396,41 @@ def test_block_rows_do_not_depend_on_worker_count(tmp_path):
         outputs.append({os.path.basename(f): open(f, "rb").read() for f in files})
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0]) == 4
+
+
+def _flag_tuples(flags) -> bool:
+    return isinstance(flags, tuple) and all(
+        isinstance(f, tuple) and all(isinstance(name, str) for name in f) for f in flags)
+
+
+def test_pool_reports_match_the_serial_run_and_their_statistics():
+    """A real three-worker pool on uneven chunks (4 + 4 + 2 replicates), where
+    rules fall back: every report's summary, its five statistics from one call
+    per cell, and its entries equal the serial run's and each report's own
+    numpy statistics.  A chunk returns columns, no per-replicate objects."""
+    cfg = StudyConfig(problems=[("shaw", None), ("heat", 1)], xis=[0.0, -10.0], n=32,
+                      rules=list(RULE_NAMES), replicates=10, seed=3, grid_points=80)
+    pooled, serial = run_study(cfg, workers=3), run_study(cfg, workers=1)
+    assert len(pooled) == len(serial) == 2 * 2 * len(RULE_NAMES)
+    for report, alone in zip(pooled, serial):
+        eff = report.efficiencies
+        own = (np.median(eff), np.percentile(eff, 25), np.percentile(eff, 75), np.min(eff),
+               np.max(eff))
+        assert [report.summary()[key] for key in bench._STATISTICS] == [float(x) for x in own]
+        assert report.summary() == alone.summary()
+        assert report.entries == alone.entries
+        assert [e.replicate for e in report.entries] == list(range(cfg.replicates))
+        assert np.array_equal(eff, [e.efficiency for e in report.entries])
+    for lo, hi in ((0, 4), (8, 10)):
+        part = bench._run_chunk(cfg, ("shaw", None, lo, hi))
+        assert b"ReplicateEntry" not in pickle.dumps(part)
+        for eps_o, alphas, errs, flags in part:
+            assert all(type(x) is np.ndarray for x in (eps_o, alphas, errs))
+            assert eps_o.shape == (hi - lo,) and alphas.shape == errs.shape == \
+                (len(RULE_NAMES), hi - lo)
+            assert isinstance(flags, tuple) and len(flags) == len(RULE_NAMES)
+            assert all(_flag_tuples(rule_flags) and len(rule_flags) == hi - lo
+                       for rule_flags in flags)
 
 
 @pytest.mark.parametrize("config", [
@@ -456,13 +506,22 @@ def test_study_efficiencies_and_selections(problem, half, xi, points, replicates
 
 class TestBlasThreadCap:
     def test_missing_library_or_symbol_is_a_no_op(self):
+        # the lookup is cached: cleared before each case, so that the case's
+        # patches are read, and after it, so that the real library is found again
+        lookup = bench.bundled_openblas
         for found in ([], ["/nonexistent/libscipy_openblas64_.so"], [None]):
-            with mock.patch.object(glob, "glob", return_value=found):
-                if found == [None]:  # a loaded library without the setter
-                    with mock.patch.object(ctypes, "CDLL", return_value=object()):
+            lookup.cache_clear()
+            try:
+                with mock.patch.object(glob, "glob", return_value=found) as globbed:
+                    if found == [None]:  # a loaded library without the setter
+                        with mock.patch.object(ctypes, "CDLL", return_value=object()):
+                            bench._cap_blas_threads(1)
+                    else:
                         bench._cap_blas_threads(1)
-                else:
-                    bench._cap_blas_threads(1)
+                        assert lookup() is None
+                assert globbed.call_count == 1
+            finally:
+                lookup.cache_clear()
 
     def test_caps_threads_in_a_worker(self):
         libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",

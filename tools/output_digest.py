@@ -39,7 +39,10 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   20 dB, 20 replicates, every rule) at 1 and 2 workers, of the same problems
   at 0 and -10 dB (10 replicates, so three workers get uneven chunks) at 1 and
   3 workers, where rules fall back, and of paralleltomo n = 8 (10, 20 and
-  40 dB, 6 replicates, 8 probes).
+  40 dB, 6 replicates, 8 probes), and every ``summary()`` of the two dense
+  configs' reports (``run_study`` in this process at each of their worker
+  counts) at full precision: median, quartiles, min, max and median oracle
+  error, of which ``summary.csv`` holds only some, to 12 digits.
 
 Usage, once per tree, then diff the two outputs:
 
@@ -246,6 +249,11 @@ def main() -> None:
                         digest.update(fh.read())
                 print(f"study {label} workers={workers} {code} {len(files)} "
                       f"{digest.hexdigest()} {json.dumps(err)}")
+                if label.startswith("dense"):
+                    for report in bench.run_study(bench.StudyConfig.from_json(json.dumps(doc)),
+                                                  workers):
+                        print(f"summary {label} workers={workers} " + " ".join(
+                            f"{key}={value!r}" for key, value in report.summary().items()))
 
 
 if __name__ == "__main__":
