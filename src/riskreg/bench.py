@@ -6,9 +6,11 @@ that path, so each efficiency lies in (0, 1] by construction.  A worker
 draws each of its replicates' noise once and evaluates the replicates of a
 cell as one block: paths, errors, ``bp`` and ``qoc`` on cache-sized stacks of
 replicates, then the rules that read only norms on the grid for the whole
-block at once, all through ``RULES[rule]``, each row as its replicate
-alone would select.  A block returns its cell as columns, which the study
-joins, and each cell's summary statistics come from one call per statistic.
+block at once, all through ``RULES[rule]`` on a ``PathBlock`` at the cell's
+one noise level, each row as its replicate alone would select; a rule's flag
+masks become one flag tuple per replicate (``rules.flag_rows``).  A block
+returns its cell as columns, which the study joins, and each cell's summary
+statistics come from one call per statistic.
 All randomness is keyed by (seed, replicate), which makes the output
 independent of worker count and scheduling.
 """
@@ -30,13 +32,12 @@ from .errors import DegenerateDataError
 from .linop import bundled_openblas, largest_eigenvalue, svd
 from .problems import (_DEFAULT_VARIANTS, _count, check_problem, make_problem, sigma_for_snr,
                        unit_noise)
-from .tikhonov import (InfluencePath, SolutionPath, filtered_path, filtered_paths,
-                       influence_path_exact, influence_path_stochastic, iterative_path,
-                       spectral_filters)
+from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR
+from .tikhonov import (InfluencePath, SolutionPath, filtered_paths, influence_path_exact,
+                       influence_path_stochastic, iterative_path, spectral_filters,
+                       spectral_path)
 
 DEFAULT_GRID_POINTS = 200
-GRID_MIN_FACTOR = 1e-12   # of s1^2
-GRID_MAX_FACTOR = 0.5     # of s1^2
 MATRIX_FREE_GRID_POINTS = 100
 MATRIX_FREE_RANGE = (1e-8, 1e-2)   # of s1^2 / 2
 DEFAULT_PROBES = 32
@@ -148,7 +149,7 @@ class OperatorSetup:
     def path(self, g, keep_solutions: bool = True) -> SolutionPath:
         if self.matrix_free:
             return iterative_path(self.A, g, self.grid.values)
-        return filtered_path(self.dec, g, self.grid.values, self.filters, keep_solutions)
+        return spectral_path(self.dec, g, self.grid.values, keep_solutions)
 
     def paths(self, G):
         """The paths of the rows of G as ``filtered_paths``' stacks: solutions,
@@ -277,8 +278,8 @@ class StudyConfig:
     grid_min: Optional[float] = None
     grid_max: Optional[float] = None
     probes: int = DEFAULT_PROBES
-    bp_gamma: float = 0.25
-    bp_c: float = 1.5
+    bp_gamma: float = rules_mod.BP_GAMMA
+    bp_c: float = rules_mod.BP_C
     version: int = 1
 
     def __post_init__(self):
@@ -367,12 +368,11 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
     if noise is None:
         noise = _unit_noise_rows(problem, config.seed, replicates)
     sigma = sigma_for_snr(problem.g_true, xi)
-    sigmas, sigmas2 = np.full(reps, sigma), np.full(reps, sigma ** 2)
     norms, errors = np.empty((2, reps, grid.size)), np.empty((reps, grid.size))
     g_sq = np.empty(reps)
     f_norm = np.linalg.norm(problem.f_true)
     stacked = [rule for rule in config.rules if rule in rules_mod.NEEDS_SOLUTIONS]
-    picks = {rule: [] for rule in stacked}   # (grid indices, flags) per stack
+    picks = {rule: [] for rule in stacked}   # (grid indices, flag masks) per stack
     size = max(1, _STACK_ELEMENTS // (grid.size * problem.f_true.size))
     for lo in range(0, reps, size):
         part = slice(lo, lo + size)
@@ -383,18 +383,19 @@ def _evaluate_block(setup: OperatorSetup, problem, config: StudyConfig, xi: floa
         D *= D
         errors[part] = np.sqrt(np.add.reduce(D, axis=-1)) / f_norm
         stack = rules_mod.PathBlock(setup.influence, norms[0, part], norms[1, part], m,
-                                    g_sq[part], sigmas[part], sigmas2[part], F,
-                                    config.bp_gamma, config.bp_c)
+                                    g_sq[part], sigma, sigma ** 2, F, config.bp_gamma,
+                                    config.bp_c)
         for rule in stacked:
             picks[rule].append(rules_mod.RULES[rule](stack))
-    block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], m, g_sq, sigmas, sigmas2)
+    block = rules_mod.PathBlock(setup.influence, norms[0], norms[1], m, g_sq, sigma, sigma ** 2)
     for rule in config.rules:
         if rule not in picks:
             picks[rule] = [rules_mod.RULES[rule](block)]
     idx = np.array([np.concatenate([i for i, _ in picks[rule]]) for rule in config.rules])
+    flags = tuple(tuple(f for i, masks in picks[rule] for f in rules_mod.flag_rows(masks, i.size))
+                  for rule in config.rules)
     rows = np.arange(reps)
-    return (errors[rows, rules_mod.argmin_last(errors)], grid[idx], errors[rows, idx],
-            tuple(tuple(f for _, flags in picks[rule] for f in flags) for rule in config.rules))
+    return errors[rows, rules_mod.argmin_last(errors)], grid[idx], errors[rows, idx], flags
 
 
 def _run_chunk(config: StudyConfig, task) -> list[tuple]:

@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--matrix-free", action="store_true")
     sel.add_argument("--probes", type=int, default=bench.DEFAULT_PROBES)
     sel.add_argument("--seed", type=int, default=None)
-    sel.add_argument("--bp-gamma", type=_finite_float, default=0.25)
-    sel.add_argument("--bp-c", type=_finite_float, default=1.5)
+    sel.add_argument("--bp-gamma", type=_finite_float, default=rules.BP_GAMMA)
+    sel.add_argument("--bp-c", type=_finite_float, default=rules.BP_C)
     sel.set_defaults(run=_cmd_select)
 
     study = sub.add_parser("study", help="run a replicate study from a config file")
@@ -138,6 +138,16 @@ def _check_grid_flags(args) -> None:
     bench._check_grid(args.grid_min, args.grid_max, args.grid_points, _GRID_FLAGS)
 
 
+def _noise_level(noisy, sigma=None, sigma2=None):
+    """The noise level (sigma, sigma2) as given, else from the container, whose
+    sigma of 0 records none; None where neither gives it."""
+    if sigma is None and noisy is not None:
+        sigma = noisy.sigma or None
+    if sigma2 is None and sigma is not None:
+        sigma2 = sigma * sigma
+    return sigma, sigma2
+
+
 # Per rule, the noise input select needs ("sigma", "sigma2" or None) and the
 # rule's call on (setup, g, sigma, sigma2, args).  A call fetches only what its
 # rule reads, the measure or spectrum (``setup.source``) before the path, so a
@@ -167,14 +177,15 @@ def _cmd_select(args) -> int:
         raise ValueError(f"need at least one probe, got {args.probes}")
     _check_grid_flags(args)  # also for the rules that read no grid or bp setting
     rules.check_bp(args.bp_gamma, args.bp_c, keys=("--bp-gamma", "--bp-c"))
+    for flag, value in (("--sigma", args.sigma), ("--sigma2", args.sigma2)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value!r}")
     problem, noisy = _load_dataset(args.data)
     if noisy is None:
         _build_parser().error("container has no noisy data vector")
     g = noisy.g
     seed = _fallback_seed(args.seed)
-    sigma = args.sigma if args.sigma is not None else (noisy.sigma or None)
-    sigma2 = args.sigma2 if args.sigma2 is not None else (
-        None if sigma is None else sigma * sigma)
+    sigma, sigma2 = _noise_level(noisy, args.sigma, args.sigma2)
     noise, select = _SELECT[args.rule]
     if noise == "sigma" and sigma is None:
         _build_parser().error(f"{args.rule} needs --sigma")
@@ -208,15 +219,14 @@ def _cmd_curve(args) -> int:
         setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,
                                     hi=args.grid_max, keys=_GRID_FLAGS)
         dec, alphas = setup.dec, setup.grid.values
-        sigma2 = None if noisy is None else noisy.sigma ** 2
+        _, sigma2 = _noise_level(noisy)
 
-        if args.kind in ("predictive", "lower_bound"):
-            if problem.g_true is None:
-                raise DegenerateDataError("curve kind needs the exact data in the container")
-            if sigma2 is None:
-                raise DegenerateDataError("curve kind needs the noise level in the container")
+        if args.kind in ("predictive", "lower_bound") and problem.g_true is None:
+            raise DegenerateDataError("curve kind needs the exact data in the container")
         if args.kind in ("upre", "gcv", "lcurve") and noisy is None:
             raise DegenerateDataError("curve kind needs noisy data in the container")
+        if args.kind in ("predictive", "lower_bound", "upre") and sigma2 is None:
+            raise DegenerateDataError("curve kind needs the noise level in the container")
 
         if args.kind == "predictive":
             values = predictive_risk(dec, problem.g_true, sigma2, alphas)

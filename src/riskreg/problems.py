@@ -435,13 +435,16 @@ def _check_header(header) -> list:
     """The sections of a parsed container header, after checking that the
     header is an object, each section names a distinct known field with a
     shape of non-negative ints of that field's rank and order "C" or "F", and
-    the noise metadata is numeric and finite.  Anything else is a ValueError."""
+    the noise metadata is numeric and finite, with sigma nonnegative.  Anything
+    else is a ValueError."""
     if not isinstance(header, dict):
         raise ValueError("container header is not a JSON object")
     for key in _NOISE_KEYS:
         value = header.get(key, 0)
         if type(value) not in (int, float) or not math.isfinite(value):
             raise ValueError(f"container {key} must be a finite number, got {value!r}")
+    if header.get("sigma", 0) < 0:
+        raise ValueError(f"container sigma must be nonnegative, got {header['sigma']!r}")
     sections = header.get("sections")
     if not (isinstance(sections, list) and all(isinstance(s, dict) for s in sections)):
         raise ValueError("container sections must be a list of objects")

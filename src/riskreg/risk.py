@@ -22,6 +22,9 @@ from .linop import SpectralDecomposition
 from .tikhonov import InfluencePath, finite_data, influence_measure
 
 SEARCH_CAP = 0.5  # the minimizer is searched on [0, lam1 * SEARCH_CAP]
+# the default dense grid is [GRID_MIN_FACTOR, GRID_MAX_FACTOR] * s1^2, to that cap
+GRID_MIN_FACTOR = 1e-12
+GRID_MAX_FACTOR = SEARCH_CAP
 
 
 @dataclass

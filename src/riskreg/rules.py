@@ -14,12 +14,14 @@ point of the shared path, so their error can never beat the path oracle.
 
 The public functions select on one path; ``select`` calls them directly.
 ``RULES`` maps each rule name to its block form, which selects for a
-``PathBlock``, many replicates' paths on one grid at once, as the replicate
-harness does: ``pro``, ``ipro``, ``dp``, ``upre``, ``gcv`` and ``lc`` from
-residual and solution norms on the grid, ``bp`` and ``qoc``
-(``NEEDS_SOLUTIONS``) from the stacked solutions.  Each computes its objective
-and index row-wise, in one function that the single-path rule calls on its one
-row, so a block row selects what its path alone would.
+``PathBlock``, many replicates' paths on one grid and one noise level at once,
+as the replicate harness does: ``pro``, ``ipro``, ``dp``, ``upre``, ``gcv`` and
+``lc`` from residual and solution norms on the grid, ``bp`` and ``qoc``
+(``NEEDS_SOLUTIONS``) from the stacked solutions.  Each rule computes its
+objective, grid index and named flag masks row-wise, in one row function that
+the single-path rule calls on its one row; the single-path rule renders the
+masks as a list (``_on_grid``), the study as a tuple per row (``flag_rows``),
+so a block row selects and flags what its path alone would.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError
 from .problems import snr_db
-from .risk import SEARCH_CAP, lower_bound_T, minimize_T
+from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR, SEARCH_CAP, lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_measure
 
 # Relative residual below which the noise level is considered unidentifiable
@@ -42,6 +44,10 @@ RESIDUAL_FLOOR = 1e-14
 
 # Largest number of solution-difference entries ``bp`` holds at once.
 _BP_BLOCK_ELEMENTS = 1 << 15
+
+# bp's default settings: the subgrid's ratio and the constant of its threshold
+BP_GAMMA = 0.25
+BP_C = 1.5
 
 
 @dataclass
@@ -81,11 +87,18 @@ def nearest_index(alphas, alpha: float) -> int:
     return int(np.argmin(np.abs(np.log(alphas) - np.log(alpha))))
 
 
-def _on_grid(rule: str, alphas, idx: int, **diagnostics) -> RuleSelection:
-    """The selection of grid point ``idx``: its alpha and index, with no flags
-    unless ``diagnostics`` names some."""
-    return RuleSelection(rule=rule, alpha=float(alphas[idx]),
-                         diagnostics={"flags": [], **diagnostics, "grid_index": int(idx)})
+def _on_grid(rule: str, alphas, idx: int, masks: dict, **diagnostics) -> RuleSelection:
+    """The selection of grid point ``idx``: its alpha and index, flagged with
+    the names of the row function's ``masks`` that are set."""
+    return RuleSelection(rule=rule, alpha=float(alphas[idx]), diagnostics={
+        **diagnostics, "flags": [name for name, on in masks.items() if on],
+        "grid_index": int(idx)})
+
+
+def flag_rows(masks: dict, rows: int) -> list[tuple[str, ...]]:
+    """Per row of a block, the names of the row function's ``masks`` that are
+    set in that row, as a tuple."""
+    return [tuple(name for name, mask in masks.items() if mask[r]) for r in range(rows)]
 
 
 def _check_increasing(alphas) -> None:
@@ -101,11 +114,11 @@ def _column(x):
 
 
 def _grid_min_T(m: InfluencePath, rho2, sigma2):
-    """The lower bound on m's grid for each row of (rho2, sigma2), its argmin
-    and whether that is a grid edge."""
+    """For each row of (rho2, sigma2), the argmin of the lower bound on m's
+    grid, whether that is a grid edge, and the bound there."""
     values = lower_bound_T(_column(rho2), _column(sigma2), m)
     idx = argmin_last(values)
-    return values, idx, (idx == 0) | (idx == m.alphas.size - 1)
+    return idx, {"grid_edge": (idx == 0) | (idx == m.alphas.size - 1)}, values
 
 
 def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
@@ -119,9 +132,9 @@ def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
             "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
             "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
     _check_increasing(m.alphas)
-    values, idx, edge = _grid_min_T(m, rho2, sigma2)
-    return _on_grid("pro", m.alphas, idx, h=h, objective=float(values[idx]),
-                    objective_samples=values, flags=["grid_edge"] if edge else [])
+    idx, masks, values = _grid_min_T(m, rho2, sigma2)
+    return _on_grid("pro", m.alphas, idx, masks, h=h, objective=float(values[idx]),
+                    objective_samples=values)
 
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
@@ -138,6 +151,10 @@ def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSele
 def _signal_energy(g_sq, n: int, sigma2):
     """The estimate ||g||^2 - n sigma2 of the exact data energy, row-wise."""
     return g_sq - n * sigma2
+
+
+# pro's flags where it falls back to the largest alpha (no positive signal energy)
+_PRO_FALLBACK = ("degenerate_snr", "fallback_max_alpha")
 
 
 def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> RuleSelection:
@@ -158,8 +175,7 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
             _check_increasing(m.alphas)
             alpha = float(m.alphas[-1]) if m.alphas.size else SEARCH_CAP * m.lam1
             return RuleSelection(rule="pro", alpha=alpha, diagnostics={
-                "rho2_hat": rho2_hat, "sigma2_hat": sigma2,
-                "flags": ["degenerate_snr", "fallback_max_alpha"]})
+                "rho2_hat": rho2_hat, "sigma2_hat": sigma2, "flags": list(_PRO_FALLBACK)})
         raise DegenerateDataError(
             "estimated signal energy is nonpositive (data looks like pure noise)")
     return pro(source, rho2_hat, sigma2, n)
@@ -214,13 +230,17 @@ def _ipro_rows(alpha, g_sq, n: int, residual_sq, step, max_iter: int):
     return alpha, status, history
 
 
-def _grid_ipro(m: InfluencePath, residual_norms):
-    """``_ipro_rows``' residual and step on m's grid, the residuals read from
-    rows of path residual norms on that grid; every alpha is a grid point."""
+def _grid_ipro(m: InfluencePath, residual_norms, alpha_init: Optional[float] = None):
+    """ipro's start on m's grid, the point nearest to ``alpha_init`` or by
+    default the middle one, and ``_ipro_rows``' residual and step there, the
+    residuals read from rows of path residual norms on that grid; every alpha
+    is a grid point."""
     def residual_sq(rows, alpha):
         r = residual_norms[rows, m.alphas.searchsorted(alpha)]
         return r * r
-    return residual_sq, lambda rho2, sigma2: m.alphas[_grid_min_T(m, rho2, sigma2)[1]]
+    start = m.alphas.size // 2 if alpha_init is None else nearest_index(m.alphas, alpha_init)
+    return (m.alphas[start], residual_sq,
+            lambda rho2, sigma2: m.alphas[_grid_min_T(m, rho2, sigma2)[0]])
 
 
 def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX_ITER,
@@ -252,9 +272,7 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
             raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
-        alpha_init = m.alphas[len(m.alphas) // 2 if alpha_init is None
-                              else nearest_index(m.alphas, alpha_init)]
-        residual_sq, step = _grid_ipro(m, path.residual_norms[None])
+        alpha_init, residual_sq, step = _grid_ipro(m, path.residual_norms[None], alpha_init)
     else:
         c = source.U.T @ g
         c_sq, s2 = c * c, source.s * source.s
@@ -263,14 +281,14 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
         perp_sq = float(perp @ perp)
         if alpha_init is None:
             try:
-                s1_sq = float(source.s[0]) ** 2
-                alpha_init = np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
+                s1_sq = float(source.s[0]) ** 2   # the default grid's geometric middle
+                alpha_init = np.sqrt((GRID_MIN_FACTOR * s1_sq) * (GRID_MAX_FACTOR * s1_sq))
             except OverflowError:  # s1^2 itself is beyond the float range
                 alpha_init = np.inf
             if not np.isfinite(alpha_init):
                 raise DegenerateDataError(
-                    f"the default start sqrt(1e-12 s1^2 * 0.5 s1^2) overflows at "
-                    f"s1 = {source.s[0]:.3g}; pass alpha_init")
+                    f"the default start sqrt({GRID_MIN_FACTOR:g} s1^2 * {GRID_MAX_FACTOR:g} "
+                    f"s1^2) overflows at s1 = {source.s[0]:.3g}; pass alpha_init")
         m = influence_measure(source)  # after the check: an overflowed s1^2 is no measure
 
         def residual_sq(rows, alpha):
@@ -303,13 +321,14 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
         "grid_index": int(m.alphas.searchsorted(trail[-1])) if m.alphas.size else None})
 
 
-def _dp_rows(residual_norms, data_size: int, sigma):
-    """Per row, the target sqrt(n) sigma, the first grid index whose residual
-    reaches it, whether none does and whether the first grid point does."""
+def _dp_rows(residual_norms, data_size: int, sigma: float):
+    """Per row, the first grid index whose residual reaches the target
+    sqrt(n) sigma, or the last where none does, with the flags; and the target."""
     target = np.sqrt(data_size) * sigma
-    reached = residual_norms >= _column(target)
+    reached = residual_norms >= target
     j, saturated = reached.argmax(axis=-1), ~reached.any(axis=-1)
-    return target, j, saturated, ~saturated & (j == 0)
+    return (np.where(saturated, residual_norms.shape[-1] - 1, j),
+            {"saturated_max": saturated, "at_grid_min": ~saturated & (j == 0)}, target)
 
 
 def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
@@ -322,17 +341,10 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be nonnegative and finite")
     _check_increasing(path.alphas)
-    target, j, saturated, at_grid_min = _dp_rows(path.residual_norms, path.data_size, sigma)
-    if saturated:
-        return _on_grid("dp", path.alphas, len(path) - 1, target=target,
-                        flags=["saturated_max"])
-    flags = []
-    j = int(j)
-    alpha = float(path.alphas[j])
-    if at_grid_min:
-        flags.append("at_grid_min")
-    elif refine and path.solve is not None:
-        lo, hi = float(path.alphas[j - 1]), alpha
+    idx, masks, target = _dp_rows(path.residual_norms, path.data_size, sigma)
+    sel = _on_grid("dp", path.alphas, idx, masks, target=target)
+    if refine and path.solve is not None and not sel.diagnostics["flags"]:
+        lo, hi = float(path.alphas[idx - 1]), sel.alpha
         for _ in range(80):
             if (hi - lo) <= 1e-6 * hi:
                 break
@@ -343,15 +355,15 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
                 hi = mid
             else:
                 lo = mid
-        alpha = hi
-    return RuleSelection(rule="dp", alpha=alpha,
-                         diagnostics={"target": target, "flags": flags, "grid_index": j})
+        sel.alpha = hi
+    return sel
 
 
-def _upre_rows(residual_norms, data_size: int, trace, sigma2):
-    """Per row, upre's objective on the grid and its argmin."""
-    values = residual_norms ** 2 - 2.0 * _column(sigma2) * (data_size - trace)
-    return values, argmin_last(values)
+def _upre_rows(residual_norms, data_size: int, trace, sigma2: float):
+    """Per row, the argmin of upre's objective on the grid, no flags, and the
+    objective."""
+    values = residual_norms ** 2 - 2.0 * sigma2 * (data_size - trace)
+    return argmin_last(values), {}, values
 
 
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
@@ -359,22 +371,23 @@ def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     if not 0 <= sigma2 < np.inf:
         raise ValueError("sigma2 must be nonnegative and finite")
     tr = influence_measure(trace_source, path.alphas).trace
-    values, idx = _upre_rows(path.residual_norms, path.data_size, tr, sigma2)
-    return _on_grid("upre", path.alphas, idx, objective_samples=values)
+    idx, masks, values = _upre_rows(path.residual_norms, path.data_size, tr, sigma2)
+    return _on_grid("upre", path.alphas, idx, masks, objective_samples=values)
 
 
 def _gcv_rows(residual_norms, data_size: int, trace):
-    """Per row, gcv's objective on the grid and its argmin."""
+    """Per row, the argmin of gcv's objective on the grid, no flags, and the
+    objective."""
     denom = (data_size - trace) ** 2
     values = residual_norms ** 2 / np.maximum(denom, np.finfo(float).tiny)
-    return values, argmin_last(values)
+    return argmin_last(values), {}, values
 
 
 def gcv(path: SolutionPath, trace_source) -> RuleSelection:
     """Generalized cross validation: ||r||^2 / tr(I - X_a)^2, on the grid."""
     tr = influence_measure(trace_source, path.alphas).trace
-    values, idx = _gcv_rows(path.residual_norms, path.data_size, tr)
-    return _on_grid("gcv", path.alphas, idx, objective_samples=values)
+    idx, masks, values = _gcv_rows(path.residual_norms, path.data_size, tr)
+    return _on_grid("gcv", path.alphas, idx, masks, objective_samples=values)
 
 
 def check_bp(gamma: float, c: float, sigma: float = 0.0, keys=("gamma", "c")) -> None:
@@ -388,8 +401,8 @@ def check_bp(gamma: float, c: float, sigma: float = 0.0, keys=("gamma", "c")) ->
         raise ValueError("sigma must be nonnegative and finite")
 
 
-def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
-       c: float = 1.5) -> RuleSelection:
+def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = BP_GAMMA,
+       c: float = BP_C) -> RuleSelection:
     """Balancing principle over a geometrically thinned subgrid.
 
     Walking up from the smallest alpha, an alpha stays admissible while its
@@ -404,15 +417,14 @@ def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = 0.25,
     check_bp(gamma, c, sigma)
     _check_increasing(path.alphas)
     namp = influence_measure(noise_source, path.alphas).noise_amp
-    chosen, sub = _bp_rows(path.alphas, path.solutions[None], np.array([sigma]), namp, gamma, c)
-    flags = ["at_grid_min"] if chosen[0] == sub[0] else []
-    return _on_grid("bp", path.alphas, chosen[0], flags=flags, subgrid=sub, gamma=gamma, c=c)
+    idx, masks, sub = _bp_rows(path.alphas, path.solutions[None], sigma, namp, gamma, c)
+    return _on_grid("bp", path.alphas, idx[0], masks, subgrid=sub, gamma=gamma, c=c)
 
 
-def _bp_rows(alphas, solutions, sigma, namp, gamma: float, c: float):
+def _bp_rows(alphas, solutions, sigma: float, namp, gamma: float, c: float):
     """bp on a stack of solution paths on the grid ``alphas``, one per row, with
-    noise levels ``sigma`` per row and noise amplification ``namp`` on the
-    grid: per row the chosen grid index, and the ascending subgrid indices.
+    noise level ``sigma`` and noise amplification ``namp`` on the grid: per row
+    the chosen grid index and the flags, and the ascending subgrid indices.
 
     The distances ||F_i - F_pos|| of the subgrid pairs i < pos are formed in
     order of pos, a block of rows and pairs at a time, each block at most
@@ -422,7 +434,7 @@ def _bp_rows(alphas, solutions, sigma, namp, gamma: float, c: float):
     ratio = alphas[1] / alphas[0] if alphas.size > 1 else np.e
     step = max(1, int(round(np.log(1.0 / gamma) / np.log(ratio))))
     sub = np.arange(alphas.size - 1, -1, -step)[::-1]   # ascending subgrid indices
-    thresholds = c * _column(sigma) * np.sqrt(namp[sub])
+    thresholds = c * sigma * np.sqrt(namp[sub])
     F = solutions[:, sub]
     pos = np.repeat(np.arange(sub.size), np.arange(sub.size))
     i = np.arange(pos.size) - pos * (pos - 1) // 2
@@ -436,14 +448,15 @@ def _bp_rows(alphas, solutions, sigma, namp, gamma: float, c: float):
         D -= F.take(pos[lo:hi], axis=1)
         D *= D
         dist = np.sqrt(np.add.reduce(D, axis=-1))
-        violated = dist > thresholds.take(i[lo:hi], axis=1)
+        violated = dist > thresholds[i[lo:hi]]
         first = np.where(violated, pos[lo:hi], sub.size).min(axis=-1)
         bad = first < sub.size
         if bad.any():
             first_bad[scanned[bad]] = first[bad]
-            F, thresholds, scanned = F[~bad], thresholds[~bad], scanned[~bad]
+            F, scanned = F[~bad], scanned[~bad]
         lo = hi
-    return sub[first_bad - 1], sub
+    chosen = first_bad - 1
+    return sub[chosen], {"at_grid_min": chosen == 0}, sub
 
 
 def _gradient(f, dt):
@@ -456,8 +469,8 @@ def _gradient(f, dt):
 
 
 def _lc_rows(alphas, residual_norms, solution_norms):
-    """Per row, the L-curve's curvature on the grid, its interior argmax and
-    whether that is next to a grid edge."""
+    """Per row, the interior argmax of the L-curve's curvature on the grid, the
+    flag of one next to a grid edge, and the curvature."""
     if alphas.size < 5:
         raise ValueError("lc needs at least five grid points")
     t = np.log(alphas)
@@ -470,16 +483,15 @@ def _lc_rows(alphas, residual_norms, solution_norms):
     denom = np.maximum((xp * xp + yp * yp) ** 1.5, tiny)
     kappa = (xp * ypp - yp * xpp) / denom
     idx = 1 + argmin_last(-kappa[..., 1:-1])
-    return kappa, idx, (idx == 1) | (idx == alphas.size - 2)
+    return idx, {"curvature_at_boundary": (idx == 1) | (idx == alphas.size - 2)}, kappa
 
 
 def lc(path: SolutionPath) -> RuleSelection:
     """L-curve corner: maximal curvature of (log ||r||, log ||f||) against log alpha,
     via central differences on the grid."""
     _check_increasing(path.alphas)
-    kappa, idx, at_boundary = _lc_rows(path.alphas, path.residual_norms, path.solution_norms)
-    return _on_grid("lc", path.alphas, idx, curvature=kappa,
-                    flags=["curvature_at_boundary"] if at_boundary else [])
+    idx, masks, kappa = _lc_rows(path.alphas, path.residual_norms, path.solution_norms)
+    return _on_grid("lc", path.alphas, idx, masks, curvature=kappa)
 
 
 def qoc(path: SolutionPath) -> RuleSelection:
@@ -489,106 +501,82 @@ def qoc(path: SolutionPath) -> RuleSelection:
     if len(path) < 2:
         raise ValueError("qoc needs at least two grid points")
     _check_increasing(path.alphas)
-    diffs, idx = _qoc_rows(path.solutions[None])
-    return _on_grid("qoc", path.alphas, idx[0], differences=diffs[0])
+    idx, masks, diffs = _qoc_rows(path.solutions[None])
+    return _on_grid("qoc", path.alphas, idx[0], masks, differences=diffs[0])
 
 
 def _qoc_rows(solutions):
-    """Per row of a stack of solution paths, the norms of consecutive solution
-    differences and their argmin."""
+    """Per row of a stack of solution paths, the argmin of the norms of
+    consecutive solution differences, no flags, and the norms."""
     D = solutions[..., 1:, :] - solutions[..., :-1, :]    # np.diff's arithmetic
     D *= D
     diffs = np.sqrt(np.add.reduce(D, axis=-1))
-    return diffs, argmin_last(diffs)
+    return argmin_last(diffs), {}, diffs
 
 
 @dataclass
 class PathBlock:
-    """Grid-mode inputs of many data vectors on one grid, one row each: the
-    residual and solution norms of its path on the grid of the influence path
-    ``source``, ||g||^2, sigma and sigma2; for the rules that read them
-    (``NEEDS_SOLUTIONS``), the stacked solutions along the paths and
-    bp's settings."""
+    """Grid-mode inputs of many data vectors on one grid and at one noise
+    level, one row each: the residual and solution norms of its path on the
+    grid of the influence path ``source``, ||g||^2, and the noise level sigma
+    and its square sigma2; for the rules that read them (``NEEDS_SOLUTIONS``),
+    the stacked solutions along the paths and bp's settings."""
 
     source: InfluencePath
     residual_norms: np.ndarray
     solution_norms: np.ndarray
     data_size: int
     g_sq: np.ndarray
-    sigma: np.ndarray
-    sigma2: np.ndarray
+    sigma: float
+    sigma2: float
     solutions: Optional[np.ndarray] = None
-    bp_gamma: float = 0.25
-    bp_c: float = 1.5
-
-
-def _flag_rows(**masks) -> list[tuple[str, ...]]:
-    """Per row, the names whose mask is set in that row."""
-    return [tuple(name for name, on in zip(masks, row) if on) for row in zip(*masks.values())]
+    bp_gamma: float = BP_GAMMA
+    bp_c: float = BP_C
 
 
 def _pro_block(b: PathBlock):
     # pro_estimated with on_degenerate="max_alpha"
     rho2 = _signal_energy(b.g_sq, b.data_size, b.sigma2)
     ok = rho2 > 0
-    idx, edge = np.full(ok.size, b.source.alphas.size - 1), np.zeros(ok.size, dtype=bool)
+    idx, masks = np.full(ok.size, b.source.alphas.size - 1), dict.fromkeys(_PRO_FALLBACK, ~ok)
     if ok.any():
-        _, idx[ok], edge[ok] = _grid_min_T(b.source, rho2[ok], b.sigma2[ok])
-    return idx, _flag_rows(degenerate_snr=~ok, fallback_max_alpha=~ok, grid_edge=edge)
+        idx[ok], found, _ = _grid_min_T(b.source, rho2[ok], b.sigma2)
+        for name, mask in found.items():
+            masks[name] = np.zeros_like(ok)
+            masks[name][ok] = mask
+    return idx, masks
 
 
 def _ipro_block(b: PathBlock):
     # a row ipro raises on takes the largest alpha if the data is degenerate,
     # its last iterate if it did not settle
     m = b.source
-    alpha, status, _ = _ipro_rows(np.full(b.g_sq.size, m.alphas[m.alphas.size // 2]), b.g_sq,
-                                   b.data_size, *_grid_ipro(m, b.residual_norms), IPRO_MAX_ITER)
+    start, residual_sq, step = _grid_ipro(m, b.residual_norms)
+    alpha, status, _ = _ipro_rows(np.full(b.g_sq.size, start), b.g_sq, b.data_size,
+                                   residual_sq, step, IPRO_MAX_ITER)
     degenerate = status >= _AT_FLOOR
     idx = np.where(degenerate, m.alphas.size - 1, m.alphas.searchsorted(alpha))
-    return idx, _flag_rows(degenerate=degenerate, no_convergence=status == _UNSETTLED)
-
-
-def _dp_block(b: PathBlock):
-    # dp with refine=False
-    _, j, saturated, at_grid_min = _dp_rows(b.residual_norms, b.data_size, b.sigma)
-    return (np.where(saturated, b.source.alphas.size - 1, j),
-            _flag_rows(saturated_max=saturated, at_grid_min=at_grid_min))
-
-
-def _upre_block(b: PathBlock):
-    _, idx = _upre_rows(b.residual_norms, b.data_size, b.source.trace, b.sigma2)
-    return idx, [()] * idx.size
-
-
-def _gcv_block(b: PathBlock):
-    _, idx = _gcv_rows(b.residual_norms, b.data_size, b.source.trace)
-    return idx, [()] * idx.size
-
-
-def _lc_block(b: PathBlock):
-    _, idx, at_boundary = _lc_rows(b.source.alphas, b.residual_norms, b.solution_norms)
-    return idx, _flag_rows(curvature_at_boundary=at_boundary)
-
-
-def _bp_block(b: PathBlock):
-    idx, sub = _bp_rows(b.source.alphas, b.solutions, b.sigma, b.source.noise_amp, b.bp_gamma,
-                        b.bp_c)
-    return idx, _flag_rows(at_grid_min=idx == sub[0])
-
-
-def _qoc_block(b: PathBlock):
-    _, idx = _qoc_rows(b.solutions)
-    return idx, [()] * idx.size
+    return idx, {"degenerate": degenerate, "no_convergence": status == _UNSETTLED}
 
 
 # Each rule's block form selects for every row of a ``PathBlock`` at once and
-# gives the grid indices and flags the replicate study records: those of the
-# single-path rule in grid mode (of ``pro_estimated`` with
-# ``on_degenerate="max_alpha"`` and ``dp`` with ``refine=False``), and for a row
-# the single-path rule raises on, the largest alpha flagged ``degenerate`` or
-# the last iterate flagged ``no_convergence``.  The rules of ``NEEDS_SOLUTIONS``
-# read the block's solutions, the others only norms on the grid.
-RULES = {"pro": _pro_block, "ipro": _ipro_block, "dp": _dp_block, "upre": _upre_block,
-         "bp": _bp_block, "gcv": _gcv_block, "lc": _lc_block, "qoc": _qoc_block}
+# gives the grid indices and the named flag masks the replicate study records
+# (``flag_rows``): those of the single-path rule in grid mode (of
+# ``pro_estimated`` with ``on_degenerate="max_alpha"`` and ``dp`` with
+# ``refine=False``), and for a row the single-path rule raises on, the largest
+# alpha flagged ``degenerate`` or the last iterate flagged ``no_convergence``.
+# The rules of ``NEEDS_SOLUTIONS`` read the block's solutions, the others only
+# norms on the grid.
+RULES = {
+    "pro": _pro_block,
+    "ipro": _ipro_block,
+    "dp": lambda b: _dp_rows(b.residual_norms, b.data_size, b.sigma)[:2],
+    "upre": lambda b: _upre_rows(b.residual_norms, b.data_size, b.source.trace, b.sigma2)[:2],
+    "bp": lambda b: _bp_rows(b.source.alphas, b.solutions, b.sigma, b.source.noise_amp,
+                             b.bp_gamma, b.bp_c)[:2],
+    "gcv": lambda b: _gcv_rows(b.residual_norms, b.data_size, b.source.trace)[:2],
+    "lc": lambda b: _lc_rows(b.source.alphas, b.residual_norms, b.solution_norms)[:2],
+    "qoc": lambda b: _qoc_rows(b.solutions)[:2],
+}
 RULE_NAMES = tuple(RULES)
 NEEDS_SOLUTIONS = frozenset({"bp", "qoc"})

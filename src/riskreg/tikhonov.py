@@ -492,15 +492,9 @@ def spectral_filters(s, alphas) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_path(dec: SpectralDecomposition, g, alphas,
                   keep_solutions: bool = True) -> SolutionPath:
-    """Evaluate the whole Tikhonov path at once through the SVD filter."""
-    return filtered_path(dec, g, alphas, spectral_filters(dec.s, alphas), keep_solutions)
-
-
-def filtered_path(dec: SpectralDecomposition, g, alphas, filters,
-                  keep_solutions: bool = True) -> SolutionPath:
-    """``spectral_path`` with the ``spectral_filters`` of its grid given, so that
-    paths of many data vectors on one grid share them; ``filtered_paths`` on
-    the one-row stack of g."""
+    """Evaluate the whole Tikhonov path at once through the SVD filter: the
+    one-row stack of g through ``filtered_paths`` with ``spectral_filters``."""
+    filters = spectral_filters(dec.s, alphas)
     g = np.asarray(g, dtype=float)
     F, residual_norms, solution_norms = filtered_paths(dec, g[None], filters, keep_solutions)
     return SolutionPath(alphas=np.asarray(alphas, dtype=float), residual_norms=residual_norms[0],

@@ -319,12 +319,12 @@ def _path_selection(grid, select):
             tuple(sel.diagnostics["flags"]))
 
 
-def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set:
+def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> dict:
     """Evaluates replicates [first, first + size) of a cell as the study's block
     and each on its own path, through the public rules, with ``pro_estimated``'s
     ``max_alpha`` fallback and ``dp`` without refinement; asserts that every
-    rule picks the same grid point with the same flags, and returns the flags
-    seen."""
+    rule picks the same grid point with the same flags, and returns the
+    replicates flagged, by (rule, flag)."""
     p = rr.make_problem(*problem, n)
     s1_sq = float(rr.svd(p.A).s[0]) ** 2
     lo, hi = _SPANS[span]
@@ -338,7 +338,7 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
     # below; row r is rule RULE_NAMES[r]
     assert eps_o.shape == (size,) and alphas.shape == errs.shape == (len(RULE_NAMES), size)
     assert [len(f) for f in flags] == [size] * len(RULE_NAMES)
-    seen = set()
+    seen = {}
     for i, rep in enumerate(range(first, first + size)):
         data = rr.add_noise(p, xi, seed, rep)
         path = rr.spectral_path(setup.dec, data.g, grid)
@@ -359,7 +359,8 @@ def _block_against_paths(problem, n, xi, first, size, seed, points, span) -> set
             idx, rule_flags = _path_selection(grid, select[rule])
             assert (alphas[r, i], flags[r][i]) == (grid[idx], rule_flags), (rule, rep)
             assert errs[r, i] == pytest.approx(errors[idx], rel=1e-12)
-            seen.update((rule, f) for f in rule_flags)
+            for f in rule_flags:
+                seen.setdefault((rule, f), []).append(rep)
         assert eps_o[i] == pytest.approx(errors.min(), rel=1e-12)
     return seen
 
@@ -375,15 +376,26 @@ def test_block_selects_as_each_path(problem, n, xi, first, size, seed, points, s
     _block_against_paths(problem, n, xi, first, size, seed, points, span)
 
 
+# flag: a rule, a flag it raises and the replicates of the case it flags
 @pytest.mark.parametrize("case,flag", [
-    ((("shaw", None), 16, -20.0, 0, 7, 0, 200, "default"), ("pro", "fallback_max_alpha")),
-    ((("heat", 5), 16, 10.0, 0, 3, 3, 40, "deep"), ("ipro", "degenerate")),
-    ((("i_laplace", 1), 16, -10.0, 0, 2, 0, 1000, "wide"), ("ipro", "no_convergence")),
+    ((("shaw", None), 16, -20.0, 0, 7, 0, 200, "default"),
+     ("pro", "fallback_max_alpha", [2, 4, 5, 6])),
+    ((("heat", 5), 16, 10.0, 0, 3, 3, 40, "deep"), ("ipro", "degenerate", [0, 1, 2])),
+    ((("i_laplace", 1), 16, -10.0, 0, 2, 0, 1000, "wide"), ("ipro", "no_convergence", [1])),
+    ((("baart", None), 16, -10.0, 2, 3, 7, 200, "deep"), ("pro", "degenerate_snr", [4])),
+    ((("phillips", None), 16, 0.0, 2, 3, 7, 200, "default"), ("pro", "grid_edge", [4])),
+    ((("deriv2", None), 16, -10.0, 2, 3, 7, 200, "default"), ("dp", "saturated_max", [2, 4])),
+    ((("foxgood", None), 16, -10.0, 2, 3, 7, 200, "wide"), ("dp", "at_grid_min", [3])),
+    ((("i_laplace", 3), 16, 20.0, 2, 3, 7, 200, "wide"), ("bp", "at_grid_min", [2])),
+    ((("phillips", None), 16, 40.0, 2, 3, 7, 37, "wide"),
+     ("lc", "curvature_at_boundary", [2, 3, 4])),
 ])
 def test_block_reaches_the_fallback_rows(case, flag):
-    """Blocks that reach each row the study makes of a rule that falls back or
-    raises select as their paths do."""
-    assert flag in _block_against_paths(*case)
+    """Blocks that reach each flag the study records, of a rule that falls
+    back, raises or flags its selection, select and flag as their paths do,
+    and raise it on exactly the pinned replicates."""
+    rule, name, replicates = flag
+    assert _block_against_paths(*case).get((rule, name)) == replicates
 
 
 def test_block_rows_do_not_depend_on_worker_count(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -426,6 +427,59 @@ _MALFORMED = [
      for damage in ("header_list", "sections_int", "section_str", "shape_int",
                     "order_int", "sigma_str", "array_outside_sections",
                     "vectors_mismatch")]
+
+
+@pytest.fixture(scope="module")
+def noise_containers(tmp_path_factory):
+    """shaw n = 16 at 20 dB (noise seed 1, replicate 0) saved with its noise
+    level sigma, with -sigma and with none (sigma 0): the paths by label, and
+    sigma."""
+    p = rr.make_problem("shaw", None, 16)
+    data = rr.add_noise(p, 20.0, seed=1, replicate=0)
+    out = tmp_path_factory.mktemp("noise")
+    paths = {}
+    for label, sigma in (("sigma", data.sigma), ("negative", -data.sigma), ("none", 0.0)):
+        paths[label] = out / f"{label}.rr"
+        save_container(paths[label], problem=p, noisy=dataclasses.replace(data, sigma=sigma))
+    return paths, data.sigma
+
+
+class TestNoiseLevel:
+    """select and curve read the noise level alike: a negative one is a usage
+    error, from a flag before the container is read, and a container's sigma
+    of 0 records none."""
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--sigma2"])
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_negative_flag_exits_2(self, noise_containers, tmp_path, capsys, rule, flag):
+        paths, sigma = noise_containers
+        for data in (paths["sigma"], tmp_path / "missing.rr"):
+            assert main(["select", "--data", str(data), "--rule", rule, flag,
+                         repr(-sigma)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be nonnegative, got {-sigma!r}\n"
+
+    @pytest.mark.parametrize("command,name", [("select", rule) for rule in RULE_NAMES]
+                             + [("curve", kind) for kind in ("lower_bound", "predictive",
+                                                             "upre", "gcv", "lcurve")])
+    def test_negative_container_sigma_exits_2(self, noise_containers, capsys, command, name):
+        paths, sigma = noise_containers
+        flag = "--rule" if command == "select" else "--kind"
+        assert main([command, "--data", str(paths["negative"]), flag, name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: container sigma must be nonnegative, got {-sigma!r}\n"
+
+    @pytest.mark.parametrize("kind", ["lower_bound", "predictive", "upre"])
+    def test_curve_without_noise_level_exits_3(self, noise_containers, tmp_path, capsys, kind):
+        paths, _ = noise_containers
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--data", str(paths["none"]), "--kind", kind,
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: curve kind needs the noise level in the container\n"
 
 
 def _edit_section(header, i, **fields):

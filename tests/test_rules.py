@@ -511,23 +511,24 @@ def test_bp_blocks_match_row_loop(seed, points, n, log_gamma, c, sigma, level, b
     # thresholds around `level` times the path's overall spread
     spread = np.linalg.norm(path.solutions[-1] - path.solutions[0])
     namp = (level * spread / max(c * sigma, 1e-3)) ** 2 * rng.uniform(0.1, 1.0, points)
-    # the stack: this path, then paths of other data with noise levels around sigma
+    # the stack: this path, then paths of other data at the same noise level
     paths = [path] + [rr.spectral_path(dec, A @ rng.standard_normal(n)
                                        + rng.standard_normal(n + 2), grid)
                       for _ in range(rows - 1)]
-    sigmas = sigma * np.concatenate([[1.0], rng.uniform(0.5, 2.0, rows - 1)])
     source = rr.influence_path_exact(dec, path.alphas)
     source.noise_amp = namp  # bp reads only the noise samples on the path's grid
     with mock.patch.object(rules, "_BP_BLOCK_ELEMENTS", block):
         sel = rules.bp(path, sigma, source, gamma=gamma, c=c)
-        stacked, sub = rules._bp_rows(path.alphas, np.stack([p.solutions for p in paths]),
-                                      sigmas, namp, gamma, c)
+        stacked, masks, sub = rules._bp_rows(path.alphas,
+                                             np.stack([p.solutions for p in paths]), sigma,
+                                             namp, gamma, c)
     chosen = _bp_loop(path, sigma, namp, gamma, c)
     assert sel.diagnostics["grid_index"] == chosen
     assert sel.alpha == float(path.alphas[chosen])
     at_min = chosen == sel.diagnostics["subgrid"][0]
     assert ("at_grid_min" in sel.diagnostics["flags"]) == at_min
-    assert stacked.tolist() == [_bp_loop(p, s, namp, gamma, c) for p, s in zip(paths, sigmas)]
+    assert stacked.tolist() == [_bp_loop(p, sigma, namp, gamma, c) for p in paths]
+    assert masks["at_grid_min"].tolist() == [i == sub[0] for i in stacked.tolist()]
     assert np.array_equal(sub, sel.diagnostics["subgrid"])
 
 

@@ -6,8 +6,9 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   i_laplace(1), phillips and foxgood at n = 64, deriv2 at n = 32 and heat(1)
   at n = 256; replicates 0-2 at 10, 20 and 40 dB), and with ``--matrix-free``
   on the n = 64 ones at replicate 0, 20 dB: exit code, stdout and stderr;
-- every ``curve`` kind on replicate 0 at 20 dB of each problem: exit code and
-  the SHA-256 of the CSV;
+- every ``curve`` kind on replicate 0 at 20 dB of each problem, and on shaw
+  n = 64 there saved without a noise level: exit code and the SHA-256 of the
+  CSV;
 - the probe measure (``influence_path_stochastic``) of paralleltomo 16x16
   with the ``tomo_mf`` benchmark's seeds (power 3, 16 probes from seed 5,
   ``matrix_free_grid``) and of shaw n = 64 on the default grid (32 probes,
@@ -33,8 +34,9 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   with the flags that feed a rule's inputs: ``--rho2`` with ``pro``,
   ``--alpha-init`` with ``ipro``, ``--sigma`` alone and ``--sigma2`` alone,
   ``--bp-gamma`` and ``--bp-c`` with ``bp`` and a grid override for every
-  rule; and every rule on that data saved without a noise level, alone and
-  with ``--sigma``: exit code, stdout and stderr;
+  rule; every rule on that data saved without a noise level, alone and with
+  ``--sigma``; and every rule with a negative ``--sigma`` and on that data
+  saved with a negative noise level: exit code, stdout and stderr;
 - ``study``: the SHA-256 of the CSVs of shaw/heat(1)/deriv2 n = 64 (10 and
   20 dB, 20 replicates, every rule) at 1 and 2 workers, of the same problems
   at 0 and -10 dB (10 replicates, so three workers get uneven chunks) at 1 and
@@ -70,8 +72,8 @@ CONTAINERS = [("shaw", None, 64), ("heat", 1, 64), ("baart", None, 64),
               ("deriv2", None, 32), ("heat", 1, 256)]
 CURVE_KINDS = ("lower_bound", "predictive", "upre", "gcv", "lcurve")
 # (label, container, rules, flags) of the select runs that vary a rule's inputs
-# on shaw n = 64, replicate 0 at 20 dB, saved with ("noisy") or without
-# ("nosigma") its noise level
+# on shaw n = 64, replicate 0 at 20 dB, saved with ("noisy"), without
+# ("nosigma") or with the negative of ("negsigma") its noise level
 SELECT_FLAGS = [
     ("rho2", "noisy", ("pro",), ["--rho2", "1.5"]),
     ("alpha_init", "noisy", ("ipro",), ["--alpha-init", "1e-3"]),
@@ -82,6 +84,8 @@ SELECT_FLAGS = [
      ["--grid-min", "1e-6", "--grid-max", "1", "--grid-points", "37"]),
     ("nosigma", "nosigma", rules.RULE_NAMES, []),
     ("nosigma_sigma", "nosigma", rules.RULE_NAMES, ["--sigma", "0.01"]),
+    ("negative_sigma", "noisy", rules.RULE_NAMES, ["--sigma", "-0.01"]),
+    ("negsigma", "negsigma", rules.RULE_NAMES, []),
 ]
 STUDIES = [
     ("dense", {"problems": [{"name": "shaw", "variant": None},
@@ -212,10 +216,12 @@ def main() -> None:
                                        "--seed", "0", "--matrix-free"])
                 print(f"select-mf {key} {rule} {code} {json.dumps(out)} {json.dumps(err)}")
 
-        flagged = {"noisy": containers["shaw_n64_xi20_r0"],
-                   "nosigma": os.path.join(tmp, "shaw_n64_xi20_r0_nosigma.rr")}
-        problems.save_container(flagged["nosigma"], problem=shaw, noisy=dataclasses.replace(
-            problems.add_noise(shaw, 20.0, SEED, 0), sigma=0.0))
+        flagged = {"noisy": containers["shaw_n64_xi20_r0"]}
+        data = problems.add_noise(shaw, 20.0, SEED, 0)
+        for label, sigma in (("nosigma", 0.0), ("negsigma", -data.sigma)):
+            flagged[label] = os.path.join(tmp, f"shaw_n64_xi20_r0_{label}.rr")
+            problems.save_container(flagged[label], problem=shaw,
+                                    noisy=dataclasses.replace(data, sigma=sigma))
         for mode, extra in (("dense", []), ("mf", ["--matrix-free"])):
             for label, container, flag_rules, flags in SELECT_FLAGS:
                 for rule in flag_rules:
@@ -224,12 +230,13 @@ def main() -> None:
                     print(f"select-flags {mode} {label} {rule} {code} {json.dumps(out)} "
                           f"{json.dumps(err)}")
 
-        for name, variant, n in CONTAINERS:
-            key = f"{_tag(name, variant, n)}_xi20_r0"
+        keys = [f"{_tag(name, variant, n)}_xi20_r0" for name, variant, n in CONTAINERS]
+        curve_data = [(key, containers[key]) for key in keys]
+        curve_data.append(("shaw_n64_xi20_r0_nosigma", flagged["nosigma"]))
+        for key, path in curve_data:
             for kind in CURVE_KINDS:
                 csv = os.path.join(tmp, f"curve_{key}_{kind}.csv")
-                code, _, err = _run(["curve", "--data", containers[key], "--kind", kind,
-                                     "--out", csv])
+                code, _, err = _run(["curve", "--data", path, "--kind", kind, "--out", csv])
                 digest = _sha256(csv) if os.path.exists(csv) else "-"
                 print(f"curve {key} {kind} {code} {digest} {json.dumps(err)}")
 
