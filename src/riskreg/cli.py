@@ -215,7 +215,7 @@ def _cmd_study(args) -> int:
 def _cmd_curve(args) -> int:
     _check_grid_flags(args)
     problem, noisy = _load_dataset(args.data)
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
         setup = bench.OperatorSetup(problem.A, points=args.grid_points, lo=args.grid_min,
                                     hi=args.grid_max, keys=_GRID_FLAGS)
         dec, alphas = setup.dec, setup.grid.values

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -113,12 +114,38 @@ def _column(x):
     return np.asarray(x)[..., None]
 
 
+# The relative margin by which a grid argmin's upper bound must lie below
+# every other grid point's lower bound to be certified: the rounding of the
+# brackets and of the complete measure's sums is some 1e-15 of the bound.
+_CERTIFY_MARGIN = 1e-9
+
+
 def _grid_min_T(m: InfluencePath, rho2, sigma2):
     """For each row of (rho2, sigma2), the argmin of the lower bound on m's
-    grid, whether that is a grid edge, and the bound there."""
-    values = lower_bound_T(_column(rho2), _column(sigma2), m)
-    idx = argmin_last(values)
-    return idx, {"grid_edge": (idx == 0) | (idx == m.alphas.size - 1)}, values
+    grid and whether that is a grid edge.
+
+    A probe measure whose run is not complete is read through its bracket of
+    frob_sq (``InfluencePath.bounds``), which gives the bound's own bracket
+    [T_lo, T_hi]: a row's argmin j of T_hi is certified once T_hi[j] lies
+    below T_lo at every other grid point, by _CERTIFY_MARGIN.  The complete
+    run's bound lies in every bracket, so its argmin is j too.  While some
+    row is not certified the run deepens, and once it is complete the
+    argmin is read from its values."""
+    rho2, sigma2 = _column(rho2), _column(sigma2)
+    idx = None
+    while idx is None and (bounds := m.bounds()) is not None:
+        lo, hi = (lower_bound_T(rho2, sigma2, b) for b in bounds)
+        j = argmin_last(hi)
+        at = np.expand_dims(j, -1)
+        best = np.take_along_axis(hi, at, -1)[..., 0] * (1.0 + _CERTIFY_MARGIN)
+        np.put_along_axis(lo, at, np.inf, -1)
+        if np.all(best < lo.min(axis=-1)):
+            idx = j
+        else:
+            m.deepen()
+    if idx is None:
+        idx = argmin_last(lower_bound_T(rho2, sigma2, m))
+    return idx, {"grid_edge": (idx == 0) | (idx == m.alphas.size - 1)}
 
 
 def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
@@ -132,9 +159,8 @@ def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
             "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
             "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
     _check_increasing(m.alphas)
-    idx, masks, values = _grid_min_T(m, rho2, sigma2)
-    return _on_grid("pro", m.alphas, idx, masks, h=h, objective=float(values[idx]),
-                    objective_samples=values)
+    idx, masks = _grid_min_T(m, rho2, sigma2)
+    return _on_grid("pro", m.alphas, idx, masks, h=h, probe_depth=m.probe_depth)
 
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
@@ -318,7 +344,8 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
         "trail": trail, "h_trail": [float(h[0]) for _, _, h in history],
         "iterations": len(history), "rho2_hat": rho2_hat, "sigma2_hat": sigma2_hat,
         "xi_hat": snr_db(rho2_hat, sigma2_hat, n), "flags": [],
-        "grid_index": int(m.alphas.searchsorted(trail[-1])) if m.alphas.size else None})
+        "grid_index": int(m.alphas.searchsorted(trail[-1])) if m.alphas.size else None,
+        "probe_depth": m.probe_depth})
 
 
 def _dp_rows(residual_norms, data_size: int, sigma: float):
@@ -348,9 +375,11 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
         for _ in range(80):
             if (hi - lo) <= 1e-6 * hi:
                 break
-            mid = math.sqrt(lo * hi)
-            if mid == math.inf:  # lo * hi overflows once alpha passes about 1e154
-                mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = lo * hi
+            # lo * hi overflows once alpha passes about 1e154 and underflows
+            # below about 1e-154
+            mid = math.sqrt(mid) if sys.float_info.min <= mid < math.inf \
+                else math.sqrt(lo) * math.sqrt(hi)
             if path.solve(mid).residual_norm >= target:
                 hi = mid
             else:
@@ -540,7 +569,7 @@ def _pro_block(b: PathBlock):
     ok = rho2 > 0
     idx, masks = np.full(ok.size, b.source.alphas.size - 1), dict.fromkeys(_PRO_FALLBACK, ~ok)
     if ok.any():
-        idx[ok], found, _ = _grid_min_T(b.source, rho2[ok], b.sigma2)
+        idx[ok], found = _grid_min_T(b.source, rho2[ok], b.sigma2)
         for name, mask in found.items():
             masks[name] = np.zeros_like(ok)
             masks[name][ok] = mask

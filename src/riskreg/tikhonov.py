@@ -6,13 +6,15 @@ operator applications: a Golub-Kahan bidiagonalization of each right-hand side
 For a solution path its SVD gives the damped least-squares solution at every
 alpha of a grid at once; for a probe of the influence measure a QR sweep of
 its bidiagonal gives the Gauss quadrature, from the singular values and the
-first row of the left singular vectors alone.
+first row of the left singular vectors alone.  The probes' run pauses between
+steps, and goes on only while the Gauss and Gauss-Radau brackets of their
+quadrature leave a reader's selection open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -171,8 +173,9 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     deepen, from 8 rows up to max_iter + 1, so past 8 rows they hold at most
     twice the k + 1 rows of the deepest column.  The probe measure
     (``influence_path_stochastic``) runs the same loop but takes Gauss
-    quadrature from each B_k instead of its SVD, and stops each probe on its
-    own test (``_golub_kahan``).
+    quadrature from each B_k instead of its SVD, stops each probe on its own
+    test (``_golub_kahan``) and pauses the loop between steps
+    (``_golub_kahan_steps``).
 
     A column stops once that residual is at most ``tol * ||A^T b||`` at every
     alpha, or with ``relative_to_solution`` at most ``tol * a * ||x||``.  That
@@ -195,14 +198,29 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
 
 
 def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
-    """The loop of ``golub_kahan``, each column stopped by the test ``stop``.
+    """``_golub_kahan_steps`` run to its end: its result."""
+    steps = _golub_kahan_steps(A, b, alphas, tol, max_iter, stop, finish)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as end:
+            return end.value
+
+
+def _golub_kahan_steps(A, b, alphas, tol, max_iter, stop, finish):
+    """The loop of ``golub_kahan``, each column stopped by the test ``stop``,
+    as a generator that pauses between steps.
     A column that stops at depth k is handed to ``finish(B_k, beta1, V_k)``:
     B_k (k x 2) holds alpha_j and beta_{j+1} of its bidiagonal in row j, V_k
     is its (k x cols) basis, both views of the loop's depth-major stacks,
     valid only during the call.  Returns, in the order of b's columns,
     ``(finished, residual, settle)``: finish's result, the largest
     normal-equation residual on the grid, and the settle estimate (0 unless
-    ``stop`` is "settle").
+    ``stop`` is "settle").  While some column runs, it yields before each
+    step ``(k, peek)``: the depth k reached, and ``peek()``, which gives in
+    the order of b's columns finish's result, of a stopped column's run and
+    of a running column's so far.  A resumed loop goes on with the same
+    arithmetic, so its result does not depend on where it paused.
 
     ``stop`` is "normal" or "solution", ``golub_kahan``'s residual tests
     (without and with ``relative_to_solution``), or "settle", a probe's; it
@@ -252,6 +270,12 @@ def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
     live, residual, scale, k, runs = np.arange(n), np.zeros(n), np.zeros(n), 0, [None] * n
     settle = np.zeros(n)
 
+    def peek():
+        out = [None if run is None else run[0] for run in runs]
+        for i, j in enumerate(live):
+            out[j] = finish(bidiag[:k, i], beta1[i], V[:k, i])
+        return out
+
     def step_adjoint(go, b_next):
         # v = A^T u - b_next v_k, reorthogonalized, and its norm alpha; a column
         # not in go (its u vanished) is a zero row of y and gets alpha 0
@@ -295,6 +319,7 @@ def _golub_kahan(A, b, alphas, tol, max_iter, stop, finish):
             forms = forms[:, :, keep]
         if not n:
             break
+        yield k, peek
         if k == max_iter:
             raise ConvergenceError(f"Golub-Kahan did not reach tol={tol} in {max_iter} steps "
                                    f"(residual {residual.max():.3g})", iterations=max_iter)
@@ -360,6 +385,14 @@ class InfluencePath:
     the numerical rank may cut), its final normal-equation residual and its
     settle estimate at its stop (``_golub_kahan``'s "settle" test).  ``lam1``
     must be finite and >= 0.
+
+    The stochastic path's measure runs its probes on demand
+    (``influence_path_stochastic``): ``bounds`` brackets ``frob_sq`` at the
+    depth its run has reached, ``deepen`` resumes the run, and reading any
+    other field but ``alphas``, ``lam1`` and ``sn_sq`` completes it.  A
+    complete measure has no bounds to give: ``bounds`` is None.
+    ``probe_depth`` is the depth its probes' run has reached (None without
+    probes).
     """
 
     alphas: np.ndarray
@@ -371,11 +404,30 @@ class InfluencePath:
     settle: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (np.ndim(self.lam1) == 0 and np.isfinite(self.lam1) and self.lam1 >= 0):
-            raise ValueError(f"lam1 must be finite and >= 0, got {self.lam1!r}")
+        _check_lam1(self.lam1)
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
                                                                                   self.alphas)
+
+    def bounds(self):
+        return None
+
+    @property
+    def probe_depth(self) -> Optional[int]:
+        return None if self.iterations is None else int(np.max(self.iterations, initial=0))
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _check_lam1(lam1) -> None:
+    if not (np.ndim(lam1) == 0 and np.isfinite(lam1) and lam1 >= 0):
+        raise ValueError(f"lam1 must be finite and >= 0, got {lam1!r}")
+
+
+def _sn_sq(alphas, lam1):
+    sn = alphas / (lam1 + alphas)
+    return sn * sn
 
 
 def _influence_scalars(m: InfluencePath, alphas):
@@ -387,9 +439,61 @@ def _influence_scalars(m: InfluencePath, alphas):
     t, w = m.nodes, m.weights
     d = t + alphas[..., None]
     x = t / d
-    sn = alphas / (m.lam1 + alphas) if t.size else np.ones_like(alphas)
-    return (sn * sn, np.sum(w * x * x, axis=-1), np.sum(w * x, axis=-1),
-            np.sum(w * t / d ** 2, axis=-1))
+    least = t.min(initial=np.inf) + alphas.min()  # the least d, as rounding is monotone
+    if least * least >= _TINY:
+        amp = w * t / d ** 2
+    else:  # d^2 underflows where d < 1.5e-154: w x / d there
+        d2 = d ** 2
+        amp = np.divide(w * t, d2, out=w * x / d, where=d2 >= _TINY)
+    return (_sn_sq(alphas, m.lam1) if t.size else np.ones_like(alphas),
+            np.sum(w * x * x, axis=-1), np.sum(w * x, axis=-1), np.sum(amp, axis=-1))
+
+
+class MeasureBound(NamedTuple):
+    """One side of a bracket of a measure's ``frob_sq`` on its grid, with its
+    exact ``sn_sq``: what ``risk.lower_bound_T`` reads of a measure."""
+
+    alphas: np.ndarray
+    sn_sq: np.ndarray
+    frob_sq: np.ndarray
+
+
+def _gauss_radau_rules(B_k, beta1):
+    """A probe's two quadrature rules at depth k >= 1, each ``(nodes,
+    weights)`` with every node kept: G, the k-node Gauss rule of the leading
+    k x k block of its bidiagonal B_k (beta_{k+1} dropped), and R, the
+    (k + 1)-node rule of [B_k | 0] (``_gauss_quadrature``'s, its node at zero
+    too), a Gauss-Radau rule.  Both carry the whole mass beta1^2, and for the
+    completely monotone 1/(t + a) and 1/(t + a)^2, G <= the probe's exact
+    form <= R (Golub & Meurant 2010)."""
+    rules = []
+    for diag, sub in ((B_k[:, 0], B_k[:-1, 1]), (np.append(B_k[:, 0], 0.0), B_k[:, 1])):
+        s, p0 = bidiagonal_svd(diag, sub)
+        c = beta1 * p0
+        rules.append((s * s, c * c))
+    return rules
+
+
+def _frob_sq_bounds(rules, alphas):
+    """Lower and upper bounds of each probe's frob_sq (one row per probe of
+    ``rules``, its (G, R) pair) at ``alphas``.  With h = (a/(t + a))^2,
+    x^2 = 1 - 2a/(t + a) + h, so on the whole mass frob_sq lies between
+    R(x^2) - D and G(x^2) + D, D = R(h) - G(h) >= 0.  frob_sq does not
+    increase with alpha, so a bound at one alpha holds at the smaller (lower
+    bound) or larger (upper bound) ones: each side is the envelope of its
+    bounds over the grid, which must be increasing."""
+    def forms(rule):  # rule(x^2) and rule(h) per probe, the rules padded by nodes of weight 0
+        width = max(t.size for t, _ in rule)
+        t, w = np.zeros((2, len(rule), width))
+        for i, (ti, wi) in enumerate(rule):
+            t[i, :ti.size], w[i, :wi.size] = ti, wi
+        d = t[..., None] + alphas
+        x, h = t[..., None] / d, alphas / d
+        return np.einsum("pn,pna->pa", w, x * x), np.einsum("pn,pna->pa", w, h * h)
+    (g_frob, g_h), (r_frob, r_h) = (forms(rule) for rule in zip(*rules))
+    D = np.maximum(r_h - g_h, 0.0)
+    lo = np.maximum.accumulate((r_frob - D)[:, ::-1], axis=1)[:, ::-1]
+    return lo, np.minimum.accumulate(g_frob + D, axis=1)
 
 
 def influence_path_exact(dec: SpectralDecomposition, alphas) -> InfluencePath:
@@ -412,7 +516,8 @@ def influence_measure(source, alphas=None) -> InfluencePath:
         return influence_path_exact(source, np.empty(0) if alphas is None else alphas)
     if alphas is None or alphas is source.alphas:
         return source
-    return replace(source, alphas=alphas)
+    return InfluencePath(alphas, source.nodes, source.weights, source.lam1, source.iterations,
+                         source.normal_residual, source.settle)
 
 
 def influence_path_stochastic(A, alphas, probes: int, seed: int,
@@ -432,6 +537,16 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     weights are divided by ``probes``.  ``lam1`` (default: power iteration,
     which raises DegenerateDataError on a zero operator) sets sn_sq and must
     be > 0.
+
+    The run goes only as deep as the measure's readers need.  It runs to
+    depth _FIRST_CHECK here (a fault there is raised here); grid-mode ``pro``
+    and ``ipro`` (``rules._grid_min_T``) then read its bracket of frob_sq and
+    resume it until their grid argmin is certified.  Every other reader
+    (``nodes``, ``weights``, ``trace``, ``frob_sq``, ``noise_amp``,
+    ``iterations``, ``settle``, ``normal_residual``, ``influence_measure``
+    on another grid, and the rules that read them) completes the run to each
+    probe's settle stop and gets the arrays of an uninterrupted run, bit for
+    bit; a fault while resuming is raised by the reader that resumes it.
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
@@ -443,13 +558,105 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     if not lam1 > 0:  # given or estimated, one rule
         raise ValueError(f"lam1 must be > 0, got {lam1!r}")
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
-    runs = _golub_kahan(op, Z, alphas, SETTLE_TOL, None, "settle", _gauss_quadrature)
-    quadratures, residuals, settle = zip(*runs)
-    nodes, weights, depths = zip(*quadratures)
-    return InfluencePath(alphas=alphas, nodes=np.concatenate(nodes),
-                         weights=np.concatenate(weights) / probes, lam1=lam1,
-                         iterations=np.array(depths), normal_residual=np.array(residuals),
-                         settle=np.array(settle))
+    return _ProbeMeasure(op, Z, alphas, lam1)
+
+
+# The depths at which a probe run still going is bracketed: _FIRST_CHECK,
+# then after every max(2, k // 4) more steps.  On matrix_free_grid, with 16
+# probes on paralleltomo and 32 on the n = 64 test problems, the grid
+# argmins of pro and ipro are first certified at depth 9-22 of 25-26 at
+# 16x16 (9-10 at 10 and 20 dB), 11-29 of 54-55 at 24x24 and 13 of 190-198
+# at 32x32 (20 dB), and at 3-8 on shaw, baart, foxgood, i_laplace(1),
+# deriv2 and heat(1) at 10 and 20 dB; a bracket of 16 probes costs about
+# one step at 16x16.
+_FIRST_CHECK = 8
+
+
+def _keep_bidiagonal(B_k, beta1, V_k):
+    return B_k.copy(), beta1
+
+
+class _OnDemand:
+    """A field of a probe measure that its run sets once complete: reading it
+    before completes the run."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        m._run(None)
+        return m.__dict__[self.name]
+
+
+class _ProbeMeasure(InfluencePath):
+    """``influence_path_stochastic``'s measure, whose probe block is paused
+    between the readers that deepen it: every field but ``alphas``, ``lam1``
+    and ``sn_sq`` is set once the block's run ends.  While it is paused, V
+    (which doubles in place) and the rotations are held only by the paused
+    loop; they go when it ends."""
+
+    nodes, weights, iterations, normal_residual, settle, frob_sq, trace, noise_amp = (
+        _OnDemand() for _ in range(8))
+
+    def __init__(self, op, Z, alphas, lam1):
+        _check_lam1(lam1)
+        self.alphas, self.lam1, self.sn_sq = alphas, lam1, _sn_sq(alphas, lam1)
+        self._probes, self._depth, self._bounds = Z.shape[1], 0, None
+        self._steps = _golub_kahan_steps(op, Z, alphas, SETTLE_TOL, None, "settle",
+                                         _keep_bidiagonal)
+        self._fault = self._peek = None
+        self._run(_FIRST_CHECK)
+        self.bounds()
+
+    @property
+    def probe_depth(self) -> int:
+        return self._depth
+
+    def bounds(self):
+        """None once the run is complete (or has failed); else (lower, upper), the
+        ``MeasureBound`` sides of a bracket of frob_sq at the run's depth:
+        each probe's (``_frob_sq_bounds``), pooled.  The complete run's
+        frob_sq lies in it up to rounding."""
+        if self._steps is None:
+            return None
+        if self._bounds is None:
+            rules = [_gauss_radau_rules(B_k, beta1) for B_k, beta1 in self._peek() if len(B_k)]
+            self._bounds = tuple(
+                MeasureBound(self.alphas, self.sn_sq, side.sum(axis=0) / self._probes)
+                for side in _frob_sq_bounds(rules, self.alphas))
+        return self._bounds
+
+    def deepen(self) -> None:
+        """Resume the run to its next bracketed depth, or to its end."""
+        self._run(self._depth + max(2, self._depth // 4))
+
+    def _run(self, until):
+        # resume the run until depth ``until`` or, None, to its end; at its
+        # end, set the fields as an uninterrupted run does.  A fault is raised
+        # again by every later reader.
+        if self._fault is not None:
+            raise self._fault
+        self._bounds, runs = None, None
+        try:
+            while runs is None and (until is None or self._depth < until):
+                try:
+                    self._depth, self._peek = next(self._steps)
+                except StopIteration as end:
+                    runs = end.value
+            if runs is not None:
+                bidiagonals, residuals, settle = zip(*runs)
+                nodes, weights, depths = zip(*(_gauss_quadrature(B_k, beta1, None)
+                                               for B_k, beta1 in bidiagonals))
+                InfluencePath.__init__(self, self.alphas, np.concatenate(nodes),
+                                       np.concatenate(weights) / self._probes, self.lam1,
+                                       np.array(depths), np.array(residuals), np.array(settle))
+                self._steps = self._peek = None
+                self._depth = super().probe_depth
+        except Exception as exc:  # the loop is dead: no bounds, and every read raises
+            self._fault, self._steps, self._peek = exc, None, None
+            raise
 
 
 @dataclass

@@ -817,9 +817,12 @@ class TestScaledData:
     """alpha scales with s1^2: a rule either finds scale^2 times the unscaled
     alpha or reports degenerate data; it never prints an overflowed answer."""
 
-    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e100, 1e150, 1e-100, 1e-150])
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_scaled_alpha_or_exit_3(self, scaled_shaw, capsys, rule, scale):
+        # at 1e-100, dp's bisection midpoint sqrt(lo hi) and the noise
+        # amplification's (t + a)^2 underflowed: dp and bp exited 0 with 1.09x
+        # and 15x the alpha
         assert main(["select", "--data", str(scaled_shaw(1.0)), "--rule", rule]) == 0
         alpha = json.loads(capsys.readouterr().out)["alpha"]
         code = main(["select", "--data", str(scaled_shaw(scale)), "--rule", rule])

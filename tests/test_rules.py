@@ -263,6 +263,77 @@ def test_ipro_grid_mode_matches_step_loop(problem, n, xi, rep, points, span, out
     assert got == [grid[k] for k in trail]
 
 
+@pytest.fixture(scope="module")
+def tomo16():
+    """paralleltomo 16x16 with the tomo_mf benchmark's seeds: the operator,
+    its grid, lam1, a complete 16-probe measure and replicates 0-3 at 10, 20
+    and 40 dB with their paths."""
+    p = rr.make_problem("paralleltomo", None, 16)
+    lam1 = rr.largest_eigenvalue(p.A, seed=3)
+    grid = rr.matrix_free_grid(lam1).values
+    complete = rr.influence_path_stochastic(p.A, grid, probes=16, seed=5, lam1=lam1)
+    complete.nodes
+    data = {(xi, rep): rr.add_noise(p, xi, 1, rep)
+            for xi in (10.0, 20.0, 40.0) for rep in range(4)}
+    paths = {key: rr.iterative_path(p.A, d.g, grid) for key, d in data.items()}
+    return SimpleNamespace(A=p.A, grid=grid, lam1=lam1, complete=complete, data=data,
+                           paths=paths)
+
+
+class TestCertifiedSelection:
+    """Grid-mode pro and ipro on a probe measure whose run stops once their
+    argmin is certified select as on the complete measure."""
+
+    def _measure(self, t):
+        return rr.influence_path_stochastic(t.A, t.grid, probes=16, seed=5, lam1=t.lam1)
+
+    @pytest.mark.parametrize("xi", [10.0, 20.0, 40.0])
+    def test_single_path(self, tomo16, xi):
+        full = int(tomo16.complete.iterations.max())
+        for rep in range(4):
+            d, path = tomo16.data[xi, rep], tomo16.paths[xi, rep]
+            for select in (lambda m: rules.pro_estimated(m, d.g, d.sigma ** 2),
+                           lambda m: rules.ipro(m, d.g, path=path)):
+                m = self._measure(tomo16)
+                got, ref = select(m), select(tomo16.complete)
+                assert got.to_json() == ref.to_json()
+                assert got.diagnostics["grid_index"] == ref.diagnostics["grid_index"]
+                # certified short of the full depth, which a complete measure reports
+                depth = got.diagnostics["probe_depth"]
+                assert depth == m.probe_depth < full and m.bounds() is not None
+                assert ref.diagnostics["probe_depth"] == full
+                if xi < 40:
+                    assert depth == 10
+
+    @pytest.mark.parametrize("xi", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("rule", ["pro", "ipro"])
+    def test_block(self, tomo16, xi, rule):
+        keys = [(xi, rep) for rep in range(4)]
+        norms = [np.stack([getattr(tomo16.paths[k], name) for k in keys])
+                 for name in ("residual_norms", "solution_norms")]
+        g_sq = np.array([tomo16.data[k].g @ tomo16.data[k].g for k in keys])
+        sigma = tomo16.data[keys[0]].sigma
+
+        def block(m):
+            return rules.RULES[rule](rules.PathBlock(m, *norms, tomo16.A.rows, g_sq, sigma,
+                                                     sigma ** 2))
+        m = self._measure(tomo16)
+        (idx, masks), (ref_idx, ref_masks) = block(m), block(tomo16.complete)
+        assert np.array_equal(idx, ref_idx) and m.bounds() is not None
+        assert masks.keys() == ref_masks.keys()
+        assert all(np.array_equal(masks[k], ref_masks[k]) for k in masks)
+
+    def test_exact_measure_reports_no_probe_depth(self, shaw64):
+        p, dec = shaw64
+        d = rr.add_noise(p, 20.0, seed=0)
+        grid = default_grid(float(dec.s[0]) ** 2).values
+        m = rr.influence_path_exact(dec, grid)
+        assert m.bounds() is None and m.probe_depth is None
+        assert rules.pro_estimated(m, d.g, d.sigma ** 2).diagnostics["probe_depth"] is None
+        sel = rules.ipro(m, d.g, path=rr.spectral_path(dec, d.g, grid))
+        assert sel.diagnostics["probe_depth"] is None
+
+
 class TestInfluenceOnPathGrid:
     """upre, gcv and bp read the source's measure on the grid of their path."""
 

@@ -367,10 +367,11 @@ def _damped_lsqr_reference(d, e, beta1, alphas, tol, relative):
 
 
 def _loop_states(run):
-    """``run()``, and the state of ``tikhonov._golub_kahan`` at the head of
-    each pass of its loop after the first: per pass the depth k, the live
-    columns, the stopping bound and the settle test's forms at depth k."""
-    code = tikhonov._golub_kahan.__code__
+    """``run()``, and the state of ``tikhonov._golub_kahan_steps``, the loop of
+    ``_golub_kahan``, at the head of each pass of its loop after the first:
+    per pass the depth k, the live columns, the stopping bound and the settle
+    test's forms at depth k."""
+    code = tikhonov._golub_kahan_steps.__code__
     lines, first = inspect.getsourcelines(code)
     head = first + next(i for i, line in enumerate(lines) if line.strip() == "if done.any():")
     states = []
@@ -735,6 +736,91 @@ class TestInfluenceMeasure:
                                    rtol=1e-14, atol=0.0)
 
 
+def _rule_forms(rule, alphas):
+    """A quadrature rule's sums of 1/(t + a), 1/(t + a)^2 and the integrands
+    of trace, frob_sq and noise_amp, at each alpha."""
+    t, w = rule
+    d = t[:, None] + alphas
+    x = t[:, None] / d
+    return {"g1": w @ (1 / d), "g2": w @ (1 / d ** 2), "trace": w @ x, "frob_sq": w @ (x * x),
+            "noise_amp": w @ (x / d)}
+
+
+def _assert_brackets_hold(op, A, probes, seed, alphas):
+    """At every depth of each probe's run, its Gauss rule G and Gauss-Radau
+    rule R bracket the exact forms of the dense SVD's measure: G <= exact <=
+    R for 1/(t + a) and 1/(t + a)^2, and so, with D = a^2 (R - G)(1/(t + a)^2),
+    R(x) <= trace <= G(x), R(x^2) - D <= frob_sq <= G(x^2) + D (with its
+    envelope over the grid, ``_frob_sq_bounds``) and G(n) - D/a <= noise_amp
+    <= R(n) + D/a.  The run is of the operator ``op``, the exact measure of
+    its dense matrix A.  Over these cases the bounds were off by at most
+    1.2e-14 relative, rounding; the rtol is 100x that."""
+    Z = keyed_rng(seed, TAG_PROBES).standard_normal((A.shape[0], probes))
+    U, s, _ = np.linalg.svd(A)
+    t = np.zeros(A.shape[0])
+    t[:s.size] = s * s
+    runs = tikhonov._golub_kahan(op, Z, alphas, tikhonov.SETTLE_TOL, None, "settle",
+                                 tikhonov._keep_bidiagonal)
+    checked = 0
+    for z, ((B, beta1), _, _) in zip(Z.T, runs):
+        exact = _rule_forms((t, (U.T @ z) ** 2), alphas)
+        for k in range(1, len(B) + 1):
+            rules_k = tikhonov._gauss_radau_rules(B[:k], beta1)
+            G, R = (_rule_forms(rule, alphas) for rule in rules_k)
+            D = alphas ** 2 * np.maximum(R["g2"] - G["g2"], 0.0)
+            env = [side[0] for side in tikhonov._frob_sq_bounds([rules_k], alphas)]
+            for name, lo, hi in (("g1", G["g1"], R["g1"]), ("g2", G["g2"], R["g2"]),
+                                 ("trace", R["trace"], G["trace"]),
+                                 ("frob_sq", R["frob_sq"] - D, G["frob_sq"] + D),
+                                 ("frob_sq", *env),
+                                 ("noise_amp", G["noise_amp"] - D / alphas,
+                                  R["noise_amp"] + D / alphas)):
+                tol = 1.2e-12 * np.abs(exact[name])
+                assert np.all(lo <= exact[name] + tol), (name, k)
+                assert np.all(exact[name] <= hi + tol), (name, k)
+            checked += 1
+    assert checked
+
+
+class TestProbeBrackets:
+    """The brackets that certify a probe measure's selections hold at every
+    depth of its run, and the complete measure lies in the pooled ones."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), decades=st.floats(0.0, 8.0), zeros=st.integers(0, 3),
+           probes=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_brackets_on_diagonals(self, n, decades, zeros, probes, seed):
+        d = 10.0 ** keyed_rng(seed).uniform(-decades, 0.0, n)
+        d[:min(zeros, n - 1)] = 0.0
+        op = rr.LinearOperator.from_functions(n, n, lambda x: d * x, lambda y: d * y)
+        alphas = matrix_free_grid(float(np.max(d)) ** 2).values
+        _assert_brackets_hold(op, np.diag(d), probes, seed, alphas)
+
+    @pytest.mark.parametrize("cells", [8, 16])
+    def test_brackets_on_tomography(self, cells):
+        A = rr.make_problem("paralleltomo", None, cells).A
+        dense = A.to_dense()
+        alphas = matrix_free_grid(np.linalg.norm(dense, 2) ** 2).values
+        _assert_brackets_hold(A, dense, 3, cells, alphas)
+
+    def test_complete_measure_lies_in_every_pooled_bracket(self):
+        p = rr.make_problem("paralleltomo", None, 16)
+        lam1 = rr.largest_eigenvalue(p.A, seed=3)
+        grid = matrix_free_grid(lam1).values
+        m = rr.influence_path_stochastic(p.A, grid, probes=16, seed=5, lam1=lam1)
+        brackets = []
+        while m.bounds() is not None:
+            brackets.append((m.probe_depth, *(b.frob_sq for b in m.bounds())))
+            assert all(np.array_equal(b.sn_sq, m.sn_sq) for b in m.bounds())
+            m.deepen()
+        assert [k for k, _, _ in brackets] == [8, 10, 12, 15, 18, 22]
+        for _, lo, hi in brackets:  # 1e-13 allows for rounding
+            assert np.all(lo <= m.frob_sq * (1 + 1e-13)) and np.all(m.frob_sq <= hi * (1 + 1e-13))
+        # the brackets narrow as the run deepens
+        widths = [np.max((hi - lo) / hi) for _, lo, hi in brackets]
+        assert widths == sorted(widths, reverse=True)
+
+
 class TestInfluenceStochastic:
     @pytest.mark.parametrize("lam1", [np.nan, -1.0, 0.0, np.inf])
     def test_rejects_ill_formed_lam1(self, lam1):
@@ -795,11 +881,56 @@ class TestInfluenceStochastic:
         grid = matrix_free_grid(lam1).values
         op.counts = [0, 0]
         inf = rr.influence_path_stochastic(op, grid, probes=16, seed=5, lam1=lam1)
-        assert op.counts == [401, 417]  # 515 and 531 while each probe's solve converged
-        assert inf.iterations.tolist() == [25] * 6 + [26] + [25] * 9
+        assert op.counts == [16 * 8, 16 * 9]  # the probe block runs to its first bracket
+        g = rr.add_noise(p, 20.0, 1, 0).g
+        probes = op.counts
         op.counts = [0, 0]
-        path = rr.iterative_path(op, rr.add_noise(p, 20.0, 1, 0).g, grid)
+        path = rr.iterative_path(op, g, grid)
         assert op.counts == [50, 51] and path.iterations == 50
+        op.counts = probes
+        sel = rules.ipro(inf, g, path=path)
+        # ipro's grid argmins are certified at probe depth 10 of 25-26
+        assert op.counts == [16 * 10, 16 * 11] and sel.diagnostics["probe_depth"] == 10
+        assert inf.iterations.tolist() == [25] * 6 + [26] + [25] * 9
+        assert op.counts == [401, 417]  # 515 and 531 while each probe's solve converged
+
+    def test_fields_after_a_certified_selection_equal_an_uninterrupted_run(self):
+        p = rr.make_problem("paralleltomo", None, 16)
+        lam1 = rr.largest_eigenvalue(p.A, seed=3)
+        grid = matrix_free_grid(lam1).values
+        g = rr.add_noise(p, 20.0, 1, 0).g
+        m = rr.influence_path_stochastic(p.A, grid, probes=16, seed=5, lam1=lam1)
+        rules.ipro(m, g, path=rr.iterative_path(p.A, g, grid))
+        assert m.bounds() is not None and m.probe_depth == 10
+        # the loop run once, without a pause, as the measure was built before
+        # it paused: each probe's Gauss quadrature at its stop
+        Z = keyed_rng(5, TAG_PROBES).standard_normal((p.A.rows, 16))
+        quadratures, residuals, settle = zip(*tikhonov._golub_kahan(
+            p.A, Z, grid, tikhonov.SETTLE_TOL, None, "settle", tikhonov._gauss_quadrature))
+        nodes, weights, depths = zip(*quadratures)
+        ref = rr.InfluencePath(grid, np.concatenate(nodes), np.concatenate(weights) / 16, lam1,
+                               np.array(depths), np.array(residuals), np.array(settle))
+        for name in ("alphas", "nodes", "weights", "iterations", "normal_residual", "settle",
+                     "sn_sq", "frob_sq", "trace", "noise_amp"):
+            assert np.array_equal(getattr(m, name), getattr(ref, name)), name
+        assert m.lam1 == ref.lam1 and m.bounds() is None and m.probe_depth == 26
+
+    def test_fault_while_deepening_is_raised_by_every_reader(self):
+        # the operator turns non-finite after the probe block's first bracket
+        d = np.geomspace(1.0, 1e-3, 200)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return d * x if len(calls) <= 2 * 10 else np.full_like(x, np.nan)
+        op = rr.LinearOperator.from_functions(d.size, d.size, apply, lambda y: d * y)
+        m = rr.influence_path_stochastic(op, matrix_free_grid(1.0).values, 2, 0, lam1=1.0)
+        assert m.probe_depth == 8
+        with pytest.raises(ValueError, match="non-finite"):  # the rule that deepens
+            rules.pro(m, 1.0, 1e-4)
+        with pytest.raises(ValueError, match="non-finite"):  # and every later reader
+            m.trace
+        assert m.bounds() is None
 
     def test_identity_sn_exact(self):
         inf = rr.influence_path_stochastic(np.eye(8), [1.0], probes=4, seed=0)

@@ -30,6 +30,10 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   precision;
 - ``select --matrix-free`` for every rule on a paralleltomo 16x16 container
   (replicate 0, 20 dB): exit code, stdout and stderr;
+- ``select --matrix-free`` with ``pro`` and ``ipro`` on paralleltomo 24x24
+  containers (replicate 0 at 10, 20 and 40 dB): exit code, stdout and stderr,
+  and the same selection made in this process on an ``OperatorSetup``, then
+  its probe measure's per-probe depths, read after the selection;
 - ``select``, dense and ``--matrix-free``, on shaw n = 64 (replicate 0, 20 dB)
   with the flags that feed a rule's inputs: ``--rho2`` with ``pro``,
   ``--alpha-init`` with ``ipro``, ``--sigma`` alone and ``--sigma2`` alone,
@@ -190,6 +194,22 @@ def main() -> None:
                                    "--seed", "0", "--matrix-free"])
             print(f"select-mf paralleltomo16_xi20_r0 {rule} {code} {json.dumps(out)} "
                   f"{json.dumps(err)}")
+
+        tomo24 = problems.make_problem("paralleltomo", None, 24)
+        for xi in XIS:
+            noisy = problems.add_noise(tomo24, xi, SEED, 0)
+            path = os.path.join(tmp, f"paralleltomo24_xi{xi:g}.rr")
+            problems.save_container(path, problem=tomo24, noisy=noisy)
+            for rule in ("pro", "ipro"):
+                code, out, err = _run(["select", "--data", path, "--rule", rule,
+                                       "--seed", "0", "--matrix-free"])
+                setup = bench.OperatorSetup(tomo24.A, True, seed=0)
+                sel = rules.pro_estimated(setup.source, noisy.g, noisy.sigma ** 2) \
+                    if rule == "pro" else rules.ipro(setup.source, noisy.g,
+                                                     path=setup.path(noisy.g, False))
+                print(f"select-mf paralleltomo24_xi{xi:g}_r0 {rule} {code} {json.dumps(out)} "
+                      f"{json.dumps(err)} alpha={sel.alpha!r} "
+                      f"depths={setup.influence.iterations.tolist()}")
 
         containers = {}
         for name, variant, n in CONTAINERS:
