@@ -28,10 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rules as rules_mod
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, count
 from .linop import bundled_openblas, largest_eigenvalue, svd
-from .problems import (_DEFAULT_VARIANTS, _count, check_problem, make_problem, sigma_for_snr,
-                       unit_noise)
+from .problems import _DEFAULT_VARIANTS, check_problem, make_problem, sigma_for_snr, unit_noise
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR
 from .tikhonov import (InfluencePath, SolutionPath, filtered_paths, influence_path_exact,
                        influence_path_stochastic, iterative_path, spectral_filters,
@@ -53,7 +52,7 @@ def _check_grid(lo, hi, points, keys=("min", "max", "points")) -> None:
         if not a < b:
             at = " and ".join(f"{k} = {x!r}" for x, k in ((a, key_a), (b, key_b)) if k)
             raise ValueError(f"{at}: need 0 < min < max < inf")
-    if points is not None and points < 2:
+    if points is not None and count(keys[2], points) < 2:
         raise ValueError(f"{keys[2]} = {points!r}: need at least two grid points")
 
 
@@ -295,17 +294,14 @@ class StudyConfig:
                          ("xis", [_fmt(x) for x in self.xis]), ("rules", list(self.rules))):
             if not ids or len(set(ids)) < len(ids):
                 raise ValueError(f"{key} must be nonempty and without repeats, got {ids}")
-        for name in ("n", "replicates", "seed", "grid_points", "probes"):
-            _count(_KEY_OF.get(name, name), getattr(self, name))
+        for name, least in (("n", None), ("replicates", 1), ("seed", None),
+                            ("grid_points", None), ("probes", 1)):
+            count(_KEY_OF.get(name, name), getattr(self, name), least)
         for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):
             value = getattr(self, name)
             optional = name in ("grid_min", "grid_max")
             if not (_finite_number(value) or (optional and value is None)):
                 raise ValueError(f"{_KEY_OF[name]} must be a finite number, got {value!r}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.probes < 1:
-            raise ValueError(f"need at least one probe, got {self.probes}")
         _check_grid(self.grid_min, self.grid_max, self.grid_points, _GRID_KEYS)
         if "lc" in self.rules and self.grid_points < 5:
             raise ValueError(f"{_KEY_OF['grid_points']} = {self.grid_points!r}: "
@@ -435,8 +431,7 @@ def _cap_blas_threads(threads: int) -> None:
 def run_study(config: StudyConfig, workers: int = 1) -> list[EfficiencyReport]:
     """Run every (problem, xi) cell of the study; deterministic for any worker count.
     A task, one set-up, is a problem's chunk of replicates at every SNR."""
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    workers = count("workers", workers, 1)
     reps = config.replicates
     chunk = reps if workers <= 1 else max(1, -(-reps // workers))
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]

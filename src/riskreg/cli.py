@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bench, problems, rules
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError, count
 from .risk import RiskCurve, lower_bound_T, predictive_risk
 
 EXIT_OK = 0
@@ -101,10 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     seed = _fallback_seed(args.seed)
-    if args.replicates < 1:
-        raise ValueError("need at least one replicate")
-    if args.replicate < 0:
-        raise ValueError(f"need a nonnegative first replicate, got {args.replicate}")
+    count("--replicates", args.replicates, 1)
+    count("--replicate", args.replicate, 0)
     problem = problems.make_problem(args.problem, args.variant, args.n)
     os.makedirs(args.out, exist_ok=True)
     tag = problem.name if problem.variant is None else f"{problem.name}{problem.variant}"
@@ -173,8 +171,7 @@ _SELECT = {
 
 
 def _cmd_select(args) -> int:
-    if args.probes < 1:
-        raise ValueError(f"need at least one probe, got {args.probes}")
+    count("--probes", args.probes, 1)
     _check_grid_flags(args)  # also for the rules that read no grid or bp setting
     rules.check_bp(args.bp_gamma, args.bp_c, keys=("--bp-gamma", "--bp-c"))
     for flag, value in (("--sigma", args.sigma), ("--sigma2", args.sigma2)):

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import numbers
+
+
+def count(name: str, value, least=None) -> int:
+    """``value`` as an int; a ValueError naming it ``name`` unless it is an
+    integer (not a bool) and, given ``least``, at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)
 
 
 class ConvergenceError(RuntimeError):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError, count
 from .rng import TAG_POWER, keyed_rng
 
 # Singular values below s1 * RANK_CUTOFF are treated as zero; this defines the
@@ -224,9 +224,7 @@ def check_solver_args(tol, max_iter):
     if not (isinstance(tol, (int, float, np.integer, np.floating))
             and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
-            and max_iter >= 1):
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    count("max_iter", max_iter, 1)
 
 
 def power_iteration(A, tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .errors import count
 from .linop import LinearOperator
 from .rng import TAG_NOISE, keyed_rng
 
@@ -210,7 +210,7 @@ def check_problem(name: str, variant, n) -> Optional[int]:
     and heat, and ``variant`` one the family takes; a ValueError otherwise."""
     if name not in PROBLEM_NAMES:
         raise ValueError(f"unknown problem {name!r}")
-    if not 8 <= _count("n", n) <= 4096:
+    if not 8 <= count("n", n) <= 4096:
         raise ValueError("n out of supported range")
     if name in _EVEN_N and n % 2:
         raise ValueError(f"{name} requires even n")
@@ -218,7 +218,7 @@ def check_problem(name: str, variant, n) -> Optional[int]:
         return None
     if name not in _ALLOWED_VARIANTS:
         raise ValueError(f"{name} takes no variant")
-    variant = _count("variant", variant)
+    variant = count("variant", variant)
     if variant not in _ALLOWED_VARIANTS[name]:
         raise ValueError(f"{name} variant must be one of {_ALLOWED_VARIANTS[name]}")
     return variant
@@ -331,12 +331,6 @@ def _trace_angle(offsets: np.ndarray, u: np.ndarray, v: np.ndarray, ell: int):
     return ray, iy * ell + ix, dt
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
                   rays_per_angle: int = 45, span: float | None = None) -> ProblemInstance:
     """Parallel-beam tomography operator over an ell x ell unit-cell grid.
@@ -349,13 +343,9 @@ def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
     phantom.
     """
     import scipy.sparse as sp
-    ell = _count("cells_per_side", cells_per_side)
-    angles = _count("angles", angles)
-    rays_per_angle = _count("rays_per_angle", rays_per_angle)
-    if ell < 2:
-        raise ValueError("need at least a 2x2 grid")
-    if angles < 1 or rays_per_angle < 1:
-        raise ValueError("degenerate geometry: need at least one angle and one ray")
+    ell = count("cells_per_side", cells_per_side, 2)
+    angles = count("angles", angles, 1)
+    rays_per_angle = count("rays_per_angle", rays_per_angle, 1)
     if span is None:
         span = np.sqrt(2.0) * ell
     elif not 0.0 < span < np.inf:

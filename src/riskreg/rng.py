@@ -8,6 +8,8 @@ draw.
 
 import numpy as np
 
+from .errors import count
+
 TAG_NOISE = 1
 TAG_PROBES = 2
 TAG_POWER = 3
@@ -16,6 +18,7 @@ _MASK = (1 << 64) - 1
 
 
 def keyed_rng(*key: int) -> np.random.Generator:
-    """Return a Generator whose stream is determined solely by ``key``."""
-    entropy = [int(k) & _MASK for k in key]
+    """Return a Generator whose stream is determined solely by ``key``, a
+    tuple of integers (a ValueError otherwise)."""
+    entropy = [count("stream key", k) & _MASK for k in key]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

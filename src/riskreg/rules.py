@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError, count
 from .problems import snr_db
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR, SEARCH_CAP, lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_measure
@@ -286,9 +286,7 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
     """
     if alpha_init is not None and not 0 < alpha_init < np.inf:
         raise ValueError("alpha_init must be positive and finite")
-    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
-            and max_iter >= 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    count("max_iter", max_iter, 0)
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
     if isinstance(source, InfluencePath) and source.alphas.size:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, count
 from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_svd,
                     check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
@@ -388,9 +388,10 @@ class InfluencePath:
 
     The stochastic path's measure runs its probes on demand
     (``influence_path_stochastic``): ``bounds`` brackets ``frob_sq`` at the
-    depth its run has reached, ``deepen`` resumes the run, and reading any
-    other field but ``alphas``, ``lam1`` and ``sn_sq`` completes it.  A
-    complete measure has no bounds to give: ``bounds`` is None.
+    depth its run has reached (formed when first asked for), ``deepen``
+    resumes the run, and reading any other field but ``alphas``, ``lam1``
+    and ``sn_sq`` completes it.  A complete measure has no bounds to give:
+    ``bounds`` is None.
     ``probe_depth`` is the depth its probes' run has reached (None without
     probes).
     """
@@ -408,13 +409,11 @@ class InfluencePath:
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
                                                                                   self.alphas)
+        self.probe_depth = (None if self.iterations is None
+                            else int(np.max(self.iterations, initial=0)))
 
     def bounds(self):
         return None
-
-    @property
-    def probe_depth(self) -> Optional[int]:
-        return None if self.iterations is None else int(np.max(self.iterations, initial=0))
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -540,9 +539,9 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
 
     The run goes only as deep as the measure's readers need.  It runs to
     depth _FIRST_CHECK here (a fault there is raised here); grid-mode ``pro``
-    and ``ipro`` (``rules._grid_min_T``) then read its bracket of frob_sq and
-    resume it until their grid argmin is certified.  Every other reader
-    (``nodes``, ``weights``, ``trace``, ``frob_sq``, ``noise_amp``,
+    and ``ipro`` (``rules._grid_min_T``) then form and read its bracket of
+    frob_sq and resume it until their grid argmin is certified.  Every other
+    reader (``nodes``, ``weights``, ``trace``, ``frob_sq``, ``noise_amp``,
     ``iterations``, ``settle``, ``normal_residual``, ``influence_measure``
     on another grid, and the rules that read them) completes the run to each
     probe's settle stop and gets the arrays of an uninterrupted run, bit for
@@ -550,9 +549,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     """
     op = as_operator(A)
     alphas = np.asarray(alphas, dtype=float)
-    if not (isinstance(probes, (int, np.integer)) and not isinstance(probes, bool)
-            and probes >= 1):
-        raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
+    count("probes", probes, 1)
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
     if not lam1 > 0:  # given or estimated, one rule
@@ -603,16 +600,11 @@ class _ProbeMeasure(InfluencePath):
     def __init__(self, op, Z, alphas, lam1):
         _check_lam1(lam1)
         self.alphas, self.lam1, self.sn_sq = alphas, lam1, _sn_sq(alphas, lam1)
-        self._probes, self._depth, self._bounds = Z.shape[1], 0, None
+        self._probes, self.probe_depth, self._bounds = Z.shape[1], 0, None
         self._steps = _golub_kahan_steps(op, Z, alphas, SETTLE_TOL, None, "settle",
                                          _keep_bidiagonal)
         self._fault = self._peek = None
         self._run(_FIRST_CHECK)
-        self.bounds()
-
-    @property
-    def probe_depth(self) -> int:
-        return self._depth
 
     def bounds(self):
         """None once the run is complete (or has failed); else (lower, upper), the
@@ -630,7 +622,7 @@ class _ProbeMeasure(InfluencePath):
 
     def deepen(self) -> None:
         """Resume the run to its next bracketed depth, or to its end."""
-        self._run(self._depth + max(2, self._depth // 4))
+        self._run(self.probe_depth + max(2, self.probe_depth // 4))
 
     def _run(self, until):
         # resume the run until depth ``until`` or, None, to its end; at its
@@ -640,9 +632,9 @@ class _ProbeMeasure(InfluencePath):
             raise self._fault
         self._bounds, runs = None, None
         try:
-            while runs is None and (until is None or self._depth < until):
+            while runs is None and (until is None or self.probe_depth < until):
                 try:
-                    self._depth, self._peek = next(self._steps)
+                    self.probe_depth, self._peek = next(self._steps)
                 except StopIteration as end:
                     runs = end.value
             if runs is not None:
@@ -653,7 +645,6 @@ class _ProbeMeasure(InfluencePath):
                                        np.concatenate(weights) / self._probes, self.lam1,
                                        np.array(depths), np.array(residuals), np.array(settle))
                 self._steps = self._peek = None
-                self._depth = super().probe_depth
         except Exception as exc:  # the loop is dead: no bounds, and every read raises
             self._fault, self._steps, self._peek = exc, None, None
             raise

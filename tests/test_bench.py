@@ -48,6 +48,11 @@ class TestAlphaGrid:
         g = default_grid(4.0)
         assert g.min == pytest.approx(4e-12) and g.max == pytest.approx(2.0)
 
+    def test_rejects_a_point_count_that_is_not_an_integer(self):
+        # 2.5 raised a TypeError from np.geomspace
+        with pytest.raises(ValueError, match="points must be an integer, got 2.5"):
+            AlphaGrid(1e-3, 1.0, 2.5)
+
     def test_values_cached_read_only(self):
         grid = AlphaGrid(1e-3, 1.0, 7)
         assert grid.values is grid.values
@@ -138,7 +143,12 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ValueError, match="at least one worker"):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}"):
+            run_study(_tiny_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    def test_rejects_a_worker_count_that_is_not_an_integer(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers}"):
             run_study(_tiny_config(), workers=workers)
 
     def test_rule_order_irrelevant(self):
@@ -208,7 +218,7 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("probes", [0, -5])
     def test_rejects_fewer_than_one_probe(self, probes):
-        with pytest.raises(ValueError, match="at least one probe"):
+        with pytest.raises(ValueError, match=f"probes must be an integer >= 1, got {probes}"):
             _tiny_config(probes=probes)
 
     @pytest.mark.parametrize("variant", [1.7, True, "5"])

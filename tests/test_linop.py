@@ -197,7 +197,7 @@ class TestBidiagonalSvdFailure:
 
     def test_probe_measure_raises(self, failing_dbdsqr):
         with pytest.raises(ConvergenceError, match="LAPACK info 1"):
-            rr.influence_path_stochastic(rr.make_problem("shaw", None, 16).A, [1e-3], 2, 0)
+            rr.influence_path_stochastic(rr.make_problem("shaw", None, 16).A, [1e-3], 2, 0).trace
 
     def test_matrix_free_select_exits_4(self, failing_dbdsqr, tmp_path, capsys):
         p = rr.make_problem("shaw", None, 16)

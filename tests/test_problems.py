@@ -94,6 +94,13 @@ class TestNoise:
         c = rr.add_noise(p, 20.0, seed=5, replicate=4)
         assert not np.array_equal(a.g, c.g)
 
+    @pytest.mark.parametrize("key", [{"seed": 1.5}, {"replicate": 2.0}, {"seed": True}])
+    def test_rejects_a_stream_key_that_is_not_an_integer(self, key):
+        # seed 1.5 drew seed 1's noise
+        p = rr.make_problem("shaw", None, 16)
+        with pytest.raises(ValueError, match="stream key must be an integer"):
+            rr.add_noise(p, 20.0, **{"seed": 1, **key})
+
     def test_isotropy(self):
         # off-diagonal correlations average to zero across replicates
         p = rr.make_problem("deriv2", None, 1024)

@@ -820,6 +820,19 @@ class TestProbeBrackets:
         widths = [np.max((hi - lo) / hi) for _, lo, hi in brackets]
         assert widths == sorted(widths, reverse=True)
 
+    def test_full_read_forms_no_bracket(self, monkeypatch):
+        # only pro and ipro read a bracket; a reader of the complete run forms none
+        p = rr.make_problem("paralleltomo", None, 16)
+        grid = matrix_free_grid(1.0).values
+        ref = rr.influence_path_stochastic(p.A, grid, probes=4, seed=5, lam1=1.0)
+
+        def no_bracket(B_k, beta1):
+            raise AssertionError("a bracket was formed")
+        monkeypatch.setattr(tikhonov, "_gauss_radau_rules", no_bracket)
+        m = rr.influence_path_stochastic(p.A, grid, probes=4, seed=5, lam1=1.0)
+        assert m.probe_depth == 8
+        assert np.array_equal(m.trace, ref.trace) and m.probe_depth == ref.probe_depth > 8
+
 
 class TestInfluenceStochastic:
     @pytest.mark.parametrize("lam1", [np.nan, -1.0, 0.0, np.inf])

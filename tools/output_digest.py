@@ -48,7 +48,11 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   40 dB, 6 replicates, 8 probes), and every ``summary()`` of the two dense
   configs' reports (``run_study`` in this process at each of their worker
   counts) at full precision: median, quartiles, min, max and median oracle
-  error, of which ``summary.csv`` holds only some, to 12 digits.
+  error, of which ``summary.csv`` holds only some, to 12 digits;
+- the rejection of a count argument below its floor: ``select --probes 0``,
+  ``generate --replicates 0`` and ``--replicate -1``, and ``study`` with the
+  dense config at ``replicates: 0`` and at ``probes: 0``: exit code, stdout
+  and stderr.
 
 Usage, once per tree, then diff the two outputs:
 
@@ -281,6 +285,22 @@ def main() -> None:
                                                   workers):
                         print(f"summary {label} workers={workers} " + " ".join(
                             f"{key}={value!r}" for key, value in report.summary().items()))
+
+        generate = ["generate", "--problem", "shaw", "--n", "16", "--out",
+                    os.path.join(tmp, "generate_rejected")]
+        rejections = [("select_probes_0", ["select", "--data", containers["shaw_n64_xi20_r0"],
+                                           "--rule", "pro", "--probes", "0"]),
+                      ("generate_replicates_0", [*generate, "--replicates", "0"]),
+                      ("generate_replicate_-1", [*generate, "--replicate", "-1"])]
+        for key in ("replicates", "probes"):
+            config = os.path.join(tmp, f"study_{key}_0.json")
+            with open(config, "w") as fh:
+                json.dump({**STUDIES[0][1], key: 0}, fh)
+            rejections.append((f"study_{key}_0", ["study", "--config", config, "--out",
+                                                  os.path.join(tmp, f"study_{key}_0")]))
+        for label, argv in rejections:
+            code, out, err = _run(argv)
+            print(f"reject {label} {code} {json.dumps(out)} {json.dumps(err)}")
 
 
 if __name__ == "__main__":
