@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rules as rules_mod
-from .errors import DegenerateDataError, count
+from .errors import DegenerateDataError, count, real
 from .linop import bundled_openblas, largest_eigenvalue, svd
 from .problems import _DEFAULT_VARIANTS, check_problem, make_problem, sigma_for_snr, unit_noise
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR
@@ -45,9 +43,11 @@ DEFAULT_PROBES = 32
 def _check_grid(lo, hi, points, keys=("min", "max", "points")) -> None:
     """AlphaGrid's conditions; an endpoint or point count of None, taken from
     the operator later, is left out.  A message names the values at fault by
-    their entries in ``keys``."""
-    chain = [(0.0, None), *((x, k) for x, k in zip((lo, hi), keys) if x is not None),
-             (np.inf, None)]
+    their entries in ``keys``.  An endpoint that is not a float must be a
+    finite real number; a float one, NaN or inf too, falls in the chain."""
+    ends = ((x if isinstance(x, float) else real(k, x), k) for x, k in zip((lo, hi), keys)
+            if x is not None)
+    chain = [(0.0, None), *ends, (np.inf, None)]
     for (a, key_a), (b, key_b) in zip(chain, chain[1:]):
         if not a < b:
             at = " and ".join(f"{k} = {x!r}" for x, k in ((a, key_a), (b, key_b)) if k)
@@ -67,7 +67,9 @@ class AlphaGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_grid(self.min, self.max, self.points)
+        if self.min is None or self.max is None:  # _check_grid leaves None to an operator
+            real("min" if self.min is None else "max", None)
+        _check_grid(self.min, self.max, count("points", self.points))
         values = np.geomspace(self.min, self.max, self.points)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -90,6 +92,7 @@ def build_grid(s1_sq: float, matrix_free: bool, points: Optional[int] = None,
     count and endpoints overridden; used by both the study and the CLI.  An
     override that crosses the other endpoint is a ValueError naming it by its
     entry in ``keys`` and the endpoint left to the operator as its default."""
+    real("s1_sq", s1_sq, "positive")
     if matrix_free:
         lo_factor, hi_factor = MATRIX_FREE_RANGE
         bounds = (lo_factor * s1_sq / 2.0, hi_factor * s1_sq / 2.0)
@@ -259,10 +262,6 @@ def _json_object(value, where: str, keys: set) -> dict:
     return value
 
 
-def _finite_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass
 class StudyConfig:
     """Everything a study needs; serializes to a versioned JSON document."""
@@ -286,8 +285,8 @@ class StudyConfig:
         unknown = [r for r in self.rules if r not in rules_mod.RULE_NAMES]
         if unknown:
             raise ValueError(f"unknown rules: {unknown}")
-        if not all(_finite_number(x) for x in self.xis):
-            raise ValueError(f"xis must be finite numbers, got {list(self.xis)}")
+        for xi in self.xis:
+            real("xis", xi)
         # a repeat doubles its rows; xis that print alike share a detail CSV
         for key, ids in (("problems", [(p, _DEFAULT_VARIANTS.get(p) if v is None else v)
                                        for p, v in self.problems]),
@@ -297,11 +296,6 @@ class StudyConfig:
         for name, least in (("n", None), ("replicates", 1), ("seed", None),
                             ("grid_points", None), ("probes", 1)):
             count(_KEY_OF.get(name, name), getattr(self, name), least)
-        for name in ("grid_min", "grid_max", "bp_gamma", "bp_c"):
-            value = getattr(self, name)
-            optional = name in ("grid_min", "grid_max")
-            if not (_finite_number(value) or (optional and value is None)):
-                raise ValueError(f"{_KEY_OF[name]} must be a finite number, got {value!r}")
         _check_grid(self.grid_min, self.grid_max, self.grid_points, _GRID_KEYS)
         if "lc" in self.rules and self.grid_points < 5:
             raise ValueError(f"{_KEY_OF['grid_points']} = {self.grid_points!r}: "

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bench, problems, rules
-from .errors import ConvergenceError, DegenerateDataError, count
+from .errors import ConvergenceError, DegenerateDataError, count, real
 from .risk import RiskCurve, lower_bound_T, predictive_risk
 
 EXIT_OK = 0
@@ -35,9 +35,11 @@ def _fallback_seed(value):
 
 
 def _finite_float(text: str) -> float:
-    if not math.isfinite(value := float(text)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+    value = float(text)  # a ValueError here is argparse's "invalid float value"
+    try:
+        return real(text, value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number") from None
 
 
 _finite_float.__name__ = "float"  # argparse names the type in its error for non-numbers
@@ -175,8 +177,8 @@ def _cmd_select(args) -> int:
     _check_grid_flags(args)  # also for the rules that read no grid or bp setting
     rules.check_bp(args.bp_gamma, args.bp_c, keys=("--bp-gamma", "--bp-c"))
     for flag, value in (("--sigma", args.sigma), ("--sigma2", args.sigma2)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value!r}")
+        if value is not None:
+            real(flag, value, "nonnegative")
     problem, noisy = _load_dataset(args.data)
     if noisy is None:
         _build_parser().error("container has no noisy data vector")

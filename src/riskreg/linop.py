@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, count
+from .errors import ConvergenceError, DegenerateDataError, count, real
 from .rng import TAG_POWER, keyed_rng
 
 # Singular values below s1 * RANK_CUTOFF are treated as zero; this defines the
@@ -221,9 +221,7 @@ def bidiagonal_svd(diag, sub):
 
 def check_solver_args(tol, max_iter):
     """ValueError unless tol is finite and > 0 and max_iter an integer >= 1."""
-    if not (isinstance(tol, (int, float, np.integer, np.floating))
-            and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    real("tol", tol, "positive")
     count("max_iter", max_iter, 1)
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import count
+from .errors import count, real
 from .linop import LinearOperator
 from .rng import TAG_NOISE, keyed_rng
 
@@ -242,8 +242,7 @@ def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> Probl
 
 def sigma_for_snr(g_true, xi: float) -> float:
     """Noise level giving the requested SNR: xi = 10 log10(||g||^2 / (n sigma^2))."""
-    if not math.isfinite(xi):
-        raise ValueError("xi must be finite")
+    real("xi", xi)
     g_true = np.asarray(g_true, dtype=float)
     n = g_true.size
     return float(np.linalg.norm(g_true) / (np.sqrt(n) * 10.0 ** (xi / 20.0)))
@@ -251,6 +250,9 @@ def sigma_for_snr(g_true, xi: float) -> float:
 
 def snr_db(rho2: float, sigma2: float, n: int) -> float:
     """SNR in decibels for signal energy rho2 and per-sample noise variance sigma2."""
+    real("rho2", rho2, "positive")
+    real("sigma2", sigma2, "positive")
+    count("n", n, 1)
     return 10.0 * np.log10(rho2 / (n * sigma2))
 
 
@@ -346,10 +348,7 @@ def parallel_tomo(cells_per_side: int = 32, angles: int = 60,
     ell = count("cells_per_side", cells_per_side, 2)
     angles = count("angles", angles, 1)
     rays_per_angle = count("rays_per_angle", rays_per_angle, 1)
-    if span is None:
-        span = np.sqrt(2.0) * ell
-    elif not 0.0 < span < np.inf:
-        raise ValueError("span must be positive and finite")
+    span = np.sqrt(2.0) * ell if span is None else real("span", span, "positive")
     theta = np.deg2rad(np.arange(angles) * 180.0 / angles)
     if rays_per_angle == 1:
         offsets = np.array([0.0])
@@ -430,9 +429,7 @@ def _check_header(header) -> list:
     if not isinstance(header, dict):
         raise ValueError("container header is not a JSON object")
     for key in _NOISE_KEYS:
-        value = header.get(key, 0)
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"container {key} must be a finite number, got {value!r}")
+        real(f"container {key}", header.get(key, 0))
     if header.get("sigma", 0) < 0:
         raise ValueError(f"container sigma must be nonnegative, got {header['sigma']!r}")
     sections = header.get("sections")

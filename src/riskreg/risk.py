@@ -18,8 +18,9 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .errors import real
 from .linop import SpectralDecomposition
-from .tikhonov import InfluencePath, finite_data, influence_measure
+from .tikhonov import InfluencePath, finite_data, influence_measure, nonnegative_alphas
 
 SEARCH_CAP = 0.5  # the minimizer is searched on [0, lam1 * SEARCH_CAP]
 # the default dense grid is [GRID_MIN_FACTOR, GRID_MAX_FACTOR] * s1^2, to that cap
@@ -64,12 +65,11 @@ class MinimizerResult:
 
 def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: float):
     """Expected squared prediction error at alpha: bias plus noise amplification."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    real("sigma2", sigma2, "nonnegative")
     g_true = finite_data(g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
-    a = np.asarray(alpha, dtype=float)
+    a = nonnegative_alphas(alpha)
     denom = s2 + a[..., None]
     bias = np.sum((a[..., None] / denom) ** 2 * (c * c), axis=-1)
     var = sigma2 * np.sum((s2 / denom) ** 2, axis=-1)
@@ -79,10 +79,11 @@ def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: fl
 
 def predictive_risk_derivative(dec: SpectralDecomposition, g_true, sigma2: float, alpha: float):
     """d/dalpha of the predictive risk (diagnostic for the over-smoothing check)."""
+    real("sigma2", sigma2, "nonnegative")
     g_true = finite_data(g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
-    a = np.asarray(alpha, dtype=float)
+    a = nonnegative_alphas(alpha)
     denom = (s2 + a[..., None]) ** 3
     bias_d = np.sum(2.0 * a[..., None] * s2 * (c * c) / denom, axis=-1)
     var_d = sigma2 * np.sum(2.0 * s2 * s2 / denom, axis=-1)
@@ -101,12 +102,11 @@ def lower_bound_T(rho2: float, sigma2: float,
     may be arrays that broadcast against the samples: columns give one row of
     samples per (rho2, sigma2) pair.
     """
-    if np.ndim(rho2) or np.ndim(sigma2):
-        valid = np.logical_and.reduce((0 < rho2) & (rho2 < np.inf) & (0 <= sigma2)
-                                      & (sigma2 < np.inf), axis=None)
-    else:   # the scalar test alone, at a tenth of the cost
-        valid = 0 < rho2 < np.inf and 0 <= sigma2 < np.inf
-    if not valid:
+    if not (np.ndim(rho2) or np.ndim(sigma2)):
+        real("rho2", rho2, "positive")
+        real("sigma2", sigma2, "nonnegative")
+    elif not np.logical_and.reduce((0 < rho2) & (rho2 < np.inf) & (0 <= sigma2)
+                                   & (sigma2 < np.inf), axis=None):
         raise ValueError("need finite rho2 > 0 and sigma2 >= 0")
     m = influence_measure(source, None if alpha is None else np.atleast_1d(alpha))
     if alpha is None and not m.alphas.size:
@@ -117,7 +117,7 @@ def lower_bound_T(rho2: float, sigma2: float,
 
 def T_h(source, h: float, alpha):
     """The normalized lower bound f1 + h f2: the bound at rho^2 = 1, sigma^2 = h."""
-    return lower_bound_T(1.0, h, source, alpha)
+    return lower_bound_T(1.0, real("h", h, "nonnegative"), source, alpha)
 
 
 def _T_h_derivative_terms(source, alpha):
@@ -131,9 +131,8 @@ def _T_h_derivative_terms(source, alpha):
 
 def T_h_derivative(source, h: float, alpha):
     """Closed-form derivative of T_h."""
-    if not 0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
-    t1, t2 = _T_h_derivative_terms(source, alpha)
+    real("h", h, "positive")
+    t1, t2 = _T_h_derivative_terms(source, nonnegative_alphas(alpha))
     out = t1 - h * t2
     return float(out) if np.isscalar(alpha) else out
 
@@ -159,8 +158,7 @@ def minimize_T(source, h: float) -> MinimizerResult:
     cancel to 1e-12, or the bracket must shrink to 1e-12 relative width,
     within 300 steps.
     """
-    if not 0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
+    real("h", h, "positive")
     m = influence_measure(source)
     if not m.nodes.size:
         raise ValueError("cannot minimize over a zero operator")
@@ -205,8 +203,7 @@ def minimize_T(source, h: float) -> MinimizerResult:
 def alpha_bounds(source, h: float):
     """Analytic bracket for the minimizer: (lam1 h, upper) with upper defined
     only when h is below zeta = lam1 / tr(A^T A), the trace being sum w t."""
-    if not 0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
+    real("h", h, "positive")
     m = influence_measure(source)
     zeta = m.lam1 / float(np.sum(m.weights * m.nodes))
     lo = m.lam1 * h
@@ -219,8 +216,7 @@ def alpha_bounds(source, h: float):
 def global_minimizer_certificate(source, h: float) -> bool:
     """True when h <= 1/(27 r), r the measure's total weight (a spectrum's
     rank): the interval minimizer is then the global one."""
-    if not 0 < h < np.inf:
-        raise ValueError("h must be positive and finite")
+    real("h", h, "positive")
     return h <= 1.0 / (27.0 * float(np.sum(influence_measure(source).weights)))
 
 

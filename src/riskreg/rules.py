@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, count
+from .errors import ConvergenceError, DegenerateDataError, count, real
 from .problems import snr_db
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR, SEARCH_CAP, lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_measure
@@ -165,8 +165,10 @@ def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
 
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
     """Minimize the predictive-risk lower bound for known (rho2, sigma2)."""
-    if not (0 < rho2 < np.inf and 0 < sigma2 < np.inf):
-        raise ValueError("need finite rho2 > 0 and sigma2 > 0")
+    real("rho2", rho2, "positive")
+    real("sigma2", sigma2, "positive")
+    if n is not None:
+        count("n", n, 1)
     sel = _select_min_T(source, rho2, sigma2)
     sel.diagnostics.update(rho2_hat=rho2, sigma2_hat=sigma2)
     if n is not None:
@@ -190,8 +192,9 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
     nonpositive the data is indistinguishable from pure noise; the default is
     to raise, ``on_degenerate="max_alpha"`` opts into maximal smoothing.
     """
-    if not 0 < sigma2 < np.inf:
-        raise ValueError("sigma2 must be positive and finite")
+    real("sigma2", sigma2, "positive")
+    if on_degenerate not in ("raise", "max_alpha"):
+        raise ValueError(f"on_degenerate must be 'raise' or 'max_alpha', got {on_degenerate!r}")
     g = np.asarray(g, dtype=float)
     n = g.size
     rho2_hat = _signal_energy(float(g @ g), n, sigma2)
@@ -284,8 +287,8 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
     solution path on the same grid; on a spectrum it is evaluated at any alpha.
     ``max_iter`` is an integer >= 0; at 0 no step runs, so the rule does not settle.
     """
-    if alpha_init is not None and not 0 < alpha_init < np.inf:
-        raise ValueError("alpha_init must be positive and finite")
+    if alpha_init is not None:
+        real("alpha_init", alpha_init, "positive")
     count("max_iter", max_iter, 0)
     g = np.asarray(g, dtype=float)
     g_sq, n = float(g @ g), g.size
@@ -363,8 +366,7 @@ def dp(path: SolutionPath, sigma: float, refine: bool = True) -> RuleSelection:
     between neighbors when a resolver is available.  If the target is never
     reached the largest alpha is returned with a saturation flag.
     """
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be nonnegative and finite")
+    real("sigma", sigma, "nonnegative")
     _check_increasing(path.alphas)
     idx, masks, target = _dp_rows(path.residual_norms, path.data_size, sigma)
     sel = _on_grid("dp", path.alphas, idx, masks, target=target)
@@ -395,8 +397,7 @@ def _upre_rows(residual_norms, data_size: int, trace, sigma2: float):
 
 def upre(path: SolutionPath, trace_source, sigma2: float) -> RuleSelection:
     """Unbiased predictive-risk estimate: ||r||^2 - 2 sigma2 tr(I - X_a), on the grid."""
-    if not 0 <= sigma2 < np.inf:
-        raise ValueError("sigma2 must be nonnegative and finite")
+    real("sigma2", sigma2, "nonnegative")
     tr = influence_measure(trace_source, path.alphas).trace
     idx, masks, values = _upre_rows(path.residual_norms, path.data_size, tr, sigma2)
     return _on_grid("upre", path.alphas, idx, masks, objective_samples=values)
@@ -420,12 +421,9 @@ def gcv(path: SolutionPath, trace_source) -> RuleSelection:
 def check_bp(gamma: float, c: float, sigma: float = 0.0, keys=("gamma", "c")) -> None:
     """bp's conditions on its settings and, where one is given, the noise level;
     a message names the setting at fault by its entry in ``keys``."""
-    if not 0 < gamma < 1:
-        raise ValueError(f"{keys[0]} must be in (0, 1), got {gamma!r}")
-    if not 0 <= c < np.inf:
-        raise ValueError(f"{keys[1]} must be nonnegative and finite, got {c!r}")
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be nonnegative and finite")
+    real(keys[0], gamma, "unit")
+    real(keys[1], c, "nonnegative")
+    real("sigma", sigma, "nonnegative")
 
 
 def bp(path: SolutionPath, sigma: float, noise_source, gamma: float = BP_GAMMA,

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, count
+from .errors import ConvergenceError, count, real
 from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_svd,
                     check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
@@ -49,10 +49,17 @@ def finite_data(g) -> np.ndarray:
     return g
 
 
+def nonnegative_alphas(alphas) -> np.ndarray:
+    """``alphas`` as a float array; a ValueError unless each is nonnegative and finite."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all((alphas >= 0) & (alphas < np.inf)):
+        raise ValueError("alphas must be nonnegative and finite")
+    return alphas
+
+
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
     """Tikhonov solution through the SVD filter; alpha = 0 gives the pseudoinverse."""
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+    real("alpha", alpha, "nonnegative")
     g = finite_data(g)
     if g.shape[0] != dec.U.shape[0]:
         raise ValueError("dimension mismatch between decomposition and data")
@@ -405,7 +412,7 @@ class InfluencePath:
     settle: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _check_lam1(self.lam1)
+        real("lam1", self.lam1, "nonnegative")
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
                                                                                   self.alphas)
@@ -419,11 +426,6 @@ class InfluencePath:
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _check_lam1(lam1) -> None:
-    if not (np.ndim(lam1) == 0 and np.isfinite(lam1) and lam1 >= 0):
-        raise ValueError(f"lam1 must be finite and >= 0, got {lam1!r}")
-
-
 def _sn_sq(alphas, lam1):
     sn = alphas / (lam1 + alphas)
     return sn * sn
@@ -433,8 +435,7 @@ def _influence_scalars(m: InfluencePath, alphas):
     """(sn_sq, frob_sq, trace, noise_amp) of the measure ``m`` at ``alphas`` >= 0."""
     if not alphas.size:  # a spectrum's bare measure (``influence_measure``)
         return alphas, alphas, alphas, alphas
-    if np.any(alphas < 0):
-        raise ValueError("alpha must be nonnegative")
+    nonnegative_alphas(alphas)
     t, w = m.nodes, m.weights
     d = t + alphas[..., None]
     x = t / d
@@ -552,8 +553,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     count("probes", probes, 1)
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
-    if not lam1 > 0:  # given or estimated, one rule
-        raise ValueError(f"lam1 must be > 0, got {lam1!r}")
+    real("lam1", lam1, "positive")  # given or estimated, one rule
     Z = keyed_rng(seed, TAG_PROBES).standard_normal((op.rows, probes))
     return _ProbeMeasure(op, Z, alphas, lam1)
 
@@ -598,7 +598,6 @@ class _ProbeMeasure(InfluencePath):
         _OnDemand() for _ in range(8))
 
     def __init__(self, op, Z, alphas, lam1):
-        _check_lam1(lam1)
         self.alphas, self.lam1, self.sn_sq = alphas, lam1, _sn_sq(alphas, lam1)
         self._probes, self.probe_depth, self._bounds = Z.shape[1], 0, None
         self._steps = _golub_kahan_steps(op, Z, alphas, SETTLE_TOL, None, "settle",
@@ -679,9 +678,7 @@ def spectral_filters(s, alphas) -> tuple[np.ndarray, np.ndarray]:
     """The Tikhonov filter factors s/(s^2 + a) and (a/(s^2 + a))^2 of the
     singular values ``s`` at each alpha, one row per alpha; they hold all that
     a spectral path reads of its grid, which must be nonnegative and finite."""
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((alphas >= 0) & (alphas < np.inf)):
-        raise ValueError("alphas must be nonnegative and finite")
+    alphas = nonnegative_alphas(alphas)
     d = (s * s)[None, :] + alphas[:, None]                       # (K, r)
     psi = alphas[:, None] / d
     psi *= psi

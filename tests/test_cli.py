@@ -458,7 +458,7 @@ class TestNoiseLevel:
                          repr(-sigma)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: {flag} must be nonnegative, got {-sigma!r}\n"
+            assert captured.err == f"error: {flag} must be nonnegative and finite, got {-sigma!r}\n"
 
     @pytest.mark.parametrize("command,name", [("select", rule) for rule in RULE_NAMES]
                              + [("curve", kind) for kind in ("lower_bound", "predictive",

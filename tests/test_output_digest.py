@@ -55,3 +55,13 @@ def test_breakdown_blocks_print_every_column(capsys):
               if line.startswith("block rank5_5x9") and " quadrature " in line]
     assert _list(measures[3], "settle") == settle
     assert all(0.0 < s < 1.0 for s in settle)
+
+
+def test_library_rejections_name_a_value_error_each(capsys):
+    # one mistyped value per check family, each a ValueError, none an answer
+    tool = _load()
+    tool._library_rejections(tool.problems.make_problem("shaw", None, 64))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert all(line.split()[:1] + line.split()[2:3] == ["reject-lib", "ValueError"]
+               for line in lines)

@@ -93,6 +93,18 @@ class TestProEstimated:
         assert sel.alpha == pytest.approx(0.5)
         assert "fallback_max_alpha" in sel.diagnostics["flags"]
 
+    @pytest.mark.parametrize("g", [np.array([2.0, 1.0, 1.0, 2.0]), np.zeros(4)],
+                             ids=["good_data", "degenerate_data"])
+    def test_unknown_on_degenerate_rejected_up_front(self, g):
+        # the typo was ignored on good data and became a DegenerateDataError
+        # (exit 3) on degenerate data
+        dec, _ = _identity_setup(4)
+        with pytest.raises(ValueError) as info:
+            rules.pro_estimated(dec, g, sigma2=1.0, on_degenerate="max-alpha")
+        assert type(info.value) is ValueError
+        assert str(info.value) == \
+            "on_degenerate must be 'raise' or 'max_alpha', got 'max-alpha'"
+
     def test_consistency_as_noise_vanishes(self, shaw64):
         p, dec = shaw64
         rho = np.linalg.norm(p.g_true)
@@ -806,6 +818,12 @@ _ILL_FORMED_CALLS = {
     "minimize_T_zero_measure": (
         lambda dec, path, g: rr.minimize_T(rr.svd(np.zeros((4, 3))), 1e-4),
         "cannot minimize over a zero operator"),
+    # pro's n was read by snr_db as it came: 2.5 and True gave an xi_hat, and
+    # snr_db's n of 0 a ZeroDivisionError
+    **{f"pro_n_{n!r}": (lambda dec, path, g, n=n: rules.pro(dec, 1.0, 0.01, n=n),
+                        f"n must be an integer >= 1, got {n!r}") for n in (2.5, True, 0)},
+    "snr_db_n_zero": (lambda dec, path, g: rr.snr_db(1.0, 0.1, 0),
+                      "n must be an integer >= 1, got 0"),
 }
 
 

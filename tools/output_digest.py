@@ -52,7 +52,14 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
 - the rejection of a count argument below its floor: ``select --probes 0``,
   ``generate --replicates 0`` and ``--replicate -1``, and ``study`` with the
   dense config at ``replicates: 0`` and at ``probes: 0``: exit code, stdout
-  and stderr.
+  and stderr;
+- the library's rejection of one mistyped value per check family, on shaw
+  n = 64 (replicate 0, 20 dB): ``dp`` with sigma True, ``pro`` with rho2 True
+  and with n 2.5, ``minimize_T`` with h None, ``InfluencePath`` with lam1
+  True, ``AlphaGrid`` with min True, a ``StudyConfig`` with ``"xis": [true]``,
+  ``lower_bound_T`` at alpha NaN and ``pro_estimated`` with ``on_degenerate``
+  "max-alpha": the exception type and message, or the type of the value
+  returned.
 
 Usage, once per tree, then diff the two outputs:
 
@@ -69,7 +76,7 @@ import tempfile
 
 import numpy as np
 
-from riskreg import bench, cli, linop, problems, rules, tikhonov
+from riskreg import bench, cli, linop, problems, risk, rules, tikhonov
 from riskreg.rng import TAG_PROBES, keyed_rng
 
 SEED = 1
@@ -169,6 +176,33 @@ def _breakdown_blocks() -> None:
     _print_measure("rank5_5x9", tikhonov.influence_path_stochastic(A, alphas, 5, 258, lam1=1.0))
     _print_block("rank5_5x9", A, keyed_rng(258, TAG_PROBES).standard_normal((5, 5)), alphas,
                  1e-8)
+
+
+def _library_rejections(problem) -> None:
+    dec = linop.svd(problem.A)
+    grid = bench.default_grid(float(dec.s[0]) ** 2).values
+    noisy = problems.add_noise(problem, 20.0, SEED, 0)
+    path = tikhonov.spectral_path(dec, noisy.g, grid)
+    config = json.dumps({**STUDIES[0][1], "xis": [True]})
+    calls = [
+        ("dp_sigma_True", lambda: rules.dp(path, True)),
+        ("pro_rho2_True", lambda: rules.pro(dec, True, 0.01)),
+        ("minimize_T_h_None", lambda: risk.minimize_T(dec, None)),
+        ("InfluencePath_lam1_True", lambda: tikhonov.InfluencePath(grid, dec.s ** 2,
+                                                                   np.ones(dec.rank), True)),
+        ("AlphaGrid_min_True", lambda: bench.AlphaGrid(True, 2.0, 10)),
+        ("StudyConfig_xis_true", lambda: bench.StudyConfig.from_json(config)),
+        ("lower_bound_T_alpha_nan", lambda: risk.lower_bound_T(1.0, 0.1, dec, np.nan)),
+        ("pro_estimated_on_degenerate", lambda: rules.pro_estimated(
+            dec, noisy.g, noisy.sigma ** 2, on_degenerate="max-alpha")),
+        ("pro_n_2.5", lambda: rules.pro(dec, 1.0, 0.01, n=2.5)),
+    ]
+    for label, call in calls:
+        try:
+            outcome = f"returned {type(call()).__name__}"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__} {json.dumps(str(exc))}"
+        print(f"reject-lib {label} {outcome}")
 
 
 def main() -> None:
@@ -301,6 +335,7 @@ def main() -> None:
         for label, argv in rejections:
             code, out, err = _run(argv)
             print(f"reject {label} {code} {json.dumps(out)} {json.dumps(err)}")
+    _library_rejections(shaw)
 
 
 if __name__ == "__main__":
