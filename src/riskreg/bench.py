@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -253,6 +254,13 @@ _KEY_OF = {name: f"{section}.{key}" for section, fields in _SECTIONS.items()
 _GRID_KEYS = tuple(_KEY_OF[f"grid_{k}"] for k in ("min", "max", "points"))
 
 
+def _listed(key: str, value):
+    """``value``; a ValueError naming ``key`` unless it is a sequence, not a str."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, (abc.Sequence, np.ndarray)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _json_object(value, where: str, keys: set) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -281,6 +289,8 @@ class StudyConfig:
     version: int = 1
 
     def __post_init__(self):
+        for key in ("problems", "xis", "rules"):
+            _listed(key, getattr(self, key))
         self.problems = [(str(p), check_problem(str(p), v, self.n)) for p, v in self.problems]
         unknown = [r for r in self.rules if r not in rules_mod.RULE_NAMES]
         if unknown:
@@ -326,7 +336,8 @@ class StudyConfig:
         for section, fields in _SECTIONS.items():
             for key, value in _json_object(raw.get(section, {}), section, set(fields)).items():
                 kwargs[fields[key]] = value
-        problems = [_json_object(p, "problem", {"name", "variant"}) for p in raw["problems"]]
+        problems = [_json_object(p, "problem", {"name", "variant"})
+                    for p in _listed("problems", raw["problems"])]
         kwargs["problems"] = [(p["name"], p.get("variant")) for p in problems]
         return cls(**kwargs)
 

@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 def count(name: str, value, least=None) -> int:
     """``value`` as an int; a ValueError naming it ``name`` unless it is an
@@ -14,12 +16,12 @@ def count(name: str, value, least=None) -> int:
     return int(value)
 
 
-# the ranges ``real`` checks, by name: how a message states each, and its test
-# of a finite value
+# the ranges ``real`` and ``reals`` check, by name: how a message states each,
+# and its test of a finite value, elementwise on an array
 _RANGES = {None: ("finite", lambda x: True),
            "positive": ("positive and finite", lambda x: x > 0),
            "nonnegative": ("nonnegative and finite", lambda x: x >= 0),
-           "unit": ("in (0, 1)", lambda x: 0 < x < 1)}
+           "unit": ("in (0, 1)", lambda x: (0 < x) & (x < 1))}
 
 
 def real(name: str, value, within=None):
@@ -35,6 +37,29 @@ def real(name: str, value, within=None):
     if not ok:
         raise ValueError(f"{name} must be {form}, got {value!r}")
     return value
+
+
+def reals(name: str, values, within=None) -> np.ndarray:
+    """``values`` as a float array; a ValueError naming it ``name`` and its
+    first bad entry unless each entry is a finite real number in ``within``,
+    as ``real`` checks one: a bool array, a str or None entry, NaN or +-inf is
+    bad.  A value that is no array and has no dimension is checked by ``real``."""
+    if not isinstance(values, np.ndarray) and np.ndim(values) == 0:
+        return np.asarray(real(name, values, within), dtype=float)
+    form, test = _RANGES[within]
+    values = np.asarray(values)
+    if values.dtype.kind == "O":  # a None, str or number entry: each as ``real`` checks it
+        for value in values.flat:
+            real(name, value, within)
+    elif values.dtype.kind not in "iuf" and values.size:  # bool, str or complex throughout
+        raise ValueError(f"{name} must be {form}, got {values.flat[0].item()!r}")
+    x = values.astype(float, copy=False)
+    if x.size:  # each range is an interval, so the least and the greatest entry stand for all
+        lo, hi = x.min(), x.max()
+        if not (math.isfinite(lo) and math.isfinite(hi) and test(lo) and test(hi)):
+            bad = values.flat[np.argmin(np.isfinite(x) & test(x))].item()
+            raise ValueError(f"{name} must be {form}, got {bad!r}")
+    return x
 
 
 class ConvergenceError(RuntimeError):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, count, real
+from .errors import ConvergenceError, DegenerateDataError, count, real, reals
 from .rng import TAG_POWER, keyed_rng
 
 # Singular values below s1 * RANK_CUTOFF are treated as zero; this defines the
@@ -122,11 +122,16 @@ def as_operator(A) -> LinearOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Truncated SVD: nonincreasing positive singular values and orthonormal vectors."""
+    """Truncated SVD: nonincreasing positive singular values and orthonormal
+    vectors.  A NaN or inf entry, or a singular value <= 0, is a ValueError."""
 
     U: np.ndarray  # (n, r)
     s: np.ndarray  # (r,)
     V: np.ndarray  # (m, r)
+
+    def __post_init__(self):
+        for name, within in (("U", None), ("s", "positive"), ("V", None)):
+            reals(name, getattr(self, name), within)
 
     @property
     def rank(self) -> int:
@@ -143,10 +148,7 @@ def svd(A) -> SpectralDecomposition:
     op = as_operator(A)
     if op.representation != "dense":
         raise ValueError("svd requires a dense operator")
-    M = op.to_dense()
-    if not np.all(np.isfinite(M)):
-        raise ValueError("operator has non-finite entries")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = np.linalg.svd(reals("A", op.to_dense()), full_matrices=False)
     r = numerical_rank(s)
     return SpectralDecomposition(np.ascontiguousarray(U[:, :r]),
                                  np.ascontiguousarray(s[:r]),

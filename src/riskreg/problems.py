@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import count, real
+from .errors import count, real, reals
 from .linop import LinearOperator
 from .rng import TAG_NOISE, keyed_rng
 
@@ -243,7 +243,7 @@ def make_problem(name: str, variant: Optional[int] = None, n: int = 64) -> Probl
 def sigma_for_snr(g_true, xi: float) -> float:
     """Noise level giving the requested SNR: xi = 10 log10(||g||^2 / (n sigma^2))."""
     real("xi", xi)
-    g_true = np.asarray(g_true, dtype=float)
+    g_true = reals("g_true", g_true)
     n = g_true.size
     return float(np.linalg.norm(g_true) / (np.sqrt(n) * 10.0 ** (xi / 20.0)))
 
@@ -429,9 +429,7 @@ def _check_header(header) -> list:
     if not isinstance(header, dict):
         raise ValueError("container header is not a JSON object")
     for key in _NOISE_KEYS:
-        real(f"container {key}", header.get(key, 0))
-    if header.get("sigma", 0) < 0:
-        raise ValueError(f"container sigma must be nonnegative, got {header['sigma']!r}")
+        real(f"container {key}", header.get(key, 0), "nonnegative" if key == "sigma" else None)
     sections = header.get("sections")
     if not (isinstance(sections, list) and all(isinstance(s, dict) for s in sections)):
         raise ValueError("container sections must be a list of objects")
@@ -474,9 +472,7 @@ def load_container(path) -> dict:
             if size > left:
                 raise ValueError(f"container field {field!r} does not fit the file")
             left -= size
-            arr = np.frombuffer(fh.read(size), dtype="<f8")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"container field {field!r} has non-finite entries")
+            arr = reals(f"container field {field!r}", np.frombuffer(fh.read(size), dtype="<f8"))
             with np.errstate(over="ignore"):
                 if not np.isfinite(arr @ arr):
                     raise ValueError(f"container field {field!r} overflows its squared norm")

@@ -18,9 +18,9 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import real
+from .errors import real, reals
 from .linop import SpectralDecomposition
-from .tikhonov import InfluencePath, finite_data, influence_measure, nonnegative_alphas
+from .tikhonov import InfluencePath, _influence_scalars, influence_measure
 
 SEARCH_CAP = 0.5  # the minimizer is searched on [0, lam1 * SEARCH_CAP]
 # the default dense grid is [GRID_MIN_FACTOR, GRID_MAX_FACTOR] * s1^2, to that cap
@@ -37,12 +37,10 @@ class RiskCurve:
     kind: str  # "predictive" | "lower_bound" | "upre" | "gcv"
 
     def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.alphas = reals("alphas", self.alphas, "nonnegative")
         if np.any(np.diff(self.alphas) <= 0):
             raise ValueError("alphas must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
+        self.values = reals("values", self.values)
 
     def to_csv(self, file) -> None:
         """Write alpha,value,kind rows to the open text file ``file``."""
@@ -66,10 +64,10 @@ class MinimizerResult:
 def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: float):
     """Expected squared prediction error at alpha: bias plus noise amplification."""
     real("sigma2", sigma2, "nonnegative")
-    g_true = finite_data(g_true)
+    g_true = reals("g_true", g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
-    a = nonnegative_alphas(alpha)
+    a = reals("alpha", alpha, "nonnegative")
     denom = s2 + a[..., None]
     bias = np.sum((a[..., None] / denom) ** 2 * (c * c), axis=-1)
     var = sigma2 * np.sum((s2 / denom) ** 2, axis=-1)
@@ -80,10 +78,10 @@ def predictive_risk(dec: SpectralDecomposition, g_true, sigma2: float, alpha: fl
 def predictive_risk_derivative(dec: SpectralDecomposition, g_true, sigma2: float, alpha: float):
     """d/dalpha of the predictive risk (diagnostic for the over-smoothing check)."""
     real("sigma2", sigma2, "nonnegative")
-    g_true = finite_data(g_true)
+    g_true = reals("g_true", g_true)
     c = dec.U.T @ g_true
     s2 = dec.s * dec.s
-    a = nonnegative_alphas(alpha)
+    a = reals("alpha", alpha, "nonnegative")
     denom = (s2 + a[..., None]) ** 3
     bias_d = np.sum(2.0 * a[..., None] * s2 * (c * c) / denom, axis=-1)
     var_d = sigma2 * np.sum(2.0 * s2 * s2 / denom, axis=-1)
@@ -102,12 +100,7 @@ def lower_bound_T(rho2: float, sigma2: float,
     may be arrays that broadcast against the samples: columns give one row of
     samples per (rho2, sigma2) pair.
     """
-    if not (np.ndim(rho2) or np.ndim(sigma2)):
-        real("rho2", rho2, "positive")
-        real("sigma2", sigma2, "nonnegative")
-    elif not np.logical_and.reduce((0 < rho2) & (rho2 < np.inf) & (0 <= sigma2)
-                                   & (sigma2 < np.inf), axis=None):
-        raise ValueError("need finite rho2 > 0 and sigma2 >= 0")
+    rho2, sigma2 = reals("rho2", rho2, "positive"), reals("sigma2", sigma2, "nonnegative")
     m = influence_measure(source, None if alpha is None else np.atleast_1d(alpha))
     if alpha is None and not m.alphas.size:
         raise ValueError("alpha is required with a spectral source")
@@ -132,7 +125,7 @@ def _T_h_derivative_terms(source, alpha):
 def T_h_derivative(source, h: float, alpha):
     """Closed-form derivative of T_h."""
     real("h", h, "positive")
-    t1, t2 = _T_h_derivative_terms(source, nonnegative_alphas(alpha))
+    t1, t2 = _T_h_derivative_terms(source, reals("alpha", alpha, "nonnegative"))
     out = t1 - h * t2
     return float(out) if np.isscalar(alpha) else out
 
@@ -143,6 +136,13 @@ def _T_h_second(source, h: float, alpha: float) -> float:
     f1 = 2.0 * lam1 * (lam1 - 2.0 * alpha) / (alpha + lam1) ** 4
     f2 = np.sum(m.weights * (6.0 * t * t / (alpha + t) ** 4))
     return float(f1 + h * f2)
+
+
+def _T_h_at(m: InfluencePath, h: float, alpha) -> float:
+    """``T_h`` of a checked measure at one alpha >= 0, with no argument checks:
+    ``minimize_T`` reads it once per call, ``ipro`` once per step."""
+    sn_sq, frob_sq, _, _ = _influence_scalars(m, np.array([alpha], dtype=float))
+    return float(sn_sq[0] + h * frob_sq[0])
 
 
 def minimize_T(source, h: float) -> MinimizerResult:
@@ -165,14 +165,14 @@ def minimize_T(source, h: float) -> MinimizerResult:
     hi = SEARCH_CAP * m.lam1
     t1, t2 = _T_h_derivative_terms(m, hi)
     if t1 - h * t2 <= 0.0:
-        return MinimizerResult(alpha_star=hi, objective=T_h(m, h, hi),
+        return MinimizerResult(alpha_star=hi, objective=_T_h_at(m, h, hi),
                                bracket=(0.0, hi), iterations=0, converged=True,
                                at_boundary=True)
     # any interior stationary point satisfies alpha >= lam1 h
     lo = m.lam1 * h
     t1, t2 = _T_h_derivative_terms(m, lo)
     if t1 - h * t2 >= 0.0:
-        return MinimizerResult(alpha_star=lo, objective=T_h(m, h, lo),
+        return MinimizerResult(alpha_star=lo, objective=_T_h_at(m, h, lo),
                                bracket=(lo, lo), iterations=0, converged=True)
     up = hi
     x = np.sqrt(lo * up)
@@ -196,7 +196,7 @@ def minimize_T(source, h: float) -> MinimizerResult:
         if not (lo < x_new < up):
             x_new = np.sqrt(lo * up)
         x = x_new
-    return MinimizerResult(alpha_star=float(x), objective=T_h(m, h, x),
+    return MinimizerResult(alpha_star=float(x), objective=_T_h_at(m, h, x),
                            bracket=(lo, up), iterations=it, converged=converged)
 
 

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError, count, real
+from .errors import ConvergenceError, DegenerateDataError, count, real, reals
+from .linop import SpectralDecomposition
 from .problems import snr_db
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR, SEARCH_CAP, lower_bound_T, minimize_T
 from .tikhonov import InfluencePath, SolutionPath, influence_measure
@@ -176,6 +177,14 @@ def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSele
     return sel
 
 
+def _data(g, rows: Optional[int]):
+    """The finite data g as a float array, a vector of ``rows`` entries if given."""
+    g = reals("g", g)
+    if rows is not None and g.shape != (rows,):
+        raise ValueError(f"g must be a vector of {rows} entries, got shape {g.shape}")
+    return g
+
+
 def _signal_energy(g_sq, n: int, sigma2):
     """The estimate ||g||^2 - n sigma2 of the exact data energy, row-wise."""
     return g_sq - n * sigma2
@@ -190,12 +199,13 @@ def pro_estimated(source, g, sigma2: float, on_degenerate: str = "raise") -> Rul
 
     The estimator is unbiased for the exact data energy.  When it comes out
     nonpositive the data is indistinguishable from pure noise; the default is
-    to raise, ``on_degenerate="max_alpha"`` opts into maximal smoothing.
+    to raise, ``on_degenerate="max_alpha"`` opts into maximal smoothing.  g
+    must be finite and, on a spectrum, have an entry per row of its U.
     """
     real("sigma2", sigma2, "positive")
     if on_degenerate not in ("raise", "max_alpha"):
         raise ValueError(f"on_degenerate must be 'raise' or 'max_alpha', got {on_degenerate!r}")
-    g = np.asarray(g, dtype=float)
+    g = _data(g, source.U.shape[0] if isinstance(source, SpectralDecomposition) else None)
     n = g.size
     rho2_hat = _signal_energy(float(g @ g), n, sigma2)
     if rho2_hat <= 0:
@@ -285,18 +295,22 @@ def ipro(source, g, alpha_init: Optional[float] = None, max_iter: int = IPRO_MAX
 
     On an influence path (grid mode) the residual is read from ``path``, a
     solution path on the same grid; on a spectrum it is evaluated at any alpha.
+    g must be finite, with ``path.data_size`` entries or one per row of U.
     ``max_iter`` is an integer >= 0; at 0 no step runs, so the rule does not settle.
     """
     if alpha_init is not None:
         real("alpha_init", alpha_init, "positive")
     count("max_iter", max_iter, 0)
-    g = np.asarray(g, dtype=float)
+    grid_mode = isinstance(source, InfluencePath) and source.alphas.size
+    if grid_mode and path is None:
+        raise ValueError("grid mode needs a solution path to evaluate residuals")
+    if not (grid_mode or isinstance(source, SpectralDecomposition)):
+        raise ValueError("ipro needs a spectrum or an influence path on a grid")
+    g = _data(g, path.data_size if grid_mode else source.U.shape[0])
     g_sq, n = float(g @ g), g.size
-    if isinstance(source, InfluencePath) and source.alphas.size:
+    if grid_mode:
         m = source
         _check_increasing(m.alphas)
-        if path is None:
-            raise ValueError("grid mode needs a solution path to evaluate residuals")
         if path.alphas.shape != m.alphas.shape:
             raise ValueError("influence path and solution path use different grids")
         alpha_init, residual_sq, step = _grid_ipro(m, path.residual_norms[None], alpha_init)

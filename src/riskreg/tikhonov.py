@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, count, real
+from .errors import ConvergenceError, count, real, reals
 from .linop import (RANK_CUTOFF, SpectralDecomposition, as_operator, bidiagonal_svd,
                     check_solver_args, largest_eigenvalue, numerical_rank)
 from .rng import TAG_PROBES, keyed_rng
@@ -41,26 +41,10 @@ class RegularizedSolution:
     residual_norm: float
 
 
-def finite_data(g) -> np.ndarray:
-    """The data vector g as a float array; a NaN or inf entry is a ValueError."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("data has non-finite entries")
-    return g
-
-
-def nonnegative_alphas(alphas) -> np.ndarray:
-    """``alphas`` as a float array; a ValueError unless each is nonnegative and finite."""
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((alphas >= 0) & (alphas < np.inf)):
-        raise ValueError("alphas must be nonnegative and finite")
-    return alphas
-
-
 def solve_spectral(dec: SpectralDecomposition, g, alpha: float) -> RegularizedSolution:
     """Tikhonov solution through the SVD filter; alpha = 0 gives the pseudoinverse."""
     real("alpha", alpha, "nonnegative")
-    g = finite_data(g)
+    g = reals("g", g)
     if g.shape[0] != dec.U.shape[0]:
         raise ValueError("dimension mismatch between decomposition and data")
     c = dec.U.T @ g
@@ -252,8 +236,8 @@ def _golub_kahan_steps(A, b, alphas, tol, max_iter, stop, finish):
     solve to tol before SETTLE_DELAY steps have run), so no probe runs deeper
     than its solve needs; only then can its estimate exceed ``tol``."""
     op = as_operator(A)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size == 0 or np.any(~(alphas > 0)):
+    alphas = reals("alphas", alphas, "positive")
+    if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("the Krylov path requires a nonempty grid of alphas > 0")
     max_iter = op.rows if max_iter is None else max_iter
     check_solver_args(tol, max_iter)
@@ -390,8 +374,9 @@ class InfluencePath:
     gives a Gauss quadrature, and ``iterations``, ``normal_residual`` and
     ``settle`` hold, per probe, its Krylov depth (not its node count, which
     the numerical rank may cut), its final normal-equation residual and its
-    settle estimate at its stop (``_golub_kahan``'s "settle" test).  ``lam1``
-    must be finite and >= 0.
+    settle estimate at its stop (``_golub_kahan``'s "settle" test).  ``lam1``,
+    the alphas, nodes and weights must be finite and >= 0, the nodes and
+    weights of one shape.
 
     The stochastic path's measure runs its probes on demand
     (``influence_path_stochastic``): ``bounds`` brackets ``frob_sq`` at the
@@ -413,7 +398,12 @@ class InfluencePath:
 
     def __post_init__(self):
         real("lam1", self.lam1, "nonnegative")
-        self.alphas = np.asarray(self.alphas, dtype=float)
+        self.alphas = reals("alphas", self.alphas, "nonnegative")
+        self.nodes, self.weights = (reals(key, getattr(self, key), "nonnegative")
+                                    for key in ("nodes", "weights"))
+        if self.nodes.shape != self.weights.shape:
+            raise ValueError(f"nodes and weights must have one shape, got {self.nodes.shape} "
+                             f"and {self.weights.shape}")
         self.sn_sq, self.frob_sq, self.trace, self.noise_amp = _influence_scalars(self,
                                                                                   self.alphas)
         self.probe_depth = (None if self.iterations is None
@@ -435,7 +425,6 @@ def _influence_scalars(m: InfluencePath, alphas):
     """(sn_sq, frob_sq, trace, noise_amp) of the measure ``m`` at ``alphas`` >= 0."""
     if not alphas.size:  # a spectrum's bare measure (``influence_measure``)
         return alphas, alphas, alphas, alphas
-    nonnegative_alphas(alphas)
     t, w = m.nodes, m.weights
     d = t + alphas[..., None]
     x = t / d
@@ -549,7 +538,7 @@ def influence_path_stochastic(A, alphas, probes: int, seed: int,
     bit; a fault while resuming is raised by the reader that resumes it.
     """
     op = as_operator(A)
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = reals("alphas", alphas, "positive")
     count("probes", probes, 1)
     if lam1 is None:
         lam1 = largest_eigenvalue(op, seed=seed)
@@ -678,7 +667,7 @@ def spectral_filters(s, alphas) -> tuple[np.ndarray, np.ndarray]:
     """The Tikhonov filter factors s/(s^2 + a) and (a/(s^2 + a))^2 of the
     singular values ``s`` at each alpha, one row per alpha; they hold all that
     a spectral path reads of its grid, which must be nonnegative and finite."""
-    alphas = nonnegative_alphas(alphas)
+    alphas = reals("alphas", alphas, "nonnegative")
     d = (s * s)[None, :] + alphas[:, None]                       # (K, r)
     psi = alphas[:, None] / d
     psi *= psi
@@ -690,7 +679,7 @@ def spectral_path(dec: SpectralDecomposition, g, alphas,
     """Evaluate the whole Tikhonov path at once through the SVD filter: the
     one-row stack of g through ``filtered_paths`` with ``spectral_filters``."""
     filters = spectral_filters(dec.s, alphas)
-    g = np.asarray(g, dtype=float)
+    g = reals("g", g)
     F, residual_norms, solution_norms = filtered_paths(dec, g[None], filters, keep_solutions)
     return SolutionPath(alphas=np.asarray(alphas, dtype=float), residual_norms=residual_norms[0],
                         solution_norms=solution_norms[0], data_size=g.size,
@@ -706,7 +695,7 @@ def filtered_paths(dec: SpectralDecomposition, G, filters, keep_solutions: bool 
     the solutions come from one batched product of the coefficient stack by
     V^T, a product per row; one product over the coefficients of all rows at
     once would not reproduce each row's."""
-    G = finite_data(G)
+    G = reals("g", G)
     phi, psi = filters
     C, perp_sq = np.empty((len(G), phi.shape[1])), np.empty(len(G))
     for i, g in enumerate(G):

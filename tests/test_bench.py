@@ -234,6 +234,17 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             _tiny_config(rules=["pro", "hanke"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("problems", 5), ("problems", "shaw"), ("problems", {"shaw": None}), ("xis", 10.0),
+        ("xis", "10"), ("xis", {10.0}), ("rules", "pro"), ("rules", {"pro": 1})])
+    def test_a_list_key_must_be_a_list(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a list, got "):
+            _tiny_config(**{key: value})
+
+    def test_a_list_key_may_be_a_tuple_or_an_array(self):
+        cfg = _tiny_config(problems=(("shaw", None),), xis=np.array([10.0]), rules=("pro",))
+        assert cfg.problems == [("shaw", None)] and list(cfg.xis) == [10.0]
+
     # (fields, message): each passes the type checks but fails the run
     _FAILS_THE_RUN = [
         (dict(problems=[("shaw", None), ("nope", None)]), "unknown problem 'nope'"),

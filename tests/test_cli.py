@@ -250,6 +250,13 @@ class TestStudy:
          "shaw requires even n"),
         ({"rules": ["lc"], "grid": {"points": 3}},
          "grid.points = 3: lc needs at least five grid points"),
+        # a list key given a number, a str or an object: a TypeError, the
+        # characters of the str, or the keys of the object were read before
+        ({"xis": 5}, "xis must be a list, got 5"),
+        ({"problems": 5}, "problems must be a list, got 5"),
+        ({"rules": "pro"}, "rules must be a list, got 'pro'"),
+        ({"xis": "10"}, "xis must be a list, got '10'"),
+        ({"problems": {"name": "shaw"}}, "problems must be a list, got {'name': 'shaw'}"),
     ])
     def test_config_error_names_its_key(self, tmp_path, capsys, sections, message):
         cfg = self._config(tmp_path, **sections)
@@ -469,7 +476,8 @@ class TestNoiseLevel:
         assert main([command, "--data", str(paths["negative"]), flag, name]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: container sigma must be nonnegative, got {-sigma!r}\n"
+        assert captured.err == (f"error: container sigma must be nonnegative and finite, "
+                                f"got {-sigma!r}\n")
 
     @pytest.mark.parametrize("kind", ["lower_bound", "predictive", "upre"])
     def test_curve_without_noise_level_exits_3(self, noise_containers, tmp_path, capsys, kind):

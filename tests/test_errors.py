@@ -1,6 +1,5 @@
 """The package's argument checks: ``errors.real`` for every real-valued scalar
-argument of the public API, and the array check ``nonnegative_alphas`` for the
-arguments that may be arrays."""
+argument of the public API, and ``errors.reals`` for every array argument."""
 
 import functools
 import inspect
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskreg as rr
-from riskreg.errors import real
+from riskreg.errors import real, reals
 
 
 class TestReal:
@@ -46,6 +45,52 @@ class TestReal:
                                               ("positive", 5e-324)])
     def test_accepts_the_range(self, within, value):
         assert real("x", value, within) == value
+
+
+class TestReals:
+    @pytest.mark.parametrize("within,form", [
+        (None, "finite"), ("positive", "positive and finite"),
+        ("nonnegative", "nonnegative and finite"), ("unit", "in (0, 1)")])
+    def test_message_names_the_first_bad_entry(self, within, form):
+        with pytest.raises(ValueError) as info:
+            reals("x", [0.5, float("nan"), float("inf")], within)
+        assert str(info.value) == f"x must be {form}, got nan"
+
+    @pytest.mark.parametrize("values", [[0.25, 1], (0.5,), np.array([[1, 2]], dtype=np.int32),
+                                        np.float32([0.5]), np.array(0.75), [], 0.5, 3])
+    def test_returns_a_float_array_of_the_values(self, values):
+        out = reals("x", values, "positive")
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        np.testing.assert_array_equal(out, np.asarray(values, dtype=float))
+
+    def test_a_float_array_is_returned_itself(self):
+        values = np.array([1.0, 2.0])
+        assert reals("x", values) is values
+
+    @pytest.mark.parametrize("values,bad", [
+        ([1.0, None], "None"), (np.array([1.0, "0.5"], dtype=object), "'0.5'"),
+        (["1", "2"], "'1'"), (np.array([True, False]), "True"), ([1j, 1.0], "1j"),
+        ([[1.0, 2.0], [3.0, -np.inf]], "-inf"), (np.array(np.nan), "nan"),
+        (np.array([1.0, 10 ** 400], dtype=object), repr(10 ** 400))])
+    def test_rejects_an_entry_that_is_not_a_finite_real_number(self, values, bad):
+        with pytest.raises(ValueError) as info:
+            reals("x", values)
+        assert str(info.value) == f"x must be finite, got {bad}"
+
+    @pytest.mark.parametrize("within,values,bad", [
+        ("positive", [1.0, 0.0], "0.0"), ("nonnegative", np.array([3, -2]), "-2"),
+        ("unit", [0.5, 1.0], "1.0"), ("unit", [0.0], "0.0")])
+    def test_rejects_an_entry_out_of_its_range(self, within, values, bad):
+        with pytest.raises(ValueError, match=f"^x must be .*, got {bad}$"):
+            reals("x", values, within)
+
+    @pytest.mark.parametrize("value", [True, "1.0", None, float("nan"), -1.0])
+    def test_a_scalar_gets_the_message_of_real(self, value):
+        with pytest.raises(ValueError) as scalar:
+            real("x", value, "nonnegative")
+        with pytest.raises(ValueError) as array:
+            reals("x", value, "nonnegative")
+        assert str(array.value) == str(scalar.value)
 
 
 @functools.cache
@@ -121,23 +166,55 @@ _REAL_ARGUMENTS = [
     ("StudyConfig", "bp_c", "bp.c", "nonnegative", lambda x, i: _config(bp_c=x)),
 ]
 
-# The arguments that may be arrays, and keep an array check: (exported name,
-# parameter, the name their rejection gives, the call with the array x).
+# Every array argument of the public API, checked by ``errors.reals``:
+# (exported name, parameter, the name its rejection gives it, whether it has
+# a range, the call with the array x on ``_inputs()`` i).  ``svd``'s matrix
+# is not here: ``LinearOperator.from_dense`` converts it to floats before
+# ``svd`` checks it (``test_linop``).
 _ARRAY_ARGUMENTS = [
-    ("predictive_risk", "alpha", "alpha",
+    ("predictive_risk", "alpha", "alpha", True,
      lambda x, i: rr.predictive_risk(i.dec, i.p.g_true, 1e-4, x)),
-    ("predictive_risk_derivative", "alpha", "alpha",
+    ("predictive_risk", "g_true", "g_true", False,
+     lambda x, i: rr.predictive_risk(i.dec, x, 1e-4, 1e-3)),
+    ("predictive_risk_derivative", "alpha", "alpha", True,
      lambda x, i: rr.predictive_risk_derivative(i.dec, i.p.g_true, 1e-4, x)),
-    ("lower_bound_T", "rho2", "rho2",
+    ("predictive_risk_derivative", "g_true", "g_true", False,
+     lambda x, i: rr.predictive_risk_derivative(i.dec, x, 1e-4, 1e-3)),
+    ("lower_bound_T", "rho2", "rho2", True,
      lambda x, i: rr.lower_bound_T(np.c_[x], 1e-4, i.dec, [1e-3, 1e-2])),
-    ("lower_bound_T", "sigma2", "sigma2",
+    ("lower_bound_T", "sigma2", "sigma2", True,
      lambda x, i: rr.lower_bound_T(1.0, np.c_[x], i.dec, [1e-3, 1e-2])),
-    ("lower_bound_T", "alpha", "alpha", lambda x, i: rr.lower_bound_T(1.0, 1e-4, i.dec, x)),
-    ("T_h", "alpha", "alpha", lambda x, i: rr.T_h(i.dec, 1e-4, x)),
-    ("T_h_derivative", "alpha", "alpha", lambda x, i: rr.T_h_derivative(i.dec, 1e-4, x)),
-    ("spectral_path", "alphas", "alphas", lambda x, i: rr.spectral_path(i.dec, i.g, x)),
-    ("influence_path_exact", "alphas", "alphas",
+    ("lower_bound_T", "alpha", "alphas", True, lambda x, i: rr.lower_bound_T(1.0, 1e-4, i.dec, x)),
+    ("T_h", "alpha", "alphas", True, lambda x, i: rr.T_h(i.dec, 1e-4, x)),
+    ("T_h_derivative", "alpha", "alpha", True, lambda x, i: rr.T_h_derivative(i.dec, 1e-4, x)),
+    ("solve_spectral", "g", "g", False, lambda x, i: rr.solve_spectral(i.dec, x, 1e-3)),
+    ("spectral_path", "alphas", "alphas", True, lambda x, i: rr.spectral_path(i.dec, i.g, x)),
+    ("spectral_path", "g", "g", False, lambda x, i: rr.spectral_path(i.dec, x, i.grid)),
+    ("influence_path_exact", "alphas", "alphas", True,
      lambda x, i: rr.influence_path_exact(i.dec, x)),
+    ("golub_kahan", "alphas", "alphas", True, lambda x, i: rr.golub_kahan(i.p.A, i.g, x)),
+    ("iterative_path", "alphas", "alphas", True, lambda x, i: rr.iterative_path(i.p.A, i.g, x)),
+    ("influence_path_stochastic", "alphas", "alphas", True,
+     lambda x, i: rr.influence_path_stochastic(i.p.A, x, 2, 0, lam1=1.0)),
+    ("InfluencePath", "alphas", "alphas", True,
+     lambda x, i: rr.InfluencePath(x, i.dec.s ** 2, np.ones(i.dec.rank), 1.0)),
+    ("InfluencePath", "nodes", "nodes", True,
+     lambda x, i: rr.InfluencePath(i.grid, x, np.ones(np.shape(x)), 1.0)),
+    ("InfluencePath", "weights", "weights", True,
+     lambda x, i: rr.InfluencePath(i.grid, np.ones(np.shape(x)), x, 1.0)),
+    ("SpectralDecomposition", "U", "U", False,
+     lambda x, i: rr.SpectralDecomposition(x, i.dec.s, i.dec.V)),
+    ("SpectralDecomposition", "s", "s", True,
+     lambda x, i: rr.SpectralDecomposition(i.dec.U, x, i.dec.V)),
+    ("SpectralDecomposition", "V", "V", False,
+     lambda x, i: rr.SpectralDecomposition(i.dec.U, i.dec.s, x)),
+    ("pro_estimated", "g", "g", False, lambda x, i: rr.pro_estimated(i.dec, x, 1e-4)),
+    ("ipro", "g", "g", False, lambda x, i: rr.ipro(i.dec, x)),
+    ("sigma_for_snr", "g_true", "g_true", False, lambda x, i: rr.sigma_for_snr(x, 20.0)),
+    ("RiskCurve", "alphas", "alphas", True,
+     lambda x, i: rr.RiskCurve(x, np.ones(np.size(x)), "lower_bound")),
+    ("RiskCurve", "values", "values", False,
+     lambda x, i: rr.RiskCurve(np.arange(1.0, np.size(x) + 1.0), x, "lower_bound")),
 ]
 
 # Exported records whose float fields are results, which their makers check
@@ -185,16 +262,61 @@ def test_real_argument_rejects_a_mistyped_value(owner, param, name, within, call
     assert _names(str(info.value), name), str(info.value)
 
 
-@pytest.mark.parametrize("owner,param,name,call", _ARRAY_ARGUMENTS,
-                         ids=[f"{owner}.{param}" for owner, param, *_ in _ARRAY_ARGUMENTS])
-@pytest.mark.parametrize("value", [np.nan, -1.0, [1e-3, np.nan], [1e-3, np.inf],
-                                   [1e-3, -1e-3]],
-                         ids=["nan", "negative", "nan_entry", "inf_entry", "negative_entry"])
-def test_array_argument_rejects_a_bad_entry(owner, param, name, call, value):
-    # NaN alphas gave NaN bounds and risks; a negative one, numbers
+# (the array, its bad entry) by name; the "negative" ones only where there is a range
+_BAD_ARRAYS = {
+    "nan": (np.array(np.nan), np.nan),
+    "negative": (np.array(-1.0), -1.0),
+    "nan_entry": (np.array([1e-3, np.nan]), np.nan),
+    "inf_entry": (np.array([1e-3, np.inf]), np.inf),
+    "-inf_entry": (np.array([1e-3, -np.inf]), -np.inf),
+    "negative_entry": (np.array([1e-3, -1e-3]), -1e-3),
+    "str_entry": (np.array([1e-3, "0.5"], dtype=object), "0.5"),
+    "none_entry": (np.array([1e-3, None], dtype=object), None),
+    "bool": (np.array([True, False]), True),
+}
+
+
+@pytest.mark.parametrize("name,call,value,bad", [
+    pytest.param(name, call, *_BAD_ARRAYS[kind], id=f"{kind}-{owner}.{param}")
+    for kind in _BAD_ARRAYS for owner, param, name, ranged, call in _ARRAY_ARGUMENTS
+    if ranged or not kind.startswith("negative")])
+def test_array_argument_rejects_a_bad_entry(name, call, value, bad):
+    # a NaN alpha gave NaN bounds and risks, a NaN node or a negative weight a
+    # selection, and a bool array was read as ones
     with pytest.raises(ValueError) as info:
-        call(np.asarray(value), _inputs())
-    assert name in str(info.value)
+        call(value, _inputs())
+    message = str(info.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {bad!r}"), message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda i: rr.pro(rr.InfluencePath(i.grid, np.r_[np.nan, i.dec.s[1:] ** 2],
+                                       np.ones(i.dec.rank), 1.0), 1.0, 1e-4),
+     "nodes must be nonnegative and finite, got nan"),
+    (lambda i: rr.pro(rr.InfluencePath(i.grid, i.dec.s ** 2, -np.ones(i.dec.rank), 1.0),
+                      1.0, 1e-4),
+     "weights must be nonnegative and finite, got -1.0"),
+    (lambda i: rr.InfluencePath(i.grid, i.dec.s ** 2, np.ones(i.dec.rank - 1), 1.0),
+     "nodes and weights must have one shape, got (16,) and (15,)"),
+    (lambda i: rr.pro(rr.SpectralDecomposition(i.dec.U, np.r_[i.dec.s[:-1], np.nan], i.dec.V),
+                      1.0, 1e-4),
+     "s must be positive and finite, got nan"),
+    (lambda i: rr.pro_estimated(i.dec, i.g[:-1], 1e-4),
+     "g must be a vector of 16 entries, got shape (15,)"),
+    (lambda i: rr.ipro(rr.influence_path_exact(i.dec, i.grid), i.g[:-1], path=i.path),
+     "g must be a vector of 16 entries, got shape (15,)"),
+    (lambda i: rr.ipro(i.dec, i.g[:-1]), "g must be a vector of 16 entries, got shape (15,)"),
+    (lambda i: rr.sigma_for_snr([np.nan, 1.0], 10.0), "g_true must be finite, got nan"),
+    (lambda i: rr.lower_bound_T(np.c_[1.0], None, i.dec, 1e-3),
+     "sigma2 must be nonnegative and finite, got None"),
+], ids=["InfluencePath_nan_node", "InfluencePath_negative_weight", "InfluencePath_shapes",
+        "SpectralDecomposition_nan_s", "pro_estimated_short_g", "ipro_grid_short_g",
+        "ipro_spectrum_short_g", "sigma_for_snr_nan", "lower_bound_T_sigma2_None"])
+def test_silent_answers_are_rejected(call, message):
+    # each gave an answer, or a bare TypeError, before its argument was checked
+    with pytest.raises(ValueError) as info:
+        call(_inputs())
+    assert str(info.value) == message
 
 
 def _float_parameters():

@@ -43,7 +43,7 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         A = np.eye(3)
         A[1, 1] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^A must be finite, got nan$"):
             rr.svd(A)
 
     def test_matrix_free_rejected(self):

@@ -62,6 +62,6 @@ def test_library_rejections_name_a_value_error_each(capsys):
     tool = _load()
     tool._library_rejections(tool.problems.make_problem("shaw", None, 64))
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 16
     assert all(line.split()[:1] + line.split()[2:3] == ["reject-lib", "ValueError"]
                for line in lines)

@@ -53,7 +53,7 @@ class TestPredictiveRisk:
         p, dec = shaw32
         g = p.g_true.copy()
         g[5] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^g_true must be finite, got {bad!r}$"):
             fn(dec, g, 1e-4, np.array([1e-3, 1e-2]))
 
 
@@ -164,6 +164,14 @@ class TestMinimizeT:
         res = rr.minimize_T(dec, 0.6)
         assert res.at_boundary and res.converged
         assert res.alpha_star == pytest.approx(0.5 * 4.0)
+
+    def test_lower_endpoint_returned_where_the_derivative_vanishes(self):
+        # on a single singular value the stationary point is s1^2 h itself, the
+        # lower end of the search: the derivative rounds to >= 0 there at s1 = 10
+        res = rr.minimize_T(rr.svd(np.diag([10.0])), 0.01)
+        assert res.alpha_star == pytest.approx(1.0, rel=1e-15) and res.iterations == 0
+        assert res.bracket == (res.alpha_star, res.alpha_star) and res.converged
+        assert not res.at_boundary
 
     def test_stationarity_scales_with_tiny_h(self, shaw32):
         _, dec = shaw32

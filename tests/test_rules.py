@@ -199,6 +199,13 @@ class TestIpro:
         trail = rules.ipro(dec, g / 1e100).diagnostics["trail"]
         assert trail[0] == np.sqrt((1e-12 * s1_sq) * (0.5 * s1_sq))
 
+    def test_data_outside_the_range_exhausts_its_energy(self):
+        # g orthogonal to the range of a rank-deficient operator: the residual
+        # is all of ||g||^2 at every alpha, so no signal energy is left
+        dec = rr.svd(np.diag([1.0, 0.5, 0.0]))
+        with pytest.raises(DegenerateDataError, match="^residual exhausts the data energy$"):
+            rules.ipro(dec, np.array([0.0, 0.0, 1.0]))
+
     @pytest.mark.parametrize("grid_mode", [False, True])
     @pytest.mark.parametrize("max_iter", [0, 1])
     def test_running_out_of_iterations(self, shaw32, max_iter, grid_mode):
@@ -795,6 +802,9 @@ _ILL_FORMED_CALLS = {
     "ipro_grid_mode_without_path": (
         lambda dec, path, g: rules.ipro(rr.influence_path_exact(dec, path.alphas), g),
         "grid mode needs a solution path"),
+    "ipro_measure_without_grid": (
+        lambda dec, path, g: rules.ipro(rr.influence_path_exact(dec, []), g),
+        "ipro needs a spectrum or an influence path on a grid"),
     "ipro_path_on_other_grid": (
         lambda dec, path, g: rules.ipro(rr.influence_path_exact(dec, path.alphas), g,
                                         path=rr.spectral_path(dec, g, path.alphas[::2])),

@@ -55,7 +55,7 @@ class TestSolveSpectral:
         p, dec = shaw32
         g = p.g_true.copy()
         g[0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^g must be finite, got {bad!r}$"):
             rr.solve_spectral(dec, g, 1e-3)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])
@@ -1110,7 +1110,7 @@ class TestPaths:
         p, dec = shaw32
         g = p.g_true.copy()
         g[3] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^g must be finite, got {bad!r}$"):
             rr.spectral_path(dec, g, default_grid(float(dec.s[0]) ** 2).values)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -1.0])

@@ -51,14 +51,20 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   error, of which ``summary.csv`` holds only some, to 12 digits;
 - the rejection of a count argument below its floor: ``select --probes 0``,
   ``generate --replicates 0`` and ``--replicate -1``, and ``study`` with the
-  dense config at ``replicates: 0`` and at ``probes: 0``: exit code, stdout
-  and stderr;
+  dense config at ``replicates: 0`` and at ``probes: 0``, and of a list key
+  given a number, ``study`` with the dense config at ``xis: 5``: exit code,
+  stdout and stderr;
 - the library's rejection of one mistyped value per check family, on shaw
   n = 64 (replicate 0, 20 dB): ``dp`` with sigma True, ``pro`` with rho2 True
   and with n 2.5, ``minimize_T`` with h None, ``InfluencePath`` with lam1
   True, ``AlphaGrid`` with min True, a ``StudyConfig`` with ``"xis": [true]``,
   ``lower_bound_T`` at alpha NaN and ``pro_estimated`` with ``on_degenerate``
-  "max-alpha": the exception type and message, or the type of the value
+  "max-alpha"; and of one ill-formed array per array check, on the same
+  data: ``InfluencePath`` with a NaN node, ``SpectralDecomposition`` with a
+  NaN singular value, ``pro_estimated`` with a NaN in g, grid-mode ``ipro``
+  with g one entry short, ``lower_bound_T`` with sigma2 a column of None,
+  ``sigma_for_snr`` with a NaN in g_true and a ``StudyConfig`` with
+  ``"xis": 5``: the exception type and message, or the type of the value
   returned.
 
 Usage, once per tree, then diff the two outputs:
@@ -184,6 +190,10 @@ def _library_rejections(problem) -> None:
     noisy = problems.add_noise(problem, 20.0, SEED, 0)
     path = tikhonov.spectral_path(dec, noisy.g, grid)
     config = json.dumps({**STUDIES[0][1], "xis": [True]})
+    g_nan = noisy.g.copy()
+    g_nan[3] = np.nan
+    s_nan = dec.s.copy()
+    s_nan[-1] = np.nan
     calls = [
         ("dp_sigma_True", lambda: rules.dp(path, True)),
         ("pro_rho2_True", lambda: rules.pro(dec, True, 0.01)),
@@ -196,6 +206,17 @@ def _library_rejections(problem) -> None:
         ("pro_estimated_on_degenerate", lambda: rules.pro_estimated(
             dec, noisy.g, noisy.sigma ** 2, on_degenerate="max-alpha")),
         ("pro_n_2.5", lambda: rules.pro(dec, 1.0, 0.01, n=2.5)),
+        ("InfluencePath_node_nan", lambda: tikhonov.InfluencePath(
+            grid, np.r_[np.nan, dec.s[1:] ** 2], np.ones(dec.rank), float(dec.s[0]) ** 2)),
+        ("SpectralDecomposition_s_nan", lambda: linop.SpectralDecomposition(dec.U, s_nan, dec.V)),
+        ("pro_estimated_g_nan", lambda: rules.pro_estimated(dec, g_nan, noisy.sigma ** 2)),
+        ("ipro_grid_g_short", lambda: rules.ipro(tikhonov.influence_path_exact(dec, grid),
+                                                 noisy.g[:-1], path=path)),
+        ("lower_bound_T_sigma2_None", lambda: risk.lower_bound_T(np.c_[1.0], np.c_[None], dec,
+                                                                 1e-3)),
+        ("sigma_for_snr_g_true_nan", lambda: problems.sigma_for_snr(g_nan, 20.0)),
+        ("StudyConfig_xis_5", lambda: bench.StudyConfig.from_json(
+            json.dumps({**STUDIES[0][1], "xis": 5}))),
     ]
     for label, call in calls:
         try:
@@ -326,12 +347,12 @@ def main() -> None:
                                            "--rule", "pro", "--probes", "0"]),
                       ("generate_replicates_0", [*generate, "--replicates", "0"]),
                       ("generate_replicate_-1", [*generate, "--replicate", "-1"])]
-        for key in ("replicates", "probes"):
-            config = os.path.join(tmp, f"study_{key}_0.json")
+        for key, value in (("replicates", 0), ("probes", 0), ("xis", 5)):
+            config = os.path.join(tmp, f"study_{key}_{value}.json")
             with open(config, "w") as fh:
-                json.dump({**STUDIES[0][1], key: 0}, fh)
-            rejections.append((f"study_{key}_0", ["study", "--config", config, "--out",
-                                                  os.path.join(tmp, f"study_{key}_0")]))
+                json.dump({**STUDIES[0][1], key: value}, fh)
+            rejections.append((f"study_{key}_{value}", [
+                "study", "--config", config, "--out", os.path.join(tmp, f"study_{key}_{value}")]))
         for label, argv in rejections:
             code, out, err = _run(argv)
             print(f"reject {label} {code} {json.dumps(out)} {json.dumps(err)}")
