@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rules as rules_mod
-from .errors import DegenerateDataError, count, real
+from .errors import DegenerateDataError, count, real, reals
 from .linop import bundled_openblas, largest_eigenvalue, svd
 from .problems import _DEFAULT_VARIANTS, check_problem, make_problem, sigma_for_snr, unit_noise
 from .risk import GRID_MAX_FACTOR, GRID_MIN_FACTOR
@@ -165,14 +165,17 @@ class OperatorSetup:
 
 
 def rel_error(f, f_true) -> float:
-    """Relative l2 reconstruction error."""
-    f_true = np.asarray(f_true, dtype=float)
-    return float(np.linalg.norm(np.asarray(f, dtype=float) - f_true)
-                 / np.linalg.norm(f_true))
+    """Relative l2 error of the finite f against the finite, nonzero f_true."""
+    f_true = reals("f_true", f_true)
+    norm = np.linalg.norm(f_true)
+    if norm == 0:
+        raise ValueError("f_true must be nonzero")
+    return float(np.linalg.norm(reals("f", f) - f_true) / norm)
 
 
 def oracle_error(errors: np.ndarray) -> tuple[float, int]:
-    """Minimum error along the path and its grid index (largest alpha on ties)."""
+    """Least error along the path (finite, >= 0) and its grid index (largest alpha on ties)."""
+    errors = reals("errors", errors, "nonnegative")
     idx = rules_mod.argmin_last(errors)
     return float(errors[idx]), idx
 

@@ -60,7 +60,7 @@ class LinearOperator:
 
     @classmethod
     def from_dense(cls, A) -> "LinearOperator":
-        A = np.asarray(A, dtype=float)
+        A = reals("A", A)
         if A.ndim != 2:
             raise ValueError("expected a 2-d array")
         return cls(A.shape[0], A.shape[1], partial(operator.matmul, A),

@@ -113,29 +113,26 @@ def T_h(source, h: float, alpha):
     return lower_bound_T(1.0, real("h", h, "nonnegative"), source, alpha)
 
 
-def _T_h_derivative_terms(source, alpha):
-    # dT_h/da = t1 - h t2
+def _T_h_terms(source, alpha):
+    # dT_h/da = t1 - h t2 and d2T_h/da2 = f1 + h f2, from one alpha + t; the
+    # curvature only sizes a Newton step, so its overflow or underflow is ignored
     m = influence_measure(source)
     t, lam1, a = m.nodes, m.lam1, np.asarray(alpha, dtype=float)
+    at = a[..., None] + t
     t1 = 2.0 * a * lam1 / (a + lam1) ** 3
-    t2 = np.sum(m.weights * (2.0 * t * t / (a[..., None] + t) ** 3), axis=-1)
-    return t1, t2
+    t2 = np.sum(m.weights * (2.0 * t * t / at ** 3), axis=-1)
+    with np.errstate(all="ignore"):
+        f1 = 2.0 * lam1 * (lam1 - 2.0 * a) / (a + lam1) ** 4
+        f2 = np.sum(m.weights * (6.0 * t * t / at ** 4), axis=-1)
+    return t1, t2, f1, f2
 
 
 def T_h_derivative(source, h: float, alpha):
     """Closed-form derivative of T_h."""
     real("h", h, "positive")
-    t1, t2 = _T_h_derivative_terms(source, reals("alpha", alpha, "nonnegative"))
+    t1, t2, _, _ = _T_h_terms(source, reals("alpha", alpha, "nonnegative"))
     out = t1 - h * t2
     return float(out) if np.isscalar(alpha) else out
-
-
-def _T_h_second(source, h: float, alpha: float) -> float:
-    m = influence_measure(source)
-    t, lam1 = m.nodes, m.lam1
-    f1 = 2.0 * lam1 * (lam1 - 2.0 * alpha) / (alpha + lam1) ** 4
-    f2 = np.sum(m.weights * (6.0 * t * t / (alpha + t) ** 4))
-    return float(f1 + h * f2)
 
 
 def _T_h_at(m: InfluencePath, h: float, alpha) -> float:
@@ -163,14 +160,14 @@ def minimize_T(source, h: float) -> MinimizerResult:
     if not m.nodes.size:
         raise ValueError("cannot minimize over a zero operator")
     hi = SEARCH_CAP * m.lam1
-    t1, t2 = _T_h_derivative_terms(m, hi)
+    t1, t2, _, _ = _T_h_terms(m, hi)
     if t1 - h * t2 <= 0.0:
         return MinimizerResult(alpha_star=hi, objective=_T_h_at(m, h, hi),
                                bracket=(0.0, hi), iterations=0, converged=True,
                                at_boundary=True)
     # any interior stationary point satisfies alpha >= lam1 h
     lo = m.lam1 * h
-    t1, t2 = _T_h_derivative_terms(m, lo)
+    t1, t2, _, _ = _T_h_terms(m, lo)
     if t1 - h * t2 >= 0.0:
         return MinimizerResult(alpha_star=lo, objective=_T_h_at(m, h, lo),
                                bracket=(lo, lo), iterations=0, converged=True)
@@ -179,7 +176,7 @@ def minimize_T(source, h: float) -> MinimizerResult:
     it = 0
     converged = False
     for it in range(1, 301):
-        t1, t2 = _T_h_derivative_terms(m, x)
+        t1, t2, f1, f2 = _T_h_terms(m, x)
         d = t1 - h * t2
         if abs(d) <= 1e-12 * (t1 + h * t2):
             converged = True
@@ -191,7 +188,7 @@ def minimize_T(source, h: float) -> MinimizerResult:
         if up - lo <= 1e-12 * up:
             converged = True
             break
-        curv = _T_h_second(m, h, x)
+        curv = f1 + h * f2
         x_new = x - d / curv if curv > 0 else np.sqrt(lo * up)
         if not (lo < x_new < up):
             x_new = np.sqrt(lo * up)

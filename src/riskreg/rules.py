@@ -149,28 +149,24 @@ def _grid_min_T(m: InfluencePath, rho2, sigma2):
     return idx, {"grid_edge": (idx == 0) | (idx == m.alphas.size - 1)}
 
 
-def _select_min_T(source, rho2: float, sigma2: float) -> RuleSelection:
-    """Minimize the lower bound: continuous on a spectrum, grid argmin on an
-    influence path's grid."""
-    m = influence_measure(source)
-    h = sigma2 / rho2
-    if not m.alphas.size:
-        res = minimize_T(m, h)
-        return RuleSelection(rule="pro", alpha=res.alpha_star, diagnostics={
-            "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
-            "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
-    _check_increasing(m.alphas)
-    idx, masks = _grid_min_T(m, rho2, sigma2)
-    return _on_grid("pro", m.alphas, idx, masks, h=h, probe_depth=m.probe_depth)
-
-
 def pro(source, rho2: float, sigma2: float, n: Optional[int] = None) -> RuleSelection:
-    """Minimize the predictive-risk lower bound for known (rho2, sigma2)."""
+    """Minimize the predictive-risk lower bound for known (rho2, sigma2):
+    continuous on a spectrum, grid argmin on an influence path's grid."""
     real("rho2", rho2, "positive")
     real("sigma2", sigma2, "positive")
     if n is not None:
         count("n", n, 1)
-    sel = _select_min_T(source, rho2, sigma2)
+    m = influence_measure(source)
+    h = sigma2 / rho2
+    if not m.alphas.size:
+        res = minimize_T(m, h)
+        sel = RuleSelection(rule="pro", alpha=res.alpha_star, diagnostics={
+            "h": h, "objective": res.objective * rho2, "iterations": res.iterations,
+            "converged": res.converged, "flags": (["boundary"] if res.at_boundary else [])})
+    else:
+        _check_increasing(m.alphas)
+        idx, masks = _grid_min_T(m, rho2, sigma2)
+        sel = _on_grid("pro", m.alphas, idx, masks, h=h, probe_depth=m.probe_depth)
     sel.diagnostics.update(rho2_hat=rho2, sigma2_hat=sigma2)
     if n is not None:
         sel.diagnostics["xi_hat"] = snr_db(rho2, sigma2, n)

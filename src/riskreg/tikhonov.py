@@ -182,6 +182,7 @@ def golub_kahan(A, b, alphas, tol: float = 1e-8, max_iter: int | None = None,
     cols), at most cols: V has no more directions) in any column raise
     ConvergenceError.
     """
+    b = reals("b", b)
     runs = [(*run, residual) for run, residual, _ in _golub_kahan(
         A, b, alphas, tol, max_iter, "solution" if relative_to_solution else "normal",
         _projected_svd)]
@@ -718,6 +719,6 @@ def iterative_path(A, g, alphas, tol: float = 1e-8) -> SolutionPath:
     The path is the spectral path of the projected problem: its right vectors
     V_k Q map solutions back to the original space, and g lies in the span of
     U_{k+1}, so residual norms, on the grid and from ``solve``, are exact."""
-    dec, rhs, residual = golub_kahan(A, g, alphas, tol=tol, relative_to_solution=True)
+    dec, rhs, residual = golub_kahan(A, reals("g", g), alphas, tol, relative_to_solution=True)
     return replace(spectral_path(dec, rhs, alphas), data_size=np.size(g),
                    iterations=rhs.size - 1, normal_residual=residual)

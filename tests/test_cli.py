@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -843,6 +844,22 @@ class TestScaledData:
             assert code == 3
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [1e40, 1e45, 1e-40, 1e-45])
+    @pytest.mark.parametrize("rule", ["pro", "ipro"])
+    def test_scaled_bound_minimum_answers(self, scaled_shaw, capsys, rule, scale):
+        # T_h'' overflowed ((a + s1^2)^4) at 1e40-1e50, and exited 3, or
+        # divided by zero at 1e-40 and 1e-45, and warned; it only sizes a
+        # Newton step, which bisects where it is not finite and > 0
+        assert main(["select", "--data", str(scaled_shaw(1.0)), "--rule", rule]) == 0
+        alpha = json.loads(capsys.readouterr().out)["alpha"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["select", "--data", str(scaled_shaw(scale)), "--rule", rule])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and not caught
+        scaled = json.loads(captured.out, parse_constant=_reject_constant)["alpha"]
+        assert scaled == pytest.approx(scale ** 2 * alpha, rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     @pytest.mark.parametrize("kind", ["lower_bound", "upre", "gcv"])

@@ -168,10 +168,10 @@ _REAL_ARGUMENTS = [
 
 # Every array argument of the public API, checked by ``errors.reals``:
 # (exported name, parameter, the name its rejection gives it, whether it has
-# a range, the call with the array x on ``_inputs()`` i).  ``svd``'s matrix
-# is not here: ``LinearOperator.from_dense`` converts it to floats before
-# ``svd`` checks it (``test_linop``).
+# a range, the call with the array x on ``_inputs()`` i).
 _ARRAY_ARGUMENTS = [
+    ("svd", "A", "A", False, lambda x, i: rr.svd(x)),
+    ("power_iteration", "A", "A", False, lambda x, i: rr.power_iteration(x)),
     ("predictive_risk", "alpha", "alpha", True,
      lambda x, i: rr.predictive_risk(i.dec, i.p.g_true, 1e-4, x)),
     ("predictive_risk", "g_true", "g_true", False,
@@ -193,7 +193,9 @@ _ARRAY_ARGUMENTS = [
     ("influence_path_exact", "alphas", "alphas", True,
      lambda x, i: rr.influence_path_exact(i.dec, x)),
     ("golub_kahan", "alphas", "alphas", True, lambda x, i: rr.golub_kahan(i.p.A, i.g, x)),
+    ("golub_kahan", "b", "b", False, lambda x, i: rr.golub_kahan(i.p.A, x, i.grid)),
     ("iterative_path", "alphas", "alphas", True, lambda x, i: rr.iterative_path(i.p.A, i.g, x)),
+    ("iterative_path", "g", "g", False, lambda x, i: rr.iterative_path(i.p.A, x, i.grid)),
     ("influence_path_stochastic", "alphas", "alphas", True,
      lambda x, i: rr.influence_path_stochastic(i.p.A, x, 2, 0, lam1=1.0)),
     ("InfluencePath", "alphas", "alphas", True,
@@ -211,6 +213,9 @@ _ARRAY_ARGUMENTS = [
     ("pro_estimated", "g", "g", False, lambda x, i: rr.pro_estimated(i.dec, x, 1e-4)),
     ("ipro", "g", "g", False, lambda x, i: rr.ipro(i.dec, x)),
     ("sigma_for_snr", "g_true", "g_true", False, lambda x, i: rr.sigma_for_snr(x, 20.0)),
+    ("rel_error", "f", "f", False, lambda x, i: rr.rel_error(x, i.p.f_true)),
+    ("rel_error", "f_true", "f_true", False, lambda x, i: rr.rel_error(i.p.f_true, x)),
+    ("oracle_error", "errors", "errors", True, lambda x, i: rr.oracle_error(x)),
     ("RiskCurve", "alphas", "alphas", True,
      lambda x, i: rr.RiskCurve(x, np.ones(np.size(x)), "lower_bound")),
     ("RiskCurve", "values", "values", False,
@@ -309,11 +314,23 @@ def test_array_argument_rejects_a_bad_entry(name, call, value, bad):
     (lambda i: rr.sigma_for_snr([np.nan, 1.0], 10.0), "g_true must be finite, got nan"),
     (lambda i: rr.lower_bound_T(np.c_[1.0], None, i.dec, 1e-3),
      "sigma2 must be nonnegative and finite, got None"),
+    (lambda i: rr.svd(np.array([[True, False], [False, True]])), "A must be finite, got True"),
+    (lambda i: rr.golub_kahan(np.eye(3), np.array([True, True, False]), [1.0]),
+     "b must be finite, got True"),
+    (lambda i: rr.power_iteration(np.array([[True, False], [False, True]])),
+     "A must be finite, got True"),
+    (lambda i: rr.rel_error([np.nan, 1.0], [1.0, 1.0]), "f must be finite, got nan"),
+    (lambda i: rr.rel_error([1.0, 1.0], np.zeros(2)), "f_true must be nonzero"),
+    (lambda i: rr.oracle_error(np.array([np.nan, 1.0])),
+     "errors must be nonnegative and finite, got nan"),
 ], ids=["InfluencePath_nan_node", "InfluencePath_negative_weight", "InfluencePath_shapes",
         "SpectralDecomposition_nan_s", "pro_estimated_short_g", "ipro_grid_short_g",
-        "ipro_spectrum_short_g", "sigma_for_snr_nan", "lower_bound_T_sigma2_None"])
+        "ipro_spectrum_short_g", "sigma_for_snr_nan", "lower_bound_T_sigma2_None",
+        "svd_bool", "golub_kahan_bool_b", "power_iteration_bool", "rel_error_nan",
+        "rel_error_zero_f_true", "oracle_error_nan"])
 def test_silent_answers_are_rejected(call, message):
-    # each gave an answer, or a bare TypeError, before its argument was checked
+    # each gave an answer (svd of a bool matrix s = [1, 1], rel_error of a zero
+    # f_true inf), or a bare TypeError, before its argument was checked
     with pytest.raises(ValueError) as info:
         call(_inputs())
     assert str(info.value) == message

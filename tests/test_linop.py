@@ -52,6 +52,38 @@ class TestSvd:
             rr.svd(op)
 
 
+class TestOperatorForms:
+    def test_unknown_representation_rejected(self):
+        with pytest.raises(ValueError, match="^unknown representation 'sparse'$"):
+            rr.LinearOperator(2, 2, np.negative, np.negative, "sparse")
+
+    @pytest.mark.parametrize("A", [np.ones(3), np.ones((2, 2, 2)), 1.0])
+    def test_dense_needs_a_matrix(self, A):
+        with pytest.raises(ValueError, match="^expected a 2-d array$"):
+            rr.LinearOperator.from_dense(A)
+
+    def test_leading_dimension_checked(self):
+        op = rr.LinearOperator.from_dense(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="^expected leading dimension 2, got 3$"):
+            op.apply(np.ones(3))
+        with pytest.raises(ValueError, match="^expected leading dimension 3, got 2$"):
+            op.apply_adjoint(np.ones((2, 4)))
+
+    def test_functions_to_dense_applies_the_identity(self):
+        M = np.arange(6.0).reshape(3, 2)
+        op = rr.LinearOperator.from_functions(3, 2, M.__matmul__, M.T.__matmul__)
+        assert np.array_equal(op.to_dense(), M)
+
+    def test_bare_sparse_matrix_is_matrix_free(self):
+        S = sp.random(5, 4, density=0.5, random_state=keyed_rng(3), format="csc")
+        op = as_operator(S)
+        assert op.representation == "matrix-free" and op.shape == (5, 4)
+        x, y = np.arange(4.0), np.arange(5.0)
+        np.testing.assert_allclose(op.apply(x), S @ x, rtol=1e-15)
+        np.testing.assert_allclose(op.apply_adjoint(y), S.T @ y, rtol=1e-15)
+        assert np.array_equal(op.to_dense(), S.toarray())
+
+
 class TestAdjointConsistency:
     def _check(self, op, norm_est, trials=20):
         rng = keyed_rng(13)

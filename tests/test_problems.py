@@ -63,6 +63,17 @@ class TestGenerators:
             np.testing.assert_allclose(logw[keep], np.log(ws[keep]) + ts[keep],
                                        atol=1e-10)
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_laguerre_rescale_keeps_the_weights(self, n):
+        # from n = 256 the scaled recurrence passes 1e120 and is renormalized
+        # (at 512 it would overflow): the weights e^{-t} (w e^t) still
+        # integrate 1 over [0, inf)
+        t, logw = _laguerre_nodes_logweights(n)
+        w = np.exp(logw - t)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-10
+        assert np.all(np.isfinite(rr.make_problem("i_laplace", 1, n).A.to_dense()))
+
 
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_heat_matrix_is_scipy_toeplitz_bit_for_bit(n):
@@ -241,6 +252,23 @@ class TestContainers:
             A = np.frombuffer(fh.read(8 * 16 * 16), dtype="<f8").reshape(
                 (16, 16), order="F")
         np.testing.assert_array_equal(A, p.A.to_dense())
+
+    def test_rejects_a_header_nested_past_the_recursion_limit(self, tmp_path):
+        header = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "deep.rr"
+        path.write_bytes(b"RISKREG1" + len(header).to_bytes(8, "little") + header)
+        with pytest.raises(ValueError, match="^container header is nested too deeply$"):
+            load_container(path)
+
+    def test_missing_sections_rejected(self, tmp_path):
+        path = tmp_path / "part.rr"
+        p = rr.make_problem("shaw", None, 8)
+        save_container(path, noisy=rr.add_noise(p, 20.0, seed=0))
+        with pytest.raises(ValueError, match="^container has no operator matrix$"):
+            problem_from_container(load_container(path))
+        save_container(path, problem=p)
+        with pytest.raises(ValueError, match="^container has no noisy data$"):
+            noisy_from_container(load_container(path))
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus.rr"

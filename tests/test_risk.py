@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import riskreg as rr
-from riskreg.risk import _T_h_second
+from riskreg.risk import _T_h_terms
 from riskreg.rng import keyed_rng
+
+
+def _T_h_second(source, h, alpha):
+    """T_h'' at alpha, f1 + h f2 of ``_T_h_terms``."""
+    _, _, f1, f2 = _T_h_terms(source, alpha)
+    return float(f1 + h * f2)
 
 
 class TestPredictiveRisk:

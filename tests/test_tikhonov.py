@@ -125,6 +125,11 @@ class TestGolubKahan:
         x_ref = np.linalg.solve(A.T @ A + alpha * np.eye(9), A.T @ b)
         np.testing.assert_allclose(_projected_solution(run, alpha), x_ref, rtol=1e-8)
 
+    @pytest.mark.parametrize("alphas", [[], [[1.0]]])
+    def test_grid_must_be_a_nonempty_vector(self, alphas):
+        with pytest.raises(ValueError, match="^the Krylov path requires a nonempty grid"):
+            rr.golub_kahan(np.eye(3), np.ones(3), alphas)
+
     def test_iteration_cap(self):
         rng = keyed_rng(29)
         A = rng.standard_normal((40, 40))

@@ -63,9 +63,21 @@ Runs, in this process, against whichever ``riskreg`` is on the import path:
   data: ``InfluencePath`` with a NaN node, ``SpectralDecomposition`` with a
   NaN singular value, ``pro_estimated`` with a NaN in g, grid-mode ``ipro``
   with g one entry short, ``lower_bound_T`` with sigma2 a column of None,
-  ``sigma_for_snr`` with a NaN in g_true and a ``StudyConfig`` with
-  ``"xis": 5``: the exception type and message, or the type of the value
-  returned.
+  ``sigma_for_snr`` with a NaN in g_true, a ``StudyConfig`` with
+  ``"xis": 5``, ``svd`` of a bool matrix and ``golub_kahan`` from a bool
+  right-hand side: the exception type and message, or the type of the value
+  returned;
+- the minimizer of the bound on shaw, heat(1), deriv2, baart and phillips at
+  n = 64 (replicates 0-2 at 10, 20 and 40 dB): one SHA-256 per problem of
+  every ``minimize_T`` result (all fields, at full precision) on the
+  spectrum and on an 8-probe measure (seed 0, lam1 = s1^2) at 60 values of
+  h from 1e-14 to 1, of ``T_h_derivative`` on both at 5 of those h on the
+  default grid, and of the dense ``ipro`` selections (alpha and every
+  diagnostic);
+- ``select`` with ``pro`` and ``ipro`` on shaw n = 16 (20 dB, seed 0) with
+  A, g_true, g and sigma scaled by 1e40, 1e45, 1e-40 and 1e-45: exit code,
+  stdout and stderr, every warning shown, the package's directory in a
+  warning's location written ``<riskreg>``.
 
 Usage, once per tree, then diff the two outputs:
 
@@ -79,6 +91,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -217,6 +230,9 @@ def _library_rejections(problem) -> None:
         ("sigma_for_snr_g_true_nan", lambda: problems.sigma_for_snr(g_nan, 20.0)),
         ("StudyConfig_xis_5", lambda: bench.StudyConfig.from_json(
             json.dumps({**STUDIES[0][1], "xis": 5}))),
+        ("svd_A_bool", lambda: linop.svd(np.array([[True, False], [False, True]]))),
+        ("golub_kahan_b_bool", lambda: tikhonov.golub_kahan(
+            np.eye(3), np.array([True, True, False]), [1.0])),
     ]
     for label, call in calls:
         try:
@@ -224,6 +240,49 @@ def _library_rejections(problem) -> None:
         except Exception as exc:
             outcome = f"{type(exc).__name__} {json.dumps(str(exc))}"
         print(f"reject-lib {label} {outcome}")
+
+
+def _minimizer_battery() -> None:
+    hs = np.geomspace(1e-14, 1.0, 60)
+    for name, variant in (("shaw", None), ("heat", 1), ("deriv2", None), ("baart", None),
+                          ("phillips", None)):
+        problem = problems.make_problem(name, variant, 64)
+        dec = linop.svd(problem.A)
+        s1_sq = float(dec.s[0]) ** 2
+        grid = bench.default_grid(s1_sq).values
+        sources = (("spectrum", dec), ("probes8", tikhonov.influence_path_stochastic(
+            problem.A, grid, probes=8, seed=0, lam1=s1_sq)))
+        digest = hashlib.sha256()
+        for _, source in sources:
+            for h in hs:
+                digest.update(repr(dataclasses.astuple(risk.minimize_T(source, h))).encode())
+            for h in hs[::12]:
+                digest.update(risk.T_h_derivative(source, h, grid).tobytes())
+        for xi in XIS:
+            for rep in REPLICATES:
+                sel = rules.ipro(dec, problems.add_noise(problem, xi, SEED, rep).g)
+                digest.update(repr((sel.alpha, sel.diagnostics)).encode())
+        print(f"minimizer {_tag(name, variant, 64)} sha256={digest.hexdigest()}")
+
+
+def _scaled_selects(tmp) -> None:
+    shaw = problems.make_problem("shaw", None, 16)
+    data = problems.add_noise(shaw, 20.0, 0)
+    package = os.path.dirname(risk.__file__)
+    for scale in (1e40, 1e45, 1e-40, 1e-45):
+        scaled = problems.ProblemInstance(
+            name="custom", variant=None, n=16,
+            A=linop.LinearOperator.from_dense(shaw.A.to_dense() * scale),
+            f_true=shaw.f_true, g_true=shaw.g_true * scale)
+        path = os.path.join(tmp, f"shaw_n16_x{scale:g}.rr")
+        problems.save_container(path, problem=scaled, noisy=dataclasses.replace(
+            data, g=data.g * scale, sigma=data.sigma * scale))
+        for rule in ("pro", "ipro"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("always")
+                code, out, err = _run(["select", "--data", path, "--rule", rule])
+            print(f"select-scaled shaw_n16_x{scale:g} {rule} {code} {json.dumps(out)} "
+                  f"{json.dumps(err.replace(package, '<riskreg>'))}")
 
 
 def main() -> None:
@@ -356,7 +415,9 @@ def main() -> None:
         for label, argv in rejections:
             code, out, err = _run(argv)
             print(f"reject {label} {code} {json.dumps(out)} {json.dumps(err)}")
+        _scaled_selects(tmp)
     _library_rejections(shaw)
+    _minimizer_battery()
 
 
 if __name__ == "__main__":
